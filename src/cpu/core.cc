@@ -1,5 +1,7 @@
 #include "cpu/core.hh"
 
+#include <algorithm>
+
 #include "obs/profile.hh"
 #include "obs/spc.hh"
 #include "obs/trace.hh"
@@ -13,6 +15,33 @@ using isa::CodePtr;
 using isa::Inst;
 using isa::Opcode;
 using isa::Reg;
+
+namespace
+{
+
+/**
+ * Escape-accounting class of a block-engine dispatch exit: which SPC
+ * a fallback to the legacy interpreter is charged to.
+ */
+obs::Spc
+escapeSpc(Opcode op)
+{
+    switch (op) {
+      case Opcode::Call:
+      case Opcode::Ret:
+        return obs::Spc::DecodedEscapeCallret;
+      case Opcode::Rdtsc:
+      case Opcode::Rdpmc:
+        return obs::Spc::DecodedEscapeTimeread;
+      case Opcode::Syscall:
+      case Opcode::Iret:
+        return obs::Spc::DecodedEscapeSyscall;
+      default:
+        return obs::Spc::DecodedEscapeOther;
+    }
+}
+
+} // namespace
 
 Core::Core(const MicroArch &arch)
     : archRef(arch),
@@ -48,10 +77,6 @@ Core::setProgram(const isa::Program *prog)
 {
     pca_assert(prog && prog->linked());
     program = prog;
-    // Superblocks index into the program's decoded images; a program
-    // switch (or relink) invalidates every trace.
-    traces.clear();
-    traceHeat.clear();
 }
 
 std::uint64_t &
@@ -185,7 +210,7 @@ Core::run(CodePtr entry, Count max_instr)
         }
         if (decodeOn && !pmuUnit.samplingActive() &&
             prof == nullptr) {
-            steps += traceOn ? stepTraceTier() : stepDecodedBlock();
+            steps += stepDecodedBlock();
         } else {
             // Sampling sessions and an attached profiler force pure
             // interpretation: overflow (or the retired-PC ground
@@ -199,11 +224,11 @@ Core::run(CodePtr entry, Count max_instr)
                       " steps without halting");
         if (deadlineInstrs != 0 || deadlineCycles != 0) {
             // The watchdog. Checked only at dispatch boundaries
-            // (each tier caps a dispatch at one chunk, so a wedged
+            // (each engine caps a dispatch at one chunk, so a wedged
             // kernel loop trips it within one chunk of the budget);
             // the message names the budgets, not the position the
             // overrun was observed at, because that position differs
-            // across execution tiers while the degraded-row note
+            // between the engines while the degraded-row note
             // derived from this message must not.
             const Count retired =
                 instrPerMode[0] + instrPerMode[1];
@@ -856,70 +881,82 @@ Core::maybeFastForwardKeyed(std::uint64_t key, const Inst &branch,
     if (pmuUnit.samplingActive() || prof != nullptr)
         return;
     if (poisonSinceBackward) {
-        lf.phase = 0;
+        lf.headTaken = false;
+        lf.histLen = 0;
         poisonSinceBackward = false;
         return;
     }
-    poisonSinceBackward = false;
 
     const auto user = static_cast<std::size_t>(Mode::User);
-    auto snapshot = [&](LoopFf &dst) {
-        dst.headRegs = regs;
-        dst.headInstr = instrPerMode[user];
-        dst.headCycles = cycleCount;
+    auto snapshot = [&] {
+        lf.headTaken = true;
+        lf.headRegs = regs;
+        lf.headInstr = instrPerMode[user];
+        lf.headCycles = cycleCount;
         for (std::size_t e = 0; e < numEvents; ++e)
-            dst.headEvents[e] = rawEv[e][user];
+            lf.headEvents[e] = rawEv[e][user];
     };
 
-    if (lf.phase == 0) {
-        snapshot(lf);
-        lf.phase = 1;
+    if (!lf.headTaken) {
+        snapshot();
         return;
     }
 
-    // Compute this iteration's deltas.
-    Count d_instr = instrPerMode[user] - lf.headInstr;
-    Cycles d_cycles = cycleCount - lf.headCycles;
-    std::array<Count, numEvents> d_events{};
+    // Compute this iteration's delta.
+    IterDelta d;
+    d.instr = instrPerMode[user] - lf.headInstr;
+    d.cycles = cycleCount - lf.headCycles;
     for (std::size_t e = 0; e < numEvents; ++e)
-        d_events[e] = rawEv[e][user] - lf.headEvents[e];
-
-    int changed = -1;
-    std::int64_t step_val = 0;
+        d.events[e] = rawEv[e][user] - lf.headEvents[e];
     for (std::size_t r = 0; r < isa::numRegs; ++r) {
         if (regs[r] != lf.headRegs[r]) {
-            if (changed >= 0) {
+            if (d.reg >= 0) {
                 lf.unsafe = true; // more than one register changes
                 return;
             }
-            changed = static_cast<int>(r);
-            step_val = static_cast<std::int64_t>(
-                regs[r] - lf.headRegs[r]);
+            d.reg = static_cast<int>(r);
+            d.step = static_cast<std::int64_t>(regs[r] - lf.headRegs[r]);
         }
     }
-    if (changed < 0 || step_val == 0) {
+    if (d.reg < 0) {
         lf.unsafe = true; // no induction variable: diverging loop?
         return;
     }
+    snapshot();
 
-    const bool stable = lf.phase == 2 && d_instr == lf.dInstr &&
-        d_cycles == lf.dCycles && d_events == lf.dEvents &&
-        changed == lf.changedReg && step_val == lf.step;
+    constexpr std::size_t ring = 2 * maxFfPeriod;
+    lf.hist[lf.histNext] = d;
+    lf.histNext = (lf.histNext + 1) % ring;
+    lf.histLen = std::min(lf.histLen + 1, ring);
+    // back(0) is this iteration, back(j) the one j iterations earlier.
+    auto back = [&](std::size_t j) -> const IterDelta & {
+        return lf.hist[(lf.histNext + ring - 1 - j) % ring];
+    };
 
-    lf.dInstr = d_instr;
-    lf.dCycles = d_cycles;
-    lf.dEvents = d_events;
-    lf.changedReg = changed;
-    lf.step = step_val;
-    snapshot(lf);
-    if (lf.phase == 1) {
-        lf.phase = 2;
-        return;
+    // Steady state: the smallest period p whose last 2p deltas are
+    // two equal copies (p = 1: two equal consecutive iterations).
+    std::size_t period = 0;
+    for (std::size_t p = 1; p <= maxFfPeriod && 2 * p <= lf.histLen;
+         ++p) {
+        std::size_t j = 0;
+        while (j < p && back(j) == back(j + p))
+            ++j;
+        if (j == p) {
+            period = p;
+            break;
+        }
     }
-    if (!stable)
+    if (period == 0)
         return; // still warming up; keep observing
 
-    // Steady state confirmed: extrapolate. The loop idiom must be
+    // The trip count below assumes one constant induction step.
+    const int changed = d.reg;
+    const std::int64_t step_val = d.step;
+    for (std::size_t j = 1; j < period; ++j)
+        if (back(j).reg != changed || back(j).step != step_val)
+            return;
+
+    // Extrapolate. The loop idiom must be
     //   cmp_imm R, T ; jne/jl back
     if (branch_index < 1)
         return;
@@ -936,8 +973,7 @@ Core::maybeFastForwardKeyed(std::uint64_t key, const Inst &branch,
     std::int64_t n; // iterations remaining until the branch falls through
     if (branch.op == Opcode::Jne) {
         const std::int64_t dist = target - cur;
-        if (step_val == 0 || dist % step_val != 0 ||
-            dist / step_val <= 0) {
+        if (dist % step_val != 0 || dist / step_val <= 0) {
             lf.unsafe = true;
             return;
         }
@@ -952,40 +988,51 @@ Core::maybeFastForwardKeyed(std::uint64_t key, const Inst &branch,
         return;
     }
 
-    std::int64_t k = n - 1; // leave the final iteration interpreted
+    // Whole periods only, leaving the final iteration interpreted.
+    const auto p_iters = static_cast<std::int64_t>(period);
+    std::int64_t k = (n - 1) / p_iters;
     if (k <= 0)
         return;
 
-    if (intClient && d_cycles > 0) {
+    IterDelta sum; // one period
+    for (std::size_t j = 0; j < period; ++j) {
+        sum.instr += back(j).instr;
+        sum.cycles += back(j).cycles;
+        for (std::size_t e = 0; e < numEvents; ++e)
+            sum.events[e] += back(j).events[e];
+    }
+
+    if (intClient && sum.cycles > 0) {
         const Cycles next = intClient->nextInterruptCycle();
         if (next <= cycleCount)
             return; // interrupt due: interpret towards it
         const auto k_int = static_cast<std::int64_t>(
-            (next - cycleCount) / d_cycles);
+            (next - cycleCount) / sum.cycles);
         k = std::min(k, k_int);
         if (k <= 0)
             return;
     }
 
-    // Bulk-apply k iterations.
+    // Bulk-apply k periods.
     regs[static_cast<std::size_t>(changed)] +=
-        static_cast<std::uint64_t>(step_val * k);
+        static_cast<std::uint64_t>(step_val * k * p_iters);
     const auto ku = static_cast<Count>(k);
-    instrPerMode[user] += d_instr * ku;
-    cycleCount += d_cycles * ku;
-    cyclesPerMode[user] += d_cycles * ku;
-    pmuUnit.addCycles(d_cycles * ku, Mode::User);
+    instrPerMode[user] += sum.instr * ku;
+    cycleCount += sum.cycles * ku;
+    cyclesPerMode[user] += sum.cycles * ku;
+    pmuUnit.addCycles(sum.cycles * ku, Mode::User);
     for (std::size_t e = 0; e < numEvents; ++e) {
-        if (d_events[e] == 0 ||
+        if (sum.events[e] == 0 ||
             e == static_cast<std::size_t>(EventType::CpuClkUnhalted))
             continue;
-        rawEv[e][user] += d_events[e] * ku;
+        rawEv[e][user] += sum.events[e] * ku;
         pmuUnit.count(static_cast<EventType>(e), Mode::User,
-                      d_events[e] * ku);
+                      sum.events[e] * ku);
     }
-    ffIters += ku;
-    PCA_SPC_ADD(FastForwardIters, ku);
-    snapshot(lf); // head reflects post-bulk state
+    const Count iters = ku * static_cast<Count>(period);
+    ffIters += iters;
+    PCA_SPC_ADD(FastForwardIters, iters);
+    snapshot(); // head reflects post-bulk state
 }
 
 std::vector<Addr>
@@ -1046,11 +1093,6 @@ Core::reset()
     poisonSinceBackward = true;
     lastFetchLine = ~Addr{0};
     lastFetchPage = ~Addr{0};
-    // Power-on reset re-warms the trace tier from scratch: reboot()
-    // equivalence requires a rebooted machine to form (and count)
-    // its superblocks exactly like a fresh boot.
-    traces.clear();
-    traceHeat.clear();
 }
 
 } // namespace pca::cpu

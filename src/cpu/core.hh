@@ -3,7 +3,7 @@
  * The simulated processor core: an interpreter for the pca ISA that
  * drives the PMU, front-end, caches and branch predictor, takes
  * syscall traps and external interrupts, and fast-forwards
- * steady-state counted loops.
+ * counted loops whose per-iteration cost repeats.
  */
 
 #ifndef PCA_CPU_CORE_HH
@@ -20,7 +20,6 @@
 #include "cpu/microarch.hh"
 #include "cpu/pmu.hh"
 #include "cpu/predictor.hh"
-#include "cpu/trace.hh"
 #include "isa/context.hh"
 #include "isa/program.hh"
 #include "support/types.hh"
@@ -112,29 +111,16 @@ class Core : public isa::CpuContext
     void setDecodeCacheEnabled(bool on) { decodeOn = on; }
 
     /**
-     * Enable/disable the superblock/trace tier (default on; only
-     * active while the decode cache is on). When enabled, hot loop
-     * heads are chained into superblocks executed with threaded
-     * dispatch, and the foldable escape classes (call/ret,
-     * time-reads, MSR access, syscall entry/exit) execute inside the
-     * decoded engine instead of falling back to the legacy
-     * interpreter. Results are identical either way (asserted by
-     * tests/test_trace.cc); like the decode cache, the tier disarms
-     * itself under PMU sampling or an attached profiler.
-     */
-    void setTraceTierEnabled(bool on) { traceOn = on; }
-
-    /**
      * Watchdog budgets for run(): abort with
      * StatusError(DeadlineExceeded) once the run has retired more
      * than @p instrs instructions or accumulated more than
      * @p cycles virtual cycles (0 = that budget is unlimited). The
-     * check sits in run()'s outer dispatch loop, so every execution
-     * tier trips it within one dispatch chunk of the budget —
-     * including a handler wedged in kernel mode, where interrupts
-     * are never polled and nothing else could regain control.
-     * Persists across reset(): like the tier toggles, it models the
-     * harness, not machine state.
+     * check sits in run()'s outer dispatch loop, so both engines
+     * trip it within one dispatch chunk of the budget — including a
+     * handler wedged in kernel mode, where interrupts are never
+     * polled and nothing else could regain control. Persists across
+     * reset(): like the engine toggles, it models the harness, not
+     * machine state.
      */
     void
     setRunDeadline(Count instrs, Cycles cycles)
@@ -231,11 +217,32 @@ class Core : public isa::CpuContext
         obs::AttrClass attrCls;
     };
 
+    /**
+     * What one loop iteration (back-edge to back-edge) added to the
+     * user-mode counts, and the one register it stepped.
+     */
+    struct IterDelta
+    {
+        Count instr = 0;
+        Cycles cycles = 0;
+        std::array<Count, numEvents> events{};
+        int reg = -1;
+        std::int64_t step = 0;
+
+        bool operator==(const IterDelta &) const = default;
+    };
+
+    /**
+     * Longest period of per-iteration deltas loop fast-forward
+     * detects. NetBurst's trace-cache replay gives the paper's loops
+     * period 2.
+     */
+    static constexpr std::size_t maxFfPeriod = 16;
+
     /** Per-branch loop fast-forward bookkeeping. */
     struct LoopFf
     {
-        // 0 = need head snapshot, 1 = head taken, 2 = deltas known.
-        int phase = 0;
+        bool headTaken = false; //!< head* hold the last back-edge
         bool unsafe = false;
 
         std::array<std::uint64_t, isa::numRegs> headRegs{};
@@ -243,24 +250,14 @@ class Core : public isa::CpuContext
         Cycles headCycles = 0;
         std::array<Count, numEvents> headEvents{};
 
-        Count dInstr = 0;
-        Cycles dCycles = 0;
-        std::array<Count, numEvents> dEvents{};
-        int changedReg = -1;
-        std::int64_t step = 0;
+        /** The last deltas, a ring: newest at histNext - 1. */
+        std::array<IterDelta, 2 * maxFfPeriod> hist{};
+        std::size_t histLen = 0;
+        std::size_t histNext = 0;
     };
 
     void step();
     Count stepDecodedBlock();
-    Count stepTraceTier();
-    Count runSuperblock(const Superblock &sb, bool check_irq,
-                        Cycles irq_due, Count budget);
-    std::uint64_t runBulkPasses(const Superblock &sb,
-                                std::uint64_t passCap);
-    /** Existing trace for (block, head), building it when the head
-     * crosses the hotness threshold; null until then (or forever,
-     * for unprofitable heads). */
-    const Superblock *traceFor(int block, int head);
     void execute(const isa::Inst &in);
     void deliverInterrupt(int vector);
     void chargeCycles(Cycles c);
@@ -332,28 +329,6 @@ class Core : public isa::CpuContext
     int dtlbPageShift = 0;
     Addr lastFetchLine = ~Addr{0};
     Addr lastFetchPage = ~Addr{0};
-
-    // Memory-resident pass scratch (see runSuperblock): the
-    // dcache-line / dTLB-page key of each memory element's address
-    // on the most recent element-wise pass, and the pass-local store
-    // buffer a resident pass stages its writes in. Pure scratch —
-    // holds no state across dispatches that affects results.
-    std::vector<Addr> sbMemLine;
-    std::vector<Addr> sbMemPage;
-    std::vector<std::pair<Addr, std::uint64_t>> sbStoreBuf;
-    /** Direct-threaded bulk-pass body (translated from the
-     * superblock's BulkOps on each runBulkPasses entry). */
-    std::vector<ThreadedBulkOp> sbBulkCode;
-
-    // Trace-tier state. Traces and heat counters are derivatives of
-    // the immutable decoded program (no architectural or PMU state),
-    // keyed by (block id << 32 | head index). reset() and
-    // setProgram() drop them wholesale: a rebooted machine re-warms
-    // its traces exactly like a fresh boot, and a relinked program
-    // can never execute through stale images.
-    bool traceOn = true;
-    std::unordered_map<std::uint64_t, Superblock> traces;
-    std::unordered_map<std::uint64_t, std::uint32_t> traceHeat;
 
     // Run-deadline watchdog budgets (0 = unlimited). Survive
     // reset(): they model harness policy, not machine state.

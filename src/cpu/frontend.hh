@@ -44,20 +44,8 @@ class FrontEnd
      */
     Cycles onInst(Addr addr, int size)
     {
-        return onInstWindows(windowOf(addr),
-                             windowOf(addr + static_cast<Addr>(size)
-                                      - 1));
-    }
-
-    /**
-     * onInst with the instruction's fetch-window ids already
-     * computed. The trace tier precomputes them per trace element at
-     * build time (addresses are link-time constants), shaving the
-     * two shifts off the per-instruction hot path; the accounting is
-     * the same computation either way.
-     */
-    Cycles onInstWindows(Addr w0, Addr w1)
-    {
+        const Addr w0 = windowOf(addr);
+        const Addr w1 = windowOf(addr + static_cast<Addr>(size) - 1);
         Cycles c = 0;
         if (!lsdOn) {
             if (w0 != curWindow) {
@@ -77,9 +65,6 @@ class FrontEnd
         }
         return c;
     }
-
-    /** Fetch-window id of @p a (for precomputed-window callers). */
-    Addr windowId(Addr a) const { return windowOf(a); }
 
     /**
      * Account for a taken branch: flush the partial decode group,

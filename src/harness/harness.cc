@@ -21,17 +21,6 @@ defaultDecodeCache()
              std::strcmp(spec, "false") == 0);
 }
 
-bool
-defaultTraceTier()
-{
-    const char *spec = std::getenv("PCA_TRACE_TIER");
-    if (!spec || !*spec)
-        return true;
-    return !(std::strcmp(spec, "0") == 0 ||
-             std::strcmp(spec, "off") == 0 ||
-             std::strcmp(spec, "false") == 0);
-}
-
 const char *
 countingModeName(CountingMode m)
 {

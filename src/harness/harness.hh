@@ -55,13 +55,6 @@ void validateHarnessConfig(const HarnessConfig &cfg);
  */
 bool defaultDecodeCache();
 
-/**
- * Process-wide default for HarnessConfig::traceTier: true unless the
- * environment sets PCA_TRACE_TIER=0/off/false (PCA_TRACE belongs to
- * the event tracer). Only meaningful while the decode cache is on.
- */
-bool defaultTraceTier();
-
 /** One point in the experiment factor space. */
 struct HarnessConfig
 {
@@ -89,8 +82,8 @@ struct HarnessConfig
     bool fastForward = true;
     /** Pre-decoded block engine (results identical; see DESIGN §6). */
     bool decodeCache = defaultDecodeCache();
-    /** Superblock/trace tier (results identical; see DESIGN §6.10). */
-    bool traceTier = defaultTraceTier();
+    /** Unused: nothing reads it; kept so old callers still build. */
+    bool traceTier = true;
 
     /**
      * Fault-injection plan for the machines this config boots

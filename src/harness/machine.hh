@@ -44,7 +44,7 @@ struct MachineConfig
     bool fastForward = true;
     /** Pre-decoded basic-block execution (results identical). */
     bool decodeCache = true;
-    /** Superblock/trace tier on top of it (results identical). */
+    /** Unused: nothing reads it; kept so old callers still build. */
     bool traceTier = true;
 
     /**

@@ -60,7 +60,6 @@ toMachineConfig(const HarnessConfig &cfg)
     mc.preemptProb = cfg.preemptProb;
     mc.fastForward = cfg.fastForward;
     mc.decodeCache = cfg.decodeCache;
-    mc.traceTier = cfg.traceTier;
     mc.faults = cfg.faults;
     mc.profile = cfg.profile;
     mc.runInstrBudget = cfg.runInstrBudget;
@@ -283,7 +282,6 @@ ProgramCache::key(const HarnessConfig &cfg,
     k += prob;
     k += cfg.fastForward ? "/ff" : "/noff";
     k += cfg.decodeCache ? "/dc" : "/nodc";
-    k += cfg.traceTier ? "/tt" : "/nott";
     // Sessions built under different fault plans simulate different
     // machines; they must never alias (the seed stays excluded — it
     // varies per run, not per program).

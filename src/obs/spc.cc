@@ -48,8 +48,6 @@ spcName(Spc c)
       case Spc::DecodedEscapeSyscall:
         return "decoded_escape_syscall";
       case Spc::DecodedEscapeOther: return "decoded_escape_other";
-      case Spc::SuperblocksFormed: return "superblocks_formed";
-      case Spc::SuperblockExits: return "superblock_exits";
       case Spc::ParallelWorkerErrors:
         return "parallel_worker_errors";
       case Spc::DeadlineExceededRuns:
@@ -62,13 +60,6 @@ spcName(Spc c)
         return "checkpoint_points_written";
       case Spc::CheckpointPointsResumed:
         return "checkpoint_points_resumed";
-      case Spc::ResidentMemPasses: return "resident_mem_passes";
-      case Spc::ResidentMemBailouts:
-        return "resident_mem_bailouts";
-      case Spc::ChildTraceLinks: return "child_trace_links";
-      case Spc::InlinedCalls: return "inlined_calls";
-      case Spc::SuperblockBailoutReplays:
-        return "superblock_bailout_replays";
       case Spc::NumSpcs: break;
     }
     return "?";

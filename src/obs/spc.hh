@@ -52,8 +52,6 @@ enum class Spc : std::uint8_t
     DecodedEscapeTimeread, //!< decoded-engine exits at rdtsc/rdpmc
     DecodedEscapeSyscall,  //!< decoded-engine exits at syscall/iret
     DecodedEscapeOther,    //!< decoded-engine exits at hostop/halt/...
-    SuperblocksFormed,     //!< superblocks (traces) built
-    SuperblockExits,       //!< superblock executions ended (any reason)
     ParallelWorkerErrors,  //!< worker errors captured by parallelFor
     DeadlineExceededRuns,  //!< runs killed by the watchdog budget
     RetryBackoffCycles,    //!< virtual backoff charged before retries
@@ -61,11 +59,6 @@ enum class Spc : std::uint8_t
     PointsQuarantined,     //!< points that burned their retry budget
     CheckpointPointsWritten, //!< points recorded to a checkpoint
     CheckpointPointsResumed, //!< points skipped via a checkpoint
-    ResidentMemPasses,       //!< memory-resident passes executed in bulk
-    ResidentMemBailouts,     //!< resident passes abandoned (address drift)
-    ChildTraceLinks,         //!< child-trace elements executed
-    InlinedCalls,            //!< call-inlined trace elements executed
-    SuperblockBailoutReplays, //!< resident passes rolled back + replayed
     NumSpcs,
 };
 

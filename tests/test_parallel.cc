@@ -161,8 +161,9 @@ TEST(ParallelThreads, EnvControlsDefaultCount)
 {
     setenv("PCA_THREADS", "3", 1);
     EXPECT_EQ(defaultThreadCount(), 3);
+    // 0 is rejected with a warning, like any unparsable value.
     setenv("PCA_THREADS", "0", 1);
-    EXPECT_EQ(defaultThreadCount(), 1);
+    EXPECT_EQ(defaultThreadCount(), hardwareThreads());
     unsetenv("PCA_THREADS");
     EXPECT_EQ(defaultThreadCount(), hardwareThreads());
 }

@@ -4,11 +4,16 @@
  * parameterized gtest suites.
  */
 
+#include <sstream>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "core/factor_space.hh"
 #include "harness/harness.hh"
+#include "harness/machine.hh"
 #include "harness/microbench.hh"
+#include "isa/assembler.hh"
 
 namespace pca::harness
 {
@@ -177,20 +182,28 @@ TEST_P(EveryInterface, OptLevelDoesNotChangeInstructionError)
     }
 }
 
-/** Fast-forward changes nothing observable. */
+/**
+ * Fast-forward changes nothing observable, and it fires on every
+ * processor: the interface moves the loop in memory, and on Pentium D
+ * some placements give it a period-2 cost per iteration.
+ */
 TEST_P(EveryInterface, FastForwardInvariance)
 {
-    auto cfg = configOf({cpu::Processor::AthlonX2, GetParam(),
-                         AccessPattern::StartRead,
-                         CountingMode::UserKernel});
-    const LoopBench loop(40000);
-    cfg.fastForward = true;
-    const auto with_ff = MeasurementHarness(cfg).measure(loop);
-    cfg.fastForward = false;
-    const auto without_ff = MeasurementHarness(cfg).measure(loop);
-    EXPECT_EQ(with_ff.delta(), without_ff.delta());
-    EXPECT_EQ(with_ff.run.cycles, without_ff.run.cycles);
-    EXPECT_GT(with_ff.run.fastForwardedIters, 0u);
+    for (const auto proc : {cpu::Processor::PentiumD,
+                            cpu::Processor::Core2Duo,
+                            cpu::Processor::AthlonX2}) {
+        auto cfg = configOf({proc, GetParam(), AccessPattern::StartRead,
+                             CountingMode::UserKernel});
+        const LoopBench loop(40000);
+        cfg.fastForward = true;
+        const auto with_ff = MeasurementHarness(cfg).measure(loop);
+        cfg.fastForward = false;
+        const auto without_ff = MeasurementHarness(cfg).measure(loop);
+        const char *name = cpu::processorCode(proc);
+        EXPECT_EQ(with_ff.delta(), without_ff.delta()) << name;
+        EXPECT_EQ(with_ff.run.cycles, without_ff.run.cycles) << name;
+        EXPECT_GT(with_ff.run.fastForwardedIters, 0u) << name;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -201,6 +214,47 @@ INSTANTIATE_TEST_SUITE_P(
     [](const testing::TestParamInfo<Interface> &info) {
         return std::string(interfaceCode(info.param));
     });
+
+/**
+ * Timer ticks landing inside a period-2 loop (Pentium D's trace-cache
+ * replay) must find the same state with fast-forward on as off: the
+ * fold stops short of the tick in whole periods.
+ */
+TEST(FastForwardPeriod, TimerTicksMidPeriodChangeNothing)
+{
+    const LoopBench loop(4000000);
+    for (const std::uint64_t seed : {1u, 2u}) {
+        std::string digest[2];
+        for (const bool ff : {false, true}) {
+            MachineConfig cfg;
+            cfg.processor = cpu::Processor::PentiumD;
+            cfg.iface = Interface::Pm;
+            cfg.seed = seed;
+            cfg.fastForward = ff;
+            Machine m(cfg);
+            isa::Assembler a("main");
+            loop.emit(a);
+            a.halt();
+            m.addUserBlock(a.take());
+            m.finalize();
+            const cpu::RunResult r = m.run();
+            EXPECT_GT(r.interrupts, 0u) << "seed=" << seed;
+            if (ff) {
+                EXPECT_GT(r.fastForwardedIters, 0u) << "seed=" << seed;
+            }
+            std::ostringstream os;
+            os << r.userInstr << '/' << r.kernelInstr << '/' << r.cycles
+               << '/' << r.interrupts;
+            for (std::size_t e = 0; e < cpu::numEvents; ++e)
+                for (auto mode : {Mode::User, Mode::Kernel})
+                    os << '/'
+                       << m.core().rawEvents(
+                              static_cast<cpu::EventType>(e), mode);
+            digest[ff] = os.str();
+        }
+        EXPECT_EQ(digest[1], digest[0]) << "seed=" << seed;
+    }
+}
 
 class EveryProcessor : public testing::TestWithParam<cpu::Processor>
 {

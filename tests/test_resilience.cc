@@ -566,36 +566,28 @@ TEST(CheckpointStudy, CrashedResumeIsByteIdenticalAcrossThreads)
 }
 
 // ---------------------------------------------------------------- //
-// Fault x execution-tier byte-identity
+// Fault x execution-engine byte-identity
 // ---------------------------------------------------------------- //
 
 TEST(FaultTierIdentity, FaultedTablesMatchAcrossExecutionTiers)
 {
     // Torn reads, counter wrap, and watchdog-reaped hangs must each
-    // produce the same table under every execution tier: the tiers
-    // are architecturally invisible, and the deadline note names
-    // only configured budgets (detection position differs per tier).
+    // produce the same table with the block engine on and off: the
+    // engines are architecturally invisible, and the deadline note
+    // names only configured budgets (detection position differs per
+    // engine).
     const auto points = smallPointSet();
     for (const char *plan :
          {"seed=5,torn=0.5,width=48", "seed=5,rate=0.02,width=40",
           "seed=5,hang=0.4,budget=500000,retries=1"}) {
         setenv("PCA_FAULTS", plan, 1);
-        std::string reference;
-        for (const auto &[decode, trace] :
-             {std::pair{"0", "0"}, {"1", "0"}, {"1", "1"}}) {
-            setenv("PCA_DECODE", decode, 1);
-            setenv("PCA_TRACE_TIER", trace, 1);
-            const std::string csv =
-                csvOf(core::runNullErrorStudy(points, 2, 42));
-            if (reference.empty())
-                reference = csv;
-            else
-                EXPECT_EQ(csv, reference)
-                    << "plan: " << plan << ", decode=" << decode
-                    << ", trace=" << trace;
+        std::string csv[2];
+        for (const bool decode : {false, true}) {
+            setenv("PCA_DECODE", decode ? "1" : "0", 1);
+            csv[decode] = csvOf(core::runNullErrorStudy(points, 2, 42));
         }
         unsetenv("PCA_DECODE");
-        unsetenv("PCA_TRACE_TIER");
+        EXPECT_EQ(csv[1], csv[0]) << "plan: " << plan;
     }
     unsetenv("PCA_FAULTS");
 }
