@@ -49,21 +49,20 @@ paperRef(const std::string &what, double paper, double measured,
 
 /**
  * Collect null-benchmark errors for one configuration, through the
- * same cached per-point path the study engine uses (one assembled
- * program, rebooted per run — values identical to building a fresh
+ * same per-point path the study engine uses (one assembled program,
+ * rebooted per run — values identical to building a fresh
  * MeasurementHarness for every run, which this helper used to do).
  */
 inline std::vector<double>
 nullErrors(harness::HarnessConfig cfg, int runs,
            std::uint64_t seed = 12345)
 {
-    harness::ProgramCache cache(1);
     const harness::NullBench bench;
     std::vector<double> errs;
     errs.reserve(static_cast<std::size_t>(runs));
     for (const StatusOr<harness::Measurement> &m :
          harness::measurePoint(
-             cache, cfg, bench, runs, [seed](int r) {
+             cfg, bench, runs, [seed](int r) {
                  return mixSeed(seed,
                                 static_cast<std::uint64_t>(r));
              }))

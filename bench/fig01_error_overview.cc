@@ -31,9 +31,9 @@ main()
                       .tscSettings({true, false})
                       .generate();
     // 12 runs per point: the paper's violins pool many measurements
-    // per configuration, and with the cached study engine the extra
-    // runs reuse the assembled program instead of re-booting a
-    // machine from scratch each time.
+    // per configuration, and the study engine runs a point's extra
+    // runs on its one assembled program instead of booting a machine
+    // from scratch each time.
     const auto table = core::runNullErrorStudy(
         points, 12, 20260704, core::StudyObsOptions::fromEnv());
 

@@ -1,15 +1,15 @@
 /**
  * @file
- * google-benchmark microbenchmarks of the simulator itself:
- * interpreter throughput, loop fast-forward, machine boot, and full
- * measurement cost. These bound the wall-clock cost of the
- * paper-reproduction studies.
+ * Timing and soak modes for the simulator itself. Exactly one mode
+ * runs per invocation; with none, the usage goes to stderr and the
+ * exit status is 2.
  *
- * `perf_simulator --studies [output.json]` instead times the study
- * engine end to end on the Figure 1 workload — the legacy serial
- * path (fresh machine + re-assembly per run) against the parallel
- * engine with the cross-run program cache — and writes points/sec,
- * speedup, and the cache hit rate to BENCH_studies.json.
+ * `perf_simulator --studies [output.json]` times the study engine
+ * end to end on the Figure 1 workload — the legacy serial path
+ * (fresh machine + re-assembly per run) against the parallel engine,
+ * which builds one session per point and reboots it for the point's
+ * other runs — and writes points/sec, speedup, and the session reuse
+ * rate (program_cache_hits over all runs) to BENCH_studies.json.
  *
  * `perf_simulator --interp [output.json]` times the interpreter on
  * the fig07/fig09 loop-sweep workload with the legacy per-step
@@ -45,8 +45,6 @@
  * violated invariant makes the exit status nonzero.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -63,7 +61,6 @@
 #include "core/study.hh"
 #include "harness/harness.hh"
 #include "harness/microbench.hh"
-#include "harness/session.hh"
 #include "isa/assembler.hh"
 #include "kernel/faults.hh"
 #include "obs/snapshot.hh"
@@ -88,152 +85,6 @@ using harness::MeasurementHarness;
 using harness::NullBench;
 using isa::Assembler;
 using isa::Reg;
-
-void
-BM_InterpreterThroughput(benchmark::State &state)
-{
-    // Pure interpretation (fast-forward disabled).
-    const auto iters = static_cast<Count>(state.range(0));
-    for (auto _ : state) {
-        MachineConfig cfg;
-        cfg.processor = cpu::Processor::AthlonX2;
-        cfg.iface = Interface::Pm;
-        cfg.interruptsEnabled = false;
-        cfg.fastForward = false;
-        Machine m(cfg);
-        Assembler a("main");
-        a.movImm(Reg::Eax, 0);
-        int loop = a.label();
-        a.addImm(Reg::Eax, 1)
-            .cmpImm(Reg::Eax, static_cast<std::int64_t>(iters))
-            .jne(loop)
-            .halt();
-        m.addUserBlock(a.take());
-        m.finalize();
-        benchmark::DoNotOptimize(m.run());
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(iters) * 3);
-}
-BENCHMARK(BM_InterpreterThroughput)->Arg(10000)->Arg(100000);
-
-void
-BM_FastForwardedLoop(benchmark::State &state)
-{
-    const auto iters = static_cast<Count>(state.range(0));
-    for (auto _ : state) {
-        MachineConfig cfg;
-        cfg.processor = cpu::Processor::AthlonX2;
-        cfg.iface = Interface::Pm;
-        cfg.interruptsEnabled = false;
-        Machine m(cfg);
-        Assembler a("main");
-        a.movImm(Reg::Eax, 0);
-        int loop = a.label();
-        a.addImm(Reg::Eax, 1)
-            .cmpImm(Reg::Eax, static_cast<std::int64_t>(iters))
-            .jne(loop)
-            .halt();
-        m.addUserBlock(a.take());
-        m.finalize();
-        benchmark::DoNotOptimize(m.run());
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(iters) * 3);
-}
-BENCHMARK(BM_FastForwardedLoop)
-    ->Arg(100000)
-    ->Arg(10000000)
-    ->Arg(1000000000);
-
-void
-BM_MachineBoot(benchmark::State &state)
-{
-    for (auto _ : state) {
-        MachineConfig cfg;
-        cfg.processor = cpu::Processor::Core2Duo;
-        cfg.iface = Interface::Pc;
-        Machine m(cfg);
-        Assembler a("main");
-        a.halt();
-        m.addUserBlock(a.take());
-        m.finalize();
-        benchmark::DoNotOptimize(m.run());
-    }
-}
-BENCHMARK(BM_MachineBoot);
-
-void
-BM_NullMeasurement(benchmark::State &state)
-{
-    const NullBench bench;
-    std::uint64_t seed = 0;
-    for (auto _ : state) {
-        HarnessConfig cfg;
-        cfg.processor = cpu::Processor::Core2Duo;
-        cfg.iface = Interface::PHpm;
-        cfg.pattern = AccessPattern::StartRead;
-        cfg.seed = ++seed;
-        benchmark::DoNotOptimize(
-            MeasurementHarness(cfg).measure(bench));
-    }
-}
-BENCHMARK(BM_NullMeasurement);
-
-void
-BM_LoopMeasurementWithInterrupts(benchmark::State &state)
-{
-    const LoopBench bench(1000000);
-    std::uint64_t seed = 0;
-    for (auto _ : state) {
-        HarnessConfig cfg;
-        cfg.processor = cpu::Processor::PentiumD;
-        cfg.iface = Interface::Pc;
-        cfg.pattern = AccessPattern::ReadRead;
-        cfg.seed = ++seed;
-        benchmark::DoNotOptimize(
-            MeasurementHarness(cfg).measure(bench));
-    }
-}
-BENCHMARK(BM_LoopMeasurementWithInterrupts);
-
-void
-BM_SessionReusedRun(benchmark::State &state)
-{
-    // Steady-state cost of one cached measurement: reboot + run,
-    // no re-assembly (the program cache's amortized per-run cost).
-    const NullBench bench;
-    HarnessConfig cfg;
-    cfg.processor = cpu::Processor::Core2Duo;
-    cfg.iface = Interface::PHpm;
-    cfg.pattern = AccessPattern::StartRead;
-    harness::HarnessSession sess(cfg, bench);
-    std::uint64_t seed = 0;
-    for (auto _ : state)
-        benchmark::DoNotOptimize(sess.run(++seed));
-}
-BENCHMARK(BM_SessionReusedRun);
-
-void
-BM_MachineReboot(benchmark::State &state)
-{
-    // Reboot alone (no run): the bookkeeping the session adds on
-    // top of the measurement itself.
-    MachineConfig cfg;
-    cfg.processor = cpu::Processor::Core2Duo;
-    cfg.iface = Interface::Pc;
-    Machine m(cfg);
-    Assembler a("main");
-    a.halt();
-    m.addUserBlock(a.take());
-    m.finalize();
-    std::uint64_t seed = 0;
-    for (auto _ : state)
-        m.reboot(++seed);
-}
-BENCHMARK(BM_MachineReboot);
 
 // ---------------------------------------------------------------- //
 // --studies: end-to-end study engine timing
@@ -327,9 +178,9 @@ archDigest(const cpu::RunResult &r, harness::Machine &m)
 /**
  * Run the fig07/fig09 loop-sweep shape (counted add/cmp/jne loop)
  * under one decode-cache x fast-forward setting. The machine is
- * built fresh, exactly like the study engine's uncached path; the
- * timed region is cell.batch reboot+run iterations on that machine,
- * and the recorded time is the per-run amortization.
+ * built fresh, exactly like a point's session in the study engine;
+ * the timed region is cell.batch reboot+run iterations on that
+ * machine, and the recorded time is the per-run amortization.
  *
  * The batch matters for the fast-forward cells: a single ff run
  * finishes in ~1-2 us, so timing it alone measures cold-cache and
@@ -706,7 +557,7 @@ runStudiesMode(const std::string &out_path)
     const auto legacy =
         legacySerialNullStudy(points, runsPerPoint, seed);
     const double serialSec = secondsSince(t0);
-    std::cout << "serial (legacy, uncached):  "
+    std::cout << "serial (legacy, fresh runs): "
               << fmtDouble(serialSec, 2) << " s\n";
 
     obs::spcReset();
@@ -728,7 +579,7 @@ runStudiesMode(const std::string &out_path)
     obs::spcReset();
 
     std::cout << "engine (" << threads << " thread"
-              << (threads == 1 ? "" : "s") << ", cached):      "
+              << (threads == 1 ? "" : "s") << "):          "
               << fmtDouble(engineSec, 2) << " s\n";
 
     // The engine must be invisible in the output — assert it here
@@ -745,7 +596,7 @@ runStudiesMode(const std::string &out_path)
     const double hitRate =
         (hits + misses) > 0 ? hits / (hits + misses) : 0.0;
     std::cout << "speedup: " << fmtDouble(speedup, 2)
-              << "x, cache hit rate: "
+              << "x, session reuse rate: "
               << fmtDouble(100.0 * hitRate, 1) << "%\n";
 
     std::ofstream os(out_path);
@@ -1299,10 +1150,10 @@ main(int argc, char **argv)
             return runWatchMode(argv[i + 1], polls);
         }
     }
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv))
-        return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
+    std::cerr << "usage: " << argv[0]
+              << " --studies|--interp|--chaos|--soak [output.json]\n"
+                 "       "
+              << argv[0]
+              << " --counters [file] | --watch <file> [polls]\n";
+    return 2;
 }

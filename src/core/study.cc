@@ -29,7 +29,6 @@ using harness::Interface;
 using harness::LoopBench;
 using harness::Measurement;
 using harness::NullBench;
-using harness::ProgramCache;
 
 StudyObsOptions
 StudyObsOptions::fromEnv()
@@ -250,21 +249,6 @@ histOf(const PointRecord &rec)
 }
 
 /**
- * One program cache per worker. Caches (and the sessions inside
- * them) are stateful and not thread-safe; the study engine partitions
- * whole factor points across workers, so a private cache per worker
- * gives lock-free reuse. Results cannot depend on the partition:
- * a cache hit and a fresh build are result-identical.
- */
-std::vector<ProgramCache>
-makeWorkerCaches()
-{
-    return std::vector<ProgramCache>(
-        static_cast<std::size_t>(
-            std::max(1, defaultThreadCount())));
-}
-
-/**
  * FNV-1a over every point label: pins the swept factor space inside
  * the checkpoint identity without recording each label.
  */
@@ -287,9 +271,9 @@ labelsDigest(std::size_t n,
 /**
  * The shared resilient point loop behind all three studies.
  *
- * Fans the factor points over the worker pool; measure(i, cache,
- * budget) produces point i's runs (their seeds must be a pure
- * function of the study seed and i, never of scheduling). With
+ * Fans the factor points over the worker pool; measure(i, budget)
+ * produces point i's runs (their seeds must be a pure function of
+ * the study seed and i, never of scheduling). With
  * PCA_CHECKPOINT set, points completed by a prior invocation load
  * from the checkpoint and are not re-measured, each finished point
  * is durably appended as it completes, and SIGINT turns into
@@ -306,7 +290,7 @@ runPoints(
     const kernel::FaultPlan &fault_plan, StudyObserver &observer,
     const std::function<std::string(std::size_t)> &label_of,
     const std::function<std::vector<StatusOr<Measurement>>(
-        std::size_t, ProgramCache &, std::optional<long>)> &measure,
+        std::size_t, std::optional<long>)> &measure,
     bool use_delta, bool with_attr)
 {
     std::vector<PointRecord> slots(n);
@@ -328,13 +312,11 @@ runPoints(
                        " points already complete)");
     }
 
-    std::vector<ProgramCache> caches = makeWorkerCaches();
     try {
-        parallelFor(todo.size(), [&](std::size_t t, int worker) {
+        parallelFor(todo.size(), [&](std::size_t t) {
             const std::size_t i = todo[t];
             slots[i] = toRecord(
-                measure(i, caches[static_cast<std::size_t>(worker)],
-                        fault_plan.retry.effectivePointBudget(n, i)),
+                measure(i, fault_plan.retry.effectivePointBudget(n, i)),
                 use_delta, with_attr);
             if (ckpt)
                 ckpt->record(i, slots[i]);
@@ -383,14 +365,14 @@ runNullErrorStudy(const std::vector<FactorPoint> &points,
                            p.optLevel, "/n", p.numCounters, "/tsc=",
                            p.tsc ? "on" : "off");
     };
-    const auto measure = [&](std::size_t i, ProgramCache &cache,
+    const auto measure = [&](std::size_t i,
                              std::optional<long> budget) {
         const FactorPoint &p = points[i];
         const std::uint64_t point_id = i + 1;
         HarnessConfig cfg = p.toHarnessConfig(seed);
         cfg.faults = fault_plan;
         return harness::measurePoint(
-            cache, cfg, bench, runs_per_point,
+            cfg, bench, runs_per_point,
             [&](int r) {
                 return mixSeed(seed,
                                point_id * 1000 +
@@ -475,7 +457,7 @@ runDurationStudy(const DurationStudyOptions &opt)
                            harness::interfaceCode(p.iface),
                            "/size=", p.size);
     };
-    const auto measure = [&](std::size_t i, ProgramCache &cache,
+    const auto measure = [&](std::size_t i,
                              std::optional<long> budget) {
         const Point &p = pts[i];
         const LoopBench bench(p.size);
@@ -492,7 +474,7 @@ runDurationStudy(const DurationStudyOptions &opt)
             static_cast<std::uint64_t>(i) *
             static_cast<std::uint64_t>(opt.runsPerSize);
         return harness::measurePoint(
-            cache, cfg, bench, opt.runsPerSize,
+            cfg, bench, opt.runsPerSize,
             [&](int r) {
                 return mixSeed(
                     opt.seed,
@@ -606,7 +588,7 @@ runCycleStudy(const CycleStudyOptions &opt)
                            p.optLevel, "/size=", p.size);
     };
     const kernel::FaultPlan fault_plan = kernel::FaultPlan::fromEnv();
-    const auto measure = [&](std::size_t i, ProgramCache &cache,
+    const auto measure = [&](std::size_t i,
                              std::optional<long> budget) {
         const Point &p = pts[i];
         const LoopBench bench(p.size);
@@ -623,7 +605,7 @@ runCycleStudy(const CycleStudyOptions &opt)
             static_cast<std::uint64_t>(i) *
             static_cast<std::uint64_t>(opt.runsPerConfig);
         return harness::measurePoint(
-            cache, cfg, bench, opt.runsPerConfig,
+            cfg, bench, opt.runsPerConfig,
             [&](int r) {
                 return mixSeed(
                     opt.seed,

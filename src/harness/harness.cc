@@ -100,13 +100,9 @@ std::vector<Measurement>
 MeasurementHarness::measureMany(const MicroBenchmark &bench,
                                 int runs) const
 {
-    pca_assert(runs >= 1);
-    HarnessSession sess(cfg, bench);
     std::vector<Measurement> out;
-    out.reserve(static_cast<std::size_t>(runs));
-    for (int r = 0; r < runs; ++r)
-        out.push_back(
-            sess.run(mixSeed(cfg.seed, static_cast<std::uint64_t>(r))));
+    for (StatusOr<Measurement> &m : tryMeasureMany(bench, runs))
+        out.push_back(std::move(m.value()));
     return out;
 }
 
@@ -114,14 +110,12 @@ std::vector<StatusOr<Measurement>>
 MeasurementHarness::tryMeasureMany(const MicroBenchmark &bench,
                                    int runs) const
 {
-    pca_assert(runs >= 1);
-    HarnessSession sess(cfg, bench);
-    std::vector<StatusOr<Measurement>> out;
-    out.reserve(static_cast<std::size_t>(runs));
-    for (int r = 0; r < runs; ++r)
-        out.push_back(sess.tryRun(
-            mixSeed(cfg.seed, static_cast<std::uint64_t>(r))));
-    return out;
+    return measurePoint(
+        cfg, bench, runs,
+        [this](int r) {
+            return mixSeed(cfg.seed, static_cast<std::uint64_t>(r));
+        },
+        -1L);
 }
 
 } // namespace pca::harness

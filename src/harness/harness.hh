@@ -150,9 +150,10 @@ struct Measurement
  * program, boots a Machine (fresh caches, new interrupt phase), and
  * executes the full sequence: setup, pattern calls, inline
  * benchmark, teardown. Internally backed by a single-use
- * HarnessSession (harness/session.hh); measureMany() reuses one
- * session across runs, which changes nothing in the results (see the
- * session equivalence contract) but skips redundant re-assembly.
+ * HarnessSession (harness/session.hh); measureMany() is one
+ * measurePoint() call, whose runs share one session, which changes
+ * nothing in the results (see the session equivalence contract) but
+ * skips redundant re-assembly.
  */
 class MeasurementHarness
 {

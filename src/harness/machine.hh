@@ -156,7 +156,7 @@ class Machine
      * phases, scheduling) are re-seeded from @p seed. After
      * reboot(s), run() produces results identical to those of a
      * freshly constructed Machine with seed s running the same
-     * program — the equivalence the cross-run program cache is built
+     * program — the equivalence HarnessSession's run reuse is built
      * on, asserted by tests/test_parallel.cc. Only valid once
      * finalized.
      */

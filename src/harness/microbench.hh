@@ -33,14 +33,6 @@ class MicroBenchmark
 
     virtual std::string name() const = 0;
 
-    /**
-     * Identity for the cross-run program cache: two benchmarks with
-     * the same cacheKey() must emit identical instruction sequences
-     * and report the same expected counts. Parameterized benchmarks
-     * fold their parameters in; the default is name() alone.
-     */
-    virtual std::string cacheKey() const { return name(); }
-
     /** Emit the benchmark's instructions into the harness block. */
     virtual void emit(isa::Assembler &a) const = 0;
 
@@ -93,10 +85,6 @@ class LoopBench : public MicroBenchmark
     explicit LoopBench(Count iterations);
 
     std::string name() const override { return "loop"; }
-    std::string cacheKey() const override
-    {
-        return "loop/" + std::to_string(iters);
-    }
     void emit(isa::Assembler &a) const override;
     Count expectedInstructions() const override;
 
@@ -117,11 +105,6 @@ class ArrayWalkBench : public MicroBenchmark
     ArrayWalkBench(Count elements, int stride_bytes);
 
     std::string name() const override { return "array-walk"; }
-    std::string cacheKey() const override
-    {
-        return "array-walk/" + std::to_string(elements) + "/" +
-               std::to_string(strideBytes);
-    }
     void emit(isa::Assembler &a) const override;
     Count expectedInstructions() const override;
     std::optional<Count>
@@ -150,10 +133,6 @@ class LinearBench : public MicroBenchmark
     explicit LinearBench(Count instructions);
 
     std::string name() const override { return "linear"; }
-    std::string cacheKey() const override
-    {
-        return "linear/" + std::to_string(n);
-    }
     void emit(isa::Assembler &a) const override;
     Count expectedInstructions() const override { return n; }
     std::optional<Count>

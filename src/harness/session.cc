@@ -1,7 +1,5 @@
 #include "harness/session.hh"
 
-#include <cstdio>
-
 #include "isa/assembler.hh"
 #include "obs/spc.hh"
 #include "obs/trace.hh"
@@ -193,7 +191,6 @@ HarnessSession::tryRun(std::uint64_t seed, RetryBudget *budget)
         machine.reboot(attempt_seed);
         s0 = CaptureSink{};
         s1 = CaptureSink{};
-        ++runs;
 
         const Cycles t0 = machine.core().cycles();
         StatusOr<cpu::RunResult> r = machine.tryRun("main");
@@ -250,86 +247,9 @@ HarnessSession::tryRun(std::uint64_t seed, RetryBudget *budget)
                       std::to_string(max_retries) + " retries)");
 }
 
-ProgramCache::ProgramCache(std::size_t capacity)
-    : cap(capacity == 0 ? 1 : capacity)
-{
-}
-
-std::string
-ProgramCache::key(const HarnessConfig &cfg,
-                  const MicroBenchmark &bench)
-{
-    std::string k;
-    k.reserve(96);
-    k += cpu::processorCode(cfg.processor);
-    k += '/';
-    k += interfaceCode(cfg.iface);
-    k += '/';
-    k += patternName(cfg.pattern);
-    k += '/';
-    k += countingModeName(cfg.mode);
-    k += "/O" + std::to_string(cfg.optLevel);
-    k += "/e" + std::to_string(static_cast<int>(cfg.primaryEvent));
-    for (cpu::EventType ev : cfg.extraEvents)
-        k += "," + std::to_string(static_cast<int>(ev));
-    k += cfg.tsc ? "/tsc" : "/notsc";
-    k += cfg.interruptsEnabled ? "/int" : "/noint";
-    k += cfg.ioInterrupts ? "/io" : "/noio";
-    // Exact bit pattern, not a rounded decimal: two preemption
-    // probabilities must never alias to one cache entry.
-    char prob[40];
-    std::snprintf(prob, sizeof prob, "/p%a", cfg.preemptProb);
-    k += prob;
-    k += cfg.fastForward ? "/ff" : "/noff";
-    k += cfg.decodeCache ? "/dc" : "/nodc";
-    // Sessions built under different fault plans simulate different
-    // machines; they must never alias (the seed stays excluded — it
-    // varies per run, not per program).
-    k += '/';
-    k += cfg.faults.fingerprint();
-    // Run budgets change outcomes (a budgeted run can deadline);
-    // appended only when set so unbudgeted keys stay as before.
-    if (cfg.runInstrBudget != 0 || cfg.runCycleBudget != 0)
-        k += "/wd" + std::to_string(cfg.runInstrBudget) + ":" +
-             std::to_string(cfg.runCycleBudget);
-    // A profiled session carries per-machine profiler state; it must
-    // never alias an unprofiled one (or one with another skid model).
-    k += "/prof:";
-    k += cfg.profile.fingerprint();
-    k += '/';
-    k += bench.cacheKey();
-    return k;
-}
-
-HarnessSession &
-ProgramCache::session(const HarnessConfig &cfg,
-                      const MicroBenchmark &bench)
-{
-    const std::string k = key(cfg, bench);
-    auto it = index.find(k);
-    if (it != index.end()) {
-        ++hitCount;
-        PCA_SPC_INC(ProgramCacheHits);
-        entries.splice(entries.begin(), entries, it->second);
-        return *entries.front().second;
-    }
-
-    ++missCount;
-    PCA_SPC_INC(ProgramCacheMisses);
-    entries.emplace_front(
-        k, std::make_unique<HarnessSession>(cfg, bench));
-    index[k] = entries.begin();
-
-    if (entries.size() > cap) {
-        index.erase(entries.back().first);
-        entries.pop_back();
-    }
-    return *entries.front().second;
-}
-
 std::vector<StatusOr<Measurement>>
-measurePoint(ProgramCache &cache, const HarnessConfig &cfg,
-             const MicroBenchmark &bench, int runs,
+measurePoint(const HarnessConfig &cfg, const MicroBenchmark &bench,
+             int runs,
              const std::function<std::uint64_t(int)> &seed_for,
              std::optional<long> retry_budget)
 {
@@ -337,14 +257,13 @@ measurePoint(ProgramCache &cache, const HarnessConfig &cfg,
     RetryBudget budget(retry_budget
                            ? *retry_budget
                            : cfg.faults.retry.perPointBudget);
+    HarnessSession session(cfg, bench);
+    PCA_SPC_INC(ProgramCacheMisses);
+    PCA_SPC_ADD(ProgramCacheHits, static_cast<Count>(runs - 1));
     std::vector<StatusOr<Measurement>> out;
     out.reserve(static_cast<std::size_t>(runs));
-    // Look the session up per run, not once per point: the lookup is
-    // a hash probe, and it makes the hit/miss counters measure every
-    // program reuse (runs 2..n of a point are cache hits).
     for (int r = 0; r < runs; ++r)
-        out.push_back(cache.session(cfg, bench)
-                          .tryRun(seed_for(r), &budget));
+        out.push_back(session.tryRun(seed_for(r), &budget));
     if (budget.limited() && budget.denied() > 0)
         PCA_SPC_INC(PointsQuarantined);
     return out;

@@ -1,6 +1,6 @@
 /**
  * @file
- * Reusable measurement sessions and the cross-run program cache.
+ * Reusable measurement sessions and the per-point run loop.
  *
  * MeasurementHarness::measure() assembles the measurement program,
  * boots a machine, runs once, and throws everything away. The study
@@ -12,15 +12,13 @@
  * every run after the first skips kernel code emission, harness
  * assembly, and linking. A session run is result-identical to a
  * fresh MeasurementHarness::measure() with the same seed (asserted
- * by tests/test_parallel.cc); caching is therefore invisible in
- * study output.
+ * by tests/test_parallel.cc), so reuse is invisible in study output.
  *
- * ProgramCache memoizes sessions by (configuration, benchmark) so
- * per-point run loops — and anything else replaying a configuration
- * — share one immutable assembled program. Neither class is
- * thread-safe: under the parallel study engine each worker owns a
- * private cache (points are partitioned, never split across
- * workers).
+ * measurePoint() is the one per-point loop: it builds a session,
+ * runs the point's seeds on it, and drops it — the paper's one
+ * executable per factor combination, run repeatedly. A session is
+ * not thread-safe; the parallel study engine gives each point to
+ * exactly one worker.
  */
 
 #ifndef PCA_HARNESS_SESSION_HH
@@ -28,11 +26,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <list>
-#include <memory>
 #include <optional>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "harness/harness.hh"
@@ -89,9 +83,6 @@ class HarnessSession
 
     const HarnessConfig &config() const { return cfg; }
 
-    /** Number of run attempts so far, retries included. */
-    std::uint64_t runCount() const { return runs; }
-
     /** Total virtual backoff charged by retries so far. */
     Cycles backoffCycles() const { return backoff; }
 
@@ -100,58 +91,19 @@ class HarnessSession
     Machine machine;
     CaptureSink s0, s1;
     Count expected = 0;
-    std::uint64_t runs = 0;
     Cycles backoff = 0;
 };
 
 /**
- * LRU cache of HarnessSessions keyed by everything that shapes the
- * assembled program: the full HarnessConfig minus the seed, plus the
- * benchmark's cacheKey(). Capacity bounds the number of live
- * simulated machines; eviction cannot change results because cached
- * and freshly built sessions are result-identical. Hits and misses
- * feed the program_cache_hits / program_cache_misses SPC counters.
- */
-class ProgramCache
-{
-  public:
-    explicit ProgramCache(std::size_t capacity = 32);
-
-    /**
-     * The session for (cfg, bench), building it on a miss. The
-     * reference stays valid until the next session() call (which may
-     * evict it).
-     */
-    HarnessSession &session(const HarnessConfig &cfg,
-                            const MicroBenchmark &bench);
-
-    /** Cache key for (cfg, bench); exposed for tests. */
-    static std::string key(const HarnessConfig &cfg,
-                           const MicroBenchmark &bench);
-
-    std::size_t size() const { return entries.size(); }
-    std::uint64_t hits() const { return hitCount; }
-    std::uint64_t misses() const { return missCount; }
-
-  private:
-    using Entry =
-        std::pair<std::string, std::unique_ptr<HarnessSession>>;
-
-    std::size_t cap;
-    std::list<Entry> entries; //!< most recently used first
-    std::unordered_map<std::string, std::list<Entry>::iterator> index;
-    std::uint64_t hitCount = 0;
-    std::uint64_t missCount = 0;
-};
-
-/**
  * The shared per-point measurement loop: @p runs seeded runs of
- * @p bench at @p cfg through @p cache, reusing one assembled
- * program. seed_for(r) supplies run r's machine seed (studies and
- * bench drivers differ only in that derivation). Results are in run
- * order; a run that still fails after the session's transient-fault
- * retries occupies its slot as an error Status (with an inert fault
- * plan every slot is ok()).
+ * @p bench at @p cfg on one HarnessSession, built for the point and
+ * dropped when it returns. seed_for(r) supplies run r's machine seed
+ * (studies and bench drivers differ only in that derivation).
+ * Results are in run order; a run that still fails after the
+ * session's transient-fault retries occupies its slot as an error
+ * Status (with an inert fault plan every slot is ok()). The build
+ * counts once in program_cache_misses and every later run once in
+ * program_cache_hits.
  *
  * All runs of the point share one RetryBudget limited to
  * @p retry_budget when given, else to
@@ -162,8 +114,8 @@ class ProgramCache
  * failed runs degrade without retrying — but never sinks the sweep.
  */
 std::vector<StatusOr<Measurement>>
-measurePoint(ProgramCache &cache, const HarnessConfig &cfg,
-             const MicroBenchmark &bench, int runs,
+measurePoint(const HarnessConfig &cfg, const MicroBenchmark &bench,
+             int runs,
              const std::function<std::uint64_t(int)> &seed_for,
              std::optional<long> retry_budget = std::nullopt);
 

@@ -154,8 +154,9 @@ struct FaultPlan
 
     /**
      * Stable identity string covering every field that can change
-     * simulated behavior — a ProgramCache key component, so sessions
-     * built under different plans never alias.
+     * simulated behavior — part of a study checkpoint's identity, so
+     * a checkpoint written under one plan never resumes under
+     * another.
      */
     std::string fingerprint() const;
 };

@@ -42,15 +42,6 @@ ProfileConfig::fromEnv()
     return cfg;
 }
 
-std::string
-ProfileConfig::fingerprint() const
-{
-    if (!enabled)
-        return "off";
-    return "on,p" + std::to_string(periodTicks) + ",s" +
-           std::to_string(skidInstrs);
-}
-
 Profiler::Profiler(const ProfileConfig &cfg) : cfg(cfg)
 {
     pca_assert(cfg.periodTicks >= 1);

@@ -63,9 +63,6 @@ struct ProfileConfig
      * and "skid=K".
      */
     static ProfileConfig fromEnv();
-
-    /** Cache-key token ("off" or "on,p<period>,s<skid>"). */
-    std::string fingerprint() const;
 };
 
 /** One symbol (function) range in the simulated address space. */

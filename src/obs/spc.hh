@@ -41,8 +41,8 @@ enum class Spc : std::uint8_t
     PatternOverheadInstrs, //!< measured-window overhead instructions
     FastForwardIters,   //!< loop iterations applied in bulk
     MachineReboots,     //!< session reuses (reboot without re-assembly)
-    ProgramCacheHits,   //!< assembled-program cache hits
-    ProgramCacheMisses, //!< assembled-program cache misses (builds)
+    ProgramCacheHits,   //!< point runs on an already-built session
+    ProgramCacheMisses, //!< per-point session builds
     FaultsInjected,     //!< faults the FaultInjector fired
     SessionRetries,     //!< transient-fault retries spent by sessions
     DegradedPoints,     //!< study rows recorded as degraded

@@ -98,7 +98,7 @@ installSigintCancel()
 
 void
 parallelFor(std::size_t n,
-            const std::function<void(std::size_t, int)> &fn,
+            const std::function<void(std::size_t)> &fn,
             int threads)
 {
     if (threads <= 0)
@@ -114,7 +114,7 @@ parallelFor(std::size_t n,
                     "parallelFor cancelled after " +
                         std::to_string(i) + " of " +
                         std::to_string(n) + " items"));
-            fn(i, 0);
+            fn(i);
         }
         if (cancelRequested() && n > 0)
             throw StatusError(Status(StatusCode::Cancelled,
@@ -130,7 +130,7 @@ parallelFor(std::size_t n,
     std::vector<std::pair<std::size_t, std::exception_ptr>> errors;
     std::mutex error_mu;
 
-    auto work = [&](int worker) {
+    auto work = [&] {
         while (!failed.load(std::memory_order_relaxed) &&
                !cancelRequested()) {
             const std::size_t i =
@@ -138,7 +138,7 @@ parallelFor(std::size_t n,
             if (i >= n)
                 return;
             try {
-                fn(i, worker);
+                fn(i);
             } catch (...) {
                 // Capture every worker's error (each worker stops at
                 // its first). The lowest-index one is rethrown after
@@ -157,8 +157,8 @@ parallelFor(std::size_t n,
     std::vector<std::thread> pool;
     pool.reserve(static_cast<std::size_t>(threads) - 1);
     for (int w = 1; w < threads; ++w)
-        pool.emplace_back(work, w);
-    work(0);
+        pool.emplace_back(work);
+    work();
     for (std::thread &t : pool)
         t.join();
 

@@ -59,12 +59,11 @@ void clearCancel();
 void installSigintCancel();
 
 /**
- * Run fn(index, worker) for every index in [0, n).
+ * Run fn(index) for every index in [0, n).
  *
  * @param n        number of work items
  * @param threads  worker count; <= 0 means defaultThreadCount()
- * @param fn       receives the item index and the id (0-based,
- *                 < threads) of the worker executing it
+ * @param fn       receives the item index
  *
  * With one worker (or n <= 1) everything runs inline on the calling
  * thread as a plain loop, in index order — exactly today's serial
@@ -89,7 +88,7 @@ void installSigintCancel();
  * thrown after the join.
  */
 void parallelFor(std::size_t n,
-                 const std::function<void(std::size_t, int)> &fn,
+                 const std::function<void(std::size_t)> &fn,
                  int threads = 0);
 
 } // namespace pca

@@ -474,7 +474,7 @@ TEST(DecodeCacheHarness, MeasurementIdenticalAcrossFfSettings)
 }
 
 // ---------------------------------------------------------------- //
-// Canned studies: byte-identical CSV decode on/off
+// Canned studies: byte-identical CSV across tiers x threads
 // ---------------------------------------------------------------- //
 
 namespace
@@ -497,84 +497,6 @@ csvWith(bool decode, int threads, StudyFn &&study)
     table.writeCsv(os);
     return os.str();
 }
-
-} // namespace
-
-TEST(DecodeCacheStudies, NullErrorStudyByteIdentical)
-{
-    const auto points = core::FactorSpace()
-                            .processors({cpu::Processor::Core2Duo,
-                                         cpu::Processor::PentiumD})
-                            .optLevels({2})
-                            .counterCounts({1, 2})
-                            .generate();
-    ASSERT_FALSE(points.empty());
-    core::StudyObsOptions obs;
-    obs.attributionColumns = true;
-    auto study = [&] {
-        return core::runNullErrorStudy(points, 3, 42, obs);
-    };
-    for (const int threads : {1, 4})
-        EXPECT_EQ(csvWith(true, threads, study),
-                  csvWith(false, threads, study))
-            << "threads=" << threads;
-}
-
-TEST(DecodeCacheStudies, DurationStudyByteIdentical)
-{
-    core::DurationStudyOptions opt;
-    opt.processors = {cpu::Processor::Core2Duo,
-                      cpu::Processor::PentiumD};
-    opt.loopSizes = {1, 1000, 5000};
-    opt.runsPerSize = 2;
-    auto study = [&] { return core::runDurationStudy(opt); };
-    for (const int threads : {1, 4})
-        EXPECT_EQ(csvWith(true, threads, study),
-                  csvWith(false, threads, study))
-            << "threads=" << threads;
-}
-
-TEST(DecodeCacheStudies, CycleStudyByteIdentical)
-{
-    core::CycleStudyOptions opt;
-    opt.processors = {cpu::Processor::Core2Duo};
-    opt.loopSizes = {1, 1000};
-    opt.optLevels = {0, 3};
-    opt.runsPerConfig = 2;
-    auto study = [&] { return core::runCycleStudy(opt); };
-    for (const int threads : {1, 4})
-        EXPECT_EQ(csvWith(true, threads, study),
-                  csvWith(false, threads, study))
-            << "threads=" << threads;
-}
-
-TEST(DecodeCacheStudies, FaultPlanByteIdentical)
-{
-    // A live fault plan exercises retries, degraded rows, and
-    // counter-width wraps; the decode cache must be invisible there
-    // too (faults act on the PMU, not on instruction dispatch).
-    setenv("PCA_FAULTS", "seed=7,rate=0.05,width=48", 1);
-    const auto points = core::FactorSpace()
-                            .processors({cpu::Processor::Core2Duo})
-                            .optLevels({2})
-                            .counterCounts({1, 2})
-                            .generate();
-    auto study = [&] {
-        return core::runNullErrorStudy(points, 3, 42,
-                                       core::StudyObsOptions{});
-    };
-    const std::string on = csvWith(true, 4, study);
-    const std::string off = csvWith(false, 4, study);
-    unsetenv("PCA_FAULTS");
-    EXPECT_EQ(on, off);
-}
-
-// ---------------------------------------------------------------- //
-// Canned studies: byte-identical CSV across tiers x threads
-// ---------------------------------------------------------------- //
-
-namespace
-{
 
 /**
  * Expects the block engine serial and on four threads, and the legacy
@@ -632,9 +554,9 @@ TEST(TraceTierStudies, CycleStudyByteIdentical)
 
 TEST(TraceTierStudies, FaultPlanByteIdentical)
 {
-    // Under a live fault plan the faulted rows must land identically
-    // on every tier and thread count, and the ProgramCache must never
-    // hand one tier's cached program to the other.
+    // Under a live fault plan (retries, degraded rows, counter-width
+    // wraps) the faulted rows must land identically on every tier and
+    // thread count.
     setenv("PCA_FAULTS", "seed=7,rate=0.05,width=48", 1);
     const auto points = core::FactorSpace()
                             .processors({cpu::Processor::Core2Duo})

@@ -2,10 +2,10 @@
  * @file
  * The parallel study engine's two contracts: parallelFor runs every
  * index exactly once and propagates failures, and parallelism plus
- * the cross-run program cache are *invisible* — a cached, rebooted
- * session produces Measurements identical to a fresh harness, and
- * every canned study emits byte-identical CSV under PCA_THREADS=1
- * and PCA_THREADS=4.
+ * per-point session reuse are *invisible* — a rebooted session
+ * produces Measurements identical to a fresh harness, and every
+ * canned study emits byte-identical CSV under PCA_THREADS=1 and
+ * PCA_THREADS=4.
  */
 
 #include <atomic>
@@ -21,6 +21,7 @@
 #include "harness/session.hh"
 #include "isa/assembler.hh"
 #include "kernel/faults.hh"
+#include "obs/spc.hh"
 #include "support/parallel.hh"
 #include "support/random.hh"
 
@@ -34,7 +35,7 @@ using namespace pca::harness;
 TEST(ParallelFor, EmptyRangeCallsNothing)
 {
     std::atomic<int> calls{0};
-    parallelFor(0, [&](std::size_t, int) { ++calls; }, 4);
+    parallelFor(0, [&](std::size_t) { ++calls; }, 4);
     EXPECT_EQ(calls.load(), 0);
 }
 
@@ -43,9 +44,8 @@ TEST(ParallelFor, SingleItemRunsInline)
     std::atomic<int> calls{0};
     parallelFor(
         1,
-        [&](std::size_t i, int worker) {
+        [&](std::size_t i) {
             EXPECT_EQ(i, 0u);
-            EXPECT_EQ(worker, 0);
             ++calls;
         },
         8);
@@ -56,7 +56,7 @@ TEST(ParallelFor, MoreWorkersThanItems)
 {
     std::vector<std::atomic<int>> hits(3);
     parallelFor(
-        3, [&](std::size_t i, int) { ++hits[i]; }, 16);
+        3, [&](std::size_t i) { ++hits[i]; }, 16);
     for (const auto &h : hits)
         EXPECT_EQ(h.load(), 1);
 }
@@ -65,28 +65,17 @@ TEST(ParallelFor, EveryIndexExactlyOnce)
 {
     constexpr std::size_t n = 997;
     std::vector<std::atomic<int>> hits(n);
-    std::atomic<int> maxWorker{-1};
     parallelFor(
-        n,
-        [&](std::size_t i, int worker) {
-            ++hits[i];
-            int prev = maxWorker.load();
-            while (worker > prev &&
-                   !maxWorker.compare_exchange_weak(prev, worker)) {
-            }
-        },
-        4);
+        n, [&](std::size_t i) { ++hits[i]; }, 4);
     for (const auto &h : hits)
         EXPECT_EQ(h.load(), 1);
-    EXPECT_GE(maxWorker.load(), 0);
-    EXPECT_LT(maxWorker.load(), 4);
 }
 
 TEST(ParallelFor, SerialFallbackPreservesIndexOrder)
 {
     std::vector<std::size_t> order;
     parallelFor(
-        10, [&](std::size_t i, int) { order.push_back(i); }, 1);
+        10, [&](std::size_t i) { order.push_back(i); }, 1);
     ASSERT_EQ(order.size(), 10u);
     for (std::size_t i = 0; i < order.size(); ++i)
         EXPECT_EQ(order[i], i);
@@ -97,7 +86,7 @@ TEST(ParallelFor, ExceptionPropagatesFromWorker)
     EXPECT_THROW(
         parallelFor(
             100,
-            [](std::size_t i, int) {
+            [](std::size_t i) {
                 if (i == 57)
                     throw std::runtime_error("boom");
             },
@@ -110,7 +99,7 @@ TEST(ParallelFor, ExceptionPropagatesInline)
     EXPECT_THROW(
         parallelFor(
             3,
-            [](std::size_t i, int) {
+            [](std::size_t i) {
                 if (i == 2)
                     throw std::runtime_error("boom");
             },
@@ -126,7 +115,7 @@ TEST(ParallelFor, WorkerThrowKeepsLowestIndexError)
         try {
             parallelFor(
                 100,
-                [](std::size_t i, int) {
+                [](std::size_t i) {
                     if (i == 13)
                         throw std::runtime_error("boom13");
                     if (i == 77)
@@ -148,7 +137,7 @@ TEST(ParallelFor, EnvThreadsWorkerThrowDoesNotTerminate)
     setenv("PCA_THREADS", "4", 1);
     EXPECT_THROW(parallelFor(
                      64,
-                     [](std::size_t i, int) {
+                     [](std::size_t i) {
                          if (i == 20)
                              throw std::runtime_error("boom");
                      },
@@ -176,7 +165,7 @@ TEST(ParallelThreads, AutoSpecMeansHardwareConcurrency)
 }
 
 // ---------------------------------------------------------------- //
-// Session / cache equivalence
+// Session equivalence
 // ---------------------------------------------------------------- //
 
 namespace
@@ -208,8 +197,8 @@ expectSameMeasurement(const Measurement &a, const Measurement &b)
 } // namespace
 
 /**
- * The contract the whole cache rests on: run(s) on a reused,
- * rebooted session equals measure() on a fresh machine with seed s —
+ * The contract session reuse rests on: run(s) on a reused, rebooted
+ * session equals measure() on a fresh machine with seed s —
  * for every interface, pattern, and mode, with interrupts and
  * preemption on.
  */
@@ -341,57 +330,6 @@ TEST(SessionEquivalence, RetryHistoryInvisibleAcrossSessionRuns)
                   viaFresh.status().toString());
 }
 
-TEST(ProgramCache, HitsAndMissesAndLru)
-{
-    const NullBench bench;
-    HarnessConfig a;
-    a.iface = Interface::Pc;
-    HarnessConfig b = a;
-    b.optLevel = 0;
-
-    ProgramCache cache(2);
-    EXPECT_NE(ProgramCache::key(a, bench), ProgramCache::key(b, bench));
-
-    cache.session(a, bench);
-    cache.session(a, bench);
-    cache.session(b, bench);
-    EXPECT_EQ(cache.hits(), 1u);
-    EXPECT_EQ(cache.misses(), 2u);
-    EXPECT_EQ(cache.size(), 2u);
-
-    // Capacity 1: alternating configs always evict each other...
-    ProgramCache tiny(1);
-    tiny.session(a, bench);
-    tiny.session(b, bench);
-    tiny.session(a, bench);
-    EXPECT_EQ(tiny.misses(), 3u);
-    EXPECT_EQ(tiny.size(), 1u);
-
-    // ...and eviction does not change results.
-    HarnessSession &evicted = tiny.session(b, bench);
-    const Measurement m = evicted.run(42);
-    b.seed = 42;
-    expectSameMeasurement(m, MeasurementHarness(b).measure(bench));
-}
-
-TEST(ProgramCache, KeyIgnoresSeedOnly)
-{
-    const NullBench bench;
-    HarnessConfig a;
-    HarnessConfig b = a;
-    b.seed = a.seed + 1;
-    EXPECT_EQ(ProgramCache::key(a, bench), ProgramCache::key(b, bench));
-
-    HarnessConfig c = a;
-    c.preemptProb = a.preemptProb / 2;
-    EXPECT_NE(ProgramCache::key(a, bench), ProgramCache::key(c, bench));
-
-    EXPECT_NE(ProgramCache::key(a, NullBench{}),
-              ProgramCache::key(a, LoopBench{10}));
-    EXPECT_NE(ProgramCache::key(a, LoopBench{10}),
-              ProgramCache::key(a, LoopBench{20}));
-}
-
 // ---------------------------------------------------------------- //
 // Studies: PCA_THREADS must be invisible in the output
 // ---------------------------------------------------------------- //
@@ -427,8 +365,27 @@ TEST(ParallelStudies, NullErrorStudyByteIdentical)
     auto study = [&] {
         return core::runNullErrorStudy(points, 3, 42, obs);
     };
-    const std::string serial = csvWithThreads(1, study);
-    const std::string parallel = csvWithThreads(4, study);
+    // Every point builds one session and boots one machine for its
+    // first run; its other two runs reuse that session. These are
+    // the counts the study benchmark reads, at any thread count.
+    const auto countedCsv = [&](int threads) {
+        obs::spcReset();
+        obs::spcAttach(
+            "program_cache_hits,program_cache_misses,machine_boots");
+        const std::string csv = csvWithThreads(threads, study);
+        EXPECT_EQ(obs::spcValue(obs::Spc::ProgramCacheMisses),
+                  points.size())
+            << "threads=" << threads;
+        EXPECT_EQ(obs::spcValue(obs::Spc::MachineBoots), points.size())
+            << "threads=" << threads;
+        EXPECT_EQ(obs::spcValue(obs::Spc::ProgramCacheHits),
+                  2 * points.size())
+            << "threads=" << threads;
+        obs::spcReset();
+        return csv;
+    };
+    const std::string serial = countedCsv(1);
+    const std::string parallel = countedCsv(4);
     EXPECT_EQ(serial, parallel);
 }
 

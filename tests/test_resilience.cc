@@ -318,9 +318,8 @@ TEST(RetryBudgets, ExhaustedPointBudgetQuarantinesThePoint)
     obs::spcAttach("points_quarantined,retry_budget_exhausted");
     HarnessConfig cfg;
     cfg.faults = FaultPlan::parse("seed=1,attach=1,retries=8");
-    ProgramCache cache;
     const auto ms = harness::measurePoint(
-        cache, cfg, NullBench{}, 3,
+        cfg, NullBench{}, 3,
         [](int r) { return static_cast<std::uint64_t>(r) + 1; },
         2L); // 2 retry tokens for the whole point
     ASSERT_EQ(ms.size(), 3u);
@@ -368,7 +367,7 @@ TEST(ParallelErrors, EveryWorkerErrorIsCollectedLowestRethrown)
     try {
         parallelFor(
             2,
-            [&](std::size_t i, int) {
+            [&](std::size_t i) {
                 entered.fetch_add(1);
                 while (entered.load() < 2)
                     std::this_thread::yield();
@@ -390,7 +389,7 @@ TEST(Cancellation, SerialLoopStopsBeforeTheNextItem)
     requestCancel();
     int calls = 0;
     try {
-        parallelFor(3, [&](std::size_t, int) { ++calls; }, 1);
+        parallelFor(3, [&](std::size_t) { ++calls; }, 1);
         FAIL() << "cancelled loop must throw";
     } catch (const StatusError &e) {
         EXPECT_EQ(e.status().code(), StatusCode::Cancelled);
@@ -406,7 +405,7 @@ TEST(Cancellation, ParallelWorkersDrainAndThrowTyped)
     try {
         parallelFor(
             10000,
-            [&](std::size_t, int) {
+            [&](std::size_t) {
                 if (done.fetch_add(1) == 5)
                     requestCancel();
             },
