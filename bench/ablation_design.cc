@@ -3,7 +3,7 @@
  * Ablation bench for the design decisions DESIGN.md §6 calls out:
  *
  *  1. loop fast-forward — identical results, large wall-clock win;
- *  2. pre-decoded basic-block execution — identical measurements,
+ *  2. basic-block execution — identical measurements,
  *     several-fold interpreter speedup;
  *  3. measurement-code-as-simulated-code — switching off the
  *     privilege-level masks (counting everything) shows how much of
@@ -73,9 +73,8 @@ main()
     }
     t.print(std::cout);
 
-    // --- 2. Decode cache on/off ---
-    std::cout << "\n2. Pre-decoded basic-block execution "
-                 "(DESIGN.md #8)\n\n";
+    // --- 2. Block engine on/off ---
+    std::cout << "\n2. Basic-block execution (DESIGN.md #8)\n\n";
     TextTable td({"iters", "decoded result", "interp result",
                   "equal", "decoded ms", "interp ms"});
     for (Count iters : {100000u, 1000000u, 10000000u}) {

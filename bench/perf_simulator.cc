@@ -13,7 +13,7 @@
  *
  * `perf_simulator --interp [output.json]` times the interpreter on
  * the fig07/fig09 loop-sweep workload with the legacy per-step
- * interpreter and the decoded-block engine x fast-forward settings,
+ * interpreter and the basic-block engine x fast-forward settings,
  * asserts the block engine is architecturally invisible, and writes
  * per-cell median/min/max seconds, instr/sec, points/sec, the block
  * engine's speedups, and the per-reason decoded-escape SPCs to
@@ -156,7 +156,7 @@ struct InterpCell
 };
 
 /**
- * Fingerprint everything the decode cache must leave untouched:
+ * Fingerprint everything the block engine must leave untouched:
  * the run result, the final cycle count and TSC, and every raw
  * event counter in both modes. Any engine-visible divergence from
  * the legacy interpreter shows up here.
@@ -308,7 +308,7 @@ escapeCounts(Count iters)
 
 /**
  * Time full measurement points (fig07 shape: loop benchmark, PD/Pc,
- * interrupts live) with the decode cache on or off. Returns
+ * interrupts live) with the block engine on or off. Returns
  * {points/sec, error-sequence digest}.
  */
 std::pair<double, std::string>

@@ -180,12 +180,11 @@ Core::fetchCosts(const Inst &in)
 }
 
 void
-Core::doTakenBranch(const Inst &in, CodePtr target)
+Core::doTakenBranch(const Inst &in)
 {
-    const Addr tgt_addr = program->inst(target).addr;
     chargeCycles(frontEnd.onTakenBranch(
-        in.addr, in.addr + static_cast<Addr>(in.size), tgt_addr));
-    pc = target;
+        in.addr, in.addr + static_cast<Addr>(in.size), in.targetAddr));
+    pc.index = in.targetIndex;
     pcRedirected = true;
 }
 
@@ -220,8 +219,15 @@ Core::run(CodePtr entry, Count max_instr)
             ++steps;
         }
         if (steps > max_instr)
-            pca_panic("runaway program: executed ", steps,
-                      " steps without halting");
+            // Names the limit, not the step count: one block-engine
+            // dispatch overshoots it by up to a chunk, and the
+            // degraded-row note derived from this message must not
+            // depend on the engine.
+            throw StatusError(Status(
+                StatusCode::ResourceExhausted,
+                "runaway program: more than " +
+                    std::to_string(max_instr) +
+                    " steps without halting"));
         if (deadlineInstrs != 0 || deadlineCycles != 0) {
             // The watchdog. Checked only at dispatch boundaries
             // (each engine caps a dispatch at one chunk, so a wedged
@@ -263,8 +269,7 @@ Core::step()
     if (in.op == Opcode::HostOp) {
         // Architecturally free data plumbing.
         pcRedirected = false;
-        pca_assert(in.host);
-        in.host(*this);
+        program->block(pc.block).host(in)(*this);
         if (!pcRedirected)
             ++pc.index;
         poisonSinceBackward = true;
@@ -277,7 +282,6 @@ Core::step()
     fetchCosts(in);
 
     pcRedirected = false;
-    bool taken_backward = false;
     execute(in);
 
     // Retire.
@@ -292,41 +296,13 @@ Core::step()
 
     if (!pcRedirected)
         ++pc.index;
-    else if (isCondBranch(in.op) && in.targetIndex >= 0 &&
-             in.targetIndex < prev_index)
-        taken_backward = true;
 
     // Fast-forward bookkeeping.
-    switch (in.op) {
-      case Opcode::MovImm:
-      case Opcode::MovReg:
-      case Opcode::AddImm:
-      case Opcode::AddReg:
-      case Opcode::SubImm:
-      case Opcode::SubReg:
-      case Opcode::CmpImm:
-      case Opcode::CmpReg:
-      case Opcode::TestReg:
-      case Opcode::XorReg:
-      case Opcode::AndImm:
-      case Opcode::OrReg:
-      case Opcode::ShlImm:
-      case Opcode::ShrImm:
-      case Opcode::Nop:
-      case Opcode::Jmp:
-      case Opcode::Je:
-      case Opcode::Jne:
-      case Opcode::Jl:
-      case Opcode::Jge:
-        break; // safe for steady-loop extrapolation
-      default:
-        poisonSinceBackward = true;
-        break;
-    }
-    if (curMode != Mode::User)
+    if ((in.flags & isa::IfFfSafe) == 0 || curMode != Mode::User)
         poisonSinceBackward = true;
 
-    if (taken_backward && ffEnabled && curMode == Mode::User) {
+    if (pcRedirected && (in.flags & isa::IfBackwardBranch) != 0 &&
+        ffEnabled && curMode == Mode::User) {
         // The branch instruction itself has fully retired; the loop
         // head is the current pc.
         const std::uint64_t key =
@@ -337,8 +313,8 @@ Core::step()
 }
 
 /**
- * Execute one straight-line run of pre-decoded instructions in a
- * single dispatch. Returns the number of steps taken (== retired
+ * Execute one straight-line run of the current block's instructions
+ * in a single dispatch. Returns the number of steps taken (== retired
  * instructions for inline runs; 1 for the escape fallback).
  *
  * Bit-identity with the per-step interpreter rests on four facts:
@@ -359,11 +335,13 @@ Core::step()
 Count
 Core::stepDecodedBlock()
 {
-    const isa::DecodedBlock &db = program->decoded(pc.block);
+    const isa::CodeBlock &blk = program->block(pc.block);
+    const Inst *code = blk.data();
+    const std::size_t n = blk.size();
     std::size_t idx = static_cast<std::size_t>(pc.index);
-    if (idx >= db.size() || db.inst(idx).escape()) {
-        obs::spcInc(idx < db.size() ? escapeSpc(db.inst(idx).op)
-                                    : obs::Spc::DecodedEscapeOther);
+    if (idx >= n || code[idx].escape()) {
+        obs::spcInc(idx < n ? escapeSpc(code[idx].op)
+                            : obs::Spc::DecodedEscapeOther);
         step();
         return 1;
     }
@@ -373,7 +351,7 @@ Core::stepDecodedBlock()
     const bool check_irq = mode == Mode::User && intClient != nullptr;
     const Cycles irq_due =
         check_irq ? intClient->nextInterruptCycle() : 0;
-    auto run_end = static_cast<std::size_t>(db.runEnd(idx));
+    auto run_end = static_cast<std::size_t>(code[idx].runEnd);
 
     // Cap one dispatch so run()'s runaway guard still triggers on
     // programs that never escape (a Halt-less inline loop).
@@ -436,10 +414,9 @@ Core::stepDecodedBlock()
         lastFetchPage = fetchPage;
     };
 
-    const isa::DecodedInst *code = db.data();
     std::size_t limit = segment_limit(idx, total, run_end);
     for (;;) {
-        const isa::DecodedInst &di = code[idx];
+        const Inst &in = code[idx];
 
         // Fetch. Consecutive fetches within one icache line / iTLB
         // page are guaranteed hits on an already-MRU entry, so the
@@ -447,108 +424,108 @@ Core::stepDecodedBlock()
         // any future victim choice, miss, or cycle. A page change
         // implies a line change (lines subdivide pages), so the page
         // check only needs to run when the line changed.
-        const Addr line = di.addr >> icLineShift;
+        const Addr line = in.addr >> icLineShift;
         if (line != fetchLine) {
             fetchLine = line;
-            if (!icache.access(di.addr)) {
+            if (!icache.access(in.addr)) {
                 pend += static_cast<Cycles>(archRef.icacheMissPenalty);
                 countEvent(EventType::IcacheMiss);
-                if (!l2.access(di.addr)) {
+                if (!l2.access(in.addr)) {
                     pend += static_cast<Cycles>(archRef.l2MissPenalty);
                     countEvent(EventType::L2Miss);
                 }
             }
-            const Addr page = di.addr >> itlbPageShift;
+            const Addr page = in.addr >> itlbPageShift;
             if (page != fetchPage) {
                 fetchPage = page;
-                if (!itlb.access(di.addr)) {
+                if (!itlb.access(in.addr)) {
                     pend +=
                         static_cast<Cycles>(archRef.itlbMissPenalty);
                     countEvent(EventType::ItlbMiss);
                 }
             }
         }
-        pend += frontEnd.onInst(di.addr, di.size);
+        pend += frontEnd.onInst(in.addr, in.size);
 
         bool taken = false;
-        switch (di.op) {
+        switch (in.op) {
           case Opcode::MovImm:
-            regs[di.r1] = static_cast<std::uint64_t>(di.imm);
+            reg(in.r1) = static_cast<std::uint64_t>(in.imm);
             break;
           case Opcode::MovReg:
-            regs[di.r1] = regs[di.r2];
+            reg(in.r1) = reg(in.r2);
             break;
           case Opcode::AddImm:
-            regs[di.r1] += static_cast<std::uint64_t>(di.imm);
+            reg(in.r1) += static_cast<std::uint64_t>(in.imm);
             break;
           case Opcode::AddReg:
-            regs[di.r1] += regs[di.r2];
+            reg(in.r1) += reg(in.r2);
             break;
           case Opcode::SubImm:
-            regs[di.r1] -= static_cast<std::uint64_t>(di.imm);
+            reg(in.r1) -= static_cast<std::uint64_t>(in.imm);
             break;
           case Opcode::SubReg:
-            regs[di.r1] -= regs[di.r2];
+            reg(in.r1) -= reg(in.r2);
             break;
           case Opcode::CmpImm:
             zeroFlag =
-                regs[di.r1] == static_cast<std::uint64_t>(di.imm);
+                reg(in.r1) == static_cast<std::uint64_t>(in.imm);
             lessFlag =
-                static_cast<std::int64_t>(regs[di.r1]) < di.imm;
+                static_cast<std::int64_t>(reg(in.r1)) < in.imm;
             break;
           case Opcode::CmpReg:
-            zeroFlag = regs[di.r1] == regs[di.r2];
-            lessFlag = static_cast<std::int64_t>(regs[di.r1]) <
-                static_cast<std::int64_t>(regs[di.r2]);
+            zeroFlag = reg(in.r1) == reg(in.r2);
+            lessFlag = static_cast<std::int64_t>(reg(in.r1)) <
+                static_cast<std::int64_t>(reg(in.r2));
             break;
           case Opcode::TestReg:
-            zeroFlag = (regs[di.r1] & regs[di.r2]) == 0;
+            zeroFlag = (reg(in.r1) & reg(in.r2)) == 0;
             lessFlag = false;
             break;
           case Opcode::XorReg:
-            regs[di.r1] ^= regs[di.r2];
+            reg(in.r1) ^= reg(in.r2);
             break;
           case Opcode::AndImm:
-            regs[di.r1] &= static_cast<std::uint64_t>(di.imm);
+            reg(in.r1) &= static_cast<std::uint64_t>(in.imm);
             break;
           case Opcode::OrReg:
-            regs[di.r1] |= regs[di.r2];
+            reg(in.r1) |= reg(in.r2);
             break;
           case Opcode::ShlImm:
-            regs[di.r1] <<= di.imm;
+            reg(in.r1) <<= in.imm;
             break;
           case Opcode::ShrImm:
-            regs[di.r1] >>= di.imm;
+            reg(in.r1) >>= in.imm;
             break;
 
           case Opcode::Load:
           {
-            const Addr a = regs[di.r2] + static_cast<Addr>(di.imm);
+            const Addr a = reg(in.r2) + static_cast<Addr>(in.imm);
             auto it = memory.find(a);
-            regs[di.r1] = it == memory.end() ? 0 : it->second;
+            reg(in.r1) = it == memory.end() ? 0 : it->second;
             dataAccess(a);
             break;
           }
           case Opcode::Store:
           {
-            const Addr a = regs[di.r2] + static_cast<Addr>(di.imm);
-            memory[a] = regs[di.r1];
+            const Addr a = reg(in.r2) + static_cast<Addr>(in.imm);
+            memory[a] = reg(in.r1);
             dataAccess(a);
             break;
           }
           case Opcode::Push:
             reg(Reg::Esp) -= 8;
-            memory[reg(Reg::Esp)] = regs[di.r1];
+            memory[reg(Reg::Esp)] = reg(in.r1);
             dataAccess(reg(Reg::Esp));
             break;
           case Opcode::Pop:
-            regs[di.r1] = memory[reg(Reg::Esp)];
+            reg(in.r1) = memory[reg(Reg::Esp)];
             dataAccess(reg(Reg::Esp));
             reg(Reg::Esp) += 8;
             break;
 
           case Opcode::Jmp:
-            predictor.noteUncond(di.addr);
+            predictor.noteUncond(in.addr);
             ++brRetired;
             taken = true;
             break;
@@ -557,11 +534,11 @@ Core::stepDecodedBlock()
           case Opcode::Jl:
           case Opcode::Jge:
           {
-            const bool t = di.op == Opcode::Je    ? zeroFlag
-                           : di.op == Opcode::Jne ? !zeroFlag
-                           : di.op == Opcode::Jl  ? lessFlag
+            const bool t = in.op == Opcode::Je    ? zeroFlag
+                           : in.op == Opcode::Jne ? !zeroFlag
+                           : in.op == Opcode::Jl  ? lessFlag
                                                   : !lessFlag;
-            const bool mispred = predictor.predictAndTrain(di.addr, t);
+            const bool mispred = predictor.predictAndTrain(in.addr, t);
             ++brRetired;
             if (mispred) {
                 pend += static_cast<Cycles>(archRef.mispredictPenalty);
@@ -579,17 +556,17 @@ Core::stepDecodedBlock()
             pend += static_cast<Cycles>(archRef.cpuidCycles);
             break;
           default:
-            pca_panic("escape opcode ", isa::opcodeName(di.op),
+            pca_panic("escape opcode ", isa::opcodeName(in.op),
                       " reached the block engine");
         }
 
         if (taken) {
             pend += frontEnd.onTakenBranch(
-                di.addr, di.addr + static_cast<Addr>(di.size),
-                di.targetAddr);
+                in.addr, in.addr + static_cast<Addr>(in.size),
+                in.targetAddr);
             ++retired;
             ++total;
-            if ((di.flags & isa::DiBackwardBranch) != 0 && ffEnabled &&
+            if ((in.flags & isa::IfBackwardBranch) != 0 && ffEnabled &&
                 mode == Mode::User) {
                 // The fast-forward machinery observes per-iteration
                 // retire/cycle deltas and poisonSinceBackward: flush
@@ -597,17 +574,16 @@ Core::stepDecodedBlock()
                 // individually.
                 flush();
                 const auto bidx = static_cast<int>(idx);
-                pc.index = di.targetIndex;
+                pc.index = in.targetIndex;
                 const std::uint64_t key =
                     (static_cast<std::uint64_t>(pc.block) << 32) |
                     static_cast<std::uint64_t>(bidx);
-                maybeFastForwardKeyed(
-                    key, program->inst(CodePtr{pc.block, bidx}), bidx);
+                maybeFastForwardKeyed(key, in, bidx);
             }
-            idx = static_cast<std::size_t>(di.targetIndex);
-            if (idx >= db.size() || code[idx].escape())
+            idx = static_cast<std::size_t>(in.targetIndex);
+            if (idx >= n || code[idx].escape())
                 break;
-            run_end = static_cast<std::size_t>(db.runEnd(idx));
+            run_end = static_cast<std::size_t>(code[idx].runEnd);
             if ((check_irq && cycleCount + pend >= irq_due) ||
                 total >= chunk)
                 break;
@@ -617,7 +593,7 @@ Core::stepDecodedBlock()
 
         ++retired;
         ++total;
-        poison |= (di.flags & isa::DiFfSafe) == 0;
+        poison |= (in.flags & isa::IfFfSafe) == 0;
         ++idx;
         if ((check_irq && cycleCount + pend >= irq_due) ||
             idx >= limit)
@@ -640,7 +616,7 @@ Core::execute(const Inst &in)
             countEvent(EventType::BrMispRetired);
         }
         if (taken)
-            doTakenBranch(in, CodePtr{pc.block, in.targetIndex});
+            doTakenBranch(in);
     };
 
     switch (in.op) {
@@ -720,7 +696,7 @@ Core::execute(const Inst &in)
       case Opcode::Jmp:
         predictor.noteUncond(in.addr);
         countEvent(EventType::BrInstRetired);
-        doTakenBranch(in, CodePtr{pc.block, in.targetIndex});
+        doTakenBranch(in);
         break;
       case Opcode::Je:
         cond_branch(zeroFlag);
@@ -740,7 +716,7 @@ Core::execute(const Inst &in)
         predictor.noteUncond(in.addr);
         countEvent(EventType::BrInstRetired);
         callStack.push_back(CodePtr{pc.block, pc.index + 1});
-        pc = program->entry(in.callee);
+        pc = program->entry(program->block(pc.block).callee(in));
         pcRedirected = true;
         frontEnd.redirect(program->inst(pc).addr);
         break;

@@ -99,11 +99,11 @@ class Core : public isa::CpuContext
     void setFastForwardEnabled(bool on) { ffEnabled = on; }
 
     /**
-     * Enable/disable the pre-decoded basic-block engine (default
-     * on). When enabled, straight-line runs of decoded instructions
-     * execute in one dispatch with batched retire accounting; when
-     * disabled (or whenever PMU sampling is armed), every
-     * instruction goes through the legacy per-step interpreter.
+     * Enable/disable the basic-block engine (default on). When
+     * enabled, straight-line runs of instructions (Inst::runEnd, set
+     * at link time) execute in one dispatch with batched retire
+     * accounting; when disabled (or whenever PMU sampling is armed),
+     * every instruction goes through the per-step interpreter.
      * Architectural state, PMU counts, interrupt delivery points and
      * fault schedules are identical either way (asserted by tests,
      * measured by the ablation bench).
@@ -133,7 +133,7 @@ class Core : public isa::CpuContext
      * Attach the sampling profiler (null detaches, the default).
      * While attached the core reports every retired user instruction
      * to it, which requires exact per-retire interpretation: the
-     * decoded-block engine and loop fast-forward are bypassed, both
+     * basic-block engine and loop fast-forward are bypassed, both
      * of which are result-invisible (asserted by tests), so runs
      * with and without a profiler retire identical instruction
      * streams — zero observer effect by construction.
@@ -155,7 +155,8 @@ class Core : public isa::CpuContext
      * Execute from @p entry until a Halt instruction retires.
      *
      * @param entry first instruction
-     * @param max_instr runaway guard; panics when exceeded
+     * @param max_instr runaway guard: throws
+     *        StatusError(ResourceExhausted) once exceeded
      */
     RunResult run(isa::CodePtr entry,
                   Count max_instr = 500'000'000ULL);
@@ -263,7 +264,7 @@ class Core : public isa::CpuContext
     void chargeCycles(Cycles c);
     void countEvent(EventType ev, Count n = 1);
     void fetchCosts(const isa::Inst &in);
-    void doTakenBranch(const isa::Inst &in, isa::CodePtr target);
+    void doTakenBranch(const isa::Inst &in);
     void dataAccess(Addr addr);
     void maybeFastForwardKeyed(std::uint64_t key,
                                const isa::Inst &branch,
@@ -316,12 +317,12 @@ class Core : public isa::CpuContext
     std::unordered_map<std::uint64_t, LoopFf> loops;
     bool poisonSinceBackward = true;
 
-    // Decode-cache (basic-block) engine state. The last-fetched
-    // icache line / iTLB page let the block engine skip redundant
-    // lookups for consecutive fetches within one line: a repeat
-    // access is a guaranteed hit and, with a strictly monotonic
-    // per-model LRU clock, skipping it cannot change any future
-    // victim choice — so misses, penalties and cycles are identical.
+    // Basic-block engine state. The last-fetched icache line / iTLB
+    // page let the block engine skip redundant lookups for
+    // consecutive fetches within one line: a repeat access is a
+    // guaranteed hit and, with a strictly monotonic per-model LRU
+    // clock, skipping it cannot change any future victim choice — so
+    // misses, penalties and cycles are identical.
     bool decodeOn = true;
     int icLineShift = 0;
     int itlbPageShift = 0;

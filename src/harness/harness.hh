@@ -80,7 +80,7 @@ struct HarnessConfig
     bool ioInterrupts = true;
     double preemptProb = 0.015;
     bool fastForward = true;
-    /** Pre-decoded block engine (results identical; see DESIGN §6). */
+    /** Basic-block engine (results identical; see DESIGN §6). */
     bool decodeCache = defaultDecodeCache();
     /** Unused: nothing reads it; kept so old callers still build. */
     bool traceTier = true;

@@ -42,7 +42,7 @@ struct MachineConfig
     double preemptProb = 0.015;
     /** Loop fast-forwarding in the interpreter (results identical). */
     bool fastForward = true;
-    /** Pre-decoded basic-block execution (results identical). */
+    /** Basic-block execution engine (results identical). */
     bool decodeCache = true;
     /** Unused: nothing reads it; kept so old callers still build. */
     bool traceTier = true;
@@ -84,7 +84,8 @@ struct MachineConfig
     /**
      * Watchdog: retired-instruction budget per run(); exceeding it
      * aborts the run with a DeadlineExceeded status instead of
-     * wedging (or tripping the interpreter's 500M-step panic). 0 =
+     * wedging (or hitting the interpreter's 500M-step runaway guard,
+     * a ResourceExhausted status that is never retried). 0 =
      * unlimited. When 0, faults.watchdogInstrs applies instead, so a
      * fault plan with hangs carries its own watchdog.
      */

@@ -15,7 +15,7 @@ Assembler::Assembler(std::string block_name)
 Assembler &
 Assembler::emit(Inst inst)
 {
-    block.append(std::move(inst));
+    block.append(inst);
     return *this;
 }
 
@@ -233,10 +233,8 @@ Assembler::jge(int l)
 Assembler &
 Assembler::call(const std::string &callee)
 {
-    Inst i;
-    i.op = Opcode::Call;
-    i.callee = callee;
-    return emit(i);
+    block.appendCall(callee);
+    return *this;
 }
 
 Assembler &
@@ -305,10 +303,8 @@ Assembler::halt()
 Assembler &
 Assembler::host(HostFn fn)
 {
-    Inst i;
-    i.op = Opcode::HostOp;
-    i.host = std::move(fn);
-    return emit(i);
+    block.appendHost(std::move(fn));
+    return *this;
 }
 
 Assembler &

@@ -7,6 +7,70 @@
 namespace pca::isa
 {
 
+namespace
+{
+
+/**
+ * The fast-forward-safe set: opcodes whose only effects are on
+ * registers, flags and the front end, so a loop built from them
+ * repeats its per-iteration deltas. Both interpreters read it from
+ * IfFfSafe.
+ */
+bool
+ffSafe(Opcode op)
+{
+    switch (op) {
+      case Opcode::MovImm:
+      case Opcode::MovReg:
+      case Opcode::AddImm:
+      case Opcode::AddReg:
+      case Opcode::SubImm:
+      case Opcode::SubReg:
+      case Opcode::CmpImm:
+      case Opcode::CmpReg:
+      case Opcode::TestReg:
+      case Opcode::XorReg:
+      case Opcode::AndImm:
+      case Opcode::OrReg:
+      case Opcode::ShlImm:
+      case Opcode::ShrImm:
+      case Opcode::Nop:
+      case Opcode::Jmp:
+      case Opcode::Je:
+      case Opcode::Jne:
+      case Opcode::Jl:
+      case Opcode::Jge:
+        return true;
+      default:
+        return false;
+    }
+}
+
+/**
+ * Opcodes the block engine executes inline: the fast-forward-safe set
+ * plus memory access and Cpuid. Everything else escapes to the
+ * per-step interpreter: cross-block control flow (Call/Ret), mode
+ * transitions (Syscall/Iret), counter access (Rdtsc/Rdpmc/Rdmsr/
+ * Wrmsr — these observe mid-run PMU state, so retire batching must
+ * flush before them), Halt, and HostOp.
+ */
+bool
+inlineOp(Opcode op)
+{
+    switch (op) {
+      case Opcode::Load:
+      case Opcode::Store:
+      case Opcode::Push:
+      case Opcode::Pop:
+      case Opcode::Cpuid:
+        return true;
+      default:
+        return ffSafe(op);
+    }
+}
+
+} // namespace
+
 CodeBlock::CodeBlock(std::string name)
     : blockName(std::move(name))
 {
@@ -17,13 +81,40 @@ CodeBlock::append(Inst inst)
 {
     if (inst.size < 0)
         inst.size = defaultSize(inst.op);
+    if (inst.op == Opcode::Call)
+        pca_assert(inst.payload >= 0 &&
+                   inst.payload < static_cast<int>(callees.size()));
+    if (inst.op == Opcode::HostOp)
+        pca_assert(inst.payload >= 0 &&
+                   inst.payload < static_cast<int>(hosts.size()) &&
+                   hosts[static_cast<std::size_t>(inst.payload)]);
     const int idx = static_cast<int>(insts.size());
     for (int label : pendingLabels)
         labelTargets[label] = idx;
     pendingLabels.clear();
-    insts.push_back(std::move(inst));
+    insts.push_back(inst);
     linked = false;
     return idx;
+}
+
+int
+CodeBlock::appendCall(std::string callee)
+{
+    Inst i;
+    i.op = Opcode::Call;
+    i.payload = static_cast<int>(callees.size());
+    callees.push_back(std::move(callee));
+    return append(i);
+}
+
+int
+CodeBlock::appendHost(HostFn fn)
+{
+    Inst i;
+    i.op = Opcode::HostOp;
+    i.payload = static_cast<int>(hosts.size());
+    hosts.push_back(std::move(fn));
+    return append(i);
 }
 
 int
@@ -61,6 +152,32 @@ CodeBlock::layout(Addr base_addr)
         }
     }
     byteSize = a - base_addr;
+
+    // Classify, backwards so each run end is known when reached:
+    // runEnd is the first escape at or after i (or n), so
+    // [i, runEnd) is guaranteed inline-executable.
+    const int n = static_cast<int>(insts.size());
+    int end = n;
+    for (int i = n; i-- > 0;) {
+        Inst &in = insts[static_cast<std::size_t>(i)];
+        in.flags = 0;
+        if (!inlineOp(in.op))
+            in.flags |= IfEscape;
+        if (ffSafe(in.op))
+            in.flags |= IfFfSafe;
+        if (isCondBranch(in.op))
+            in.flags |= IfCondBranch;
+        if (isBranch(in.op) && in.targetIndex >= 0) {
+            pca_assert(in.targetIndex < n);
+            in.targetAddr =
+                insts[static_cast<std::size_t>(in.targetIndex)].addr;
+            if ((in.flags & IfCondBranch) && in.targetIndex < i)
+                in.flags |= IfBackwardBranch;
+        }
+        if (in.escape())
+            end = i;
+        in.runEnd = end;
+    }
     linked = true;
 }
 
@@ -111,7 +228,7 @@ CodeBlock::disassemble() const
             os << " -> #" << in.targetIndex;
             break;
           case Opcode::Call:
-            os << " " << in.callee;
+            os << " " << callee(in);
             break;
           default:
             break;

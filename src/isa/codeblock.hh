@@ -28,8 +28,17 @@ class CodeBlock
 
     const std::string &name() const { return blockName; }
 
-    /** Append an instruction; returns its index. */
+    /**
+     * Append an instruction; returns its index. A Call or HostOp
+     * must carry the payload appendCall()/appendHost() gives it.
+     */
     int append(Inst inst);
+
+    /** Append a Call to the block named @p callee. */
+    int appendCall(std::string callee);
+
+    /** Append a HostOp running @p fn. */
+    int appendHost(HostFn fn);
 
     /** Create a new unbound label; returns its id. */
     int newLabel();
@@ -44,14 +53,28 @@ class CodeBlock
     std::size_t bytes() const { return byteSize; }
 
     const Inst &inst(std::size_t i) const { return insts.at(i); }
-    Inst &inst(std::size_t i) { return insts.at(i); }
+    const Inst *data() const { return insts.data(); }
+
+    /** Callee symbol of a Call instruction of this block. */
+    const std::string &callee(const Inst &in) const
+    {
+        return callees[static_cast<std::size_t>(in.payload)];
+    }
+
+    /** Callback of a HostOp instruction of this block. */
+    const HostFn &host(const Inst &in) const
+    {
+        return hosts[static_cast<std::size_t>(in.payload)];
+    }
 
     Addr baseAddr() const { return base; }
 
     /**
      * Lay the block out at @p base_addr: assign per-instruction
-     * addresses, compute the byte size, and resolve label references
-     * to instruction indexes. Panics on unbound labels.
+     * addresses, compute the byte size, resolve label references to
+     * instruction indexes and addresses, and classify every
+     * instruction (Inst::flags, Inst::runEnd) for the interpreters.
+     * Panics on unbound labels.
      */
     void layout(Addr base_addr);
 
@@ -61,6 +84,9 @@ class CodeBlock
   private:
     std::string blockName;
     std::vector<Inst> insts;
+    /** Call targets and HostOp callbacks, by Inst::payload. */
+    std::vector<std::string> callees;
+    std::vector<HostFn> hosts;
     /** label id -> instruction index (-1 while unbound). */
     std::vector<int> labelTargets;
     /** labels waiting to bind to the next instruction. */

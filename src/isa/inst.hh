@@ -15,7 +15,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
+#include <type_traits>
 
 #include "support/types.hh"
 
@@ -108,32 +108,78 @@ class CpuContext; // forward-declared execution context view
 /** Host callback type for HostOp. @see Opcode::HostOp */
 using HostFn = std::function<void(CpuContext &)>;
 
-/** One decoded instruction. */
+/** Per-instruction classification set by CodeBlock::layout. */
+enum InstFlags : std::uint8_t
+{
+    /** In the fast-forward-safe opcode set (steady-loop deltas). */
+    IfFfSafe = 1 << 0,
+    /** Conditional branch (Je/Jne/Jl/Jge). */
+    IfCondBranch = 1 << 1,
+    /** Conditional branch whose target precedes it (loop branch). */
+    IfBackwardBranch = 1 << 2,
+    /**
+     * The block engine hands this instruction to the per-step
+     * interpreter: control transfers between blocks, mode
+     * transitions, counter access, host escapes, Halt — everything
+     * that can change privilege mode, PMU programming, or the
+     * current code block.
+     */
+    IfEscape = 1 << 3,
+};
+
+/**
+ * One instruction: the record the assembler emits, the linker lays
+ * out and classifies, and both interpreters execute in place. It
+ * stays small and trivially copyable (a kernel image is ~10 k of
+ * them); the rare variable-size operands, a Call's callee name and a
+ * HostOp's callback, live in the owning CodeBlock's tables.
+ */
 struct Inst
 {
     Opcode op = Opcode::Nop;
     Reg r1 = Reg::Eax;
     Reg r2 = Reg::Eax;
+    /** InstFlags (valid after layout). */
+    std::uint8_t flags = 0;
+
+    /** Encoded size in bytes; -1 means "use defaultSize(op)". */
+    int size = -1;
+
     std::int64_t imm = 0;
 
     /** Branch target: index of a label within the owning block. */
     int label = -1;
 
-    /** Call target: symbol name of the callee block. */
-    std::string callee;
-
-    /** Encoded size in bytes; -1 means "use defaultSize(op)". */
-    int size = -1;
-
-    /** Host escape payload (HostOp only). */
-    HostFn host;
+    /** Resolved branch target as an instruction index in the block. */
+    int targetIndex = -1;
 
     /** Address assigned at link time. */
     Addr addr = 0;
 
-    /** Resolved branch target as an instruction index in the block. */
-    int targetIndex = -1;
+    /** Branches: link-resolved byte address of targetIndex. */
+    Addr targetAddr = 0;
+
+    /**
+     * Call/HostOp: index into the owning block's callee or host
+     * table. @see CodeBlock::callee, CodeBlock::host
+     */
+    int payload = -1;
+
+    /**
+     * Exclusive end of the contiguous non-escape run containing this
+     * instruction (valid after layout): the block engine may execute
+     * [index, runEnd) without consulting the per-step interpreter.
+     * Equals the instruction's own index when it is an escape.
+     */
+    int runEnd = 0;
+
+    bool escape() const { return (flags & IfEscape) != 0; }
 };
+
+static_assert(std::is_trivially_copyable_v<Inst>,
+              "Inst is copied per instruction; keep owning members "
+              "(strings, callbacks) in the CodeBlock's tables");
+static_assert(sizeof(Inst) <= 48, "Inst grew past 48 bytes");
 
 } // namespace pca::isa
 

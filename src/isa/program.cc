@@ -48,9 +48,6 @@ Program::link2(Addr user_base, Addr kernel_base, Addr align)
         a += blocks[i].bytes();
         totalBytes += blocks[i].bytes();
     }
-    decodedBlocks.resize(blocks.size());
-    for (std::size_t i = 0; i < blocks.size(); ++i)
-        decodedBlocks[i].build(blocks[i]);
     isLinked = true;
 }
 

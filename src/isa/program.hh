@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "isa/codeblock.hh"
-#include "isa/decoded.hh"
 
 namespace pca::isa
 {
@@ -75,16 +74,6 @@ class Program
     /** The instruction at @p ptr. */
     const Inst &inst(CodePtr ptr) const;
 
-    /**
-     * The pre-decoded image of block @p id (valid after link). The
-     * decode cache is rebuilt on every link, so it always reflects
-     * the final layout (addresses, resolved branch targets).
-     */
-    const DecodedBlock &decoded(int id) const
-    {
-        return decodedBlocks[static_cast<std::size_t>(id)];
-    }
-
     /** Total byte size of all blocks (after link). */
     std::size_t bytes() const { return totalBytes; }
 
@@ -93,7 +82,6 @@ class Program
 
   private:
     std::vector<CodeBlock> blocks;
-    std::vector<DecodedBlock> decodedBlocks;
     std::vector<int> blockSegments;
     std::map<std::string, int> symbols;
     std::size_t totalBytes = 0;

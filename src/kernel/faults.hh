@@ -117,7 +117,8 @@ struct FaultPlan
      * aborts with DeadlineExceeded once exceeded. 0 = unlimited
      * (only the interpreter's 500M runaway backstop applies). A plan
      * with hangRate > 0 needs a budget, or every hang falls through
-     * to that backstop and panics.
+     * to that backstop, which fails the run with ResourceExhausted:
+     * not transient, so the point degrades instead of retrying.
      */
     Count watchdogInstrs = 0;
 

@@ -9,6 +9,7 @@
 #include "cpu/core.hh"
 #include "isa/assembler.hh"
 #include "isa/program.hh"
+#include "support/status.hh"
 
 namespace pca::cpu
 {
@@ -456,7 +457,36 @@ TEST(CoreGuard, RunawayProgramPanics)
     m.prog.add(a.take());
     m.finish();
     EXPECT_THROW(m.core->run(m.prog.entry("main"), 10000),
-                 std::logic_error);
+                 StatusError);
+}
+
+TEST(CoreGuard, RunawayIsResourceExhaustedOnBothEngines)
+{
+    // The two engines overshoot the limit by different amounts (one
+    // block dispatch runs up to a chunk), so the status must name the
+    // limit, not the step it was observed at.
+    std::vector<Status> seen;
+    for (const bool block : {true, false}) {
+        TestMachine m;
+        Assembler a("main");
+        int loop = a.label();
+        a.addImm(Reg::Eax, 1).jmp(loop);
+        m.prog.add(a.take());
+        m.finish();
+        m.core->setDecodeCacheEnabled(block);
+        try {
+            m.core->run(m.prog.entry("main"), 10000);
+            ADD_FAILURE() << "block=" << block << ": no runaway";
+        } catch (const StatusError &e) {
+            seen.push_back(e.status());
+        }
+    }
+    ASSERT_EQ(seen.size(), 2u);
+    for (const Status &st : seen)
+        EXPECT_EQ(st.code(), StatusCode::ResourceExhausted);
+    EXPECT_EQ(seen[0].message(), seen[1].message());
+    EXPECT_EQ(seen[0].message(),
+              "runaway program: more than 10000 steps without halting");
 }
 
 TEST(CoreFastForward, MatchesInterpretationExactly)

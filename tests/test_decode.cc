@@ -1,15 +1,15 @@
 /**
  * @file
- * The pre-decoded basic-block engine's one contract: it must be
- * invisible. Architectural state, PMU counts, interrupt delivery and
- * every canned study's CSV must be byte-identical with the decode
- * cache on and off — serial or parallel, with or without an active
- * fault plan — on counted, call, time-read, strided-memory and nested
- * loops, with fast-forward on and off. The retired trace-tier switch
- * (MachineConfig::traceTier) must change nothing either. Plus unit
- * tests of the decoder
- * itself (flags, escape classification, straight-line run
- * boundaries) and of the per-reason escape counters.
+ * The basic-block engine's one contract: it must be invisible.
+ * Architectural state, PMU counts, interrupt delivery and every
+ * canned study's CSV must be byte-identical with the engine
+ * (MachineConfig::decodeCache) on and off — serial or parallel, with
+ * or without an active fault plan — on counted, call, time-read,
+ * strided-memory and nested loops, with fast-forward on and off. The
+ * retired trace-tier switch (MachineConfig::traceTier) must change
+ * nothing either. Plus unit tests of the link-time classification
+ * the engine runs on (flags, escape classification, straight-line
+ * run boundaries) and of the per-reason escape counters.
  */
 
 #include <cstdlib>
@@ -32,7 +32,7 @@ using namespace pca;
 using namespace pca::harness;
 
 // ---------------------------------------------------------------- //
-// Decoder unit tests
+// Link-time classification unit tests
 // ---------------------------------------------------------------- //
 
 namespace
@@ -60,36 +60,37 @@ linkLoop(Count iters)
 TEST(DecodedBlock, FlagsAndEscapes)
 {
     const isa::Program p = linkLoop(10);
-    const isa::DecodedBlock &db = p.decoded(0);
-    ASSERT_EQ(db.size(), 5u);
+    const isa::CodeBlock &blk = p.block(0);
+    ASSERT_EQ(blk.size(), 5u);
 
     // movImm / addImm / cmpImm: inline, ff-safe, not branches.
     for (std::size_t i = 0; i < 3; ++i) {
-        EXPECT_FALSE(db.inst(i).escape()) << i;
-        EXPECT_NE(db.inst(i).flags & isa::DiFfSafe, 0) << i;
-        EXPECT_EQ(db.inst(i).flags & isa::DiCondBranch, 0) << i;
+        EXPECT_FALSE(blk.inst(i).escape()) << i;
+        EXPECT_NE(blk.inst(i).flags & isa::IfFfSafe, 0) << i;
+        EXPECT_EQ(blk.inst(i).flags & isa::IfCondBranch, 0) << i;
     }
 
     // jne loop: conditional backward branch with a resolved target.
-    const isa::DecodedInst &jne = db.inst(3);
+    const isa::Inst &jne = blk.inst(3);
     EXPECT_FALSE(jne.escape());
-    EXPECT_NE(jne.flags & isa::DiCondBranch, 0);
-    EXPECT_NE(jne.flags & isa::DiBackwardBranch, 0);
+    EXPECT_NE(jne.flags & isa::IfCondBranch, 0);
+    EXPECT_NE(jne.flags & isa::IfBackwardBranch, 0);
     EXPECT_EQ(jne.targetIndex, 1);
+    EXPECT_EQ(jne.targetAddr, blk.inst(1).addr);
 
-    // halt: escape (handled by the legacy interpreter).
-    EXPECT_TRUE(db.inst(4).escape());
+    // halt: escape (handled by the per-step interpreter).
+    EXPECT_TRUE(blk.inst(4).escape());
 }
 
 TEST(DecodedBlock, RunEndsStopAtEscapes)
 {
     const isa::Program p = linkLoop(10);
-    const isa::DecodedBlock &db = p.decoded(0);
+    const isa::CodeBlock &blk = p.block(0);
     // From any of the first four instructions the straight-line run
     // extends to the halt at index 4; the halt's own run is itself.
     for (std::size_t i = 0; i < 4; ++i)
-        EXPECT_EQ(db.runEnd(i), 4) << i;
-    EXPECT_EQ(db.runEnd(4), 4);
+        EXPECT_EQ(blk.inst(i).runEnd, 4) << i;
+    EXPECT_EQ(blk.inst(4).runEnd, 4);
 }
 
 // ---------------------------------------------------------------- //

@@ -8,6 +8,7 @@
 
 #include "isa/assembler.hh"
 #include "isa/codeblock.hh"
+#include "isa/context.hh"
 #include "isa/inst.hh"
 #include "isa/program.hh"
 
@@ -98,6 +99,16 @@ TEST(Assembler, WorkEmitsNops)
         EXPECT_EQ(b.inst(i).op, Opcode::Nop);
 }
 
+/** A CpuContext for callbacks that ignore it. */
+struct NullContext : CpuContext
+{
+    std::uint64_t getReg(Reg) const override { return 0; }
+    void setReg(Reg, std::uint64_t) override {}
+    void jumpTo(const std::string &) override {}
+    Mode mode() const override { return Mode::User; }
+    Cycles cycles() const override { return 0; }
+};
+
 TEST(Assembler, HostOpCarriesCallback)
 {
     Assembler a("h");
@@ -105,8 +116,10 @@ TEST(Assembler, HostOpCarriesCallback)
     a.host([&ran](CpuContext &) { ran = true; });
     CodeBlock b = a.take();
     ASSERT_EQ(b.size(), 1u);
-    ASSERT_TRUE(b.inst(0).host);
     EXPECT_FALSE(ran);
+    NullContext ctx;
+    b.host(b.inst(0))(ctx);
+    EXPECT_TRUE(ran);
 }
 
 TEST(CodeBlockTest, LayoutAssignsConsecutiveAddresses)
@@ -144,12 +157,13 @@ TEST(CodeBlockTest, LoopBodyIsTenBytes)
 TEST(CodeBlockTest, DisassembleMentionsOpcodes)
 {
     Assembler a("d");
-    a.movImm(Reg::Ebx, 7).rdpmc().ret();
+    a.movImm(Reg::Ebx, 7).rdpmc().call("f").ret();
     CodeBlock b = a.take();
     b.layout(0);
     const std::string dis = b.disassemble();
     EXPECT_NE(dis.find("mov_imm ebx, $7"), std::string::npos);
     EXPECT_NE(dis.find("rdpmc"), std::string::npos);
+    EXPECT_NE(dis.find("call f"), std::string::npos);
 }
 
 TEST(ProgramTest, EntryAndFind)
