@@ -35,7 +35,7 @@ CacheModel::contains(Addr addr) const
     const std::size_t base = setIndex(addr) * numWays;
     const Addr tag = tagOf(addr);
     for (std::size_t w = base; w < base + numWays; ++w)
-        if (waysStore[w].valid && waysStore[w].tag == tag)
+        if (valid(waysStore[w]) && waysStore[w].tag == tag)
             return true;
     return false;
 }
@@ -43,11 +43,9 @@ CacheModel::contains(Addr addr) const
 void
 CacheModel::flush()
 {
-    for (auto &way : waysStore)
-        way.valid = false;
+    flushedAt = useClock;
     hotTag = ~Addr{0};
     hotWay = 0;
-    useClock = 0;
 }
 
 } // namespace pca::cpu

@@ -47,12 +47,13 @@ class CacheModel
         for (std::size_t w = base;
              w < base + static_cast<std::size_t>(numWays); ++w) {
             Way &way = waysStore[w];
-            if (way.valid && way.tag == tag) {
+            const bool live = valid(way);
+            if (live && way.tag == tag) {
                 way.lastUse = useClock;
                 ++hitCount;
                 return true;
             }
-            const std::uint64_t age = way.valid ? way.lastUse : 0;
+            const std::uint64_t age = live ? way.lastUse : 0;
             if (age < oldest) {
                 oldest = age;
                 victim = w;
@@ -60,7 +61,6 @@ class CacheModel
         }
         Way &way = waysStore[victim];
         way.tag = tag;
-        way.valid = true;
         way.lastUse = useClock;
         ++missCount;
         return false;
@@ -78,7 +78,7 @@ class CacheModel
         const Addr tag = tagOf(addr);
         if (tag == hotTag) {
             Way &hw = waysStore[hotWay];
-            if (hw.valid && hw.tag == tag) {
+            if (valid(hw) && hw.tag == tag) {
                 hw.lastUse = ++useClock;
                 ++hitCount;
                 return true;
@@ -103,7 +103,10 @@ class CacheModel
     /** Probe without side effects. */
     bool contains(Addr addr) const;
 
-    /** Invalidate everything (cold start). */
+    /**
+     * Invalidate everything (cold start) in O(1): every way last used
+     * at or before this instant reads as invalid from now on.
+     */
     void flush();
 
     int sets() const { return numSets; }
@@ -114,12 +117,21 @@ class CacheModel
     std::uint64_t misses() const { return missCount; }
 
   private:
+    /**
+     * One way. There is no valid bit: the LRU clock never resets, and
+     * a way holds a line iff it was used after the last flush.
+     */
     struct Way
     {
         Addr tag = 0;
-        bool valid = false;
         std::uint64_t lastUse = 0;
     };
+
+    /**
+     * Invalid ways count as age 0 in victim choice, so a flushed
+     * model picks the same victims as a fresh one.
+     */
+    bool valid(const Way &way) const { return way.lastUse > flushedAt; }
 
     std::size_t setIndex(Addr addr) const
     {
@@ -136,7 +148,8 @@ class CacheModel
     std::vector<Way> waysStore; // numSets * numWays
     Addr hotTag = ~Addr{0};     // accessHot memo: last hit line
     std::size_t hotWay = 0;     // ... and the way that held it
-    std::uint64_t useClock = 0;
+    std::uint64_t useClock = 0;  // strictly monotonic, never reset
+    std::uint64_t flushedAt = 0; // useClock at the last flush
     std::uint64_t hitCount = 0;
     std::uint64_t missCount = 0;
 };

@@ -77,6 +77,12 @@ class Core : public isa::CpuContext
     /** The program to execute (must stay alive during run()). */
     void setProgram(const isa::Program *prog);
 
+    /**
+     * The host state HostOp callbacks reach through hostEnv() (the
+     * kernel; must stay alive during run()). Kept across reset().
+     */
+    void setHostEnv(isa::HostEnv *env) { hostState = env; }
+
     /** Kernel entry points (set by the Machine after linking). */
     void setSyscallEntry(isa::CodePtr entry) { syscallEntry = entry; }
     void setInterruptEntry(isa::CodePtr entry)
@@ -198,6 +204,7 @@ class Core : public isa::CpuContext
     std::uint64_t getReg(isa::Reg r) const override;
     void setReg(isa::Reg r, std::uint64_t v) override;
     void jumpTo(const std::string &symbol) override;
+    isa::HostEnv *hostEnv() const override { return hostState; }
     Mode mode() const override { return curMode; }
     Cycles cycles() const override { return cycleCount; }
 
@@ -282,6 +289,7 @@ class Core : public isa::CpuContext
     CacheModel dtlb;
 
     const isa::Program *program = nullptr;
+    isa::HostEnv *hostState = nullptr;
     obs::Profiler *prof = nullptr;
     isa::CodePtr pc;
     isa::CodePtr syscallEntry;

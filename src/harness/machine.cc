@@ -59,10 +59,12 @@ Machine::Machine(const MachineConfig &cfg)
         }
     }
 
-    kernelImpl->buildInto(prog);
-    kernelBlocks = static_cast<int>(prog.blockCount());
-    for (int b = 0; b < kernelBlocks; ++b)
-        prog.setSegment(b, 1);
+    // The kernel text is shared with every machine of this
+    // processor, extension and hang plan; user blocks follow it.
+    const std::shared_ptr<const kernel::KernelImage> image =
+        kernelImpl->boot();
+    prog = isa::Program(
+        std::shared_ptr<const isa::Program>(image, &image->text));
 }
 
 int
@@ -79,8 +81,8 @@ Machine::finalize(Addr user_text_offset)
     // Byte-granular user-text placement: the paper's placement
     // effects move the loop by single bytes (different executables),
     // so user blocks must not be re-aligned away from the offset.
-    prog.link2(0x08048000ULL + user_text_offset, 0xc0000000ULL,
-               /*align=*/1);
+    // The kernel image is already linked at 0xc0000000.
+    prog.link(0x08048000ULL + user_text_offset, /*align=*/1);
     coreImpl->setProgram(&prog);
     coreImpl->setFastForwardEnabled(cfg.fastForward);
     coreImpl->setDecodeCacheEnabled(cfg.decodeCache);
@@ -151,11 +153,15 @@ StatusOr<cpu::RunResult>
 Machine::tryRun(const std::string &entry)
 {
     pca_assert(finalized);
+    const int entry_block = prog.find(entry);
+    if (entry_block < 0)
+        return Status(StatusCode::NotFound,
+                      "no block named '" + entry + "'");
     PCA_SPC_INC(RunsExecuted);
     const Cycles t0 = coreImpl->cycles();
     cpu::RunResult res;
     try {
-        res = coreImpl->run(prog.entry(entry));
+        res = coreImpl->run(isa::CodePtr{entry_block, 0});
     } catch (const StatusError &e) {
         // A fallible kernel boundary refused mid-run (bad syscall,
         // module precondition, injected fault), or the run-deadline

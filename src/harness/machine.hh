@@ -3,7 +3,10 @@
  * A complete simulated platform: one processor core, a kernel with
  * the appropriate extension loaded, and the user-space measurement
  * library stack — one of the two "patched kernels" of the paper's
- * §3.3, booted fresh for every measurement run.
+ * §3.3, booted fresh for every measurement run. The kernel's code is
+ * one immutable image per (processor, extension, hang plan), shared
+ * by every machine that boots it; each machine owns its kernel and
+ * module state, its core, and its user program.
  */
 
 #ifndef PCA_HARNESS_MACHINE_HH
@@ -125,7 +128,10 @@ class Machine
     perfmon::LibPfm *libPfm() { return pmLib.get(); }
     perfevent::LibPerf *libPerf() { return peLib.get(); }
 
-    /** Add a user code block (before finalize). */
+    /**
+     * Add a user code block (before finalize). Its id follows the
+     * kernel image's blocks; its name must not be a kernel block's.
+     */
     int addUserBlock(isa::CodeBlock block);
 
     /**
@@ -140,7 +146,8 @@ class Machine
     /**
      * Like run(), but a StatusError raised on the kernel's fallible
      * boundaries (syscall dispatch, module preconditions, injected
-     * faults) is returned as a Status instead of propagating.
+     * faults) is returned as a Status instead of propagating, and an
+     * @p entry that names no linked block returns NotFound.
      */
     StatusOr<cpu::RunResult> tryRun(const std::string &entry = "main");
 
@@ -176,8 +183,7 @@ class Machine
     std::unique_ptr<perfevent::LibPerf> peLib;
     std::unique_ptr<kernel::FaultInjector> injector;
     std::unique_ptr<obs::Profiler> prof;
-    isa::Program prog;
-    int kernelBlocks = 0;
+    isa::Program prog; //!< user blocks over the shared kernel text
     bool finalized = false;
 };
 

@@ -9,10 +9,11 @@
  * linker each time buys nothing. A HarnessSession assembles and
  * links once, then replays runs by rebooting the machine
  * (Machine::reboot: exact power-on state, re-seeded stochastics), so
- * every run after the first skips kernel code emission, harness
- * assembly, and linking. A session run is result-identical to a
- * fresh MeasurementHarness::measure() with the same seed (asserted
- * by tests/test_parallel.cc), so reuse is invisible in study output.
+ * every run after the first skips harness assembly and linking (the
+ * kernel code is emitted once per process: Kernel::boot). A session
+ * run is result-identical to a fresh MeasurementHarness::measure()
+ * with the same seed (asserted by tests/test_parallel.cc), so reuse
+ * is invisible in study output.
  *
  * measurePoint() is the one per-point loop: it builds a session,
  * runs the point's seeds on it, and drops it — the paper's one
@@ -40,9 +41,10 @@ namespace pca::harness
  * machine. Build once, run many: each run() reboots the machine with
  * the given seed and executes the program from the top — setup,
  * pattern calls, benchmark, teardown — exactly as a fresh harness
- * would. Sessions are pinned to one address (the emitted host ops
- * capture pointers into the session), hence non-copyable and
- * non-movable.
+ * would. The kernel text comes from the shared kernel image; only
+ * the user program is the session's own. Sessions are pinned to one
+ * address (the user program's host ops capture pointers into the
+ * session), hence non-copyable and non-movable.
  */
 class HarnessSession
 {

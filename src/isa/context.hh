@@ -16,6 +16,18 @@ namespace pca::isa
 {
 
 /**
+ * The host-side state a core's HostOp callbacks act on (the kernel,
+ * for kernel text). Code shared by several machines captures no
+ * state of its own: its callbacks find the machine they run on
+ * through CpuContext::hostEnv().
+ */
+class HostEnv
+{
+  public:
+    virtual ~HostEnv() = default;
+};
+
+/**
  * Narrow view of the executing core offered to HostOp callbacks.
  *
  * Host callbacks are the simulator's data-plumbing escape hatch: the
@@ -27,6 +39,12 @@ class CpuContext
 {
   public:
     virtual ~CpuContext() = default;
+
+    /**
+     * The host state of the machine this core belongs to (null if
+     * none is attached).
+     */
+    virtual HostEnv *hostEnv() const { return nullptr; }
 
     /** Read a general-purpose register. */
     virtual std::uint64_t getReg(Reg r) const = 0;

@@ -7,12 +7,19 @@
 namespace pca::isa
 {
 
+Program::Program(std::shared_ptr<const Program> base_prog)
+    : base(std::move(base_prog))
+{
+    pca_assert(base && base->linked());
+    baseCount = static_cast<int>(base->blockCount());
+}
+
 int
 Program::add(CodeBlock block)
 {
-    if (symbols.count(block.name()))
+    if (find(block.name()) >= 0)
         pca_panic("duplicate block name '", block.name(), "'");
-    const int id = static_cast<int>(blocks.size());
+    const int id = static_cast<int>(blockCount());
     symbols.emplace(block.name(), id);
     blocks.push_back(std::move(block));
     blockSegments.push_back(0);
@@ -23,16 +30,17 @@ Program::add(CodeBlock block)
 void
 Program::setSegment(int block_id, int segment)
 {
-    pca_assert(block_id >= 0 &&
-               block_id < static_cast<int>(blocks.size()));
+    pca_assert(block_id >= baseCount &&
+               block_id < static_cast<int>(blockCount()));
     pca_assert(segment == 0 || segment == 1);
-    blockSegments[static_cast<std::size_t>(block_id)] = segment;
+    blockSegments[static_cast<std::size_t>(block_id - baseCount)] =
+        segment;
 }
 
 void
-Program::link(Addr base, Addr align)
+Program::link(Addr base_addr, Addr align)
 {
-    link2(base, 0xc0000000ULL, align);
+    link2(base_addr, 0xc0000000ULL, align);
 }
 
 void
@@ -42,6 +50,8 @@ Program::link2(Addr user_base, Addr kernel_base, Addr align)
     Addr cursor[2] = {user_base, kernel_base};
     totalBytes = 0;
     for (std::size_t i = 0; i < blocks.size(); ++i) {
+        // The base owns the kernel segment: its layout is final.
+        pca_assert(!base || blockSegments[i] == 0);
         Addr &a = cursor[static_cast<std::size_t>(blockSegments[i])];
         a = (a + align - 1) & ~(align - 1);
         blocks[i].layout(a);
@@ -55,7 +65,9 @@ int
 Program::find(const std::string &name) const
 {
     auto it = symbols.find(name);
-    return it == symbols.end() ? -1 : it->second;
+    if (it != symbols.end())
+        return it->second;
+    return base ? base->find(name) : -1;
 }
 
 CodePtr
@@ -70,13 +82,15 @@ Program::entry(const std::string &name) const
 const Inst &
 Program::inst(CodePtr ptr) const
 {
-    return blocks.at(ptr.block).inst(static_cast<std::size_t>(ptr.index));
+    return block(ptr.block).inst(static_cast<std::size_t>(ptr.index));
 }
 
 std::string
 Program::disassemble() const
 {
     std::ostringstream os;
+    if (base)
+        os << base->disassemble();
     for (const auto &blk : blocks)
         os << blk.disassemble();
     return os.str();

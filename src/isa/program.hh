@@ -14,6 +14,7 @@
 #define PCA_ISA_PROGRAM_HH
 
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -32,19 +33,31 @@ struct CodePtr
     bool operator==(const CodePtr &o) const = default;
 };
 
-/** A set of code blocks linked at concrete addresses. */
+/**
+ * A set of code blocks linked at concrete addresses, optionally on
+ * top of an immutable, already-linked base program (the kernel text
+ * several machines share). The base's blocks keep ids 0..K-1 and
+ * this program's own blocks follow; every lookup sees both.
+ */
 class Program
 {
   public:
     Program() = default;
 
-    /** Add a block; returns its block id. Names must be unique. */
+    /** A program whose blocks follow those of the linked @p base. */
+    explicit Program(std::shared_ptr<const Program> base);
+
+    /**
+     * Add a block; returns its block id. Names must be unique, the
+     * base's included.
+     */
     int add(CodeBlock block);
 
     /**
-     * Assign a block to a segment (default 0). Segment 0 is user
-     * text, segment 1 kernel text; they link at separate bases so
-     * that kernel code size never perturbs user code placement.
+     * Assign one of this program's own blocks to a segment
+     * (default 0). Segment 0 is user text, segment 1 kernel text;
+     * they link at separate bases so that kernel code size never
+     * perturbs user code placement.
      */
     void setSegment(int block_id, int segment);
 
@@ -53,17 +66,32 @@ class Program
      * starting at the segment's base, each block aligned to
      * @p align bytes.
      */
-    void link(Addr base = 0x08048000, Addr align = 16);
+    void link(Addr base_addr = 0x08048000, Addr align = 16);
 
-    /** Two-segment link: user text at @p user_base, kernel text at
-     * @p kernel_base. */
+    /**
+     * Two-segment link: user text at @p user_base, kernel text at
+     * @p kernel_base. Over a base program only the own blocks are
+     * laid out, and they must all be user text.
+     */
     void link2(Addr user_base, Addr kernel_base, Addr align = 16);
 
     bool linked() const { return isLinked; }
 
-    std::size_t blockCount() const { return blocks.size(); }
-    const CodeBlock &block(int id) const { return blocks.at(id); }
-    CodeBlock &block(int id) { return blocks.at(id); }
+    std::size_t
+    blockCount() const
+    {
+        return static_cast<std::size_t>(baseCount) + blocks.size();
+    }
+
+    const CodeBlock &
+    block(int id) const
+    {
+        // Unsigned compare: a negative id is out of range, not base.
+        if (static_cast<unsigned>(id) < static_cast<unsigned>(baseCount))
+            return base->block(id);
+        return blocks.at(static_cast<std::size_t>(id) -
+                         static_cast<std::size_t>(baseCount));
+    }
 
     /** Lookup a block id by symbol name; -1 if absent. */
     int find(const std::string &name) const;
@@ -75,12 +103,18 @@ class Program
     const Inst &inst(CodePtr ptr) const;
 
     /** Total byte size of all blocks (after link). */
-    std::size_t bytes() const { return totalBytes; }
+    std::size_t
+    bytes() const
+    {
+        return (base ? base->bytes() : 0) + totalBytes;
+    }
 
     /** Full disassembly listing. */
     std::string disassemble() const;
 
   private:
+    std::shared_ptr<const Program> base;
+    int baseCount = 0; //!< base->blockCount(), for block()
     std::vector<CodeBlock> blocks;
     std::vector<int> blockSegments;
     std::map<std::string, int> symbols;

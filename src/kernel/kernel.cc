@@ -1,5 +1,8 @@
 #include "kernel/kernel.hh"
 
+#include <mutex>
+#include <tuple>
+
 #include "isa/assembler.hh"
 #include "kernel/perfevent_mod.hh"
 #include "obs/profile.hh"
@@ -45,7 +48,7 @@ Kernel::addModule(KernelModule *mod)
         return Status(StatusCode::InvalidArgument, "null kernel module");
     if (built)
         return Status(StatusCode::FailedPrecondition,
-                      "addModule after buildInto");
+                      "addModule after boot");
     modules.push_back(mod);
     return OkStatus();
 }
@@ -69,8 +72,8 @@ void
 Kernel::dispatchSyscall(CpuContext &ctx)
 {
     const auto nr = static_cast<int>(ctx.getReg(Reg::Eax));
-    auto it = syscallTable.find(nr);
-    if (it == syscallTable.end())
+    auto it = image->syscalls.find(nr);
+    if (it == image->syscalls.end())
         throw StatusError(Status(StatusCode::InvalidArgument,
                                  "unknown syscall " +
                                      std::to_string(nr)));
@@ -184,7 +187,7 @@ Kernel::buildInto(isa::Program &prog)
             .push(Reg::Esi)
             .push(Reg::Edi)
             .work(scaled(kc.syscallEntryWork) - 4)
-            .host([this](CpuContext &ctx) { dispatchSyscall(ctx); });
+            .host([](CpuContext &ctx) { of(ctx).dispatchSyscall(ctx); });
         prog.add(a.take());
     }
     {
@@ -203,7 +206,9 @@ Kernel::buildInto(isa::Program &prog)
             .push(Reg::Ecx)
             .push(Reg::Edx)
             .work(scaled(kc.intEntryWork) - 3)
-            .host([this](CpuContext &ctx) { dispatchInterrupt(ctx); });
+            .host([](CpuContext &ctx) {
+                of(ctx).dispatchInterrupt(ctx);
+            });
         prog.add(a.take());
     }
     {
@@ -222,17 +227,20 @@ Kernel::buildInto(isa::Program &prog)
         Assembler a("k_timer");
         // timerHandlerInstrs is already per-arch; no extra scaling.
         a.work(archRef.timerHandlerInstrs + tick_extra)
-            .host([this](CpuContext &ctx) { decidePreemption(ctx); });
+            .host([](CpuContext &ctx) {
+                of(ctx).decidePreemption(ctx);
+            });
         prog.add(a.take());
     }
     {
         Assembler a("k_pmi");
         // PMI handler: acknowledge the overflow, hand it to the
         // extension that armed the counter (sample recording).
-        a.work(scaled(160)).host([this](CpuContext &ctx) {
-            pca_assert(attachedCore);
-            for (KernelModule *m : modules)
-                m->onPmi(*attachedCore);
+        a.work(scaled(160)).host([](CpuContext &ctx) {
+            Kernel &k = of(ctx);
+            pca_assert(k.attachedCore);
+            for (KernelModule *m : k.modules)
+                m->onPmi(*k.attachedCore);
             ctx.jumpTo("k_int_exit");
         });
         prog.add(a.take());
@@ -246,7 +254,7 @@ Kernel::buildInto(isa::Program &prog)
     {
         Assembler a("k_preempt");
         a.work(scaled(kc.ctxswOutWork) * 3 / 5)
-            .host([this](CpuContext &ctx) { doSwitchOut(ctx); })
+            .host([](CpuContext &ctx) { of(ctx).doSwitchOut(ctx); })
             .work(scaled(kc.ctxswOutWork) * 2 / 5);
         // Kernel-thread timeslice: ecx iterations of bookkeeping.
         a.movImm(Reg::Edx, 0);
@@ -256,7 +264,7 @@ Kernel::buildInto(isa::Program &prog)
             .cmpReg(Reg::Edx, Reg::Ecx)
             .jl(loop);
         a.work(scaled(kc.ctxswInWork) / 2)
-            .host([this](CpuContext &ctx) { doSwitchIn(ctx); })
+            .host([](CpuContext &ctx) { of(ctx).doSwitchIn(ctx); })
             .work(scaled(kc.ctxswInWork) / 2)
             .host([](CpuContext &ctx) { ctx.jumpTo("k_int_exit"); });
         prog.add(a.take());
@@ -269,7 +277,7 @@ Kernel::buildInto(isa::Program &prog)
     }
     registerSyscall(sysno::getpid, "k_sys_getpid");
 
-    if (faults && faults->plan().hangRate > 0) {
+    if (canHang()) {
         // A wedged read handler: the classic stuck counter poll —
         // edx never becomes 1, the loop never exits, no iret is ever
         // reached, and (kernel mode) interrupts are never polled, so
@@ -287,8 +295,54 @@ Kernel::buildInto(isa::Program &prog)
     for (KernelModule *m : modules)
         m->buildBlocks(prog, *this);
 
-    builtProgram = &prog;
     built = true;
+}
+
+bool
+Kernel::canHang() const
+{
+    return faults && faults->plan().hangRate > 0;
+}
+
+std::shared_ptr<const KernelImage>
+Kernel::boot()
+{
+    pca_assert(!built);
+    // Everything buildInto reads: the processor (cost scale, timer
+    // handler length), each extension (its blocks and tick cost) and
+    // whether k_hang is emitted. Never evicted: at most
+    // 3 processors x 3 extensions x 2 = 18 images.
+    using Key = std::tuple<cpu::Processor, std::vector<std::string>, bool>;
+    Key key{archRef.processor, {}, canHang()};
+    for (const KernelModule *m : modules)
+        std::get<1>(key).emplace_back(m->name());
+
+    static std::mutex mu;
+    static std::map<Key, std::shared_ptr<const KernelImage>> images;
+    const std::lock_guard<std::mutex> lock(mu);
+    std::shared_ptr<const KernelImage> &slot = images[key];
+    if (!slot) {
+        auto img = std::make_shared<KernelImage>();
+        buildInto(img->text);
+        // Kernel text only, byte-granular like the user text that
+        // Machine::finalize links over it.
+        img->text.link(0xc0000000ULL, /*align=*/1);
+        img->syscalls = std::move(syscallTable);
+        syscallTable.clear();
+        slot = std::move(img);
+        PCA_SPC_INC(KernelImagesBuilt);
+    }
+    built = true;
+    image = slot;
+    return image;
+}
+
+Kernel &
+Kernel::of(CpuContext &ctx)
+{
+    auto *k = dynamic_cast<Kernel *>(ctx.hostEnv());
+    pca_assert(k != nullptr);
+    return *k;
 }
 
 void
@@ -307,16 +361,14 @@ Kernel::reset(std::uint64_t seed)
 Status
 Kernel::attach(cpu::Core &core)
 {
-    if (!built || !builtProgram)
+    if (!image)
         return Status(StatusCode::FailedPrecondition,
-                      "attach before buildInto");
-    if (!builtProgram->linked())
-        return Status(StatusCode::FailedPrecondition,
-                      "attach before program link");
+                      "attach before boot");
     attachedCore = &core;
-    core.setSyscallEntry(builtProgram->entry("k_syscall_entry"));
-    core.setInterruptEntry(builtProgram->entry("k_int_entry"));
+    core.setSyscallEntry(image->text.entry("k_syscall_entry"));
+    core.setInterruptEntry(image->text.entry("k_int_entry"));
     core.setInterruptClient(&intCtrl);
+    core.setHostEnv(this);
     return OkStatus();
 }
 

@@ -19,6 +19,7 @@
 #include "kernel/faults.hh"
 #include "kernel/interrupts.hh"
 #include "kernel/module.hh"
+#include "support/logging.hh"
 #include "support/random.hh"
 #include "support/status.hh"
 
@@ -50,15 +51,29 @@ constexpr int pfmSetSmpl = 360;
 } // namespace sysno
 
 /**
+ * Kernel text linked at 0xc0000000 plus its syscall table: what
+ * Kernel::buildInto emits for one (processor, loaded extensions,
+ * hang block) combination. Immutable once built and shared by every
+ * machine that boots that combination; its host ops capture no
+ * state and act on the kernel of the core that runs them.
+ */
+struct KernelImage
+{
+    isa::Program text;
+    std::map<int, std::string> syscalls; //!< syscall nr -> block
+};
+
+/**
  * A Linux-2.6.22-like kernel for one core.
  *
  * Usage (normally done by harness::Machine):
- *  1. construct, addModule() the extensions;
- *  2. buildInto(program) before linking (emits kernel code blocks);
- *  3. link the program;
- *  4. attach(core) to install trap entries and the interrupt source.
+ *  1. construct, addModule() the extensions, setFaultInjector();
+ *  2. boot() for the shared kernel image (built on first use);
+ *  3. link a Program over the image's text with the user blocks;
+ *  4. attach(core) to install trap entries, the interrupt source
+ *     and this kernel as the core's host environment.
  */
-class Kernel
+class Kernel : public isa::HostEnv
 {
   public:
     /**
@@ -74,33 +89,59 @@ class Kernel
            Cycles timer_period_override = 0);
 
     /**
-     * Register a kernel extension (before buildInto). Fails with
+     * Register a kernel extension (before boot). Fails with
      * InvalidArgument for a null module and FailedPrecondition once
-     * the kernel has built its blocks.
+     * the kernel has built or booted its blocks.
      */
     Status addModule(KernelModule *mod);
+
+    /**
+     * The linked kernel image for this kernel's processor, loaded
+     * extensions and fault plan (whether it can fire a Hang). The
+     * first boot of a combination builds the image with buildInto()
+     * (counted in the kernel_images_built SPC); every later boot, on
+     * any thread, gets the same pointer. Images live until exit.
+     */
+    std::shared_ptr<const KernelImage> boot();
 
     /** Emit kernel code blocks into @p prog (before linking). */
     void buildInto(isa::Program &prog);
 
     /**
-     * Install trap entries + interrupt client. Fails with
-     * FailedPrecondition unless buildInto() ran and the program is
-     * linked.
+     * Install trap entries + interrupt client and make this kernel
+     * the core's host environment. Fails with FailedPrecondition
+     * unless boot() ran.
      */
     Status attach(cpu::Core &core);
+
+    /** The kernel of the core running a host op (see attach). */
+    static Kernel &of(isa::CpuContext &ctx);
+
+    /** The loaded extension of type @p M; panics if absent. */
+    template <class M>
+    M &
+    module()
+    {
+        for (KernelModule *m : modules)
+            if (auto *mod = dynamic_cast<M *>(m))
+                return *mod;
+        pca_panic("kernel module not loaded");
+    }
 
     /**
      * Return the kernel and its loaded modules to the freshly booted
      * state for @p seed: re-seeded scheduler RNG, fresh interrupt
-     * phases, zeroed context-switch count, reset module state. Built
-     * code blocks and the attached core are kept. With the same seed
+     * phases, zeroed context-switch count, reset module state. The
+     * kernel image and the attached core are kept. With the same seed
      * the kernel's subsequent behavior is identical to a newly
      * constructed kernel's (Machine::reboot's contract).
      */
     void reset(std::uint64_t seed);
 
-    /** Map a syscall number to a handler block (module API). */
+    /**
+     * Map a syscall number to a handler block (module API, while
+     * the kernel emits its blocks).
+     */
     void registerSyscall(int nr, const std::string &block_name);
 
     const KernelCosts &costs() const { return kcosts; }
@@ -137,15 +178,18 @@ class Kernel
     void decidePreemption(isa::CpuContext &ctx);
     void doSwitchOut(isa::CpuContext &ctx);
     void doSwitchIn(isa::CpuContext &ctx);
+    /** Whether the fault plan can fire a Hang (emits k_hang). */
+    bool canHang() const;
 
     const cpu::MicroArch &archRef;
     KernelCosts kcosts;
     Rng schedRng;
     InterruptController intCtrl;
     std::vector<KernelModule *> modules;
+    /** Filled by registerSyscall while buildInto emits. */
     std::map<int, std::string> syscallTable;
+    std::shared_ptr<const KernelImage> image;
     cpu::Core *attachedCore = nullptr;
-    isa::Program *builtProgram = nullptr;
     FaultInjector *faults = nullptr;
     obs::Profiler *profiler = nullptr;
     double preemptProb = 0.015;

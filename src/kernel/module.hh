@@ -29,7 +29,12 @@ class KernelModule
     /**
      * Emit this module's handler blocks into the program and
      * register their syscall numbers with the kernel. Called once
-     * while the kernel builds its own blocks.
+     * per kernel image, by whichever machine boots it first: the
+     * blocks are shared by every machine that loads this extension,
+     * so their host ops capture nothing and reach the running
+     * machine's module as Kernel::of(ctx).module<M>(). Emission may
+     * depend only on what the image key holds (processor, module
+     * names, whether k_hang exists).
      */
     virtual void buildBlocks(isa::Program &prog, Kernel &kernel) = 0;
 
@@ -61,8 +66,8 @@ class KernelModule
     /**
      * Drop all run-time state (sessions, staged syscall arguments,
      * read buffers) and return to the just-loaded state. Emitted
-     * code blocks are kept: they belong to the program, which
-     * survives a machine reboot. A reset module must be
+     * code blocks are untouched: they belong to the shared kernel
+     * image, not to the module. A reset module must be
      * indistinguishable from a freshly constructed one as far as
      * program execution is concerned — the harness reuse path
      * (Machine::reboot) depends on it.

@@ -25,6 +25,13 @@ coreOf(CpuContext &ctx)
     return *core;
 }
 
+/** The perfctr module of the kernel a HostOp runs under. */
+PerfctrModule &
+modOf(CpuContext &ctx)
+{
+    return Kernel::of(ctx).module<PerfctrModule>();
+}
+
 } // namespace
 
 PerfctrModule::PerfctrModule(const cpu::MicroArch &arch)
@@ -35,16 +42,15 @@ PerfctrModule::PerfctrModule(const cpu::MicroArch &arch)
 void
 PerfctrModule::buildBlocks(isa::Program &prog, Kernel &kernel)
 {
-    kernelRef = &kernel;
-    kc = &kernel.costs();
-    auto scaled = [&](int n) { return kc->scaled(n, archRef); };
+    const KernelCosts &kc = kernel.costs();
+    auto scaled = [&](int n) { return kc.scaled(n, archRef); };
 
     // --- vperfctr open: create the per-task state, map the state
     // page, and set CR4.PCE so RDPMC works from user mode. ---
     {
         Assembler a("pc_sys_open");
-        a.work(scaled(kc->pcOpenWork)).host([this](CpuContext &ctx) {
-            sysOpen(ctx, coreOf(ctx));
+        a.work(scaled(kc.pcOpenWork)).host([](CpuContext &ctx) {
+            modOf(ctx).sysOpen(ctx, coreOf(ctx));
         });
         prog.add(a.take());
     }
@@ -55,42 +61,41 @@ PerfctrModule::buildBlocks(isa::Program &prog, Kernel &kernel)
     // path enables on its way out). ---
     {
         Assembler a("pc_sys_control");
-        a.work(scaled(kc->pcControlPre));
-        a.host([this](CpuContext &ctx) {
-            if (pendingControl.events.empty())
+        a.work(scaled(kc.pcControlPre));
+        a.host([](CpuContext &ctx) {
+            PerfctrModule &m = modOf(ctx);
+            if (m.pendingControl.events.empty())
                 throw StatusError(
                     Status(StatusCode::InvalidArgument,
                            "vperfctr control: no events"));
-            control = pendingControl;
-            readBuf.assign(control.events.size(), 0);
-            ctx.setReg(Reg::Edx, control.events.size());
+            m.control = m.pendingControl;
+            m.readBuf.assign(m.control.events.size(), 0);
+            ctx.setReg(Reg::Edx, m.control.events.size());
         });
         int loop = a.label();
         a.subImm(Reg::Edx, 1);
-        a.work(scaled(kc->pcControlPerCtr));
+        a.work(scaled(kc.pcControlPerCtr));
         // Zero the counter value (the "reset" half).
-        a.host([this](CpuContext &ctx) {
+        a.host([](CpuContext &ctx) {
             const auto i = ctx.getReg(Reg::Edx);
             ctx.setReg(Reg::Ecx, Pmu::msrPmcBase + i);
             ctx.setReg(Reg::Eax, 0);
         });
         a.wrmsr();
         // Program + enable (the "start" half).
-        a.host([this](CpuContext &ctx) {
+        a.host([](CpuContext &ctx) {
+            const PerfctrModule &m = modOf(ctx);
             const auto i = ctx.getReg(Reg::Edx);
             ctx.setReg(Reg::Ecx, Pmu::msrEvtSelBase + i);
             ctx.setReg(Reg::Eax,
-                       Pmu::encodeEvtSel(control.events[i],
-                                         control.pl, true));
+                       Pmu::encodeEvtSel(m.control.events[i],
+                                         m.control.pl, true));
         });
         a.wrmsr();
         a.cmpImm(Reg::Edx, 0);
         a.jne(loop);
-        a.host([this](CpuContext &ctx) {
-            active = true;
-            (void)ctx;
-        });
-        a.work(scaled(kc->pcControlPost));
+        a.host([](CpuContext &ctx) { modOf(ctx).active = true; });
+        a.work(scaled(kc.pcControlPost));
         a.host([](CpuContext &ctx) { ctx.jumpTo("k_sysexit"); });
         prog.add(a.take());
     }
@@ -99,29 +104,27 @@ PerfctrModule::buildBlocks(isa::Program &prog, Kernel &kernel)
     // first, so the rest of the path is invisible to it. ---
     {
         Assembler a("pc_sys_stop");
-        a.work(scaled(kc->pcStopPre));
-        a.host([this](CpuContext &ctx) {
+        a.work(scaled(kc.pcStopPre));
+        a.host([](CpuContext &ctx) {
             ctx.setReg(Reg::Edx, 0);
-            ctx.setReg(Reg::Esi, control.events.size());
+            ctx.setReg(Reg::Esi, modOf(ctx).control.events.size());
         });
         int loop = a.label();
         a.work(2);
-        a.host([this](CpuContext &ctx) {
+        a.host([](CpuContext &ctx) {
+            const PerfctrModule &m = modOf(ctx);
             const auto i = ctx.getReg(Reg::Edx);
             ctx.setReg(Reg::Ecx, Pmu::msrEvtSelBase + i);
             ctx.setReg(Reg::Eax,
-                       Pmu::encodeEvtSel(control.events[i],
-                                         control.pl, false));
+                       Pmu::encodeEvtSel(m.control.events[i],
+                                         m.control.pl, false));
         });
         a.wrmsr();
         a.addImm(Reg::Edx, 1);
         a.cmpReg(Reg::Edx, Reg::Esi);
         a.jl(loop);
-        a.host([this](CpuContext &ctx) {
-            active = false;
-            (void)ctx;
-        });
-        a.work(scaled(kc->pcStopPost));
+        a.host([](CpuContext &ctx) { modOf(ctx).active = false; });
+        a.work(scaled(kc.pcStopPost));
         a.host([](CpuContext &ctx) { ctx.jumpTo("k_sysexit"); });
         prog.add(a.take());
     }
@@ -130,24 +133,24 @@ PerfctrModule::buildBlocks(isa::Program &prog, Kernel &kernel)
     // has the TSC disabled): copy the full per-counter state. ---
     {
         Assembler a("pc_sys_read");
-        a.work(scaled(kc->pcSlowReadPre));
-        a.host([this](CpuContext &ctx) {
+        a.work(scaled(kc.pcSlowReadPre));
+        a.host([](CpuContext &ctx) {
             ctx.setReg(Reg::Edx, 0);
-            ctx.setReg(Reg::Esi, control.events.size());
+            ctx.setReg(Reg::Esi, modOf(ctx).control.events.size());
         });
         int loop = a.label();
-        a.work(scaled(kc->pcSlowReadPerCtr));
-        a.host([this](CpuContext &ctx) {
+        a.work(scaled(kc.pcSlowReadPerCtr));
+        a.host([](CpuContext &ctx) {
             const auto i = ctx.getReg(Reg::Edx);
-            readBuf.at(i) = coreOf(ctx).pmu().rdpmc(i);
+            modOf(ctx).readBuf.at(i) = coreOf(ctx).pmu().rdpmc(i);
         });
         a.addImm(Reg::Edx, 1);
         a.cmpReg(Reg::Edx, Reg::Esi);
         a.jl(loop);
-        a.host([this](CpuContext &ctx) {
-            readTsc = coreOf(ctx).pmu().rdtsc();
+        a.host([](CpuContext &ctx) {
+            modOf(ctx).readTsc = coreOf(ctx).pmu().rdtsc();
         });
-        a.work(scaled(kc->pcSlowReadPost));
+        a.work(scaled(kc.pcSlowReadPost));
         a.host([](CpuContext &ctx) { ctx.jumpTo("k_sysexit"); });
         prog.add(a.take());
     }

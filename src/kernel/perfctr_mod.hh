@@ -68,8 +68,6 @@ class PerfctrModule : public KernelModule
     void sysStopDisable(cpu::Core &core, int idx);
 
     const cpu::MicroArch &archRef;
-    const KernelCosts *kc = nullptr;
-    Kernel *kernelRef = nullptr;
 
     PerfctrControl control;
     bool active = false;

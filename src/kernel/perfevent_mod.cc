@@ -24,6 +24,13 @@ coreOf(CpuContext &ctx)
     return *core;
 }
 
+/** The perf_event module of the kernel a HostOp runs under. */
+PerfEventModule &
+modOf(CpuContext &ctx)
+{
+    return Kernel::of(ctx).module<PerfEventModule>();
+}
+
 } // namespace
 
 PerfEventModule::PerfEventModule(const cpu::MicroArch &arch)
@@ -34,8 +41,8 @@ PerfEventModule::PerfEventModule(const cpu::MicroArch &arch)
 void
 PerfEventModule::buildBlocks(isa::Program &prog, Kernel &kernel)
 {
-    kc = &kernel.costs();
-    auto scaled = [&](int n) { return kc->scaled(n, archRef); };
+    const KernelCosts &kc = kernel.costs();
+    auto scaled = [&](int n) { return kc.scaled(n, archRef); };
 
     // --- perf_event_open: allocate a counter and an fd. The call is
     // heavyweight (attr validation, context allocation, mmap setup),
@@ -43,17 +50,18 @@ PerfEventModule::buildBlocks(isa::Program &prog, Kernel &kernel)
     {
         Assembler a("pe_sys_open");
         a.work(scaled(1100));
-        a.host([this](CpuContext &ctx) {
-            const int idx = static_cast<int>(fds.size());
-            if (idx >= archRef.progCounters)
+        a.host([](CpuContext &ctx) {
+            PerfEventModule &m = modOf(ctx);
+            const int idx = static_cast<int>(m.fds.size());
+            if (idx >= m.archRef.progCounters)
                 throw StatusError(
                     Status(StatusCode::ResourceExhausted,
                            "perf_event_open: out of counters"));
             PerfEventFd f;
-            f.event = pendingEvent;
-            f.pl = pendingPl;
+            f.event = m.pendingEvent;
+            f.pl = m.pendingPl;
             f.counter = idx;
-            fds.push_back(f);
+            m.fds.push_back(f);
             cpu::Core &core = coreOf(ctx);
             core.pmu().wrmsr(Pmu::msrPmcBase +
                                  static_cast<std::uint32_t>(idx),
@@ -76,19 +84,18 @@ PerfEventModule::buildBlocks(isa::Program &prog, Kernel &kernel)
     {
         Assembler a("pe_sys_ioctl_enable");
         a.work(scaled(140));
-        a.host([this](CpuContext &ctx) {
-            ctx.setReg(Reg::Edx, fds.size());
+        a.host([](CpuContext &ctx) {
+            ctx.setReg(Reg::Edx, modOf(ctx).fds.size());
         });
         int loop = a.label();
         a.subImm(Reg::Edx, 1);
         a.work(6);
-        a.host([this](CpuContext &ctx) {
+        a.host([](CpuContext &ctx) {
             const auto i = ctx.getReg(Reg::Edx);
-            fds.at(i).enabled = true;
+            PerfEventFd &f = modOf(ctx).fds.at(i);
+            f.enabled = true;
             ctx.setReg(Reg::Ecx, Pmu::msrEvtSelBase + i);
-            ctx.setReg(Reg::Eax,
-                       Pmu::encodeEvtSel(fds.at(i).event,
-                                         fds.at(i).pl, true));
+            ctx.setReg(Reg::Eax, Pmu::encodeEvtSel(f.event, f.pl, true));
         });
         a.wrmsr();
         a.cmpImm(Reg::Edx, 0);
@@ -102,19 +109,18 @@ PerfEventModule::buildBlocks(isa::Program &prog, Kernel &kernel)
     {
         Assembler a("pe_sys_ioctl_disable");
         a.work(scaled(110));
-        a.host([this](CpuContext &ctx) {
+        a.host([](CpuContext &ctx) {
             ctx.setReg(Reg::Edx, 0);
-            ctx.setReg(Reg::Esi, fds.size());
+            ctx.setReg(Reg::Esi, modOf(ctx).fds.size());
         });
         int loop = a.label();
-        a.host([this](CpuContext &ctx) {
+        a.host([](CpuContext &ctx) {
             const auto i = ctx.getReg(Reg::Edx);
-            fds.at(i).enabled = false;
-            ++fds.at(i).mmapSeq; // seqlock bump: page update
+            PerfEventFd &f = modOf(ctx).fds.at(i);
+            f.enabled = false;
+            ++f.mmapSeq; // seqlock bump: page update
             ctx.setReg(Reg::Ecx, Pmu::msrEvtSelBase + i);
-            ctx.setReg(Reg::Eax,
-                       Pmu::encodeEvtSel(fds.at(i).event,
-                                         fds.at(i).pl, false));
+            ctx.setReg(Reg::Eax, Pmu::encodeEvtSel(f.event, f.pl, false));
         });
         a.wrmsr();
         a.work(4);
@@ -132,15 +138,16 @@ PerfEventModule::buildBlocks(isa::Program &prog, Kernel &kernel)
     {
         Assembler a("pe_sys_read");
         a.work(scaled(210)); // vfs path + perf_read
-        a.host([this](CpuContext &ctx) {
-            if (argFd < 0 || argFd >= static_cast<int>(fds.size()))
+        a.host([](CpuContext &ctx) {
+            PerfEventModule &m = modOf(ctx);
+            if (m.argFd < 0 || m.argFd >= static_cast<int>(m.fds.size()))
                 throw StatusError(
                     Status(StatusCode::InvalidArgument,
                            "read: bad perf_event fd " +
-                               std::to_string(argFd)));
-            readValue = coreOf(ctx).pmu().rdpmc(
+                               std::to_string(m.argFd)));
+            m.readValue = coreOf(ctx).pmu().rdpmc(
                 static_cast<std::uint64_t>(
-                    fds[static_cast<std::size_t>(argFd)].counter));
+                    m.fds[static_cast<std::size_t>(m.argFd)].counter));
         });
         a.work(scaled(140));
         a.host([](CpuContext &ctx) { ctx.jumpTo("k_sysexit"); });

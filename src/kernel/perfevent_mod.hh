@@ -83,7 +83,6 @@ class PerfEventModule : public KernelModule
 
   private:
     const cpu::MicroArch &archRef;
-    const KernelCosts *kc = nullptr;
     std::vector<PerfEventFd> fds;
     std::vector<bool> suspendedEnables;
 };

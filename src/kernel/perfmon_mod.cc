@@ -24,6 +24,13 @@ coreOf(CpuContext &ctx)
     return *core;
 }
 
+/** The perfmon2 module of the kernel a HostOp runs under. */
+PerfmonModule &
+modOf(CpuContext &ctx)
+{
+    return Kernel::of(ctx).module<PerfmonModule>();
+}
+
 } // namespace
 
 PerfmonModule::PerfmonModule(const cpu::MicroArch &arch)
@@ -34,16 +41,17 @@ PerfmonModule::PerfmonModule(const cpu::MicroArch &arch)
 void
 PerfmonModule::buildBlocks(isa::Program &prog, Kernel &kernel)
 {
-    kc = &kernel.costs();
-    auto scaled = [&](int n) { return kc->scaled(n, archRef); };
+    const KernelCosts &kc = kernel.costs();
+    auto scaled = [&](int n) { return kc.scaled(n, archRef); };
 
     // --- pfm_create_context ---
     {
         Assembler a("pm_sys_create");
-        a.work(scaled(kc->pmCreateWork));
-        a.host([this](CpuContext &ctx) {
-            loaded = true;
-            running = false;
+        a.work(scaled(kc.pmCreateWork));
+        a.host([](CpuContext &ctx) {
+            PerfmonModule &m = modOf(ctx);
+            m.loaded = true;
+            m.running = false;
             ctx.jumpTo("k_sysexit");
         });
         prog.add(a.take());
@@ -52,29 +60,31 @@ PerfmonModule::buildBlocks(isa::Program &prog, Kernel &kernel)
     // --- pfm_write_pmcs: program event selects, leave disabled ---
     {
         Assembler a("pm_sys_write_pmcs");
-        a.work(scaled(kc->pmWritePmcsWork));
-        a.host([this](CpuContext &ctx) {
-            if (!loaded)
+        a.work(scaled(kc.pmWritePmcsWork));
+        a.host([](CpuContext &ctx) {
+            PerfmonModule &m = modOf(ctx);
+            if (!m.loaded)
                 throw StatusError(
                     Status(StatusCode::FailedPrecondition,
                            "perfmon: context not loaded"));
-            if (pendingConfig.events.empty())
+            if (m.pendingConfig.events.empty())
                 throw StatusError(
                     Status(StatusCode::InvalidArgument,
                            "pfm_write_pmcs: no events"));
-            config = pendingConfig;
-            readBuf.assign(config.events.size(), 0);
+            m.config = m.pendingConfig;
+            m.readBuf.assign(m.config.events.size(), 0);
             ctx.setReg(Reg::Edx, 0);
-            ctx.setReg(Reg::Esi, config.events.size());
+            ctx.setReg(Reg::Esi, m.config.events.size());
         });
         int loop = a.label();
         a.work(8);
-        a.host([this](CpuContext &ctx) {
+        a.host([](CpuContext &ctx) {
+            const PerfmonModule &m = modOf(ctx);
             const auto i = ctx.getReg(Reg::Edx);
             ctx.setReg(Reg::Ecx, Pmu::msrEvtSelBase + i);
             ctx.setReg(Reg::Eax,
-                       Pmu::encodeEvtSel(config.events[i], config.pl,
-                                         false));
+                       Pmu::encodeEvtSel(m.config.events[i],
+                                         m.config.pl, false));
         });
         a.wrmsr();
         a.addImm(Reg::Edx, 1);
@@ -87,14 +97,15 @@ PerfmonModule::buildBlocks(isa::Program &prog, Kernel &kernel)
     // --- pfm_write_pmds: set counter values (reset to 0) ---
     {
         Assembler a("pm_sys_write_pmds");
-        a.work(scaled(kc->pmWritePmdsWork));
-        a.host([this](CpuContext &ctx) {
-            if (!loaded)
+        a.work(scaled(kc.pmWritePmdsWork));
+        a.host([](CpuContext &ctx) {
+            const PerfmonModule &m = modOf(ctx);
+            if (!m.loaded)
                 throw StatusError(
                     Status(StatusCode::FailedPrecondition,
                            "perfmon: context not loaded"));
             ctx.setReg(Reg::Edx, 0);
-            ctx.setReg(Reg::Esi, config.events.size());
+            ctx.setReg(Reg::Esi, m.config.events.size());
         });
         int loop = a.label();
         a.work(6);
@@ -116,33 +127,32 @@ PerfmonModule::buildBlocks(isa::Program &prog, Kernel &kernel)
     // counter (perfmon restarts the PMU early in the call). ---
     {
         Assembler a("pm_sys_start");
-        a.work(scaled(kc->pmStartPre));
-        a.host([this](CpuContext &ctx) {
-            if (!loaded)
+        a.work(scaled(kc.pmStartPre));
+        a.host([](CpuContext &ctx) {
+            const PerfmonModule &m = modOf(ctx);
+            if (!m.loaded)
                 throw StatusError(
                     Status(StatusCode::FailedPrecondition,
                            "perfmon: context not loaded"));
             ctx.setReg(Reg::Edx, 0);
-            ctx.setReg(Reg::Esi, config.events.size());
+            ctx.setReg(Reg::Esi, m.config.events.size());
         });
         int loop = a.label();
-        a.host([this](CpuContext &ctx) {
+        a.host([](CpuContext &ctx) {
+            const PerfmonModule &m = modOf(ctx);
             const auto i = ctx.getReg(Reg::Edx);
             ctx.setReg(Reg::Ecx, Pmu::msrEvtSelBase + i);
             ctx.setReg(Reg::Eax,
-                       Pmu::encodeEvtSel(config.events[i], config.pl,
-                                         true));
+                       Pmu::encodeEvtSel(m.config.events[i],
+                                         m.config.pl, true));
         });
         a.wrmsr();
-        a.work(scaled(kc->pmStartPerCtr));
+        a.work(scaled(kc.pmStartPerCtr));
         a.addImm(Reg::Edx, 1);
         a.cmpReg(Reg::Edx, Reg::Esi);
         a.jl(loop);
-        a.host([this](CpuContext &ctx) {
-            running = true;
-            (void)ctx;
-        });
-        a.work(scaled(kc->pmStartPost));
+        a.host([](CpuContext &ctx) { modOf(ctx).running = true; });
+        a.work(scaled(kc.pmStartPost));
         a.host([](CpuContext &ctx) { ctx.jumpTo("k_sysexit"); });
         prog.add(a.take());
     }
@@ -150,29 +160,27 @@ PerfmonModule::buildBlocks(isa::Program &prog, Kernel &kernel)
     // --- pfm_stop: disable counting, PMD0 first ---
     {
         Assembler a("pm_sys_stop");
-        a.work(scaled(kc->pmStopPre));
-        a.host([this](CpuContext &ctx) {
+        a.work(scaled(kc.pmStopPre));
+        a.host([](CpuContext &ctx) {
             ctx.setReg(Reg::Edx, 0);
-            ctx.setReg(Reg::Esi, config.events.size());
+            ctx.setReg(Reg::Esi, modOf(ctx).config.events.size());
         });
         int loop = a.label();
-        a.host([this](CpuContext &ctx) {
+        a.host([](CpuContext &ctx) {
+            const PerfmonModule &m = modOf(ctx);
             const auto i = ctx.getReg(Reg::Edx);
             ctx.setReg(Reg::Ecx, Pmu::msrEvtSelBase + i);
             ctx.setReg(Reg::Eax,
-                       Pmu::encodeEvtSel(config.events[i], config.pl,
-                                         false));
+                       Pmu::encodeEvtSel(m.config.events[i],
+                                         m.config.pl, false));
         });
         a.wrmsr();
         a.work(4);
         a.addImm(Reg::Edx, 1);
         a.cmpReg(Reg::Edx, Reg::Esi);
         a.jl(loop);
-        a.host([this](CpuContext &ctx) {
-            running = false;
-            (void)ctx;
-        });
-        a.work(scaled(kc->pmStopPost));
+        a.host([](CpuContext &ctx) { modOf(ctx).running = false; });
+        a.work(scaled(kc.pmStopPost));
         a.host([](CpuContext &ctx) { ctx.jumpTo("k_sysexit"); });
         prog.add(a.take());
     }
@@ -181,25 +189,26 @@ PerfmonModule::buildBlocks(isa::Program &prog, Kernel &kernel)
     // one at a time (the per-counter cost of Figure 5) ---
     {
         Assembler a("pm_sys_read_pmds");
-        a.work(scaled(kc->pmReadPre));
-        a.host([this](CpuContext &ctx) {
-            if (!loaded)
+        a.work(scaled(kc.pmReadPre));
+        a.host([](CpuContext &ctx) {
+            const PerfmonModule &m = modOf(ctx);
+            if (!m.loaded)
                 throw StatusError(
                     Status(StatusCode::FailedPrecondition,
                            "perfmon: context not loaded"));
             ctx.setReg(Reg::Edx, 0);
-            ctx.setReg(Reg::Esi, config.events.size());
+            ctx.setReg(Reg::Esi, m.config.events.size());
         });
         int loop = a.label();
-        a.work(scaled(kc->pmReadPerCtr));
-        a.host([this](CpuContext &ctx) {
+        a.work(scaled(kc.pmReadPerCtr));
+        a.host([](CpuContext &ctx) {
             const auto i = ctx.getReg(Reg::Edx);
-            readBuf.at(i) = coreOf(ctx).pmu().rdpmc(i);
+            modOf(ctx).readBuf.at(i) = coreOf(ctx).pmu().rdpmc(i);
         });
         a.addImm(Reg::Edx, 1);
         a.cmpReg(Reg::Edx, Reg::Esi);
         a.jl(loop);
-        a.work(scaled(kc->pmReadPost));
+        a.work(scaled(kc.pmReadPost));
         a.host([](CpuContext &ctx) { ctx.jumpTo("k_sysexit"); });
         prog.add(a.take());
     }
@@ -208,33 +217,34 @@ PerfmonModule::buildBlocks(isa::Program &prog, Kernel &kernel)
     {
         Assembler a("pm_sys_create_evtsets");
         a.work(scaled(600));
-        a.host([this](CpuContext &ctx) {
-            if (!loaded)
+        a.host([](CpuContext &ctx) {
+            PerfmonModule &m = modOf(ctx);
+            if (!m.loaded)
                 throw StatusError(
                     Status(StatusCode::FailedPrecondition,
                            "perfmon: context not loaded"));
-            if (pendingMpx.groups.empty())
+            if (m.pendingMpx.groups.empty())
                 throw StatusError(
                     Status(StatusCode::InvalidArgument,
                            "pfm_create_evtsets: no groups"));
-            for (const auto &g : pendingMpx.groups) {
+            for (const auto &g : m.pendingMpx.groups) {
                 if (g.empty() || static_cast<int>(g.size()) >
-                        archRef.progCounters)
+                        m.archRef.progCounters)
                     throw StatusError(Status(
                         StatusCode::InvalidArgument,
                         "pfm_create_evtsets: bad group size"));
             }
-            mpx = pendingMpx;
-            mpxOn = true;
-            mpxRunning = false;
-            mpxCurGroup = 0;
-            mpxTotalTicks = 0;
-            mpxGroupTicks.assign(mpx.groups.size(), 0);
-            mpxSoft.clear();
-            for (const auto &g : mpx.groups)
-                mpxSoft.emplace_back(g.size(), 0);
-            mpxReadBuf.clear();
-            programGroup(coreOf(ctx), 0, true);
+            m.mpx = m.pendingMpx;
+            m.mpxOn = true;
+            m.mpxRunning = false;
+            m.mpxCurGroup = 0;
+            m.mpxTotalTicks = 0;
+            m.mpxGroupTicks.assign(m.mpx.groups.size(), 0);
+            m.mpxSoft.clear();
+            for (const auto &g : m.mpx.groups)
+                m.mpxSoft.emplace_back(g.size(), 0);
+            m.mpxReadBuf.clear();
+            m.programGroup(coreOf(ctx), 0, true);
             ctx.jumpTo("k_sysexit");
         });
         prog.add(a.take());
@@ -244,13 +254,14 @@ PerfmonModule::buildBlocks(isa::Program &prog, Kernel &kernel)
     {
         Assembler a("pm_sys_start_mpx");
         a.work(scaled(300));
-        a.host([this](CpuContext &ctx) {
-            if (!mpxOn)
+        a.host([](CpuContext &ctx) {
+            PerfmonModule &m = modOf(ctx);
+            if (!m.mpxOn)
                 throw StatusError(
                     Status(StatusCode::FailedPrecondition,
                            "pfm_start: no event sets"));
-            programGroup(coreOf(ctx), mpxCurGroup, true);
-            mpxRunning = true;
+            m.programGroup(coreOf(ctx), m.mpxCurGroup, true);
+            m.mpxRunning = true;
             ctx.jumpTo("k_sysexit");
         });
         prog.add(a.take());
@@ -260,28 +271,29 @@ PerfmonModule::buildBlocks(isa::Program &prog, Kernel &kernel)
     {
         Assembler a("pm_sys_stop_mpx");
         a.work(scaled(250));
-        a.host([this](CpuContext &ctx) {
-            if (!mpxOn)
+        a.host([](CpuContext &ctx) {
+            PerfmonModule &m = modOf(ctx);
+            if (!m.mpxOn)
                 throw StatusError(
                     Status(StatusCode::FailedPrecondition,
                            "pfm_stop: no event sets"));
             cpu::Core &core = coreOf(ctx);
             // Bank the current group's counts before stopping.
-            const auto &g = mpx.groups[static_cast<std::size_t>(
-                mpxCurGroup)];
+            const auto &g = m.mpx.groups[static_cast<std::size_t>(
+                m.mpxCurGroup)];
             for (std::size_t i = 0; i < g.size(); ++i)
-                mpxSoft[static_cast<std::size_t>(mpxCurGroup)][i] +=
+                m.mpxSoft[static_cast<std::size_t>(m.mpxCurGroup)][i] +=
                     core.pmu().rdpmc(i);
             for (std::size_t i = 0; i < g.size(); ++i) {
                 core.pmu().wrmsr(
                     cpu::Pmu::msrEvtSelBase +
                         static_cast<std::uint32_t>(i),
-                    cpu::Pmu::encodeEvtSel(g[i], mpx.pl, false));
+                    cpu::Pmu::encodeEvtSel(g[i], m.mpx.pl, false));
                 core.pmu().wrmsr(cpu::Pmu::msrPmcBase +
                                      static_cast<std::uint32_t>(i),
                                  0);
             }
-            mpxRunning = false;
+            m.mpxRunning = false;
             ctx.jumpTo("k_sysexit");
         });
         prog.add(a.take());
@@ -291,37 +303,38 @@ PerfmonModule::buildBlocks(isa::Program &prog, Kernel &kernel)
     {
         Assembler a("pm_sys_read_mpx");
         a.work(scaled(220));
-        a.host([this](CpuContext &ctx) {
-            if (!mpxOn)
+        a.host([](CpuContext &ctx) {
+            PerfmonModule &m = modOf(ctx);
+            if (!m.mpxOn)
                 throw StatusError(
                     Status(StatusCode::FailedPrecondition,
                            "pfm_read: no event sets"));
             cpu::Core &core = coreOf(ctx);
-            mpxReadBuf.clear();
-            for (std::size_t g = 0; g < mpx.groups.size(); ++g) {
-                const bool live = mpxRunning &&
-                    static_cast<int>(g) == mpxCurGroup;
+            m.mpxReadBuf.clear();
+            for (std::size_t g = 0; g < m.mpx.groups.size(); ++g) {
+                const bool live = m.mpxRunning &&
+                    static_cast<int>(g) == m.mpxCurGroup;
                 // Fraction of ticks this group was counting. Before
                 // the first switch only the current group has data
                 // (banked at stop time or still live) and it has run
                 // the whole time.
                 double fraction;
-                if (mpxTotalTicks == 0)
-                    fraction = static_cast<int>(g) == mpxCurGroup
+                if (m.mpxTotalTicks == 0)
+                    fraction = static_cast<int>(g) == m.mpxCurGroup
                         ? 1.0
                         : 0.0;
                 else
                     fraction =
-                        static_cast<double>(mpxGroupTicks[g]) /
-                        static_cast<double>(mpxTotalTicks);
-                for (std::size_t i = 0; i < mpx.groups[g].size();
+                        static_cast<double>(m.mpxGroupTicks[g]) /
+                        static_cast<double>(m.mpxTotalTicks);
+                for (std::size_t i = 0; i < m.mpx.groups[g].size();
                      ++i) {
                     const double raw =
-                        static_cast<double>(mpxSoft[g][i]) +
+                        static_cast<double>(m.mpxSoft[g][i]) +
                         (live ? static_cast<double>(
                                     core.pmu().rdpmc(i))
                               : 0.0);
-                    mpxReadBuf.push_back(
+                    m.mpxReadBuf.push_back(
                         fraction > 0 ? raw / fraction : 0.0);
                 }
             }
@@ -340,26 +353,27 @@ PerfmonModule::buildBlocks(isa::Program &prog, Kernel &kernel)
     {
         Assembler a("pm_sys_set_smpl");
         a.work(scaled(520)); // sampling buffer setup + remap
-        a.host([this](CpuContext &ctx) {
-            if (!loaded)
+        a.host([](CpuContext &ctx) {
+            PerfmonModule &m = modOf(ctx);
+            if (!m.loaded)
                 throw StatusError(
                     Status(StatusCode::FailedPrecondition,
                            "perfmon: context not loaded"));
-            if (pendingSampling.period < 100)
+            if (m.pendingSampling.period < 100)
                 throw StatusError(
                     Status(StatusCode::InvalidArgument,
                            "pfm_set_smpl: period too small"));
-            smpl = pendingSampling;
-            samplingOn = true;
-            sampleBuf.clear();
+            m.smpl = m.pendingSampling;
+            m.samplingOn = true;
+            m.sampleBuf.clear();
             // The sampling counter doubles as config (stop reuses it).
-            config.events = {smpl.event};
-            config.pl = smpl.pl;
+            m.config.events = {m.smpl.event};
+            m.config.pl = m.smpl.pl;
             cpu::Core &core = coreOf(ctx);
-            core.pmu().setSamplePeriod(0, smpl.period);
+            core.pmu().setSamplePeriod(0, m.smpl.period);
             core.pmu().wrmsr(
                 cpu::Pmu::msrEvtSelBase,
-                cpu::Pmu::encodeEvtSel(smpl.event, smpl.pl, true));
+                cpu::Pmu::encodeEvtSel(m.smpl.event, m.smpl.pl, true));
             ctx.jumpTo("k_sysexit");
         });
         prog.add(a.take());

@@ -103,7 +103,6 @@ class PerfmonModule : public KernelModule
     void programGroup(cpu::Core &core, int group, bool zero_values);
 
     const cpu::MicroArch &archRef;
-    const KernelCosts *kc = nullptr;
 
     PerfmonConfig config;
     bool loaded = false;

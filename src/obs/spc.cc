@@ -60,6 +60,7 @@ spcName(Spc c)
         return "checkpoint_points_written";
       case Spc::CheckpointPointsResumed:
         return "checkpoint_points_resumed";
+      case Spc::KernelImagesBuilt: return "kernel_images_built";
       case Spc::NumSpcs: break;
     }
     return "?";

@@ -59,6 +59,7 @@ enum class Spc : std::uint8_t
     PointsQuarantined,     //!< points that burned their retry budget
     CheckpointPointsWritten, //!< points recorded to a checkpoint
     CheckpointPointsResumed, //!< points skipped via a checkpoint
+    KernelImagesBuilt,     //!< shared kernel images built (first boots)
     NumSpcs,
 };
 

@@ -10,6 +10,7 @@
 #include "cpu/frontend.hh"
 #include "cpu/microarch.hh"
 #include "cpu/predictor.hh"
+#include "support/random.hh"
 
 namespace pca::cpu
 {
@@ -60,6 +61,42 @@ TEST(Cache, FlushInvalidates)
     c.access(0x40);
     c.flush();
     EXPECT_FALSE(c.contains(0x40));
+}
+
+TEST(Cache, FlushedModelBehavesLikeFreshOne)
+{
+    // A flush must leave exactly a cold model behind: every lookup,
+    // fill and victim choice afterwards matches a new model's.
+    constexpr int lines = 64;
+    Rng rng(42);
+    auto addr = [&] {
+        return static_cast<Addr>(rng.nextBelow(lines)) * 64 +
+            rng.nextBelow(64);
+    };
+    CacheModel used(8, 4, 64);
+    for (int i = 0; i < 5000; ++i) {
+        const Addr a = addr();
+        if (rng.nextBool(0.5))
+            used.access(a);
+        else
+            used.accessHot(a);
+    }
+    used.flush();
+    const std::uint64_t misses_before = used.misses();
+
+    CacheModel fresh(8, 4, 64);
+    for (int i = 0; i < 5000; ++i) {
+        const Addr a = addr();
+        ASSERT_EQ(used.contains(a), fresh.contains(a)) << "access " << i;
+        if (rng.nextBool(0.5))
+            ASSERT_EQ(used.access(a), fresh.access(a)) << "access " << i;
+        else
+            ASSERT_EQ(used.accessHot(a), fresh.accessHot(a))
+                << "access " << i;
+    }
+    for (Addr line = 0; line < lines; ++line)
+        EXPECT_EQ(used.contains(line * 64), fresh.contains(line * 64));
+    EXPECT_EQ(used.misses() - misses_before, fresh.misses());
 }
 
 TEST(Cache, TlbGeometryWorks)

@@ -77,7 +77,13 @@ TEST(MachineEdge, UnknownEntryPanics)
     a.halt();
     m.addUserBlock(a.take());
     m.finalize();
-    EXPECT_THROW(m.run("nonexistent"), std::logic_error);
+    // A typed failure, not a panic: run() is tryRun().value().
+    try {
+        m.run("nonexistent");
+        ADD_FAILURE() << "run() of an unknown entry returned";
+    } catch (const StatusError &e) {
+        EXPECT_EQ(e.status().code(), StatusCode::NotFound);
+    }
 }
 
 TEST(MachineEdge, OnlyMatchingSubstrateLoaded)

@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -18,9 +19,11 @@
 
 #include "core/factor_space.hh"
 #include "core/study.hh"
+#include "harness/machine.hh"
 #include "harness/session.hh"
 #include "isa/assembler.hh"
 #include "kernel/faults.hh"
+#include "kernel/kernel.hh"
 #include "obs/spc.hh"
 #include "support/parallel.hh"
 #include "support/random.hh"
@@ -328,6 +331,129 @@ TEST(SessionEquivalence, RetryHistoryInvisibleAcrossSessionRuns)
     else
         EXPECT_EQ(viaDirty.status().toString(),
                   viaFresh.status().toString());
+}
+
+// ---------------------------------------------------------------- //
+// Shared kernel image
+// ---------------------------------------------------------------- //
+
+TEST(SharedKernelImage, OneKeyOneText)
+{
+    const auto machine = [](Interface iface) {
+        MachineConfig cfg;
+        cfg.processor = cpu::Processor::PentiumD;
+        cfg.iface = iface;
+        return std::make_unique<Machine>(cfg);
+    };
+    const auto pm1 = machine(Interface::Pm);
+    const auto pm2 = machine(Interface::Pm);
+    const auto plpm = machine(Interface::PLpm); // perfmon2 as well
+    const auto pc = machine(Interface::Pc);
+    const isa::CodeBlock *text = &pm1->program().block(0);
+    EXPECT_EQ(&pm2->program().block(0), text);
+    EXPECT_EQ(&plpm->program().block(0), text);
+    EXPECT_NE(&pc->program().block(0), text);
+}
+
+/**
+ * Host ops in the shared text act on the machine that runs them:
+ * two live sessions of one config, run alternately, each match a
+ * fresh machine, on every processor and interface.
+ */
+TEST(SharedKernelImage, InterleavedSessionsEqualFreshMachines)
+{
+    const LoopBench bench(5000000); // long enough for timer ticks
+    Count interrupts = 0;
+    for (cpu::Processor proc : cpu::allProcessors()) {
+        for (Interface iface : allInterfaces()) {
+            SCOPED_TRACE(std::string(cpu::processorCode(proc)) + "/" +
+                         interfaceCode(iface));
+            HarnessConfig cfg;
+            cfg.processor = proc;
+            cfg.iface = iface;
+            cfg.pattern = AccessPattern::StartRead;
+            HarnessSession a(cfg, bench);
+            HarnessSession b(cfg, bench);
+            int turn = 0;
+            for (std::uint64_t seed : {11u, 22u, 33u, 44u}) {
+                HarnessSession &sess = turn++ % 2 == 0 ? a : b;
+                HarnessConfig fresh = cfg;
+                fresh.seed = seed;
+                const Measurement m = sess.run(seed);
+                expectSameMeasurement(
+                    m, MeasurementHarness(fresh).measure(bench));
+                interrupts += m.run.interrupts;
+            }
+        }
+    }
+    EXPECT_GT(interrupts, 0u); // the shared k_timer ran too
+}
+
+/**
+ * The image key holds everything kernel emission reads: each
+ * processor x extension x hang plan boots the text a private
+ * buildInto emits, linked as kernel-segment blocks at 0xc0000000.
+ */
+TEST(SharedKernelImage, KeyCoversEverythingEmissionReads)
+{
+    enum class Ext { Perfctr, Perfmon, PerfEvent };
+    for (cpu::Processor proc : cpu::allProcessors()) {
+        for (Ext ext : {Ext::Perfctr, Ext::Perfmon, Ext::PerfEvent}) {
+            for (const char *plan : {"", "hang=0.5,budget=100000"}) {
+                SCOPED_TRACE(std::string(cpu::processorCode(proc)) +
+                             " ext " +
+                             std::to_string(static_cast<int>(ext)) +
+                             " plan '" + plan + "'");
+                MachineConfig cfg;
+                cfg.processor = proc;
+                cfg.iface =
+                    ext == Ext::Perfmon ? Interface::Pm : Interface::Pc;
+                cfg.usePerfEvent = ext == Ext::PerfEvent;
+                cfg.faults = kernel::FaultPlan::parse(plan);
+                const std::string shared =
+                    Machine(cfg).program().disassemble();
+
+                const cpu::MicroArch &arch = cpu::microArch(proc);
+                std::unique_ptr<kernel::KernelModule> mod;
+                if (ext == Ext::Perfctr)
+                    mod = std::make_unique<kernel::PerfctrModule>(arch);
+                else if (ext == Ext::Perfmon)
+                    mod = std::make_unique<kernel::PerfmonModule>(arch);
+                else
+                    mod = std::make_unique<kernel::PerfEventModule>(arch);
+                kernel::Kernel k(arch, cfg.seed);
+                ASSERT_TRUE(k.addModule(mod.get()).ok());
+                kernel::FaultInjector injector(cfg.faults, cfg.seed);
+                if (cfg.faults.enabled())
+                    k.setFaultInjector(&injector);
+                isa::Program priv;
+                k.buildInto(priv);
+                for (std::size_t b = 0; b < priv.blockCount(); ++b)
+                    priv.setSegment(static_cast<int>(b), 1);
+                priv.link2(0x08048000ULL, 0xc0000000ULL, /*align=*/1);
+                EXPECT_EQ(shared, priv.disassemble());
+            }
+        }
+    }
+}
+
+TEST(SharedKernelImage, SecondBootBuildsNoImage)
+{
+    obs::spcReset();
+    obs::spcAttach("machine_boots,kernel_images_built");
+    MachineConfig cfg;
+    cfg.processor = cpu::Processor::AthlonX2;
+    cfg.iface = Interface::PHpm;
+    // The first boot builds the image unless an earlier test did.
+    { Machine first(cfg); }
+    const Count boots = obs::spcValue(obs::Spc::MachineBoots);
+    const Count built = obs::spcValue(obs::Spc::KernelImagesBuilt);
+    EXPECT_EQ(boots, 1u);
+    EXPECT_LE(built, 1u);
+    { Machine second(cfg); }
+    EXPECT_EQ(obs::spcValue(obs::Spc::MachineBoots), boots + 1);
+    EXPECT_EQ(obs::spcValue(obs::Spc::KernelImagesBuilt), built);
+    obs::spcReset();
 }
 
 // ---------------------------------------------------------------- //

@@ -258,6 +258,18 @@ TEST(Watchdog, UnbudgetedRunsAreUntouched)
     EXPECT_TRUE(m.tryRun("main").ok());
 }
 
+TEST(TryRun, UnknownEntryIsNotFound)
+{
+    Machine m(MachineConfig{});
+    addLongLoop(m);
+    const auto r = m.tryRun("no_such_block");
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::NotFound);
+    EXPECT_EQ(r.status().message(), "no block named 'no_such_block'");
+    // Nothing ran, so the machine needs no reboot.
+    EXPECT_TRUE(m.tryRun("main").ok());
+}
+
 // ---------------------------------------------------------------- //
 // Hang faults
 // ---------------------------------------------------------------- //
