@@ -1060,7 +1060,10 @@ runCountersMode(const std::string &snap_path)
 /**
  * Follow a live snapshot file (a process started with
  * PCA_SPC_SNAPSHOT=<file> keeps publishing into it), printing each
- * new publish. max_polls < 0 polls forever.
+ * new publish. max_polls < 0 polls forever. With a finite poll
+ * count, exits 1 unless it read at least two snapshots and saw the
+ * publish sequence number grow: a watcher that saw nothing, or a
+ * writer that stood still, fails.
  */
 int
 runWatchMode(const std::string &path, long max_polls)
@@ -1069,7 +1072,9 @@ runWatchMode(const std::string &path, long max_polls)
     // publishing process has created it, then poll the mapping.
     auto reader = std::make_unique<obs::SpcSnapshotReader>();
     bool opened = false;
+    std::uint64_t first_seq = 0;
     std::uint64_t last_seq = ~std::uint64_t{0};
+    long reads = 0;
     long polls = 0;
     while (max_polls < 0 || polls < max_polls) {
         ++polls;
@@ -1085,6 +1090,8 @@ runWatchMode(const std::string &path, long max_polls)
         if (opened) {
             if (StatusOr<obs::SpcSnapshot> snap = reader->read();
                 snap.ok()) {
+                if (reads++ == 0)
+                    first_seq = snap->seq;
                 if (snap->seq != last_seq) {
                     last_seq = snap->seq;
                     printSnapshot(*snap);
@@ -1097,6 +1104,12 @@ runWatchMode(const std::string &path, long max_polls)
         if (max_polls < 0 || polls < max_polls)
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(500));
+    }
+    if (reads < 2 || last_seq <= first_seq) {
+        std::cerr << "watch: " << reads << " snapshot read(s) of "
+                  << path << " in " << polls
+                  << " polls; need two or more with a growing seq\n";
+        return 1;
     }
     return 0;
 }

@@ -179,6 +179,58 @@ Core::fetchCosts(const Inst &in)
     chargeCycles(frontEnd.onInst(in.addr, in.size));
 }
 
+/**
+ * The block engine's fetch of the first instruction it executes from
+ * a new icache line (at @p addr): the icache, the L2 on a miss, and
+ * the iTLB when the page differs from @p fetch_page (updated). Only
+ * the first fetch of a line can miss: later ones in the same line
+ * are guaranteed hits on the MRU entry, which the engine skips (see
+ * lastFetchLine). Returns the penalty cycles; counts the misses.
+ */
+inline Cycles
+Core::fetchNewLine(Addr addr, Addr &fetch_page)
+{
+    Cycles c = 0;
+    if (!icache.access(addr)) {
+        c += static_cast<Cycles>(archRef.icacheMissPenalty);
+        countEvent(EventType::IcacheMiss);
+        if (!l2.access(addr)) {
+            c += static_cast<Cycles>(archRef.l2MissPenalty);
+            countEvent(EventType::L2Miss);
+        }
+    }
+    // A page change implies a line change (lines subdivide pages),
+    // so the page check only runs here.
+    const Addr page = addr >> itlbPageShift;
+    if (page != fetch_page) {
+        fetch_page = page;
+        if (!itlb.access(addr)) {
+            c += static_cast<Cycles>(archRef.itlbMissPenalty);
+            countEvent(EventType::ItlbMiss);
+        }
+    }
+    return c;
+}
+
+/**
+ * An upper bound on the cycles @p n 1-byte instructions from @p addr
+ * can cost: every line and page they touch misses, and each one
+ * enters a new fetch window and fills a decode group.
+ */
+Cycles
+Core::nopRunCostBound(Addr addr, Count n) const
+{
+    const Addr last = addr + n - 1;
+    const Cycles lines =
+        (last >> icLineShift) - (addr >> icLineShift) + 1;
+    const Cycles pages =
+        (last >> itlbPageShift) - (addr >> itlbPageShift) + 1;
+    return 2 * n +
+        lines * static_cast<Cycles>(archRef.icacheMissPenalty +
+                                    archRef.l2MissPenalty) +
+        pages * static_cast<Cycles>(archRef.itlbMissPenalty);
+}
+
 void
 Core::doTakenBranch(const Inst &in)
 {
@@ -317,7 +369,7 @@ Core::step()
  * in a single dispatch. Returns the number of steps taken (== retired
  * instructions for inline runs; 1 for the escape fallback).
  *
- * Bit-identity with the per-step interpreter rests on four facts:
+ * Bit-identity with the per-step interpreter rests on five facts:
  *  - run() only dispatches here when PMU sampling is inactive, and no
  *    inline opcode can arm it, so a PMI can never become pending
  *    mid-run;
@@ -330,7 +382,18 @@ Core::step()
  *    sampling is off, so batching it to one count() per run is
  *    invisible — and the batch is flushed (commit) before anything
  *    that could observe it: escapes, fast-forward, or return;
- *  - curMode cannot change inside a run (mode transitions escape).
+ *  - curMode cannot change inside a run (mode transitions escape);
+ *  - a run of k 1-byte Nops (Inst::nopRunEnd) changes nothing but
+ *    the fetch models and the cycle and retire batches, so it
+ *    retires in one step: the icache, L2 and iTLB see each new line
+ *    and page once, in address order, exactly as k single fetches
+ *    would (same-line repeats are skipped either way), and
+ *    FrontEnd::onNops charges what k onInst calls would. The step
+ *    skips the k - 1 interrupt checks between its Nops, so with an
+ *    interrupt horizon it runs only if cycleCount + pend plus an
+ *    upper bound on the run's cost (nopRunCostBound) stays below
+ *    irq_due: then none of those checks could have fired. Otherwise
+ *    the Nops run one by one.
  */
 Count
 Core::stepDecodedBlock()
@@ -418,32 +481,44 @@ Core::stepDecodedBlock()
     for (;;) {
         const Inst &in = code[idx];
 
+        if (in.op == Opcode::Nop &&
+            in.nopRunEnd() > static_cast<int>(idx) + 1) {
+            // A run of 1-byte Nops: retire it in one step, unless an
+            // interrupt could fall due inside it.
+            const std::size_t end = std::min(
+                static_cast<std::size_t>(in.nopRunEnd()), limit);
+            const Count k = end - idx;
+            if (!check_irq ||
+                cycleCount + pend + nopRunCostBound(in.addr, k) <
+                    irq_due) {
+                const Addr last = in.addr + k - 1;
+                for (Addr line = in.addr >> icLineShift;
+                     line <= last >> icLineShift; ++line)
+                    if (line != fetchLine) {
+                        fetchLine = line;
+                        pend += fetchNewLine(
+                            std::max(in.addr, line << icLineShift),
+                            fetchPage);
+                    }
+                pend += frontEnd.onNops(in.addr, k);
+                retired += k;
+                total += k;
+                idx = end;
+                PCA_SPC_ADD(NopRunInstrs, k);
+                if (idx >= limit)
+                    break;
+                continue;
+            }
+        }
+
         // Fetch. Consecutive fetches within one icache line / iTLB
         // page are guaranteed hits on an already-MRU entry, so the
         // lookup (and its LRU touch) can be skipped without changing
-        // any future victim choice, miss, or cycle. A page change
-        // implies a line change (lines subdivide pages), so the page
-        // check only needs to run when the line changed.
+        // any future victim choice, miss, or cycle.
         const Addr line = in.addr >> icLineShift;
         if (line != fetchLine) {
             fetchLine = line;
-            if (!icache.access(in.addr)) {
-                pend += static_cast<Cycles>(archRef.icacheMissPenalty);
-                countEvent(EventType::IcacheMiss);
-                if (!l2.access(in.addr)) {
-                    pend += static_cast<Cycles>(archRef.l2MissPenalty);
-                    countEvent(EventType::L2Miss);
-                }
-            }
-            const Addr page = in.addr >> itlbPageShift;
-            if (page != fetchPage) {
-                fetchPage = page;
-                if (!itlb.access(in.addr)) {
-                    pend +=
-                        static_cast<Cycles>(archRef.itlbMissPenalty);
-                    countEvent(EventType::ItlbMiss);
-                }
-            }
+            pend += fetchNewLine(in.addr, fetchPage);
         }
         pend += frontEnd.onInst(in.addr, in.size);
 
@@ -724,8 +799,10 @@ Core::execute(const Inst &in)
       case Opcode::Ret:
       {
         if (callStack.empty())
-            pca_panic("ret with empty call stack in block ",
-                      program->block(pc.block).name());
+            throw StatusError(Status(
+                StatusCode::FailedPrecondition,
+                "ret with empty call stack in block " +
+                    program->block(pc.block).name()));
         countEvent(EventType::BrInstRetired);
         pc = callStack.back();
         callStack.pop_back();
@@ -736,26 +813,32 @@ Core::execute(const Inst &in)
 
       case Opcode::Rdtsc:
         if (curMode == Mode::User && !userRdtscOk)
-            pca_panic("#GP: rdtsc in user mode with CR4.TSD set");
+            throw StatusError(
+                Status(StatusCode::FailedPrecondition,
+                       "#GP: rdtsc in user mode with CR4.TSD set"));
         reg(Reg::Eax) = pmuUnit.rdtsc();
         chargeCycles(static_cast<Cycles>(archRef.rdtscCycles));
         break;
       case Opcode::Rdpmc:
         if (curMode == Mode::User && !userRdpmcOk)
-            pca_panic("#GP: rdpmc in user mode with CR4.PCE clear");
+            throw StatusError(
+                Status(StatusCode::FailedPrecondition,
+                       "#GP: rdpmc in user mode with CR4.PCE clear"));
         reg(Reg::Eax) = pmuUnit.rdpmc(reg(Reg::Ecx));
         chargeCycles(static_cast<Cycles>(archRef.rdpmcCycles));
         break;
       case Opcode::Rdmsr:
         if (curMode != Mode::Kernel)
-            pca_panic("#GP: rdmsr in user mode");
+            throw StatusError(Status(StatusCode::FailedPrecondition,
+                                     "#GP: rdmsr in user mode"));
         reg(Reg::Eax) = pmuUnit.rdmsr(
             static_cast<std::uint32_t>(reg(Reg::Ecx)));
         chargeCycles(static_cast<Cycles>(archRef.rdmsrCycles));
         break;
       case Opcode::Wrmsr:
         if (curMode != Mode::Kernel)
-            pca_panic("#GP: wrmsr in user mode");
+            throw StatusError(Status(StatusCode::FailedPrecondition,
+                                     "#GP: wrmsr in user mode"));
         pmuUnit.wrmsr(static_cast<std::uint32_t>(reg(Reg::Ecx)),
                       reg(Reg::Eax));
         chargeCycles(static_cast<Cycles>(archRef.wrmsrCycles));
@@ -763,7 +846,8 @@ Core::execute(const Inst &in)
 
       case Opcode::Syscall:
         if (!syscallEntry.valid())
-            pca_panic("syscall with no kernel attached");
+            throw StatusError(Status(StatusCode::FailedPrecondition,
+                                     "syscall with no kernel attached"));
         trapStack.push_back({CodePtr{pc.block, pc.index + 1},
                              curMode, false, zeroFlag, lessFlag,
                              pmuUnit.attrClass()});
@@ -781,7 +865,8 @@ Core::execute(const Inst &in)
       case Opcode::Iret:
       {
         if (trapStack.empty())
-            pca_panic("iret with empty trap stack");
+            throw StatusError(Status(StatusCode::FailedPrecondition,
+                                     "iret with empty trap stack"));
         chargeCycles(static_cast<Cycles>(archRef.syscallExitCycles));
         const SavedContext saved = trapStack.back();
         trapStack.pop_back();

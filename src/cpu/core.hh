@@ -271,6 +271,8 @@ class Core : public isa::CpuContext
     void chargeCycles(Cycles c);
     void countEvent(EventType ev, Count n = 1);
     void fetchCosts(const isa::Inst &in);
+    Cycles fetchNewLine(Addr addr, Addr &fetch_page);
+    Cycles nopRunCostBound(Addr addr, Count n) const;
     void doTakenBranch(const isa::Inst &in);
     void dataAccess(Addr addr);
     void maybeFastForwardKeyed(std::uint64_t key,

@@ -1,5 +1,7 @@
 #include "cpu/frontend.hh"
 
+#include <algorithm>
+
 #include "support/logging.hh"
 
 namespace pca::cpu
@@ -12,9 +14,44 @@ FrontEnd::FrontEnd(const MicroArch &arch)
     // the per-instruction window computation off the divider.
     pca_assert(arch.fetchBytes > 0 &&
                (arch.fetchBytes & (arch.fetchBytes - 1)) == 0);
+    pca_assert(arch.decodeWidth > 0);
     windowShift = 0;
     while ((1 << windowShift) < arch.fetchBytes)
         ++windowShift;
+}
+
+Cycles
+FrontEnd::onNops(Addr addr, Count n)
+{
+    const auto width = static_cast<Count>(arch.decodeWidth);
+    Cycles c = 0;
+    // k more instructions into the decode group: one cycle each
+    // time it fills (onInst keeps issued below the width).
+    auto issue = [&](Count k) {
+        const Count group = static_cast<Count>(issued) + k;
+        c += group / width;
+        issued = static_cast<int>(group % width);
+    };
+    if (lsdOn) {
+        // Streaming from the loop buffer: no fetch windows.
+        issue(n);
+        return c;
+    }
+    // A 1-byte instruction never spans two windows; each window the
+    // run enters costs a cycle and restarts the decode group.
+    const Addr end = addr + n;
+    for (Addr a = addr; a < end;) {
+        const Addr w = windowOf(a);
+        const Addr next = std::min(end, (w + 1) << windowShift);
+        if (w != curWindow) {
+            ++c;
+            issued = 0;
+            curWindow = w;
+        }
+        issue(next - a);
+        a = next;
+    }
+    return c;
 }
 
 void

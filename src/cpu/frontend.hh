@@ -67,6 +67,13 @@ class FrontEnd
     }
 
     /**
+     * Account for fetching/decoding @p n consecutive 1-byte
+     * instructions from @p addr: the cycles and final state of n
+     * calls of onInst(addr + i, 1), in O(fetch windows).
+     */
+    Cycles onNops(Addr addr, Count n);
+
+    /**
      * Account for a taken branch: flush the partial decode group,
      * pay the redirect bubble, and steer fetch to @p target.
      *

@@ -1,6 +1,7 @@
 #include "cpu/pmu.hh"
 
 #include "support/logging.hh"
+#include "support/status.hh"
 
 namespace pca::cpu
 {
@@ -40,8 +41,10 @@ Pmu::decodeEvent(std::uint64_t sel)
 {
     const auto id = static_cast<std::uint8_t>(sel & 0xff);
     if (id >= numEvents)
-        pca_panic("bad event id ", static_cast<int>(id),
-                  " in event select");
+        throw StatusError(Status(
+            StatusCode::InvalidArgument,
+            detail::cat("bad event id ", static_cast<int>(id),
+                        " in event select")));
     return static_cast<EventType>(id);
 }
 
@@ -96,7 +99,9 @@ Pmu::wrmsr(std::uint32_t msr, std::uint64_t value)
         rebuildActive();
         return;
     }
-    pca_panic("wrmsr to unknown MSR 0x", std::hex, msr);
+    throw StatusError(
+        Status(StatusCode::NotFound,
+               detail::cat("wrmsr to unknown MSR 0x", std::hex, msr)));
 }
 
 std::uint64_t
@@ -112,7 +117,9 @@ Pmu::rdmsr(std::uint32_t msr) const
         return prog[msr - msrPmcBase].value & widthMask;
     if (msr >= msrFixedCtrBase && msr < msrFixedCtrBase + fixed.size())
         return fixed[msr - msrFixedCtrBase].value & widthMask;
-    pca_panic("rdmsr of unknown MSR 0x", std::hex, msr);
+    throw StatusError(
+        Status(StatusCode::NotFound,
+               detail::cat("rdmsr of unknown MSR 0x", std::hex, msr)));
 }
 
 std::uint64_t
@@ -121,11 +128,15 @@ Pmu::rdpmc(std::uint64_t select) const
     if (select & rdpmcFixedBit) {
         const auto i = static_cast<std::size_t>(select & ~rdpmcFixedBit);
         if (i >= fixed.size())
-            pca_panic("rdpmc: no fixed counter ", i);
+            throw StatusError(
+                Status(StatusCode::NotFound,
+                       detail::cat("rdpmc: no fixed counter ", i)));
         return fixed[i].value & widthMask;
     }
     if (select >= prog.size())
-        pca_panic("rdpmc: no programmable counter ", select);
+        throw StatusError(Status(
+            StatusCode::NotFound,
+            detail::cat("rdpmc: no programmable counter ", select)));
     const auto i = static_cast<std::size_t>(select);
     // Latch the class split alongside the value so a capture a few
     // instructions later can attribute exactly this reading.

@@ -283,8 +283,7 @@ Assembler &
 Assembler::nop(int n)
 {
     pca_assert(n >= 0);
-    for (int i = 0; i < n; ++i)
-        emit(bare(Opcode::Nop));
+    block.append(bare(Opcode::Nop), n);
     return *this;
 }
 

@@ -77,8 +77,11 @@ CodeBlock::CodeBlock(std::string name)
 }
 
 int
-CodeBlock::append(Inst inst)
+CodeBlock::append(Inst inst, int count)
 {
+    pca_assert(count >= 0);
+    if (count == 0)
+        return static_cast<int>(insts.size());
     if (inst.size < 0)
         inst.size = defaultSize(inst.op);
     if (inst.op == Opcode::Call)
@@ -92,7 +95,7 @@ CodeBlock::append(Inst inst)
     for (int label : pendingLabels)
         labelTargets[label] = idx;
     pendingLabels.clear();
-    insts.push_back(inst);
+    insts.insert(insts.end(), static_cast<std::size_t>(count), inst);
     linked = false;
     return idx;
 }
@@ -155,11 +158,20 @@ CodeBlock::layout(Addr base_addr)
 
     // Classify, backwards so each run end is known when reached:
     // runEnd is the first escape at or after i (or n), so
-    // [i, runEnd) is guaranteed inline-executable.
+    // [i, runEnd) is guaranteed inline-executable; a 1-byte Nop's
+    // nopRunEnd is the first instruction at or after i that is not
+    // one, so [i, nopRunEnd) is a contiguous run of 1-byte Nops.
     const int n = static_cast<int>(insts.size());
     int end = n;
+    int nop_end = n;
     for (int i = n; i-- > 0;) {
         Inst &in = insts[static_cast<std::size_t>(i)];
+        if (in.op == Opcode::Nop && in.size == 1) {
+            pca_assert(in.label < 0);
+            in.targetIndex = nop_end;
+        } else {
+            nop_end = i;
+        }
         in.flags = 0;
         if (!inlineOp(in.op))
             in.flags |= IfEscape;

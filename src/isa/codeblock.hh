@@ -29,10 +29,12 @@ class CodeBlock
     const std::string &name() const { return blockName; }
 
     /**
-     * Append an instruction; returns its index. A Call or HostOp
-     * must carry the payload appendCall()/appendHost() gives it.
+     * Append @p count copies of an instruction (one insert); returns
+     * the first one's index, which pending labels bind to. A Call
+     * or HostOp must carry the payload appendCall()/appendHost()
+     * gives it.
      */
-    int append(Inst inst);
+    int append(Inst inst, int count = 1);
 
     /** Append a Call to the block named @p callee. */
     int appendCall(std::string callee);
@@ -73,7 +75,8 @@ class CodeBlock
      * Lay the block out at @p base_addr: assign per-instruction
      * addresses, compute the byte size, resolve label references to
      * instruction indexes and addresses, and classify every
-     * instruction (Inst::flags, Inst::runEnd) for the interpreters.
+     * instruction (Inst::flags, Inst::runEnd, Inst::nopRunEnd) for
+     * the interpreters.
      * Panics on unbound labels.
      */
     void layout(Addr base_addr);

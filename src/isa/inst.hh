@@ -150,7 +150,12 @@ struct Inst
     /** Branch target: index of a label within the owning block. */
     int label = -1;
 
-    /** Resolved branch target as an instruction index in the block. */
+    /**
+     * Resolved branch target as an instruction index in the block.
+     * A 1-byte Nop has no branch target, so layout stores here
+     * instead the exclusive end of its run of consecutive 1-byte
+     * Nops (@see nopRunEnd).
+     */
     int targetIndex = -1;
 
     /** Address assigned at link time. */
@@ -174,6 +179,13 @@ struct Inst
     int runEnd = 0;
 
     bool escape() const { return (flags & IfEscape) != 0; }
+
+    /**
+     * Nops (valid after layout): exclusive end of the run of
+     * consecutive 1-byte Nops from this one on, which the block
+     * engine retires in one step; -1 for a wider Nop.
+     */
+    int nopRunEnd() const { return targetIndex; }
 };
 
 static_assert(std::is_trivially_copyable_v<Inst>,

@@ -61,6 +61,7 @@ spcName(Spc c)
       case Spc::CheckpointPointsResumed:
         return "checkpoint_points_resumed";
       case Spc::KernelImagesBuilt: return "kernel_images_built";
+      case Spc::NopRunInstrs: return "nop_run_instrs";
       case Spc::NumSpcs: break;
     }
     return "?";

@@ -60,6 +60,7 @@ enum class Spc : std::uint8_t
     CheckpointPointsWritten, //!< points recorded to a checkpoint
     CheckpointPointsResumed, //!< points skipped via a checkpoint
     KernelImagesBuilt,     //!< shared kernel images built (first boots)
+    NopRunInstrs,          //!< 1-byte Nops retired a run at a time
     NumSpcs,
 };
 

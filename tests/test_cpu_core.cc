@@ -45,6 +45,18 @@ struct TestMachine
     }
 };
 
+/** Expects running @p m to fail with a StatusError of @p code. */
+void
+expectGuestFault(TestMachine &m, StatusCode code)
+{
+    try {
+        m.run();
+        ADD_FAILURE() << "the run did not fault";
+    } catch (const StatusError &e) {
+        EXPECT_EQ(e.status().code(), code) << e.what();
+    }
+}
+
 TEST(CoreAlu, MovAddSub)
 {
     TestMachine m;
@@ -191,7 +203,7 @@ TEST(CoreControl, RetWithoutCallPanics)
     a.ret();
     m.prog.add(a.take());
     m.finish();
-    EXPECT_THROW(m.run(), std::logic_error);
+    expectGuestFault(m, StatusCode::FailedPrecondition);
 }
 
 TEST(CoreMemory, StackPushPop)
@@ -393,7 +405,7 @@ TEST(CoreTraps, SyscallWithoutKernelPanics)
     a.syscall().halt();
     m.prog.add(a.take());
     m.finish();
-    EXPECT_THROW(m.run(), std::logic_error);
+    expectGuestFault(m, StatusCode::FailedPrecondition);
 }
 
 TEST(CoreTraps, IretWithoutTrapPanics)
@@ -403,7 +415,7 @@ TEST(CoreTraps, IretWithoutTrapPanics)
     a.iret();
     m.prog.add(a.take());
     m.finish();
-    EXPECT_THROW(m.run(), std::logic_error);
+    expectGuestFault(m, StatusCode::FailedPrecondition);
 }
 
 TEST(CorePrivilege, RdpmcForbiddenInUserByDefault)
@@ -413,7 +425,7 @@ TEST(CorePrivilege, RdpmcForbiddenInUserByDefault)
     a.movImm(Reg::Ecx, 0).rdpmc().halt();
     m.prog.add(a.take());
     m.finish();
-    EXPECT_THROW(m.run(), std::logic_error);
+    expectGuestFault(m, StatusCode::FailedPrecondition);
 }
 
 TEST(CorePrivilege, RdpmcAllowedWhenPceSet)
@@ -434,7 +446,7 @@ TEST(CorePrivilege, WrmsrForbiddenInUserMode)
     a.movImm(Reg::Ecx, Pmu::msrTsc).movImm(Reg::Eax, 0).wrmsr().halt();
     m.prog.add(a.take());
     m.finish();
-    EXPECT_THROW(m.run(), std::logic_error);
+    expectGuestFault(m, StatusCode::FailedPrecondition);
 }
 
 TEST(CorePrivilege, RdtscWorksInUserMode)

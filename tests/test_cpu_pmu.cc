@@ -8,6 +8,7 @@
 
 #include "cpu/microarch.hh"
 #include "cpu/pmu.hh"
+#include "support/status.hh"
 
 namespace pca::cpu
 {
@@ -173,25 +174,40 @@ TEST(PmuTest, ResetClearsEverything)
     EXPECT_FALSE(pmu.progCounter(0).enabled);
 }
 
+/** Expects @p fn to throw a StatusError of @p code. */
+template <typename Fn>
+void
+expectStatusError(Fn &&fn, StatusCode code)
+{
+    try {
+        fn();
+        ADD_FAILURE() << "no StatusError thrown";
+    } catch (const StatusError &e) {
+        EXPECT_EQ(e.status().code(), code) << e.what();
+    }
+}
+
 TEST(PmuTest, BadMsrPanics)
 {
     Pmu pmu = makeK8Pmu();
-    EXPECT_THROW(pmu.wrmsr(0xdead, 0), std::logic_error);
-    EXPECT_THROW(pmu.rdmsr(0xdead), std::logic_error);
+    expectStatusError([&] { pmu.wrmsr(0xdead, 0); },
+                      StatusCode::NotFound);
+    expectStatusError([&] { pmu.rdmsr(0xdead); }, StatusCode::NotFound);
 }
 
 TEST(PmuTest, BadRdpmcPanics)
 {
     Pmu pmu = makeK8Pmu();
-    EXPECT_THROW(pmu.rdpmc(99), std::logic_error);
-    EXPECT_THROW(pmu.rdpmc(Pmu::rdpmcFixedBit | 5), std::logic_error);
+    expectStatusError([&] { pmu.rdpmc(99); }, StatusCode::NotFound);
+    expectStatusError([&] { pmu.rdpmc(Pmu::rdpmcFixedBit | 5); },
+                      StatusCode::NotFound);
 }
 
 TEST(PmuTest, BadEventIdPanics)
 {
     Pmu pmu = makeK8Pmu();
-    EXPECT_THROW(pmu.wrmsr(Pmu::msrEvtSelBase, 0xff),
-                 std::logic_error);
+    expectStatusError([&] { pmu.wrmsr(Pmu::msrEvtSelBase, 0xff); },
+                      StatusCode::InvalidArgument);
 }
 
 TEST(MicroArchTest, Table1Frequencies)

@@ -4,6 +4,9 @@
  * branch predictor, and front-end fetch model.
  */
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "cpu/cache.hh"
@@ -247,6 +250,73 @@ TEST(FrontEndTest, SequentialCodeBoundedByDecodeWidth)
         total += fe.onInst(0x1000 + static_cast<Addr>(i), 1);
     EXPECT_GE(total, 100u);
     EXPECT_LE(total, 140u); // plus ~1 fetch cycle per 16 bytes
+}
+
+TEST(FrontEndTest, OnNopsEqualsOneByteOnInstCalls)
+{
+    // onNops(addr, n) must charge what n calls of onInst(addr + i, 1)
+    // charge and leave the same state, whatever decode-group fill and
+    // window offset the run starts from, with the loop-stream
+    // detector off and on. The state is compared by what the two
+    // front ends charge for the same code afterwards.
+    for (const Processor proc : {Processor::PentiumD,
+                                 Processor::Core2Duo,
+                                 Processor::AthlonX2}) {
+        const MicroArch &arch = microArch(proc);
+        for (const bool lsd : {false, true}) {
+            if (lsd && !arch.loopStreamDetector)
+                continue;
+            for (int off = 0; off < arch.fetchBytes; ++off)
+                for (int pre = 0; pre < arch.decodeWidth; ++pre)
+                    for (Count n = 1; n <= 200; ++n) {
+                        const Addr addr =
+                            0x3000 + static_cast<Addr>(off);
+                        FrontEnd bulk(arch), each(arch);
+                        for (FrontEnd *fe : {&bulk, &each}) {
+                            if (lsd) {
+                                // Two trips round a one-line loop.
+                                fe->onTakenBranch(0x2010, 0x2012,
+                                                  0x2000);
+                                fe->onTakenBranch(0x2010, 0x2012,
+                                                  0x2000);
+                            }
+                            // Straight-line code leading up to the
+                            // run leaves a partial decode group.
+                            for (int i = pre; i > 0; --i)
+                                fe->onInst(addr - static_cast<Addr>(i),
+                                           1);
+                        }
+                        ASSERT_EQ(bulk.lsdActive(), lsd);
+                        Cycles want = 0;
+                        for (Count i = 0; i < n; ++i)
+                            want += each.onInst(addr + i, 1);
+                        const std::string what =
+                            std::string(processorCode(proc)) +
+                            " lsd=" + std::to_string(lsd) +
+                            " off=" + std::to_string(off) +
+                            " pre=" + std::to_string(pre) +
+                            " n=" + std::to_string(n);
+                        ASSERT_EQ(bulk.onNops(addr, n), want) << what;
+                        ASSERT_EQ(bulk.lsdActive(), each.lsdActive())
+                            << what;
+                        std::vector<Cycles> after[2];
+                        int k = 0;
+                        for (FrontEnd *fe : {&bulk, &each}) {
+                            const Addr end = addr + n;
+                            for (int i = 0;
+                                 i < 2 * arch.fetchBytes +
+                                         arch.decodeWidth;
+                                 ++i)
+                                after[k].push_back(fe->onInst(
+                                    end + static_cast<Addr>(i), 1));
+                            after[k].push_back(fe->onTakenBranch(
+                                end + 200, end + 202, addr));
+                            ++k;
+                        }
+                        ASSERT_EQ(after[0], after[1]) << what;
+                    }
+        }
+    }
 }
 
 TEST(FrontEndTest, RedirectResetsState)

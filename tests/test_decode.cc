@@ -5,17 +5,19 @@
  * canned study's CSV must be byte-identical with the engine
  * (MachineConfig::decodeCache) on and off — serial or parallel, with
  * or without an active fault plan — on counted, call, time-read,
- * strided-memory and nested loops, with fast-forward on and off. The
- * retired trace-tier switch (MachineConfig::traceTier) must change
- * nothing either. Plus unit tests of the link-time classification
- * the engine runs on (flags, escape classification, straight-line
- * run boundaries) and of the per-reason escape counters.
+ * strided-memory and nested loops and on Nop runs, with fast-forward
+ * on and off. The retired trace-tier switch
+ * (MachineConfig::traceTier) must change nothing either. Plus unit
+ * tests of the link-time classification the engine runs on (flags,
+ * escape classification, straight-line and Nop run boundaries) and
+ * of the per-reason escape and Nop-run counters.
  */
 
 #include <cstdlib>
 #include <functional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -132,13 +134,17 @@ identityConfig(cpu::Processor proc = cpu::Processor::PentiumD,
     return cfg;
 }
 
-/** Digest of @p program run on a fresh machine booted from @p cfg. */
+/**
+ * Digest of @p program run on a fresh machine booted from @p cfg,
+ * its user text shifted by @p text_offset bytes.
+ */
 std::string
-programDigest(const MachineConfig &cfg, const ProgramFn &program)
+programDigest(const MachineConfig &cfg, const ProgramFn &program,
+              Addr text_offset = 0)
 {
     Machine m(cfg);
     program(m);
-    m.finalize();
+    m.finalize(text_offset);
     return digestOf(m);
 }
 
@@ -150,14 +156,16 @@ programDigest(const MachineConfig &cfg, const ProgramFn &program)
  */
 void
 expectTiersIdentical(MachineConfig cfg, const ProgramFn &program,
-                     const std::string &what = "")
+                     const std::string &what = "",
+                     Addr text_offset = 0)
 {
     cfg.decodeCache = false;
-    const std::string legacy = programDigest(cfg, program);
+    const std::string legacy =
+        programDigest(cfg, program, text_offset);
     cfg.decodeCache = true;
     for (const bool trace : {false, true}) {
         cfg.traceTier = trace;
-        EXPECT_EQ(programDigest(cfg, program), legacy)
+        EXPECT_EQ(programDigest(cfg, program, text_offset), legacy)
             << what << " traceTier=" << trace;
     }
 }
@@ -262,6 +270,43 @@ nestedLoop(Count outer, Count inner, std::int64_t stride_step)
         a.addImm(isa::Reg::Edi, 1)
             .cmpImm(isa::Reg::Edi, static_cast<std::int64_t>(outer))
             .jne(oloop)
+            .halt();
+        m.addUserBlock(a.take());
+    };
+}
+
+/**
+ * Straight-line runs of every length in [@p min_len, @p max_len]
+ * 1-byte Nops, each closed by an add, then halt.
+ */
+ProgramFn
+nopRuns(int min_len, int max_len)
+{
+    return [min_len, max_len](Machine &m) {
+        isa::Assembler a("main");
+        for (int len = min_len; len <= max_len; ++len)
+            a.nop(len).addImm(isa::Reg::Eax, 1);
+        a.halt();
+        m.addUserBlock(a.take());
+    };
+}
+
+/**
+ * Counted loop whose body is Nop runs of the given lengths, each
+ * closed by an add.
+ */
+ProgramFn
+nopLoop(Count iters, std::vector<int> runs)
+{
+    return [iters, runs](Machine &m) {
+        isa::Assembler a("main");
+        a.movImm(isa::Reg::Esi, 0);
+        int loop = a.label();
+        for (const int len : runs)
+            a.nop(len).addImm(isa::Reg::Ebx, 1);
+        a.addImm(isa::Reg::Esi, 1)
+            .cmpImm(isa::Reg::Esi, static_cast<std::int64_t>(iters))
+            .jne(loop)
             .halt();
         m.addUserBlock(a.take());
     };
@@ -435,6 +480,100 @@ TEST(TraceTierMemory, InlinedCallLoopIdenticalAllTiers)
                                  callLoop(50000, false),
                                  std::string(cpu::processorCode(proc)) +
                                      " ff=" + std::to_string(ff));
+}
+
+// ---------------------------------------------------------------- //
+// Nop runs: retired a run at a time, identical to one at a time
+// ---------------------------------------------------------------- //
+
+TEST(TraceTierCore, NopRunsAtEveryLineOffsetIdentical)
+{
+    // Runs of 2..300 Nops, the whole text shifted through every
+    // start offset of a 64-byte line: each run enters its lines,
+    // fetch windows and decode groups at every alignment.
+    for (Addr off = 0; off < 64; ++off)
+        expectTiersIdentical(identityConfig(cpu::Processor::Core2Duo),
+                             nopRuns(2, 300),
+                             "offset=" + std::to_string(off), off);
+}
+
+TEST(TraceTierCore, NopRunAcrossPagesIdentical)
+{
+    // One run crossing several 4 KiB iTLB pages and longer than a
+    // dispatch chunk (65536 steps), so it also splits across
+    // dispatches.
+    for (const auto proc :
+         {cpu::Processor::PentiumD, cpu::Processor::Core2Duo,
+          cpu::Processor::AthlonX2})
+        expectTiersIdentical(identityConfig(proc), nopRuns(70000, 70000),
+                             cpu::processorCode(proc));
+}
+
+TEST(TraceTierCore, NopLoopsUnderTimerTicksIdentical)
+{
+    // A short timer period: ticks fall due inside Nop runs, so the
+    // interrupt horizon decides between one step per run and one per
+    // Nop (fast-forward off). With fast-forward on, loop folding sees
+    // iterations retired a run at a time. The one-line loop (33
+    // bytes from offset 5) streams from the Core 2 loop buffer.
+    for (const auto proc :
+         {cpu::Processor::PentiumD, cpu::Processor::Core2Duo,
+          cpu::Processor::AthlonX2})
+        for (const bool ff : {false, true}) {
+            MachineConfig cfg = identityConfig(proc, ff);
+            cfg.timerPeriodOverride = 10007;
+            const std::string name = std::string(
+                cpu::processorCode(proc)) + " ff=" + std::to_string(ff);
+            for (const auto &[program, what] :
+                 {std::pair{nopLoop(2000, {2, 37, 300, 5}), " long body"},
+                  std::pair{nopLoop(50000, {20}), " one-line body"}}) {
+                Machine m(cfg);
+                program(m);
+                m.finalize();
+                EXPECT_GE(m.run().interrupts, 20u) << name << what;
+                expectTiersIdentical(cfg, program, name + what);
+            }
+        }
+}
+
+TEST(DecodedBlock, NopRunEndsStopAtOtherInstructions)
+{
+    isa::Assembler a("main");
+    a.nop(3).addImm(isa::Reg::Eax, 1).nop(1).nop(2).halt();
+    isa::Program p;
+    p.add(a.take());
+    p.link2(/*user_base=*/0x1000, /*kernel_base=*/0x100000);
+    const isa::CodeBlock &blk = p.block(0);
+    ASSERT_EQ(blk.size(), 8u);
+    // nop nop nop | add | nop nop nop | halt
+    // Successive nop() calls extend one run.
+    const int want[] = {3, 3, 3, -1, 7, 7, 7, -1};
+    for (std::size_t i = 0; i < blk.size(); ++i)
+        if (blk.inst(i).op == isa::Opcode::Nop)
+            EXPECT_EQ(blk.inst(i).nopRunEnd(), want[i]) << i;
+}
+
+TEST(DecodedBlock, NopRunCounterCountsFoldedNops)
+{
+    // nop_run_instrs counts the Nops the block engine retires a run
+    // at a time; the per-step interpreter retires none that way.
+    for (const bool decode : {true, false}) {
+        obs::spcReset();
+        obs::spcAttach("nop_run_instrs");
+        MachineConfig cfg;
+        cfg.decodeCache = decode;
+        Machine m(cfg);
+        isa::Assembler a("main");
+        a.work(500).halt();
+        m.addUserBlock(a.take());
+        m.finalize();
+        const cpu::RunResult r = m.run();
+        EXPECT_EQ(r.userInstr, 501u);
+        EXPECT_EQ(obs::spcValue(obs::Spc::NopRunInstrs),
+                  decode ? 500u : 0u)
+            << "decode=" << decode;
+        obs::spcReset();
+    }
 }
 
 // ---------------------------------------------------------------- //

@@ -269,13 +269,16 @@ TEST(LibPerfctrTest, TscCaptured)
 
 TEST(PerfctrModuleTest, OpenEnablesUserRdpmc)
 {
-    // Without vperfctr_open, user-mode RDPMC must fault.
+    // Without vperfctr_open, user-mode RDPMC must fault (#GP), and
+    // the run fails with that typed status.
     Machine m(quiet());
     Assembler a("main");
     a.movImm(Reg::Ecx, 0).rdpmc().halt();
     m.addUserBlock(a.take());
     m.finalize();
-    EXPECT_THROW(m.run(), std::logic_error);
+    const auto r = m.tryRun("main");
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::FailedPrecondition);
 }
 
 TEST(PerfctrModuleTest, SwitchOutDisablesCounters)

@@ -270,6 +270,22 @@ TEST(TryRun, UnknownEntryIsNotFound)
     EXPECT_TRUE(m.tryRun("main").ok());
 }
 
+TEST(TryRun, GuestFaultIsAStatus)
+{
+    // A program that faults (#GP: a privileged instruction in user
+    // mode) fails its run with a typed status instead of aborting the
+    // process, so a study degrades the point.
+    Machine m(MachineConfig{});
+    isa::Assembler a("main");
+    a.nop(4).rdmsr().halt();
+    m.addUserBlock(a.take());
+    m.finalize();
+    const auto r = m.tryRun("main");
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::FailedPrecondition);
+    EXPECT_EQ(r.status().message(), "#GP: rdmsr in user mode");
+}
+
 // ---------------------------------------------------------------- //
 // Hang faults
 // ---------------------------------------------------------------- //
