@@ -1,5 +1,7 @@
 #include "cpu/cache.hh"
 
+#include <algorithm>
+
 #include "support/logging.hh"
 
 namespace pca::cpu
@@ -23,7 +25,9 @@ log2Exact(int v)
 CacheModel::CacheModel(int sets, int ways, int line_bytes)
     : numSets(sets), numWays(ways), lineSize(line_bytes),
       lineShift(log2Exact(line_bytes)),
-      waysStore(static_cast<std::size_t>(sets) * ways)
+      waysStore(std::make_unique_for_overwrite<Way[]>(
+          static_cast<std::size_t>(sets) * ways)),
+      setLive(static_cast<std::size_t>(sets), 0)
 {
     pca_assert(sets > 0 && (sets & (sets - 1)) == 0);
     pca_assert(ways > 0);
@@ -32,12 +36,22 @@ CacheModel::CacheModel(int sets, int ways, int line_bytes)
 bool
 CacheModel::contains(Addr addr) const
 {
+    if (!setLive[setIndex(addr)])
+        return false; // never touched, so its ways are uninitialized
     const std::size_t base = setIndex(addr) * numWays;
     const Addr tag = tagOf(addr);
     for (std::size_t w = base; w < base + numWays; ++w)
         if (valid(waysStore[w]) && waysStore[w].tag == tag)
             return true;
     return false;
+}
+
+void
+CacheModel::clearSet(std::size_t set)
+{
+    setLive[set] = 1;
+    std::fill_n(&waysStore[set * static_cast<std::size_t>(numWays)],
+                numWays, Way{});
 }
 
 void

@@ -10,6 +10,7 @@
 #define PCA_CPU_CACHE_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "support/types.hh"
@@ -37,8 +38,7 @@ class CacheModel
      */
     bool access(Addr addr)
     {
-        const std::size_t base =
-            setIndex(addr) * static_cast<std::size_t>(numWays);
+        const std::size_t base = touchSet(addr);
         const Addr tag = tagOf(addr);
         ++useClock;
 
@@ -77,6 +77,7 @@ class CacheModel
     {
         const Addr tag = tagOf(addr);
         if (tag == hotTag) {
+            // The memo names a way of a touched, so initialized, set.
             Way &hw = waysStore[hotWay];
             if (valid(hw) && hw.tag == tag) {
                 hw.lastUse = ++useClock;
@@ -119,12 +120,14 @@ class CacheModel
   private:
     /**
      * One way. There is no valid bit: the LRU clock never resets, and
-     * a way holds a line iff it was used after the last flush.
+     * a way holds a line iff it was used after the last flush. No
+     * member initializers, so the way storage is allocated
+     * uninitialized; touchSet() clears a set before its first use.
      */
     struct Way
     {
-        Addr tag = 0;
-        std::uint64_t lastUse = 0;
+        Addr tag;
+        std::uint64_t lastUse;
     };
 
     /**
@@ -132,6 +135,22 @@ class CacheModel
      * model picks the same victims as a fresh one.
      */
     bool valid(const Way &way) const { return way.lastUse > flushedAt; }
+
+    /**
+     * Index of the first way of @p addr's set. The first access to a
+     * set since construction clears its ways, so a model costs
+     * O(sets it touches), not O(sets x ways).
+     */
+    std::size_t touchSet(Addr addr)
+    {
+        const std::size_t set = setIndex(addr);
+        if (!setLive[set]) [[unlikely]]
+            clearSet(set);
+        return set * static_cast<std::size_t>(numWays);
+    }
+
+    /** Clear set @p set's ways and mark it live. */
+    void clearSet(std::size_t set);
 
     std::size_t setIndex(Addr addr) const
     {
@@ -145,7 +164,9 @@ class CacheModel
     int numWays;
     int lineSize;
     int lineShift;
-    std::vector<Way> waysStore; // numSets * numWays
+    std::unique_ptr<Way[]> waysStore; // numSets * numWays
+    /** Per set: its ways are initialized (touched since construction). */
+    std::vector<std::uint8_t> setLive;
     Addr hotTag = ~Addr{0};     // accessHot memo: last hit line
     std::size_t hotWay = 0;     // ... and the way that held it
     std::uint64_t useClock = 0;  // strictly monotonic, never reset

@@ -103,7 +103,13 @@ Core::jumpTo(const std::string &symbol)
     pca_assert(program);
     pc = program->entry(symbol);
     pcRedirected = true;
-    frontEnd.redirect(program->inst(pc).addr);
+    frontEnd.redirect(pcAddr());
+}
+
+Addr
+Core::pcAddr() const
+{
+    return program->inst(pc).addr + static_cast<Addr>(pc.pos);
 }
 
 Count
@@ -157,26 +163,26 @@ Core::dataAccess(Addr addr)
 }
 
 void
-Core::fetchCosts(const Inst &in)
+Core::fetchCosts(Addr addr, int size)
 {
-    if (!icache.access(in.addr)) {
+    if (!icache.access(addr)) {
         chargeCycles(static_cast<Cycles>(archRef.icacheMissPenalty));
         countEvent(EventType::IcacheMiss);
         // Instruction fills also come through the unified L2.
-        if (!l2.access(in.addr)) {
+        if (!l2.access(addr)) {
             chargeCycles(static_cast<Cycles>(archRef.l2MissPenalty));
             countEvent(EventType::L2Miss);
         }
     }
-    if (!itlb.access(in.addr)) {
+    if (!itlb.access(addr)) {
         chargeCycles(static_cast<Cycles>(archRef.itlbMissPenalty));
         countEvent(EventType::ItlbMiss);
     }
     // Keep the block engine's same-line fast path honest: these must
     // always name the most recently accessed icache line / iTLB page.
-    lastFetchLine = in.addr >> icLineShift;
-    lastFetchPage = in.addr >> itlbPageShift;
-    chargeCycles(frontEnd.onInst(in.addr, in.size));
+    lastFetchLine = addr >> icLineShift;
+    lastFetchPage = addr >> itlbPageShift;
+    chargeCycles(frontEnd.onInst(addr, size));
 }
 
 /**
@@ -247,6 +253,11 @@ Core::run(CodePtr entry, Count max_instr)
     pc = entry;
     halted = false;
     Count steps = 0;
+    // An attached profiler keeps the whole run on the per-step path;
+    // armed sampling may start mid-run, and counts once when it does.
+    if (decodeOn && prof != nullptr)
+        PCA_SPC_INC(RunsForcedStepProfiler);
+    bool forced_by_sampling = false;
 
     while (!halted) {
         if (curMode == Mode::User && pmuUnit.overflowPending()) {
@@ -267,6 +278,11 @@ Core::run(CodePtr entry, Count max_instr)
             // interpretation: overflow (or the retired-PC ground
             // truth) must be observed at the exact retiring
             // instruction.
+            if (!forced_by_sampling && decodeOn &&
+                pmuUnit.samplingActive()) {
+                forced_by_sampling = true;
+                PCA_SPC_INC(RunsForcedStepSampling);
+            }
             step();
             ++steps;
         }
@@ -331,7 +347,10 @@ Core::step()
     const Mode mode_at_fetch = curMode;
     const int prev_index = pc.index;
     const Cycles cycles_at_fetch = cycleCount;
-    fetchCosts(in);
+    // A Nop record retires one 1-byte Nop per step, the one at pc.pos.
+    const bool nop = in.op == Opcode::Nop;
+    const Addr addr = in.addr + static_cast<Addr>(pc.pos);
+    fetchCosts(addr, nop ? 1 : in.size);
 
     pcRedirected = false;
     execute(in);
@@ -341,13 +360,22 @@ Core::step()
     rawEv[static_cast<std::size_t>(EventType::InstrRetired)]
          [static_cast<std::size_t>(mode_at_fetch)] += 1;
     pmuUnit.count(EventType::InstrRetired, mode_at_fetch, 1);
-    if (mode_at_fetch == Mode::Kernel)
+    if (mode_at_fetch == Mode::Kernel) {
         PCA_SPC_INC(KernelInstrs);
-    else if (prof != nullptr)
-        prof->onUserRetire(in.addr, cycleCount - cycles_at_fetch);
+    } else {
+        PCA_SPC_INC(UserInstrsStep);
+        if (prof != nullptr)
+            prof->onUserRetire(addr, cycleCount - cycles_at_fetch);
+    }
 
-    if (!pcRedirected)
-        ++pc.index;
+    if (!pcRedirected) {
+        if (!nop) {
+            ++pc.index;
+        } else if (++pc.pos == in.size) {
+            pc.pos = 0;
+            ++pc.index;
+        }
+    }
 
     // Fast-forward bookkeeping.
     if ((in.flags & isa::IfFfSafe) == 0 || curMode != Mode::User)
@@ -383,17 +411,19 @@ Core::step()
  *    invisible — and the batch is flushed (commit) before anything
  *    that could observe it: escapes, fast-forward, or return;
  *  - curMode cannot change inside a run (mode transitions escape);
- *  - a run of k 1-byte Nops (Inst::nopRunEnd) changes nothing but
- *    the fetch models and the cycle and retire batches, so it
- *    retires in one step: the icache, L2 and iTLB see each new line
- *    and page once, in address order, exactly as k single fetches
- *    would (same-line repeats are skipped either way), and
- *    FrontEnd::onNops charges what k onInst calls would. The step
- *    skips the k - 1 interrupt checks between its Nops, so with an
- *    interrupt horizon it runs only if cycleCount + pend plus an
- *    upper bound on the run's cost (nopRunCostBound) stays below
- *    irq_due: then none of those checks could have fired. Otherwise
- *    the Nops run one by one.
+ *  - the k Nops left in a Nop record change nothing but the fetch
+ *    models and the cycle and retire batches, so they retire in one
+ *    step: the icache, L2 and iTLB see each new line and page once,
+ *    in address order, exactly as k single fetches would (same-line
+ *    repeats are skipped either way), and FrontEnd::onNops charges
+ *    what k onInst calls would. The step skips the k - 1 interrupt
+ *    checks between its Nops, so with an interrupt horizon it runs
+ *    only if cycleCount + pend plus an upper bound on the Nops' cost
+ *    (nopRunCostBound) stays below irq_due: then none of those
+ *    checks could have fired. Otherwise the Nops run one by one.
+ *
+ * A dispatch retires at most one chunk of instructions, so it may
+ * end inside a Nop record; pc.pos then names the next Nop.
  */
 Count
 Core::stepDecodedBlock()
@@ -415,24 +445,17 @@ Core::stepDecodedBlock()
     const Cycles irq_due =
         check_irq ? intClient->nextInterruptCycle() : 0;
     auto run_end = static_cast<std::size_t>(code[idx].runEnd);
+    auto pos = static_cast<Count>(pc.pos); //!< Nop within a Nop record
 
-    // Cap one dispatch so run()'s runaway guard still triggers on
-    // programs that never escape (a Halt-less inline loop).
+    // Cap one dispatch at a chunk of instructions so run()'s runaway
+    // guard still triggers on programs that never escape (a
+    // Halt-less inline loop).
     constexpr Count chunk = 65536;
-
-    // Within a straight-line segment idx and the step count advance
-    // in lockstep, so the chunk budget folds into one precomputed
-    // index bound: break when idx reaches min(run_end, budget left).
-    auto segment_limit = [&](std::size_t at, Count used,
-                             std::size_t end) {
-        const auto left = static_cast<std::size_t>(chunk - used);
-        return end - at < left ? end : at + left;
-    };
 
     Count retired = 0;  //!< batched, not yet flushed
     Count brRetired = 0; //!< batched branch retires
     Cycles pend = 0;    //!< batched cycle charges
-    Count total = 0;    //!< steps taken this dispatch
+    Count total = 0;    //!< instructions retired this dispatch
     bool poison = mode != Mode::User;
 
     // Keep the fetch-skip keys in registers for the run; members are
@@ -456,6 +479,8 @@ Core::stepDecodedBlock()
             pmuUnit.count(EventType::InstrRetired, mode, retired);
             if (mode == Mode::Kernel)
                 PCA_SPC_ADD(KernelInstrs, retired);
+            else
+                PCA_SPC_ADD(UserInstrsBlock, retired);
             retired = 0;
         }
         if (brRetired != 0) {
@@ -477,38 +502,42 @@ Core::stepDecodedBlock()
         lastFetchPage = fetchPage;
     };
 
-    std::size_t limit = segment_limit(idx, total, run_end);
     for (;;) {
         const Inst &in = code[idx];
 
-        if (in.op == Opcode::Nop &&
-            in.nopRunEnd() > static_cast<int>(idx) + 1) {
-            // A run of 1-byte Nops: retire it in one step, unless an
-            // interrupt could fall due inside it.
-            const std::size_t end = std::min(
-                static_cast<std::size_t>(in.nopRunEnd()), limit);
-            const Count k = end - idx;
-            if (!check_irq ||
-                cycleCount + pend + nopRunCostBound(in.addr, k) <
-                    irq_due) {
-                const Addr last = in.addr + k - 1;
-                for (Addr line = in.addr >> icLineShift;
-                     line <= last >> icLineShift; ++line)
-                    if (line != fetchLine) {
-                        fetchLine = line;
-                        pend += fetchNewLine(
-                            std::max(in.addr, line << icLineShift),
-                            fetchPage);
-                    }
-                pend += frontEnd.onNops(in.addr, k);
-                retired += k;
-                total += k;
-                idx = end;
+        if (in.op == Opcode::Nop) {
+            // The record's Nops from pos on, up to the chunk budget:
+            // retire them in one step, unless an interrupt could fall
+            // due among them; then retire one.
+            const Addr at = in.addr + pos;
+            Count k = std::min(static_cast<Count>(in.size) - pos,
+                               chunk - total);
+            if (k > 1 && (!check_irq ||
+                          cycleCount + pend + nopRunCostBound(at, k) <
+                              irq_due))
                 PCA_SPC_ADD(NopRunInstrs, k);
-                if (idx >= limit)
-                    break;
-                continue;
+            else
+                k = 1;
+            const Addr last = at + k - 1;
+            for (Addr line = at >> icLineShift;
+                 line <= last >> icLineShift; ++line)
+                if (line != fetchLine) {
+                    fetchLine = line;
+                    pend += fetchNewLine(
+                        std::max(at, line << icLineShift), fetchPage);
+                }
+            pend += frontEnd.onNops(at, k);
+            retired += k;
+            total += k;
+            pos += k;
+            if (pos == static_cast<Count>(in.size)) {
+                pos = 0;
+                ++idx;
             }
+            if ((check_irq && cycleCount + pend >= irq_due) ||
+                idx >= run_end || total >= chunk)
+                break;
+            continue;
         }
 
         // Fetch. Consecutive fetches within one icache line / iTLB
@@ -662,7 +691,6 @@ Core::stepDecodedBlock()
             if ((check_irq && cycleCount + pend >= irq_due) ||
                 total >= chunk)
                 break;
-            limit = segment_limit(idx, total, run_end);
             continue;
         }
 
@@ -671,11 +699,12 @@ Core::stepDecodedBlock()
         poison |= (in.flags & isa::IfFfSafe) == 0;
         ++idx;
         if ((check_irq && cycleCount + pend >= irq_due) ||
-            idx >= limit)
+            idx >= run_end || total >= chunk)
             break;
     }
     flush();
     pc.index = static_cast<int>(idx);
+    pc.pos = static_cast<int>(pos);
     return total;
 }
 
@@ -793,7 +822,7 @@ Core::execute(const Inst &in)
         callStack.push_back(CodePtr{pc.block, pc.index + 1});
         pc = program->entry(program->block(pc.block).callee(in));
         pcRedirected = true;
-        frontEnd.redirect(program->inst(pc).addr);
+        frontEnd.redirect(pcAddr());
         break;
       }
       case Opcode::Ret:
@@ -807,7 +836,7 @@ Core::execute(const Inst &in)
         pc = callStack.back();
         callStack.pop_back();
         pcRedirected = true;
-        frontEnd.redirect(program->inst(pc).addr);
+        frontEnd.redirect(pcAddr());
         break;
       }
 
@@ -860,7 +889,7 @@ Core::execute(const Inst &in)
         chargeCycles(static_cast<Cycles>(archRef.syscallEntryCycles));
         pc = syscallEntry;
         pcRedirected = true;
-        frontEnd.redirect(program->inst(pc).addr);
+        frontEnd.redirect(pcAddr());
         break;
       case Opcode::Iret:
       {
@@ -878,9 +907,11 @@ Core::execute(const Inst &in)
             obs::tracer().end(cycleCount);
         zeroFlag = saved.zeroFlag;
         lessFlag = saved.lessFlag;
+        // Back to the interrupted instruction, inside its Nop record
+        // if it was one.
         pc = saved.pc;
         pcRedirected = true;
-        frontEnd.redirect(program->inst(pc).addr);
+        frontEnd.redirect(pcAddr());
         break;
       }
 
@@ -904,7 +935,7 @@ Core::execute(const Inst &in)
 void
 Core::deliverInterrupt(int vector)
 {
-    interruptedAddr = program->inst(pc).addr;
+    interruptedAddr = pcAddr();
     trapStack.push_back(
         {pc, curMode, true, zeroFlag, lessFlag, pmuUnit.attrClass()});
     curMode = Mode::Kernel;
@@ -925,7 +956,7 @@ Core::deliverInterrupt(int vector)
     chargeCycles(static_cast<Cycles>(archRef.interruptEntryCycles));
     pca_assert(interruptEntry.valid());
     pc = interruptEntry;
-    frontEnd.redirect(program->inst(pc).addr);
+    frontEnd.redirect(pcAddr());
     poisonSinceBackward = true;
 }
 
@@ -1093,6 +1124,7 @@ Core::maybeFastForwardKeyed(std::uint64_t key, const Inst &branch,
     const Count iters = ku * static_cast<Count>(period);
     ffIters += iters;
     PCA_SPC_ADD(FastForwardIters, iters);
+    PCA_SPC_ADD(UserInstrsFolded, sum.instr * ku);
     snapshot(); // head reflects post-bulk state
 }
 

@@ -270,7 +270,7 @@ class Core : public isa::CpuContext
     void deliverInterrupt(int vector);
     void chargeCycles(Cycles c);
     void countEvent(EventType ev, Count n = 1);
-    void fetchCosts(const isa::Inst &in);
+    void fetchCosts(Addr addr, int size);
     Cycles fetchNewLine(Addr addr, Addr &fetch_page);
     Cycles nopRunCostBound(Addr addr, Count n) const;
     void doTakenBranch(const isa::Inst &in);
@@ -279,6 +279,8 @@ class Core : public isa::CpuContext
                                const isa::Inst &branch,
                                int branch_index);
     std::uint64_t &reg(isa::Reg r);
+    /** Address of the instruction at pc (inside its Nop record). */
+    Addr pcAddr() const;
 
     const MicroArch &archRef;
     Pmu pmuUnit;

@@ -283,8 +283,11 @@ Assembler &
 Assembler::nop(int n)
 {
     pca_assert(n >= 0);
-    block.append(bare(Opcode::Nop), n);
-    return *this;
+    if (n == 0)
+        return *this;
+    Inst i = bare(Opcode::Nop);
+    i.size = n;
+    return emit(i);
 }
 
 Assembler &

@@ -78,6 +78,10 @@ class Assembler
     Assembler &syscall();
     Assembler &iret();
 
+    /**
+     * Emit @p n 1-byte Nops as one record (appended to a Nop record
+     * right before it, unless a label is pending).
+     */
     Assembler &nop(int n = 1);
     Assembler &cpuid();
     Assembler &halt();
@@ -86,13 +90,14 @@ class Assembler
     Assembler &host(HostFn fn);
 
     /**
-     * Emit @p count generic single-byte "work" nops representing
-     * straight-line code whose only relevant property is its
-     * instruction count and byte footprint (library internals).
+     * Emit @p count generic single-byte "work" nops, as nop() does,
+     * representing straight-line code whose only relevant property
+     * is its instruction count and byte footprint (library
+     * internals).
      */
     Assembler &work(int count);
 
-    /** Number of instructions emitted so far. */
+    /** Number of records emitted so far. */
     std::size_t size() const { return block.size(); }
 
     /** Finish and take the block (the assembler becomes empty). */

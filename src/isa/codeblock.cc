@@ -1,5 +1,6 @@
 #include "isa/codeblock.hh"
 
+#include <climits>
 #include <sstream>
 
 #include "support/logging.hh"
@@ -77,11 +78,8 @@ CodeBlock::CodeBlock(std::string name)
 }
 
 int
-CodeBlock::append(Inst inst, int count)
+CodeBlock::append(Inst inst)
 {
-    pca_assert(count >= 0);
-    if (count == 0)
-        return static_cast<int>(insts.size());
     if (inst.size < 0)
         inst.size = defaultSize(inst.op);
     if (inst.op == Opcode::Call)
@@ -91,12 +89,18 @@ CodeBlock::append(Inst inst, int count)
         pca_assert(inst.payload >= 0 &&
                    inst.payload < static_cast<int>(hosts.size()) &&
                    hosts[static_cast<std::size_t>(inst.payload)]);
+    linked = false;
+    if (inst.op == Opcode::Nop && pendingLabels.empty() &&
+        !insts.empty() && insts.back().op == Opcode::Nop) {
+        pca_assert(inst.size <= INT_MAX - insts.back().size);
+        insts.back().size += inst.size;
+        return static_cast<int>(insts.size()) - 1;
+    }
     const int idx = static_cast<int>(insts.size());
     for (int label : pendingLabels)
         labelTargets[label] = idx;
     pendingLabels.clear();
-    insts.insert(insts.end(), static_cast<std::size_t>(count), inst);
-    linked = false;
+    insts.push_back(inst);
     return idx;
 }
 
@@ -158,20 +162,11 @@ CodeBlock::layout(Addr base_addr)
 
     // Classify, backwards so each run end is known when reached:
     // runEnd is the first escape at or after i (or n), so
-    // [i, runEnd) is guaranteed inline-executable; a 1-byte Nop's
-    // nopRunEnd is the first instruction at or after i that is not
-    // one, so [i, nopRunEnd) is a contiguous run of 1-byte Nops.
+    // [i, runEnd) is guaranteed inline-executable.
     const int n = static_cast<int>(insts.size());
     int end = n;
-    int nop_end = n;
     for (int i = n; i-- > 0;) {
         Inst &in = insts[static_cast<std::size_t>(i)];
-        if (in.op == Opcode::Nop && in.size == 1) {
-            pca_assert(in.label < 0);
-            in.targetIndex = nop_end;
-        } else {
-            nop_end = i;
-        }
         in.flags = 0;
         if (!inlineOp(in.op))
             in.flags |= IfEscape;
@@ -241,6 +236,9 @@ CodeBlock::disassemble() const
             break;
           case Opcode::Call:
             os << " " << callee(in);
+            break;
+          case Opcode::Nop:
+            os << " x" << in.size;
             break;
           default:
             break;

@@ -29,12 +29,13 @@ class CodeBlock
     const std::string &name() const { return blockName; }
 
     /**
-     * Append @p count copies of an instruction (one insert); returns
-     * the first one's index, which pending labels bind to. A Call
-     * or HostOp must carry the payload appendCall()/appendHost()
-     * gives it.
+     * Append an instruction record; returns its index, which pending
+     * labels bind to. A Nop appended right after a Nop record, with
+     * no label pending, extends that record instead, so a label
+     * always binds to the start of a record. A Call or HostOp must
+     * carry the payload appendCall()/appendHost() gives it.
      */
-    int append(Inst inst, int count = 1);
+    int append(Inst inst);
 
     /** Append a Call to the block named @p callee. */
     int appendCall(std::string callee);
@@ -45,10 +46,10 @@ class CodeBlock
     /** Create a new unbound label; returns its id. */
     int newLabel();
 
-    /** Bind label @p label to the next appended instruction. */
+    /** Bind label @p label to the next appended record. */
     void bind(int label);
 
-    /** Number of instructions. */
+    /** Number of records (a Nop record holds a whole Nop run). */
     std::size_t size() const { return insts.size(); }
 
     /** Total encoded bytes (valid after link). */
@@ -72,11 +73,10 @@ class CodeBlock
     Addr baseAddr() const { return base; }
 
     /**
-     * Lay the block out at @p base_addr: assign per-instruction
+     * Lay the block out at @p base_addr: assign per-record
      * addresses, compute the byte size, resolve label references to
-     * instruction indexes and addresses, and classify every
-     * instruction (Inst::flags, Inst::runEnd, Inst::nopRunEnd) for
-     * the interpreters.
+     * record indexes and addresses, and classify every record
+     * (Inst::flags, Inst::runEnd) for the interpreters.
      * Panics on unbound labels.
      */
     void layout(Addr base_addr);
@@ -90,9 +90,9 @@ class CodeBlock
     /** Call targets and HostOp callbacks, by Inst::payload. */
     std::vector<std::string> callees;
     std::vector<HostFn> hosts;
-    /** label id -> instruction index (-1 while unbound). */
+    /** label id -> record index (-1 while unbound). */
     std::vector<int> labelTargets;
-    /** labels waiting to bind to the next instruction. */
+    /** labels waiting to bind to the next record. */
     std::vector<int> pendingLabels;
     Addr base = 0;
     std::size_t byteSize = 0;

@@ -128,11 +128,13 @@ enum InstFlags : std::uint8_t
 };
 
 /**
- * One instruction: the record the assembler emits, the linker lays
- * out and classifies, and both interpreters execute in place. It
- * stays small and trivially copyable (a kernel image is ~10 k of
- * them); the rare variable-size operands, a Call's callee name and a
- * HostOp's callback, live in the owning CodeBlock's tables.
+ * One instruction record: what the assembler emits, the linker lays
+ * out and classifies, and both interpreters execute in place. A Nop
+ * record stands for a whole run of 1-byte Nops, so a program holds
+ * about one record per non-Nop instruction. It stays small and
+ * trivially copyable; the rare variable-size operands, a Call's
+ * callee name and a HostOp's callback, live in the owning
+ * CodeBlock's tables.
  */
 struct Inst
 {
@@ -142,7 +144,10 @@ struct Inst
     /** InstFlags (valid after layout). */
     std::uint8_t flags = 0;
 
-    /** Encoded size in bytes; -1 means "use defaultSize(op)". */
+    /**
+     * Encoded size in bytes; -1 means "use defaultSize(op)". A Nop
+     * record stands for @c size consecutive 1-byte Nops.
+     */
     int size = -1;
 
     std::int64_t imm = 0;
@@ -150,12 +155,7 @@ struct Inst
     /** Branch target: index of a label within the owning block. */
     int label = -1;
 
-    /**
-     * Resolved branch target as an instruction index in the block.
-     * A 1-byte Nop has no branch target, so layout stores here
-     * instead the exclusive end of its run of consecutive 1-byte
-     * Nops (@see nopRunEnd).
-     */
+    /** Resolved branch target as a record index in the block. */
     int targetIndex = -1;
 
     /** Address assigned at link time. */
@@ -172,20 +172,13 @@ struct Inst
 
     /**
      * Exclusive end of the contiguous non-escape run containing this
-     * instruction (valid after layout): the block engine may execute
+     * record (valid after layout): the block engine may execute
      * [index, runEnd) without consulting the per-step interpreter.
-     * Equals the instruction's own index when it is an escape.
+     * Equals the record's own index when it is an escape.
      */
     int runEnd = 0;
 
     bool escape() const { return (flags & IfEscape) != 0; }
-
-    /**
-     * Nops (valid after layout): exclusive end of the run of
-     * consecutive 1-byte Nops from this one on, which the block
-     * engine retires in one step; -1 for a wider Nop.
-     */
-    int nopRunEnd() const { return targetIndex; }
 };
 
 static_assert(std::is_trivially_copyable_v<Inst>,

@@ -23,11 +23,16 @@
 namespace pca::isa
 {
 
-/** Location of an instruction: block id plus index within it. */
+/**
+ * Location of an instruction: block id, record index within the
+ * block, and the position of the current Nop within a Nop record
+ * (0 for every other record). Its address is the record's plus pos.
+ */
 struct CodePtr
 {
     int block = -1;
     int index = 0;
+    int pos = 0;
 
     bool valid() const { return block >= 0; }
     bool operator==(const CodePtr &o) const = default;

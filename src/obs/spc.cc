@@ -62,6 +62,13 @@ spcName(Spc c)
         return "checkpoint_points_resumed";
       case Spc::KernelImagesBuilt: return "kernel_images_built";
       case Spc::NopRunInstrs: return "nop_run_instrs";
+      case Spc::UserInstrsBlock: return "user_instrs_block";
+      case Spc::UserInstrsStep: return "user_instrs_step";
+      case Spc::UserInstrsFolded: return "user_instrs_folded";
+      case Spc::RunsForcedStepProfiler:
+        return "runs_forced_step_profiler";
+      case Spc::RunsForcedStepSampling:
+        return "runs_forced_step_sampling";
       case Spc::NumSpcs: break;
     }
     return "?";

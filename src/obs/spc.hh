@@ -61,6 +61,11 @@ enum class Spc : std::uint8_t
     CheckpointPointsResumed, //!< points skipped via a checkpoint
     KernelImagesBuilt,     //!< shared kernel images built (first boots)
     NopRunInstrs,          //!< 1-byte Nops retired a run at a time
+    UserInstrsBlock,       //!< user instructions the block engine retired
+    UserInstrsStep,        //!< user instructions retired one per step
+    UserInstrsFolded,      //!< user instructions loop folding applied
+    RunsForcedStepProfiler, //!< runs an attached profiler kept per-step
+    RunsForcedStepSampling, //!< runs PMU sampling kept per-step
     NumSpcs,
 };
 

@@ -5,6 +5,7 @@
  */
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -100,6 +101,99 @@ TEST(Cache, FlushedModelBehavesLikeFreshOne)
     for (Addr line = 0; line < lines; ++line)
         EXPECT_EQ(used.contains(line * 64), fresh.contains(line * 64));
     EXPECT_EQ(used.misses() - misses_before, fresh.misses());
+}
+
+TEST(Cache, FlushCyclesMatchZeroInitializedLru)
+{
+    // Core 2's L2 geometry (4096 sets x 16 ways, 64 B lines), random
+    // accesses over every set across many flush cycles, against a
+    // plain LRU whose ways are zeroed at construction and at every
+    // flush. The model clears a set only on its first access since
+    // construction, and a flush only moves its LRU clock floor; it
+    // must be indistinguishable, contains() included.
+    constexpr int sets = 4096;
+    constexpr int ways = 16;
+    struct Reference
+    {
+        std::vector<std::pair<Addr, std::uint64_t>> way; // tag, lastUse
+        std::uint64_t clock = 0;
+
+        Reference() : way(std::size_t{sets} * ways) {}
+        bool access(Addr a)
+        {
+            const Addr tag = a >> 6;
+            const std::size_t base = (tag % sets) * ways;
+            ++clock;
+            std::size_t victim = base;
+            for (std::size_t w = base; w < base + ways; ++w) {
+                if (way[w].second != 0 && way[w].first == tag) {
+                    way[w].second = clock;
+                    return true;
+                }
+                if (way[w].second < way[victim].second)
+                    victim = w;
+            }
+            way[victim] = {tag, clock};
+            return false;
+        }
+        bool contains(Addr a) const
+        {
+            const Addr tag = a >> 6;
+            const std::size_t base = (tag % sets) * ways;
+            for (std::size_t w = base; w < base + ways; ++w)
+                if (way[w].second != 0 && way[w].first == tag)
+                    return true;
+            return false;
+        }
+        void flush() { way.assign(way.size(), {0, 0}); }
+    };
+
+    // The way storage is not zeroed, so a model built where a dead
+    // one lay (the allocator reuses the block) starts on its lines:
+    // contains() must still see none of them.
+    for (int round = 0; round < 2; ++round) {
+        CacheModel dead(64, 8, 64);
+        for (Addr line = 0; line < 64 * 8; ++line)
+            dead.access(line * 64);
+    }
+    {
+        CacheModel reborn(64, 8, 64);
+        for (Addr line = 0; line < 64 * 8; ++line)
+            ASSERT_FALSE(reborn.contains(line * 64)) << line;
+    }
+
+    Rng rng(7);
+    // 24 lines per set: enough to evict from a 16-way set.
+    auto addr = [&] {
+        return static_cast<Addr>(rng.nextBelow(sets * 24)) * 64 +
+            rng.nextBelow(64);
+    };
+    CacheModel model(sets, ways, 64);
+    Reference ref;
+    Addr last = 0;
+    for (int cycle = 0; cycle < 30; ++cycle) {
+        // Sets not touched since the flush hold no line, whatever
+        // their ways held before.
+        for (int i = 0; i < 200; ++i) {
+            const Addr a = addr();
+            ASSERT_FALSE(model.contains(a)) << "cycle " << cycle;
+            ASSERT_FALSE(ref.contains(a));
+        }
+        for (int i = 0; i < 20000; ++i) {
+            // Repeats exercise accessHot's memo.
+            const Addr a = rng.nextBool(0.2) ? last : addr();
+            last = a;
+            const bool want = ref.access(a);
+            const bool got =
+                rng.nextBool(0.5) ? model.access(a) : model.accessHot(a);
+            ASSERT_EQ(got, want) << "cycle " << cycle << " access " << i;
+            const Addr probe = addr();
+            ASSERT_EQ(model.contains(probe), ref.contains(probe))
+                << "cycle " << cycle << " probe " << i;
+        }
+        model.flush();
+        ref.flush();
+    }
 }
 
 TEST(Cache, TlbGeometryWorks)

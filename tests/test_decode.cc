@@ -17,6 +17,7 @@
 #include <functional>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -515,7 +516,10 @@ TEST(TraceTierCore, NopLoopsUnderTimerTicksIdentical)
     // interrupt horizon decides between one step per run and one per
     // Nop (fast-forward off). With fast-forward on, loop folding sees
     // iterations retired a run at a time. The one-line loop (33
-    // bytes from offset 5) streams from the Core 2 loop buffer.
+    // bytes from offset 5) streams from the Core 2 loop buffer. In
+    // the long record, ticks land at positions throughout one Nop
+    // record: the interrupt saves the position and iret resumes the
+    // record there.
     for (const auto proc :
          {cpu::Processor::PentiumD, cpu::Processor::Core2Duo,
           cpu::Processor::AthlonX2})
@@ -524,16 +528,66 @@ TEST(TraceTierCore, NopLoopsUnderTimerTicksIdentical)
             cfg.timerPeriodOverride = 10007;
             const std::string name = std::string(
                 cpu::processorCode(proc)) + " ff=" + std::to_string(ff);
-            for (const auto &[program, what] :
-                 {std::pair{nopLoop(2000, {2, 37, 300, 5}), " long body"},
-                  std::pair{nopLoop(50000, {20}), " one-line body"}}) {
+            // The analytic user count: mov, halt, and per iteration
+            // the Nops, one add per run and add/cmp/jne.
+            for (const auto &[runs, iters, what] :
+                 {std::tuple{std::vector<int>{2, 37, 300, 5}, 2000,
+                             " long body"},
+                  std::tuple{std::vector<int>{20}, 50000,
+                             " one-line body"},
+                  std::tuple{std::vector<int>{4999}, 200,
+                             " long record"}}) {
+                const ProgramFn program =
+                    nopLoop(static_cast<Count>(iters), runs);
+                Count body = 3;
+                for (const int len : runs)
+                    body += static_cast<Count>(len) + 1;
                 Machine m(cfg);
                 program(m);
                 m.finalize();
-                EXPECT_GE(m.run().interrupts, 20u) << name << what;
+                const cpu::RunResult r = m.run();
+                EXPECT_GE(r.interrupts, 20u) << name << what;
+                EXPECT_EQ(r.userInstr,
+                          2 + static_cast<Count>(iters) * body)
+                    << name << what;
                 expectTiersIdentical(cfg, program, name + what);
             }
         }
+}
+
+TEST(TraceTierCore, NopRecordDeadlineIdentical)
+{
+    // A Halt-less loop around a 100,000-Nop record under a watchdog
+    // budget of three dispatch chunks (65536 instructions each) less
+    // one. Chunk boundaries fall inside the record, so a block-engine
+    // dispatch ends mid-record and the next resumes there; a chunk
+    // counted in records would overshoot the budget. Both engines
+    // trip the watchdog with the same retired count.
+    std::string first;
+    for (const bool decode : {false, true}) {
+        MachineConfig cfg = identityConfig(cpu::Processor::Core2Duo,
+                                           true, false);
+        cfg.decodeCache = decode;
+        cfg.runInstrBudget = 3 * 65536 - 1;
+        Machine m(cfg);
+        isa::Assembler a("main");
+        int loop = a.label();
+        a.nop(100000).jmp(loop);
+        m.addUserBlock(a.take());
+        m.finalize();
+        const auto r = m.tryRun();
+        ASSERT_FALSE(r.ok());
+        EXPECT_EQ(r.status().code(), StatusCode::DeadlineExceeded);
+        const Count retired =
+            m.core().rawEvents(cpu::EventType::InstrRetired, Mode::User);
+        EXPECT_EQ(retired, 3u * 65536u) << "decode=" << decode;
+        const std::string got = r.status().toString() + " " +
+            std::to_string(retired) + " " +
+            std::to_string(m.core().cycles());
+        if (first.empty())
+            first = got;
+        EXPECT_EQ(got, first) << "decode=" << decode;
+    }
 }
 
 TEST(DecodedBlock, NopRunEndsStopAtOtherInstructions)
@@ -544,13 +598,19 @@ TEST(DecodedBlock, NopRunEndsStopAtOtherInstructions)
     p.add(a.take());
     p.link2(/*user_base=*/0x1000, /*kernel_base=*/0x100000);
     const isa::CodeBlock &blk = p.block(0);
-    ASSERT_EQ(blk.size(), 8u);
-    // nop nop nop | add | nop nop nop | halt
-    // Successive nop() calls extend one run.
-    const int want[] = {3, 3, 3, -1, 7, 7, 7, -1};
-    for (std::size_t i = 0; i < blk.size(); ++i)
-        if (blk.inst(i).op == isa::Opcode::Nop)
-            EXPECT_EQ(blk.inst(i).nopRunEnd(), want[i]) << i;
+    // nop x3 | add | nop x3 | halt: successive nop() calls extend one
+    // record, and any other instruction ends it.
+    ASSERT_EQ(blk.size(), 4u);
+    EXPECT_EQ(blk.bytes(), 10u);
+    const isa::Opcode ops[] = {isa::Opcode::Nop, isa::Opcode::AddImm,
+                               isa::Opcode::Nop, isa::Opcode::Halt};
+    const int sizes[] = {3, 3, 3, 1};
+    const Addr addrs[] = {0x1000, 0x1003, 0x1006, 0x1009};
+    for (std::size_t i = 0; i < blk.size(); ++i) {
+        EXPECT_EQ(blk.inst(i).op, ops[i]) << i;
+        EXPECT_EQ(blk.inst(i).size, sizes[i]) << i;
+        EXPECT_EQ(blk.inst(i).addr, addrs[i]) << i;
+    }
 }
 
 TEST(DecodedBlock, NopRunCounterCountsFoldedNops)
@@ -574,6 +634,86 @@ TEST(DecodedBlock, NopRunCounterCountsFoldedNops)
             << "decode=" << decode;
         obs::spcReset();
     }
+}
+
+TEST(DecodedBlock, UserInstrCountersSplitByPath)
+{
+    // Every user instruction is retired by exactly one path: the
+    // block engine, the per-step interpreter (including the escapes
+    // the engine hands it) or loop folding. The program has a
+    // foldable loop, a call loop that escapes, Nop records and
+    // timer ticks.
+    const ProgramFn program = [](Machine &m) {
+        addLeaf(m);
+        isa::Assembler a("main");
+        a.movImm(isa::Reg::Esi, 0);
+        int warm = a.label();
+        a.addImm(isa::Reg::Esi, 1).cmpImm(isa::Reg::Esi, 5000).jne(warm);
+        a.movImm(isa::Reg::Esi, 0);
+        int loop = a.label();
+        a.call("leaf").work(40).addImm(isa::Reg::Esi, 1)
+            .cmpImm(isa::Reg::Esi, 8000).jne(loop);
+        a.work(500).halt();
+        m.addUserBlock(a.take());
+    };
+    auto split = [](const char *what) {
+        return "block " +
+            std::to_string(obs::spcValue(obs::Spc::UserInstrsBlock)) +
+            " step " +
+            std::to_string(obs::spcValue(obs::Spc::UserInstrsStep)) +
+            " folded " +
+            std::to_string(obs::spcValue(obs::Spc::UserInstrsFolded)) +
+            " " + what;
+    };
+    for (const bool decode : {false, true})
+        for (const bool ff : {false, true}) {
+            obs::spcReset();
+            obs::spcAttach("all");
+            MachineConfig cfg =
+                identityConfig(cpu::Processor::PentiumD, ff);
+            cfg.timerPeriodOverride = 5003;
+            cfg.decodeCache = decode;
+            Machine m(cfg);
+            program(m);
+            m.finalize();
+            const cpu::RunResult r = m.run();
+            const std::string what = "decode=" + std::to_string(decode) +
+                " ff=" + std::to_string(ff);
+            EXPECT_GE(r.interrupts, 20u) << what;
+            EXPECT_EQ(obs::spcValue(obs::Spc::UserInstrsBlock) +
+                          obs::spcValue(obs::Spc::UserInstrsStep) +
+                          obs::spcValue(obs::Spc::UserInstrsFolded),
+                      r.userInstr)
+                << split(what.c_str());
+            EXPECT_EQ(obs::spcValue(obs::Spc::UserInstrsBlock) == 0,
+                      !decode)
+                << split(what.c_str());
+            EXPECT_EQ(obs::spcValue(obs::Spc::UserInstrsFolded) == 0, !ff)
+                << split(what.c_str());
+            EXPECT_EQ(obs::spcValue(obs::Spc::RunsForcedStepProfiler) +
+                          obs::spcValue(obs::Spc::RunsForcedStepSampling),
+                      0u)
+                << what;
+        }
+
+    // An attached profiler keeps the whole run on the per-step path,
+    // and says so once.
+    obs::spcReset();
+    obs::spcAttach("all");
+    MachineConfig cfg = identityConfig(cpu::Processor::PentiumD, true);
+    cfg.timerPeriodOverride = 5003;
+    cfg.profile.enabled = true;
+    Machine m(cfg);
+    program(m);
+    m.finalize();
+    const cpu::RunResult r = m.run();
+    EXPECT_EQ(obs::spcValue(obs::Spc::UserInstrsStep), r.userInstr)
+        << split("profiled");
+    EXPECT_EQ(obs::spcValue(obs::Spc::UserInstrsBlock), 0u);
+    EXPECT_EQ(obs::spcValue(obs::Spc::UserInstrsFolded), 0u);
+    EXPECT_EQ(obs::spcValue(obs::Spc::RunsForcedStepProfiler), 1u);
+    EXPECT_EQ(obs::spcValue(obs::Spc::RunsForcedStepSampling), 0u);
+    obs::spcReset();
 }
 
 // ---------------------------------------------------------------- //

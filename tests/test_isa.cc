@@ -58,17 +58,24 @@ TEST(Assembler, EmitsPaperLoop)
 
 TEST(Assembler, LabelResolvesToInstructionIndex)
 {
+    // A label bound between two nop() calls splits them into two
+    // records, so it binds to the start of one: nop x2 | nop x1 | jne.
     Assembler a("blk");
     a.nop(2);
     int l = a.label();
     a.nop(1).jne(l);
     CodeBlock b = a.take();
     b.layout(0x1000);
-    EXPECT_EQ(b.inst(3).targetIndex, 2);
+    ASSERT_EQ(b.size(), 3u);
+    EXPECT_EQ(b.inst(0).size, 2);
+    EXPECT_EQ(b.inst(1).size, 1);
+    EXPECT_EQ(b.inst(2).targetIndex, 1);
+    EXPECT_EQ(b.inst(2).targetAddr, 0x1002u);
 }
 
 TEST(Assembler, ForwardLabelBindsLater)
 {
+    // jmp | nop x5 | nop x1: the label splits the Nops.
     Assembler a("fwd");
     int skip = a.forwardLabel();
     a.jmp(skip);
@@ -77,7 +84,9 @@ TEST(Assembler, ForwardLabelBindsLater)
     a.nop(1);
     CodeBlock b = a.take();
     b.layout(0);
-    EXPECT_EQ(b.inst(0).targetIndex, 6);
+    ASSERT_EQ(b.size(), 3u);
+    EXPECT_EQ(b.inst(0).targetIndex, 2);
+    EXPECT_EQ(b.inst(0).targetAddr, 7u);
 }
 
 TEST(Assembler, UnboundLabelPanicsAtLayout)
@@ -91,12 +100,16 @@ TEST(Assembler, UnboundLabelPanicsAtLayout)
 
 TEST(Assembler, WorkEmitsNops)
 {
+    // work(7) is one record standing for seven 1-byte Nops.
     Assembler a("w");
     a.work(7);
     CodeBlock b = a.take();
-    EXPECT_EQ(b.size(), 7u);
-    for (std::size_t i = 0; i < b.size(); ++i)
-        EXPECT_EQ(b.inst(i).op, Opcode::Nop);
+    b.layout(0x2000);
+    ASSERT_EQ(b.size(), 1u);
+    EXPECT_EQ(b.inst(0).op, Opcode::Nop);
+    EXPECT_EQ(b.inst(0).size, 7);
+    EXPECT_EQ(b.bytes(), 7u);
+    EXPECT_NE(b.disassemble().find("nop x7"), std::string::npos);
 }
 
 /** A CpuContext for callbacks that ignore it. */

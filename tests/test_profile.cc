@@ -415,6 +415,60 @@ TEST(ProfiledMachine, RebootIsDeterministicAndResetsProfile)
     EXPECT_EQ(m->profiler()->ticks(), ticks1);
 }
 
+TEST(ProfiledMachine, EveryNopOfARecordRetiresAtItsOwnAddress)
+{
+    // work(100) is one record; its Nops retire at addr .. addr + 99,
+    // one each, not all at the record's address.
+    MachineConfig mc;
+    mc.profile.enabled = true;
+    Machine m(mc);
+    isa::Assembler a("main");
+    a.work(100).halt();
+    const int block = m.addUserBlock(a.take());
+    m.finalize();
+    const Addr addr = m.program().block(block).inst(0).addr;
+    const cpu::RunResult r = m.run();
+    EXPECT_EQ(r.userInstr, 101u);
+    const auto hist = m.profiler()->trueHist();
+    for (Addr i = 0; i < 100; ++i) {
+        const auto it = hist.find(addr + i);
+        ASSERT_NE(it, hist.end()) << i;
+        EXPECT_EQ(it->second, 1u) << i;
+    }
+    EXPECT_EQ(hist.size(), 101u); // the Nops and the halt
+}
+
+TEST(ProfiledMachine, TicksLandInsideNopRecords)
+{
+    // A loop around one 4999-Nop record under a 10007-cycle timer:
+    // ticks interrupt the record at many positions, and each sample
+    // names the Nop it interrupted.
+    MachineConfig mc;
+    mc.processor = cpu::Processor::Core2Duo;
+    mc.ioInterrupts = false;
+    mc.preemptProb = 0.0;
+    mc.timerPeriodOverride = 10007;
+    mc.profile.enabled = true;
+    Machine m(mc);
+    isa::Assembler a("main");
+    a.movImm(isa::Reg::Esi, 0);
+    int loop = a.label();
+    a.nop(4999).addImm(isa::Reg::Esi, 1).cmpImm(isa::Reg::Esi, 200)
+        .jne(loop)
+        .halt();
+    const int block = m.addUserBlock(a.take());
+    m.finalize();
+    const Addr start = m.program().block(block).inst(1).addr;
+    m.run();
+    const obs::Profiler &p = *m.profiler();
+    EXPECT_EQ(p.sampleHist(), p.tickHist());
+    std::size_t inside = 0;
+    for (const auto &[pc, n] : p.tickHist())
+        if (pc > start && pc < start + 4999)
+            ++inside;
+    EXPECT_GE(inside, 20u);
+}
+
 // ---------------------------------------------------------------- //
 // Snapshot seqlock
 // ---------------------------------------------------------------- //

@@ -11,6 +11,7 @@
 
 #include "harness/machine.hh"
 #include "isa/assembler.hh"
+#include "obs/spc.hh"
 #include "perfmon/libpfm.hh"
 
 namespace pca::perfmon
@@ -156,8 +157,21 @@ TEST(Sampling, DisarmedByPeriodZeroGuard)
 
 TEST(Sampling, FastForwardDisabledWhileSampling)
 {
+    // Arming sampling mid-run pushes the rest of the run onto the
+    // per-step path; the SPCs count that run once and still account
+    // for every user instruction.
+    obs::spcReset();
+    obs::spcAttach("all");
     const auto r = runSampledLoop(500000, 10000);
     EXPECT_EQ(r.run.fastForwardedIters, 0u);
+    EXPECT_EQ(obs::spcValue(obs::Spc::RunsForcedStepSampling), 1u);
+    EXPECT_EQ(obs::spcValue(obs::Spc::RunsForcedStepProfiler), 0u);
+    EXPECT_EQ(obs::spcValue(obs::Spc::UserInstrsFolded), 0u);
+    EXPECT_GE(obs::spcValue(obs::Spc::UserInstrsStep), 1500000u);
+    EXPECT_EQ(obs::spcValue(obs::Spc::UserInstrsBlock) +
+                  obs::spcValue(obs::Spc::UserInstrsStep),
+              r.run.userInstr);
+    obs::spcReset();
 }
 
 TEST(Sampling, PmuOverflowMechanism)
