@@ -6,10 +6,23 @@
  *
  * `perf_simulator --studies [output.json]` times the study engine
  * end to end on the Figure 1 workload — the legacy serial path
- * (fresh machine + re-assembly per run) against the parallel engine,
- * which builds one session per point and reboots it for the point's
- * other runs — and writes points/sec, speedup, and the session reuse
- * rate (program_cache_hits over all runs) to BENCH_studies.json.
+ * (fresh machine + re-assembly + execution per run) against the
+ * parallel engine, which builds one session per point, reboots it
+ * for the point's other runs and answers most of them from the
+ * point's reference run — and writes points/sec, speedup, the
+ * session reuse rate (program_cache_hits over all runs) and the
+ * engine's runs_reused and runs_executed to BENCH_studies.json. The
+ * two paths' tables must be identical, so every reused run is
+ * checked against a fresh simulation.
+ *
+ * `perf_simulator --e2e [output.json] [bench_dir ...]` times every
+ * exhibit binary of each bench_dir (default: this binary's own) at
+ * 1 and at hardware-thread-count PCA_THREADS, each run in a fresh
+ * temporary directory, over three reps interleaved across exhibits,
+ * thread counts and dirs. It writes one row per dir — the build's
+ * commit, build type and compiler, read from its CMake cache — with
+ * the median, min and max seconds per exhibit and thread count, to
+ * BENCH_e2e.json.
  *
  * `perf_simulator --interp [output.json]` times the interpreter on
  * the fig07/fig09 loop-sweep workload with the legacy per-step
@@ -45,17 +58,24 @@
  * violated invariant makes the exit status nonzero.
  */
 
+#include <fcntl.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <map>
 #include <memory>
 #include <thread>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/factor_space.hh"
 #include "core/study.hh"
@@ -74,6 +94,7 @@ namespace
 {
 
 using namespace pca;
+namespace fs = std::filesystem;
 using harness::AccessPattern;
 using harness::CountingMode;
 using harness::HarnessConfig;
@@ -562,7 +583,8 @@ runStudiesMode(const std::string &out_path)
 
     obs::spcReset();
     obs::spcAttach("program_cache_hits,program_cache_misses,"
-                   "machine_reboots,faults_injected,session_retries");
+                   "machine_reboots,faults_injected,session_retries,"
+                   "runs_reused,runs_executed");
     const int threads = defaultThreadCount();
     const auto t1 = std::chrono::steady_clock::now();
     const auto engine = core::runNullErrorStudy(
@@ -576,6 +598,8 @@ runStudiesMode(const std::string &out_path)
         obs::spcValue(obs::Spc::FaultsInjected);
     const Count sessionRetries =
         obs::spcValue(obs::Spc::SessionRetries);
+    const Count runsReused = obs::spcValue(obs::Spc::RunsReused);
+    const Count runsExecuted = obs::spcValue(obs::Spc::RunsExecuted);
     obs::spcReset();
 
     std::cout << "engine (" << threads << " thread"
@@ -597,7 +621,9 @@ runStudiesMode(const std::string &out_path)
         (hits + misses) > 0 ? hits / (hits + misses) : 0.0;
     std::cout << "speedup: " << fmtDouble(speedup, 2)
               << "x, session reuse rate: "
-              << fmtDouble(100.0 * hitRate, 1) << "%\n";
+              << fmtDouble(100.0 * hitRate, 1) << "%, runs reused: "
+              << runsReused << " of " << static_cast<Count>(hits)
+              << " later runs\n";
 
     std::ofstream os(out_path);
     if (!os) {
@@ -628,6 +654,8 @@ runStudiesMode(const std::string &out_path)
        << kernel::FaultPlan::fromEnv().seed << ",\n"
        << "  \"faults_injected\": " << faultsInjected << ",\n"
        << "  \"session_retries\": " << sessionRetries << ",\n"
+       << "  \"runs_reused\": " << runsReused << ",\n"
+       << "  \"runs_executed\": " << runsExecuted << ",\n"
        << "  \"outputs_identical\": true\n"
        << "}\n";
     std::cout << "wrote " << out_path << "\n";
@@ -1114,6 +1142,212 @@ runWatchMode(const std::string &path, long max_polls)
     return 0;
 }
 
+// ---------------------------------------------------------------- //
+// --e2e: per-exhibit wall-time ledger
+// ---------------------------------------------------------------- //
+
+/** The exhibits that regenerate the paper's figures and tables. */
+const char *const e2eExhibits[] = {
+    "ext_profiler_bias", "ext_sampling", "fig01_error_overview",
+    "dump_datasets", "fig06_tab03_infrastructure", "sec43_anova",
+    "ext_multiplexing", "ext_perf_event", "fig04_tsc_effect",
+    "fig05_num_counters", "fig07_uk_slopes", "fig08_user_slopes",
+    "fig09_kernel_by_loopsize", "fig10_cycles_scatter",
+    "fig11_bimodal_cycles", "fig12_pattern_opt", "relwork_korn",
+    "relwork_moore", "relwork_perfex", "sec8_guidelines",
+    "tab01_processors",
+};
+constexpr int e2eReps = 3;
+
+/** First line of @p cmd's stdout, or "unknown". */
+std::string
+commandLine(const std::string &cmd)
+{
+    std::string out;
+    if (FILE *p = popen((cmd + " 2>/dev/null").c_str(), "r")) {
+        char buf[256];
+        if (std::fgets(buf, sizeof buf, p))
+            out = buf;
+        pclose(p);
+    }
+    while (!out.empty() && (out.back() == '\n' || out.back() == '\r'))
+        out.pop_back();
+    return out.empty() ? "unknown" : out;
+}
+
+/** One timed build tree: its exhibits and where they came from. */
+struct E2eTree
+{
+    fs::path dir;
+    std::string commit, buildType, compiler;
+    /** seconds[exhibit][thread setting][rep] */
+    std::vector<std::vector<std::vector<double>>> seconds;
+};
+
+/** Stamp @p t from the CMake cache of the build that holds it. */
+void
+stampTree(E2eTree &t)
+{
+    std::map<std::string, std::string> cache;
+    std::ifstream is(t.dir.parent_path() / "CMakeCache.txt");
+    for (std::string line; std::getline(is, line);) {
+        const auto colon = line.find(':');
+        const auto eq = line.find('=');
+        if (colon != std::string::npos && eq != std::string::npos &&
+            colon < eq)
+            cache[line.substr(0, colon)] = line.substr(eq + 1);
+    }
+    t.buildType = t.compiler = t.commit = "unknown";
+    if (cache.empty())
+        return;
+    const std::string &type = cache["CMAKE_BUILD_TYPE"];
+    t.buildType = type.empty() ? "default (RelWithDebInfo)" : type;
+    if (!cache["CMAKE_CXX_COMPILER"].empty())
+        t.compiler =
+            commandLine("'" + cache["CMAKE_CXX_COMPILER"] + "' --version");
+    if (!cache["CMAKE_HOME_DIRECTORY"].empty())
+        t.commit = commandLine("git -C '" + cache["CMAKE_HOME_DIRECTORY"] +
+                               "' describe --always --dirty");
+}
+
+/**
+ * Run @p exe with PCA_THREADS=@p threads in a fresh temporary
+ * directory, output discarded; returns its wall seconds, or a
+ * negative value when it did not exit 0.
+ */
+double
+timeExhibit(const fs::path &exe, int threads)
+{
+    std::string tmpl =
+        (fs::temp_directory_path() / "pca_e2e_XXXXXX").string();
+    if (!mkdtemp(tmpl.data()))
+        return -1;
+    const std::string nthreads = std::to_string(threads);
+    const auto t0 = std::chrono::steady_clock::now();
+    const pid_t pid = fork();
+    if (pid == 0) {
+        const int null = open("/dev/null", O_WRONLY);
+        if (chdir(tmpl.c_str()) != 0 || null < 0)
+            _exit(127);
+        dup2(null, 1);
+        dup2(null, 2);
+        setenv("PCA_THREADS", nthreads.c_str(), 1);
+        execl(exe.c_str(), exe.c_str(), static_cast<char *>(nullptr));
+        _exit(127);
+    }
+    int status = -1;
+    if (pid > 0)
+        waitpid(pid, &status, 0);
+    const double sec = secondsSince(t0);
+    std::error_code ec;
+    fs::remove_all(tmpl, ec);
+    return pid > 0 && WIFEXITED(status) && WEXITSTATUS(status) == 0
+        ? sec
+        : -1;
+}
+
+/** Median, min and max of @p v as one JSON object. */
+std::string
+spreadJson(std::vector<double> v)
+{
+    std::sort(v.begin(), v.end());
+    return "{\"median_s\": " + fmtDouble(v[v.size() / 2], 4) +
+        ", \"min_s\": " + fmtDouble(v.front(), 4) +
+        ", \"max_s\": " + fmtDouble(v.back(), 4) + "}";
+}
+
+int
+runE2eMode(const std::string &out_path, std::vector<fs::path> dirs)
+{
+    if (dirs.empty())
+        dirs.push_back(fs::canonical("/proc/self/exe").parent_path());
+    std::vector<int> threads = {1};
+    if (hardwareThreads() > 1)
+        threads.push_back(hardwareThreads());
+    constexpr std::size_t numExhibits = std::size(e2eExhibits);
+
+    std::vector<E2eTree> trees;
+    for (const fs::path &d : dirs) {
+        E2eTree t;
+        t.dir = fs::absolute(d);
+        stampTree(t);
+        t.seconds.assign(numExhibits,
+                         std::vector<std::vector<double>>(threads.size()));
+        trees.push_back(std::move(t));
+        std::cout << "tree " << trees.back().dir.string() << ": "
+                  << trees.back().commit << ", "
+                  << trees.back().buildType << "\n";
+    }
+
+    // Interleave everything: each rep visits every exhibit at every
+    // thread count in every tree, alternating the tree order, so
+    // host drift spreads over all cells alike.
+    for (int rep = 0; rep < e2eReps; ++rep)
+        for (std::size_t e = 0; e < numExhibits; ++e)
+            for (std::size_t ti = 0; ti < threads.size(); ++ti)
+                for (std::size_t k = 0; k < trees.size(); ++k) {
+                    E2eTree &t =
+                        trees[(rep + e + ti) % 2 == 0
+                                  ? k
+                                  : trees.size() - 1 - k];
+                    const double sec = timeExhibit(
+                        t.dir / e2eExhibits[e], threads[ti]);
+                    if (sec < 0) {
+                        std::cerr << "FATAL: " << e2eExhibits[e]
+                                  << " in " << t.dir.string()
+                                  << " failed\n";
+                        return 1;
+                    }
+                    t.seconds[e][ti].push_back(sec);
+                }
+
+    std::ofstream os(out_path);
+    if (!os) {
+        std::cerr << "cannot write " << out_path << "\n";
+        return 1;
+    }
+    os << "{\n"
+       << "  \"hardware_threads\": " << hardwareThreads() << ",\n"
+       << "  \"reps\": " << e2eReps << ",\n"
+       << "  \"rows\": [\n";
+    for (std::size_t k = 0; k < trees.size(); ++k) {
+        const E2eTree &t = trees[k];
+        os << "    {\n"
+           << "      \"commit\": \"" << t.commit << "\",\n"
+           << "      \"build_type\": \"" << t.buildType << "\",\n"
+           << "      \"compiler\": \"" << t.compiler << "\",\n";
+        std::vector<std::vector<double>> totals(threads.size());
+        for (std::size_t ti = 0; ti < threads.size(); ++ti)
+            for (int rep = 0; rep < e2eReps; ++rep) {
+                double sum = 0;
+                for (std::size_t e = 0; e < numExhibits; ++e)
+                    sum += t.seconds[e][ti]
+                                    [static_cast<std::size_t>(rep)];
+                totals[ti].push_back(sum);
+            }
+        for (std::size_t ti = 0; ti < threads.size(); ++ti)
+            os << "      \"all_t" << threads[ti]
+               << "\": " << spreadJson(totals[ti]) << ",\n";
+        os << "      \"exhibits\": {\n";
+        for (std::size_t e = 0; e < numExhibits; ++e) {
+            os << "        \"" << e2eExhibits[e] << "\": {";
+            for (std::size_t ti = 0; ti < threads.size(); ++ti)
+                os << (ti ? ", " : "") << "\"t" << threads[ti]
+                   << "\": " << spreadJson(t.seconds[e][ti]);
+            os << "}" << (e + 1 < numExhibits ? "," : "") << "\n";
+        }
+        os << "      }\n"
+           << "    }" << (k + 1 < trees.size() ? "," : "") << "\n";
+        for (std::size_t ti = 0; ti < threads.size(); ++ti)
+            std::cout << t.commit << ", all exhibits at "
+                      << threads[ti] << " thread(s): "
+                      << spreadJson(totals[ti]) << "\n";
+    }
+    os << "  ]\n}\n";
+    std::cout << "wrote " << out_path << "\n";
+    return 0;
+}
+
 } // namespace
 
 int
@@ -1144,6 +1378,14 @@ main(int argc, char **argv)
                 : "BENCH_resilience.json";
             return runSoakMode(out);
         }
+        if (std::strcmp(argv[i], "--e2e") == 0) {
+            const std::string out = i + 1 < argc
+                ? argv[i + 1]
+                : "BENCH_e2e.json";
+            return runE2eMode(out, std::vector<fs::path>(
+                                       argv + std::min(i + 2, argc),
+                                       argv + argc));
+        }
         if (std::strcmp(argv[i], "--counters") == 0) {
             const std::string snap = i + 1 < argc
                 ? argv[i + 1]
@@ -1165,6 +1407,9 @@ main(int argc, char **argv)
     }
     std::cerr << "usage: " << argv[0]
               << " --studies|--interp|--chaos|--soak [output.json]\n"
+                 "       "
+              << argv[0]
+              << " --e2e [output.json] [bench_dir ...]\n"
                  "       "
               << argv[0]
               << " --counters [file] | --watch <file> [polls]\n";

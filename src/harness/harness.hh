@@ -153,7 +153,8 @@ struct Measurement
  * HarnessSession (harness/session.hh); measureMany() is one
  * measurePoint() call, whose runs share one session, which changes
  * nothing in the results (see the session equivalence contract) but
- * skips redundant re-assembly.
+ * skips redundant re-assembly, and re-execution of runs no interrupt
+ * reaches.
  */
 class MeasurementHarness
 {

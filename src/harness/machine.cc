@@ -143,6 +143,16 @@ Machine::reboot(std::uint64_t seed)
         coreImpl->setInterruptClient(nullptr);
 }
 
+Cycles
+Machine::seedHorizon() const
+{
+    if (injector || prof)
+        return 0;
+    if (!cfg.interruptsEnabled)
+        return ~Cycles{0};
+    return kernelImpl->interrupts().nextInterruptCycle();
+}
+
 cpu::RunResult
 Machine::run(const std::string &entry)
 {

@@ -160,15 +160,31 @@ class Machine
     /**
      * Re-boot the machine for another run without re-assembling or
      * re-linking: core, kernel, and module state return to the
-     * power-on defaults, and the stochastic elements (interrupt
-     * phases, scheduling) are re-seeded from @p seed. After
-     * reboot(s), run() produces results identical to those of a
-     * freshly constructed Machine with seed s running the same
-     * program — the equivalence HarnessSession's run reuse is built
-     * on, asserted by tests/test_parallel.cc. Only valid once
-     * finalized.
+     * power-on defaults, and every seed input (see seedHorizon) is
+     * re-seeded from @p seed. After reboot(s), run() produces
+     * results identical to those of a freshly constructed Machine
+     * with seed s running the same program — the equivalence
+     * HarnessSession's session reuse is built on, asserted by
+     * tests/test_parallel.cc. Only valid once finalized.
      */
     void reboot(std::uint64_t seed);
+
+    /**
+     * The first cycle at which the current boot's seed can reach a
+     * run. The seed has exactly four inputs:
+     *  - the interrupt controller's schedule (timer phase, I/O
+     *    arrivals);
+     *  - the kernel's scheduler RNG, drawn only in the timer handler;
+     *  - the fault injector;
+     *  - the profiler, whose samples ride the timer ticks.
+     * The core polls interrupts only in user mode, at cycles no later
+     * than the run's end. So this is 0 with a fault injector or a
+     * profiler attached, the kernel's next interrupt cycle with
+     * interrupts on, and never (the maximum) otherwise. A run that
+     * ends before it takes no interrupt and is the same run for every
+     * seed: HarnessSession's result reuse (DESIGN §6.6).
+     */
+    Cycles seedHorizon() const;
 
   private:
     MachineConfig cfg;

@@ -10,10 +10,13 @@
  * links once, then replays runs by rebooting the machine
  * (Machine::reboot: exact power-on state, re-seeded stochastics), so
  * every run after the first skips harness assembly and linking (the
- * kernel code is emitted once per process: Kernel::boot). A session
- * run is result-identical to a fresh MeasurementHarness::measure()
- * with the same seed (asserted by tests/test_parallel.cc), so reuse
- * is invisible in study output.
+ * kernel code is emitted once per process: Kernel::boot). Most runs
+ * skip execution too: a run no interrupt reaches is the same run for
+ * every seed, so the session answers it from its first such run
+ * (result reuse, see HarnessSession). A session run is
+ * result-identical to a fresh MeasurementHarness::measure() with the
+ * same seed (asserted by tests/test_parallel.cc), so both kinds of
+ * reuse are invisible in study output.
  *
  * measurePoint() is the one per-point loop: it builds a session,
  * runs the point's seeds on it, and drops it — the paper's one
@@ -45,6 +48,16 @@ namespace pca::harness
  * the user program is the session's own. Sessions are pinned to one
  * address (the user program's host ops capture pointers into the
  * session), hence non-copyable and non-movable.
+ *
+ * Result reuse: the session keeps its first successful run that took
+ * no interrupt (PMIs included) as its reference. A later run whose
+ * freshly rebooted machine cannot reach the reference's cycles
+ * (Machine::seedHorizon: no fault injector, no profiler, and no
+ * interrupt due at or before the reference's last cycle) would
+ * follow the same interrupt-free trajectory, so it returns a copy of
+ * the reference instead of executing (runs_reused SPC). A later run
+ * that executes although no injector or profiler forbids reuse counts
+ * in runs_reuse_blocked_irq. The reference never leaves the session.
  */
 class HarnessSession
 {
@@ -94,6 +107,8 @@ class HarnessSession
     CaptureSink s0, s1;
     Count expected = 0;
     Cycles backoff = 0;
+    bool attempted = false; //!< a run was attempted already
+    std::optional<Measurement> reference;
 };
 
 /**

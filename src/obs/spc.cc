@@ -69,6 +69,8 @@ spcName(Spc c)
         return "runs_forced_step_profiler";
       case Spc::RunsForcedStepSampling:
         return "runs_forced_step_sampling";
+      case Spc::RunsReused: return "runs_reused";
+      case Spc::RunsReuseBlockedIrq: return "runs_reuse_blocked_irq";
       case Spc::NumSpcs: break;
     }
     return "?";

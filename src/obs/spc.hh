@@ -27,7 +27,7 @@ namespace pca::obs
 enum class Spc : std::uint8_t
 {
     MachineBoots,       //!< simulated machines constructed
-    RunsExecuted,       //!< Machine::run invocations
+    RunsExecuted,       //!< Machine::run invocations (simulated runs)
     InterruptsTimer,    //!< timer interrupts delivered to a core
     InterruptsIo,       //!< I/O interrupts delivered to a core
     InterruptsPmi,      //!< counter-overflow interrupts delivered
@@ -66,6 +66,8 @@ enum class Spc : std::uint8_t
     UserInstrsFolded,      //!< user instructions loop folding applied
     RunsForcedStepProfiler, //!< runs an attached profiler kept per-step
     RunsForcedStepSampling, //!< runs PMU sampling kept per-step
+    RunsReused,            //!< session runs answered from a reference
+    RunsReuseBlockedIrq,   //!< later session runs an interrupt could reach
     NumSpcs,
 };
 

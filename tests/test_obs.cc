@@ -17,6 +17,7 @@
 #include "core/study.hh"
 #include "harness/harness.hh"
 #include "harness/microbench.hh"
+#include "harness/session.hh"
 #include "obs/attribution.hh"
 #include "obs/spc.hh"
 #include "obs/trace.hh"
@@ -360,6 +361,31 @@ TEST_F(TracerTest, HarnessEmitsPhaseSpansWhenEnabled)
     EXPECT_NE(json.find("\"bench\""), std::string::npos);
     EXPECT_NE(json.find("\"read\""), std::string::npos);
     EXPECT_NE(json.find("\"run:main\""), std::string::npos);
+}
+
+/**
+ * A run answered from the session's reference executes nothing, but
+ * still records one instant event: the trace lists every run.
+ */
+TEST_F(TracerTest, ReusedRunRecordsOneInstantEvent)
+{
+    harness::HarnessConfig cfg;
+    cfg.interruptsEnabled = false;
+    harness::measurePoint(cfg, harness::NullBench(), 12,
+                          [](int r) { return 1 + r; });
+
+    std::ostringstream os;
+    tracer().writeChromeJson(os);
+    const std::string json = os.str();
+    const auto count = [&](const std::string &name) {
+        std::size_t n = 0;
+        for (std::size_t at = json.find(name); at != std::string::npos;
+             at = json.find(name, at + 1))
+            ++n;
+        return n;
+    };
+    EXPECT_EQ(count("\"run:main\""), 1u);
+    EXPECT_EQ(count("\"run-reused:main\""), 11u);
 }
 
 TEST(AttrClass, VectorMapping)

@@ -188,6 +188,7 @@ expectSameMeasurement(const Measurement &a, const Measurement &b)
     EXPECT_EQ(a.run.kernelInstr, b.run.kernelInstr);
     EXPECT_EQ(a.run.cycles, b.run.cycles);
     EXPECT_EQ(a.run.interrupts, b.run.interrupts);
+    EXPECT_EQ(a.run.fastForwardedIters, b.run.fastForwardedIters);
     EXPECT_EQ(a.attribution.patternOverhead,
               b.attribution.patternOverhead);
     EXPECT_EQ(a.attribution.timerInterrupts,
@@ -331,6 +332,168 @@ TEST(SessionEquivalence, RetryHistoryInvisibleAcrossSessionRuns)
     else
         EXPECT_EQ(viaDirty.status().toString(),
                   viaFresh.status().toString());
+}
+
+/**
+ * Result reuse on both sides of its decision: every session runs 8
+ * seeds, and each run must equal a fresh single-run harness (which
+ * never reuses) at the same seed — on every processor, supported
+ * (interface, pattern) and user / user+kernel mode, for the null
+ * benchmark and for a loop that covers about half a timer period,
+ * so that some of its seeds take a tick and others do not.
+ */
+TEST(SessionEquivalence, ReusedAndSimulatedRunsEqualFreshHarness)
+{
+    constexpr int seeds = 8;
+    obs::spcReset();
+    obs::spcAttach("runs_reused,runs_reuse_blocked_irq");
+    Count sessions = 0, mixed = 0;
+    // One session of @p bench at @p cfg, each run against a fresh
+    // harness; counts the sessions that reused some runs, not all.
+    const auto check = [&](HarnessConfig cfg, const MicroBenchmark &bench) {
+        const Count before = obs::spcValue(obs::Spc::RunsReused);
+        HarnessSession sess(cfg, bench);
+        for (int k = 0; k < seeds; ++k) {
+            cfg.seed = mixSeed(sessions, 0x5e55ULL + k);
+            expectSameMeasurement(sess.run(cfg.seed),
+                                  MeasurementHarness(cfg).measure(bench));
+        }
+        const Count reused = obs::spcValue(obs::Spc::RunsReused) - before;
+        mixed += reused > 0 && reused < seeds - 1;
+        ++sessions;
+    };
+    const NullBench null;
+    for (cpu::Processor proc : cpu::allProcessors()) {
+        // Size the loop from its interrupt-free cycles per iteration.
+        HarnessConfig quiet;
+        quiet.processor = proc;
+        quiet.interruptsEnabled = false;
+        constexpr Count probe = 100000;
+        const Cycles probeCycles =
+            MeasurementHarness(quiet).measure(LoopBench(probe)).run.cycles;
+        const LoopBench halfTick(cpu::microArch(proc).timerPeriodCycles() /
+                                 2 * probe / probeCycles);
+        for (Interface iface : allInterfaces()) {
+            for (AccessPattern pat : allPatterns()) {
+                if (!patternSupported(iface, pat))
+                    continue;
+                for (CountingMode mode :
+                     {CountingMode::User, CountingMode::UserKernel}) {
+                    SCOPED_TRACE(std::string(cpu::processorCode(proc)) +
+                                 "/" + interfaceCode(iface) + "/" +
+                                 patternName(pat) + "/" +
+                                 countingModeName(mode));
+                    HarnessConfig cfg;
+                    cfg.processor = proc;
+                    cfg.iface = iface;
+                    cfg.pattern = pat;
+                    cfg.mode = mode;
+                    check(cfg, null);
+                    check(cfg, halfTick);
+                }
+            }
+        }
+    }
+    // Not vacuous: runs were reused, runs were blocked by a tick,
+    // and some sessions interleaved the two. Every later run of an
+    // inert plan is one or the other.
+    const Count reused = obs::spcValue(obs::Spc::RunsReused);
+    const Count blocked = obs::spcValue(obs::Spc::RunsReuseBlockedIrq);
+    obs::spcReset();
+    EXPECT_GT(reused, 0u);
+    EXPECT_GT(blocked, 0u);
+    EXPECT_GT(mixed, 0u);
+    EXPECT_EQ(reused + blocked, sessions * (seeds - 1));
+}
+
+/**
+ * A fault plan reaches interrupt-free runs (here: torn counter
+ * reads), so its sessions must simulate every seed.
+ */
+TEST(SessionEquivalence, FaultPlanRunsEqualFreshHarness)
+{
+    const NullBench bench;
+    HarnessConfig cfg;
+    cfg.interruptsEnabled = false;
+    cfg.faults = kernel::FaultPlan::parse("seed=9,torn=0.3");
+    HarnessSession sess(cfg, bench);
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        cfg.seed = seed;
+        const auto viaSession = sess.tryRun(seed);
+        const auto fresh = MeasurementHarness(cfg).tryMeasure(bench);
+        ASSERT_EQ(viaSession.ok(), fresh.ok());
+        if (viaSession.ok())
+            expectSameMeasurement(*viaSession, *fresh);
+    }
+}
+
+// ---------------------------------------------------------------- //
+// Result reuse counters
+// ---------------------------------------------------------------- //
+
+namespace
+{
+
+struct ReuseCounts
+{
+    Count reused, blocked, executed;
+};
+
+/** The reuse SPCs of one 12-run point of @p bench at @p cfg. */
+ReuseCounts
+countReuse(const HarnessConfig &cfg, const MicroBenchmark &bench)
+{
+    obs::spcReset();
+    obs::spcAttach("runs_reused,runs_reuse_blocked_irq,runs_executed");
+    const auto runs = measurePoint(cfg, bench, 12, [](int r) {
+        return mixSeed(7, static_cast<std::uint64_t>(r));
+    });
+    for (const auto &m : runs)
+        EXPECT_TRUE(m.ok());
+    const ReuseCounts c{obs::spcValue(obs::Spc::RunsReused),
+                        obs::spcValue(obs::Spc::RunsReuseBlockedIrq),
+                        obs::spcValue(obs::Spc::RunsExecuted)};
+    obs::spcReset();
+    return c;
+}
+
+} // namespace
+
+TEST(ResultReuse, KnownAnswersForATwelveRunPoint)
+{
+    const NullBench null;
+    HarnessConfig quiet;
+    quiet.interruptsEnabled = false;
+    ReuseCounts c = countReuse(quiet, null);
+    EXPECT_EQ(c.reused, 11u);
+    EXPECT_EQ(c.blocked, 0u);
+    EXPECT_EQ(c.executed, 1u);
+
+    // A fault plan or a profiler draws on the seed: nothing is reused,
+    // and nothing counts as blocked by an interrupt.
+    HarnessConfig faulty = quiet;
+    faulty.faults = kernel::FaultPlan::parse("seed=1,width=48");
+    c = countReuse(faulty, null);
+    EXPECT_EQ(c.reused, 0u);
+    EXPECT_EQ(c.blocked, 0u);
+    EXPECT_EQ(c.executed, 12u);
+    HarnessConfig profiled = quiet;
+    profiled.profile.enabled = true;
+    c = countReuse(profiled, null);
+    EXPECT_EQ(c.reused, 0u);
+    EXPECT_EQ(c.blocked, 0u);
+    EXPECT_EQ(c.executed, 12u);
+
+    // A loop longer than one timer period takes a tick on every seed.
+    c = countReuse(HarnessConfig{}, LoopBench(5000000));
+    EXPECT_EQ(c.reused, 0u);
+    EXPECT_EQ(c.blocked, 11u);
+    EXPECT_EQ(c.executed, 12u);
+
+    // On an inert plan every later run is one or the other.
+    c = countReuse(HarnessConfig{}, null);
+    EXPECT_EQ(c.reused + c.blocked, 11u);
+    EXPECT_EQ(c.executed, 12u - c.reused);
 }
 
 // ---------------------------------------------------------------- //
