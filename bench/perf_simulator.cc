@@ -29,7 +29,7 @@
  * interpreter and the basic-block engine x fast-forward settings,
  * asserts the block engine is architecturally invisible, and writes
  * per-cell median/min/max seconds, instr/sec, points/sec, the block
- * engine's speedups, and the per-reason decoded-escape SPCs to
+ * engine's speedups, and the per-reason block-escape SPCs to
  * BENCH_interpreter.json.
  *
  * `perf_simulator --counters [file]` attaches every SPC, runs a
@@ -120,7 +120,7 @@ secondsSince(std::chrono::steady_clock::time_point t0)
 }
 
 // ---------------------------------------------------------------- //
-// --interp: decode-cache interpreter throughput
+// --interp: block-engine interpreter throughput
 // ---------------------------------------------------------------- //
 
 /**
@@ -319,10 +319,10 @@ escapeCounts(Count iters)
     m.run();
 
     EscapeCounts e;
-    e.callret = obs::spcValue(obs::Spc::DecodedEscapeCallret);
-    e.timeread = obs::spcValue(obs::Spc::DecodedEscapeTimeread);
-    e.syscall = obs::spcValue(obs::Spc::DecodedEscapeSyscall);
-    e.other = obs::spcValue(obs::Spc::DecodedEscapeOther);
+    e.callret = obs::spcValue(obs::Spc::BlockEscapeCallret);
+    e.timeread = obs::spcValue(obs::Spc::BlockEscapeTimeread);
+    e.syscall = obs::spcValue(obs::Spc::BlockEscapeSyscall);
+    e.other = obs::spcValue(obs::Spc::BlockEscapeOther);
     obs::spcReset();
     return e;
 }
@@ -445,7 +445,7 @@ runInterpMode(const std::string &out_path)
 
     // Per-reason escape counts: where the block engine hands over.
     const EscapeCounts esc = escapeCounts(escapeIters);
-    std::cout << "decoded escapes (call+rdtsc loop, " << escapeIters
+    std::cout << "block escapes (call+rdtsc loop, " << escapeIters
               << " iters): callret " << esc.callret << ", timeread "
               << esc.timeread << ", syscall " << esc.syscall
               << ", other " << esc.other << "\n";

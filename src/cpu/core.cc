@@ -21,7 +21,7 @@ namespace
 
 /**
  * Escape-accounting class of a block-engine dispatch exit: which SPC
- * a fallback to the legacy interpreter is charged to.
+ * a fallback to the per-step interpreter is charged to.
  */
 obs::Spc
 escapeSpc(Opcode op)
@@ -29,15 +29,15 @@ escapeSpc(Opcode op)
     switch (op) {
       case Opcode::Call:
       case Opcode::Ret:
-        return obs::Spc::DecodedEscapeCallret;
+        return obs::Spc::BlockEscapeCallret;
       case Opcode::Rdtsc:
       case Opcode::Rdpmc:
-        return obs::Spc::DecodedEscapeTimeread;
+        return obs::Spc::BlockEscapeTimeread;
       case Opcode::Syscall:
       case Opcode::Iret:
-        return obs::Spc::DecodedEscapeSyscall;
+        return obs::Spc::BlockEscapeSyscall;
       default:
-        return obs::Spc::DecodedEscapeOther;
+        return obs::Spc::BlockEscapeOther;
     }
 }
 
@@ -64,10 +64,8 @@ Core::Core(const MicroArch &arch)
     };
     icLineShift = shift_of(icache.lineBytes());
     itlbPageShift = shift_of(itlb.lineBytes());
-    dcLineShift = shift_of(dcache.lineBytes());
-    dtlbPageShift = shift_of(dtlb.lineBytes());
-    // The block engine nests its iTLB-page check inside the
-    // icache-line check: lines must subdivide pages.
+    // fetchCaches nests its iTLB-page check inside the icache-line
+    // check: lines must subdivide pages.
     pca_assert(icLineShift <= itlbPageShift);
     reset();
 }
@@ -162,44 +160,26 @@ Core::dataAccess(Addr addr)
     }
 }
 
-void
-Core::fetchCosts(Addr addr, int size)
-{
-    if (!icache.access(addr)) {
-        chargeCycles(static_cast<Cycles>(archRef.icacheMissPenalty));
-        countEvent(EventType::IcacheMiss);
-        // Instruction fills also come through the unified L2.
-        if (!l2.access(addr)) {
-            chargeCycles(static_cast<Cycles>(archRef.l2MissPenalty));
-            countEvent(EventType::L2Miss);
-        }
-    }
-    if (!itlb.access(addr)) {
-        chargeCycles(static_cast<Cycles>(archRef.itlbMissPenalty));
-        countEvent(EventType::ItlbMiss);
-    }
-    // Keep the block engine's same-line fast path honest: these must
-    // always name the most recently accessed icache line / iTLB page.
-    lastFetchLine = addr >> icLineShift;
-    lastFetchPage = addr >> itlbPageShift;
-    chargeCycles(frontEnd.onInst(addr, size));
-}
-
 /**
- * The block engine's fetch of the first instruction it executes from
- * a new icache line (at @p addr): the icache, the L2 on a miss, and
- * the iTLB when the page differs from @p fetch_page (updated). Only
- * the first fetch of a line can miss: later ones in the same line
- * are guaranteed hits on the MRU entry, which the engine skips (see
- * lastFetchLine). Returns the penalty cycles; counts the misses.
+ * The cache side of fetching the instruction at @p addr: on a new
+ * icache line (not @p line) the icache, and the L2 on a miss; on a
+ * new iTLB page (not @p page) the iTLB (see lastFetchLine). Updates
+ * both keys, counts the misses and returns their penalty cycles.
  */
-inline Cycles
-Core::fetchNewLine(Addr addr, Addr &fetch_page)
+[[gnu::always_inline]] inline Cycles
+Core::fetchCaches(Addr addr, Addr &line, Addr &page)
 {
+    const Addr l = addr >> icLineShift;
+    // The common case; the hint keeps the block loop's registers for
+    // it rather than for the lookups.
+    if (l == line) [[likely]]
+        return 0;
+    line = l;
     Cycles c = 0;
     if (!icache.access(addr)) {
         c += static_cast<Cycles>(archRef.icacheMissPenalty);
         countEvent(EventType::IcacheMiss);
+        // Instruction fills also come through the unified L2.
         if (!l2.access(addr)) {
             c += static_cast<Cycles>(archRef.l2MissPenalty);
             countEvent(EventType::L2Miss);
@@ -207,15 +187,165 @@ Core::fetchNewLine(Addr addr, Addr &fetch_page)
     }
     // A page change implies a line change (lines subdivide pages),
     // so the page check only runs here.
-    const Addr page = addr >> itlbPageShift;
-    if (page != fetch_page) {
-        fetch_page = page;
+    const Addr pg = addr >> itlbPageShift;
+    if (pg != page) {
+        page = pg;
         if (!itlb.access(addr)) {
             c += static_cast<Cycles>(archRef.itlbMissPenalty);
             countEvent(EventType::ItlbMiss);
         }
     }
     return c;
+}
+
+/** Fetch one instruction: its caches, then the front end. */
+[[gnu::always_inline]] inline Cycles
+Core::fetch(Addr addr, int size, Addr &line, Addr &page)
+{
+    return fetchCaches(addr, line, page) + frontEnd.onInst(addr, size);
+}
+
+/**
+ * Retire @p n instructions of @p mode, @p branches of them branches;
+ * @p user_spc names the retiring path in user mode.
+ */
+[[gnu::always_inline]] inline void
+Core::retire(Mode mode, Count n, Count branches, obs::Spc user_spc)
+{
+    const auto mi = static_cast<std::size_t>(mode);
+    instrPerMode[mi] += n;
+    rawEv[static_cast<std::size_t>(EventType::InstrRetired)][mi] += n;
+    pmuUnit.count(EventType::InstrRetired, mode, n);
+    if (branches != 0) {
+        rawEv[static_cast<std::size_t>(EventType::BrInstRetired)][mi] +=
+            branches;
+        pmuUnit.count(EventType::BrInstRetired, mode, branches);
+    }
+    if (mode == Mode::Kernel)
+        PCA_SPC_ADD(KernelInstrs, n);
+    else
+        obs::spcAdd(user_spc, n);
+}
+
+/**
+ * Execute one of the 25 inline (non-escape) opcodes. Adds its cycles
+ * beyond fetch to @p cycles and its retired branches to @p branches
+ * for the caller to charge; data accesses and mispredicts count
+ * their events at once. Returns whether a branch was taken: the
+ * front end is redirected, and the caller moves pc to targetIndex.
+ */
+[[gnu::always_inline]] inline bool
+Core::execInline(const Inst &in, Cycles &cycles, Count &branches)
+{
+    switch (in.op) {
+      case Opcode::MovImm:
+        reg(in.r1) = static_cast<std::uint64_t>(in.imm);
+        return false;
+      case Opcode::MovReg:
+        reg(in.r1) = reg(in.r2);
+        return false;
+      case Opcode::AddImm:
+        reg(in.r1) += static_cast<std::uint64_t>(in.imm);
+        return false;
+      case Opcode::AddReg:
+        reg(in.r1) += reg(in.r2);
+        return false;
+      case Opcode::SubImm:
+        reg(in.r1) -= static_cast<std::uint64_t>(in.imm);
+        return false;
+      case Opcode::SubReg:
+        reg(in.r1) -= reg(in.r2);
+        return false;
+      case Opcode::CmpImm:
+        zeroFlag = reg(in.r1) == static_cast<std::uint64_t>(in.imm);
+        lessFlag = static_cast<std::int64_t>(reg(in.r1)) < in.imm;
+        return false;
+      case Opcode::CmpReg:
+        zeroFlag = reg(in.r1) == reg(in.r2);
+        lessFlag = static_cast<std::int64_t>(reg(in.r1)) <
+            static_cast<std::int64_t>(reg(in.r2));
+        return false;
+      case Opcode::TestReg:
+        zeroFlag = (reg(in.r1) & reg(in.r2)) == 0;
+        lessFlag = false;
+        return false;
+      case Opcode::XorReg:
+        reg(in.r1) ^= reg(in.r2);
+        return false;
+      case Opcode::AndImm:
+        reg(in.r1) &= static_cast<std::uint64_t>(in.imm);
+        return false;
+      case Opcode::OrReg:
+        reg(in.r1) |= reg(in.r2);
+        return false;
+      case Opcode::ShlImm:
+        reg(in.r1) <<= in.imm;
+        return false;
+      case Opcode::ShrImm:
+        reg(in.r1) >>= in.imm;
+        return false;
+
+      case Opcode::Load:
+      {
+        const Addr a = reg(in.r2) + static_cast<Addr>(in.imm);
+        auto it = memory.find(a);
+        reg(in.r1) = it == memory.end() ? 0 : it->second;
+        dataAccess(a);
+        return false;
+      }
+      case Opcode::Store:
+      {
+        const Addr a = reg(in.r2) + static_cast<Addr>(in.imm);
+        memory[a] = reg(in.r1);
+        dataAccess(a);
+        return false;
+      }
+      case Opcode::Push:
+        reg(Reg::Esp) -= 8;
+        memory[reg(Reg::Esp)] = reg(in.r1);
+        dataAccess(reg(Reg::Esp));
+        return false;
+      case Opcode::Pop:
+        reg(in.r1) = memory[reg(Reg::Esp)];
+        dataAccess(reg(Reg::Esp));
+        reg(Reg::Esp) += 8;
+        return false;
+
+      case Opcode::Jmp:
+        predictor.noteUncond(in.addr);
+        ++branches;
+        break;
+      case Opcode::Je:
+      case Opcode::Jne:
+      case Opcode::Jl:
+      case Opcode::Jge:
+      {
+        const bool taken = in.op == Opcode::Je    ? zeroFlag
+                           : in.op == Opcode::Jne ? !zeroFlag
+                           : in.op == Opcode::Jl  ? lessFlag
+                                                  : !lessFlag;
+        ++branches;
+        if (predictor.predictAndTrain(in.addr, taken)) {
+            cycles += static_cast<Cycles>(archRef.mispredictPenalty);
+            countEvent(EventType::BrMispRetired);
+        }
+        if (!taken)
+            return false;
+        break;
+      }
+
+      case Opcode::Nop:
+        return false;
+      case Opcode::Cpuid:
+        cycles += static_cast<Cycles>(archRef.cpuidCycles);
+        return false;
+      default:
+        pca_panic("escape opcode ", isa::opcodeName(in.op),
+                  " reached execInline()");
+    }
+    cycles += frontEnd.onTakenBranch(
+        in.addr, in.addr + static_cast<Addr>(in.size), in.targetAddr);
+    return true;
 }
 
 /**
@@ -237,15 +367,6 @@ Core::nopRunCostBound(Addr addr, Count n) const
         pages * static_cast<Cycles>(archRef.itlbMissPenalty);
 }
 
-void
-Core::doTakenBranch(const Inst &in)
-{
-    chargeCycles(frontEnd.onTakenBranch(
-        in.addr, in.addr + static_cast<Addr>(in.size), in.targetAddr));
-    pc.index = in.targetIndex;
-    pcRedirected = true;
-}
-
 RunResult
 Core::run(CodePtr entry, Count max_instr)
 {
@@ -255,7 +376,7 @@ Core::run(CodePtr entry, Count max_instr)
     Count steps = 0;
     // An attached profiler keeps the whole run on the per-step path;
     // armed sampling may start mid-run, and counts once when it does.
-    if (decodeOn && prof != nullptr)
+    if (blockEngine && prof != nullptr)
         PCA_SPC_INC(RunsForcedStepProfiler);
     bool forced_by_sampling = false;
 
@@ -270,15 +391,15 @@ Core::run(CodePtr entry, Count max_instr)
             if (vec >= 0)
                 deliverInterrupt(vec);
         }
-        if (decodeOn && !pmuUnit.samplingActive() &&
+        if (blockEngine && !pmuUnit.samplingActive() &&
             prof == nullptr) {
-            steps += stepDecodedBlock();
+            steps += stepBlock();
         } else {
             // Sampling sessions and an attached profiler force pure
             // interpretation: overflow (or the retired-PC ground
             // truth) must be observed at the exact retiring
             // instruction.
-            if (!forced_by_sampling && decodeOn &&
+            if (!forced_by_sampling && blockEngine &&
                 pmuUnit.samplingActive()) {
                 forced_by_sampling = true;
                 PCA_SPC_INC(RunsForcedStepSampling);
@@ -340,7 +461,7 @@ Core::step()
         program->block(pc.block).host(in)(*this);
         if (!pcRedirected)
             ++pc.index;
-        poisonSinceBackward = true;
+        ++poisonEpoch;
         return;
     }
 
@@ -350,23 +471,25 @@ Core::step()
     // A Nop record retires one 1-byte Nop per step, the one at pc.pos.
     const bool nop = in.op == Opcode::Nop;
     const Addr addr = in.addr + static_cast<Addr>(pc.pos);
-    fetchCosts(addr, nop ? 1 : in.size);
+    chargeCycles(
+        fetch(addr, nop ? 1 : in.size, lastFetchLine, lastFetchPage));
 
     pcRedirected = false;
-    execute(in);
-
-    // Retire.
-    instrPerMode[static_cast<std::size_t>(mode_at_fetch)] += 1;
-    rawEv[static_cast<std::size_t>(EventType::InstrRetired)]
-         [static_cast<std::size_t>(mode_at_fetch)] += 1;
-    pmuUnit.count(EventType::InstrRetired, mode_at_fetch, 1);
-    if (mode_at_fetch == Mode::Kernel) {
-        PCA_SPC_INC(KernelInstrs);
+    Count branches = 0;
+    if (in.escape()) {
+        execute(in);
     } else {
-        PCA_SPC_INC(UserInstrsStep);
-        if (prof != nullptr)
-            prof->onUserRetire(addr, cycleCount - cycles_at_fetch);
+        Cycles c = 0;
+        if (execInline(in, c, branches)) {
+            pc.index = in.targetIndex;
+            pcRedirected = true;
+        }
+        chargeCycles(c);
     }
+
+    retire(mode_at_fetch, 1, branches, obs::Spc::UserInstrsStep);
+    if (mode_at_fetch == Mode::User && prof != nullptr)
+        prof->onUserRetire(addr, cycleCount - cycles_at_fetch);
 
     if (!pcRedirected) {
         if (!nop) {
@@ -379,7 +502,7 @@ Core::step()
 
     // Fast-forward bookkeeping.
     if ((in.flags & isa::IfFfSafe) == 0 || curMode != Mode::User)
-        poisonSinceBackward = true;
+        ++poisonEpoch;
 
     if (pcRedirected && (in.flags & isa::IfBackwardBranch) != 0 &&
         ffEnabled && curMode == Mode::User) {
@@ -397,7 +520,9 @@ Core::step()
  * in a single dispatch. Returns the number of steps taken (== retired
  * instructions for inline runs; 1 for the escape fallback).
  *
- * Bit-identity with the per-step interpreter rests on five facts:
+ * It fetches, executes and retires through step()'s helpers, so
+ * bit-identity with the per-step interpreter rests on five facts
+ * about how this driver batches their charges:
  *  - run() only dispatches here when PMU sampling is inactive, and no
  *    inline opcode can arm it, so a PMI can never become pending
  *    mid-run;
@@ -406,19 +531,19 @@ Core::step()
  *    after the first instruction that reaches it reproduces the
  *    baseline poll points exactly (the baseline, too, always executes
  *    exactly one instruction after each poll);
- *  - InstrRetired/SPC retire accounting is purely additive while
- *    sampling is off, so batching it to one count() per run is
+ *  - retire() and the cycle charges are purely additive while
+ *    sampling is off, so batching them to one call per run is
  *    invisible — and the batch is flushed (commit) before anything
  *    that could observe it: escapes, fast-forward, or return;
  *  - curMode cannot change inside a run (mode transitions escape);
  *  - the k Nops left in a Nop record change nothing but the fetch
  *    models and the cycle and retire batches, so they retire in one
- *    step: the icache, L2 and iTLB see each new line and page once,
- *    in address order, exactly as k single fetches would (same-line
- *    repeats are skipped either way), and FrontEnd::onNops charges
- *    what k onInst calls would. The step skips the k - 1 interrupt
- *    checks between its Nops, so with an interrupt horizon it runs
- *    only if cycleCount + pend plus an upper bound on the Nops' cost
+ *    step: fetchCaches sees each new line and page once, in address
+ *    order, exactly as k single fetches would (same-line repeats are
+ *    skipped either way), and FrontEnd::onNops charges what k onInst
+ *    calls would. The step skips the k - 1 interrupt checks between
+ *    its Nops, so with an interrupt horizon it runs only if
+ *    cycleCount + pend plus an upper bound on the Nops' cost
  *    (nopRunCostBound) stays below irq_due: then none of those
  *    checks could have fired. Otherwise the Nops run one by one.
  *
@@ -426,7 +551,7 @@ Core::step()
  * end inside a Nop record; pc.pos then names the next Nop.
  */
 Count
-Core::stepDecodedBlock()
+Core::stepBlock()
 {
     const isa::CodeBlock &blk = program->block(pc.block);
     const Inst *code = blk.data();
@@ -434,13 +559,12 @@ Core::stepDecodedBlock()
     std::size_t idx = static_cast<std::size_t>(pc.index);
     if (idx >= n || code[idx].escape()) {
         obs::spcInc(idx < n ? escapeSpc(code[idx].op)
-                            : obs::Spc::DecodedEscapeOther);
+                            : obs::Spc::BlockEscapeOther);
         step();
         return 1;
     }
 
     const Mode mode = curMode;
-    const auto mi = static_cast<std::size_t>(mode);
     const bool check_irq = mode == Mode::User && intClient != nullptr;
     const Cycles irq_due =
         check_irq ? intClient->nextInterruptCycle() : 0;
@@ -473,30 +597,14 @@ Core::stepDecodedBlock()
     // horizon check below compensates with cycleCount + pend.
     auto flush = [&] {
         if (retired != 0) {
-            instrPerMode[mi] += retired;
-            rawEv[static_cast<std::size_t>(EventType::InstrRetired)]
-                 [mi] += retired;
-            pmuUnit.count(EventType::InstrRetired, mode, retired);
-            if (mode == Mode::Kernel)
-                PCA_SPC_ADD(KernelInstrs, retired);
-            else
-                PCA_SPC_ADD(UserInstrsBlock, retired);
+            retire(mode, retired, brRetired, obs::Spc::UserInstrsBlock);
             retired = 0;
-        }
-        if (brRetired != 0) {
-            rawEv[static_cast<std::size_t>(
-                EventType::BrInstRetired)][mi] += brRetired;
-            pmuUnit.count(EventType::BrInstRetired, mode, brRetired);
             brRetired = 0;
         }
-        if (pend != 0) {
-            cycleCount += pend;
-            cyclesPerMode[mi] += pend;
-            pmuUnit.addCycles(pend, mode);
-            pend = 0;
-        }
+        chargeCycles(pend);
+        pend = 0;
         if (poison)
-            poisonSinceBackward = true;
+            ++poisonEpoch;
         poison = mode != Mode::User;
         lastFetchLine = fetchLine;
         lastFetchPage = fetchPage;
@@ -521,11 +629,8 @@ Core::stepDecodedBlock()
             const Addr last = at + k - 1;
             for (Addr line = at >> icLineShift;
                  line <= last >> icLineShift; ++line)
-                if (line != fetchLine) {
-                    fetchLine = line;
-                    pend += fetchNewLine(
-                        std::max(at, line << icLineShift), fetchPage);
-                }
+                pend += fetchCaches(std::max(at, line << icLineShift),
+                                    fetchLine, fetchPage);
             pend += frontEnd.onNops(at, k);
             retired += k;
             total += k;
@@ -540,140 +645,16 @@ Core::stepDecodedBlock()
             continue;
         }
 
-        // Fetch. Consecutive fetches within one icache line / iTLB
-        // page are guaranteed hits on an already-MRU entry, so the
-        // lookup (and its LRU touch) can be skipped without changing
-        // any future victim choice, miss, or cycle.
-        const Addr line = in.addr >> icLineShift;
-        if (line != fetchLine) {
-            fetchLine = line;
-            pend += fetchNewLine(in.addr, fetchPage);
-        }
-        pend += frontEnd.onInst(in.addr, in.size);
-
-        bool taken = false;
-        switch (in.op) {
-          case Opcode::MovImm:
-            reg(in.r1) = static_cast<std::uint64_t>(in.imm);
-            break;
-          case Opcode::MovReg:
-            reg(in.r1) = reg(in.r2);
-            break;
-          case Opcode::AddImm:
-            reg(in.r1) += static_cast<std::uint64_t>(in.imm);
-            break;
-          case Opcode::AddReg:
-            reg(in.r1) += reg(in.r2);
-            break;
-          case Opcode::SubImm:
-            reg(in.r1) -= static_cast<std::uint64_t>(in.imm);
-            break;
-          case Opcode::SubReg:
-            reg(in.r1) -= reg(in.r2);
-            break;
-          case Opcode::CmpImm:
-            zeroFlag =
-                reg(in.r1) == static_cast<std::uint64_t>(in.imm);
-            lessFlag =
-                static_cast<std::int64_t>(reg(in.r1)) < in.imm;
-            break;
-          case Opcode::CmpReg:
-            zeroFlag = reg(in.r1) == reg(in.r2);
-            lessFlag = static_cast<std::int64_t>(reg(in.r1)) <
-                static_cast<std::int64_t>(reg(in.r2));
-            break;
-          case Opcode::TestReg:
-            zeroFlag = (reg(in.r1) & reg(in.r2)) == 0;
-            lessFlag = false;
-            break;
-          case Opcode::XorReg:
-            reg(in.r1) ^= reg(in.r2);
-            break;
-          case Opcode::AndImm:
-            reg(in.r1) &= static_cast<std::uint64_t>(in.imm);
-            break;
-          case Opcode::OrReg:
-            reg(in.r1) |= reg(in.r2);
-            break;
-          case Opcode::ShlImm:
-            reg(in.r1) <<= in.imm;
-            break;
-          case Opcode::ShrImm:
-            reg(in.r1) >>= in.imm;
-            break;
-
-          case Opcode::Load:
-          {
-            const Addr a = reg(in.r2) + static_cast<Addr>(in.imm);
-            auto it = memory.find(a);
-            reg(in.r1) = it == memory.end() ? 0 : it->second;
-            dataAccess(a);
-            break;
-          }
-          case Opcode::Store:
-          {
-            const Addr a = reg(in.r2) + static_cast<Addr>(in.imm);
-            memory[a] = reg(in.r1);
-            dataAccess(a);
-            break;
-          }
-          case Opcode::Push:
-            reg(Reg::Esp) -= 8;
-            memory[reg(Reg::Esp)] = reg(in.r1);
-            dataAccess(reg(Reg::Esp));
-            break;
-          case Opcode::Pop:
-            reg(in.r1) = memory[reg(Reg::Esp)];
-            dataAccess(reg(Reg::Esp));
-            reg(Reg::Esp) += 8;
-            break;
-
-          case Opcode::Jmp:
-            predictor.noteUncond(in.addr);
-            ++brRetired;
-            taken = true;
-            break;
-          case Opcode::Je:
-          case Opcode::Jne:
-          case Opcode::Jl:
-          case Opcode::Jge:
-          {
-            const bool t = in.op == Opcode::Je    ? zeroFlag
-                           : in.op == Opcode::Jne ? !zeroFlag
-                           : in.op == Opcode::Jl  ? lessFlag
-                                                  : !lessFlag;
-            const bool mispred = predictor.predictAndTrain(in.addr, t);
-            ++brRetired;
-            if (mispred) {
-                pend += static_cast<Cycles>(archRef.mispredictPenalty);
-                rawEv[static_cast<std::size_t>(
-                    EventType::BrMispRetired)][mi] += 1;
-                pmuUnit.count(EventType::BrMispRetired, mode, 1);
-            }
-            taken = t;
-            break;
-          }
-
-          case Opcode::Nop:
-            break;
-          case Opcode::Cpuid:
-            pend += static_cast<Cycles>(archRef.cpuidCycles);
-            break;
-          default:
-            pca_panic("escape opcode ", isa::opcodeName(in.op),
-                      " reached the block engine");
-        }
+        pend += fetch(in.addr, in.size, fetchLine, fetchPage);
+        const bool taken = execInline(in, pend, brRetired);
+        ++retired;
+        ++total;
 
         if (taken) {
-            pend += frontEnd.onTakenBranch(
-                in.addr, in.addr + static_cast<Addr>(in.size),
-                in.targetAddr);
-            ++retired;
-            ++total;
             if ((in.flags & isa::IfBackwardBranch) != 0 && ffEnabled &&
                 mode == Mode::User) {
                 // The fast-forward machinery observes per-iteration
-                // retire/cycle deltas and poisonSinceBackward: flush
+                // retire/cycle deltas and poisonEpoch: flush
                 // first, exactly as if every instruction had retired
                 // individually.
                 flush();
@@ -694,8 +675,6 @@ Core::stepDecodedBlock()
             continue;
         }
 
-        ++retired;
-        ++total;
         poison |= (in.flags & isa::IfFfSafe) == 0;
         ++idx;
         if ((check_irq && cycleCount + pend >= irq_due) ||
@@ -708,119 +687,26 @@ Core::stepDecodedBlock()
     return total;
 }
 
+/**
+ * Execute one of the 9 escape opcodes (cross-block control, mode
+ * transitions, time, counter and MSR access, Halt) for step().
+ */
 void
 Core::execute(const Inst &in)
 {
-    auto cond_branch = [&](bool taken) {
-        const bool mispred = predictor.predictAndTrain(in.addr, taken);
-        countEvent(EventType::BrInstRetired);
-        if (mispred) {
-            chargeCycles(
-                static_cast<Cycles>(archRef.mispredictPenalty));
-            countEvent(EventType::BrMispRetired);
-        }
-        if (taken)
-            doTakenBranch(in);
-    };
-
     switch (in.op) {
-      case Opcode::MovImm:
-        reg(in.r1) = static_cast<std::uint64_t>(in.imm);
-        break;
-      case Opcode::MovReg:
-        reg(in.r1) = reg(in.r2);
-        break;
-      case Opcode::AddImm:
-        reg(in.r1) += static_cast<std::uint64_t>(in.imm);
-        break;
-      case Opcode::AddReg:
-        reg(in.r1) += reg(in.r2);
-        break;
-      case Opcode::SubImm:
-        reg(in.r1) -= static_cast<std::uint64_t>(in.imm);
-        break;
-      case Opcode::SubReg:
-        reg(in.r1) -= reg(in.r2);
-        break;
-      case Opcode::CmpImm:
-        zeroFlag = reg(in.r1) == static_cast<std::uint64_t>(in.imm);
-        lessFlag = static_cast<std::int64_t>(reg(in.r1)) < in.imm;
-        break;
-      case Opcode::CmpReg:
-        zeroFlag = reg(in.r1) == reg(in.r2);
-        lessFlag = static_cast<std::int64_t>(reg(in.r1)) <
-            static_cast<std::int64_t>(reg(in.r2));
-        break;
-      case Opcode::TestReg:
-        zeroFlag = (reg(in.r1) & reg(in.r2)) == 0;
-        lessFlag = false;
-        break;
-      case Opcode::XorReg:
-        reg(in.r1) ^= reg(in.r2);
-        break;
-      case Opcode::AndImm:
-        reg(in.r1) &= static_cast<std::uint64_t>(in.imm);
-        break;
-      case Opcode::OrReg:
-        reg(in.r1) |= reg(in.r2);
-        break;
-      case Opcode::ShlImm:
-        reg(in.r1) <<= in.imm;
-        break;
-      case Opcode::ShrImm:
-        reg(in.r1) >>= in.imm;
-        break;
-
-      case Opcode::Load:
-      {
-        const Addr a = reg(in.r2) + static_cast<Addr>(in.imm);
-        auto it = memory.find(a);
-        reg(in.r1) = it == memory.end() ? 0 : it->second;
-        dataAccess(a);
-        break;
-      }
-      case Opcode::Store:
-      {
-        const Addr a = reg(in.r2) + static_cast<Addr>(in.imm);
-        memory[a] = reg(in.r1);
-        dataAccess(a);
-        break;
-      }
-      case Opcode::Push:
-        reg(Reg::Esp) -= 8;
-        memory[reg(Reg::Esp)] = reg(in.r1);
-        dataAccess(reg(Reg::Esp));
-        break;
-      case Opcode::Pop:
-        reg(in.r1) = memory[reg(Reg::Esp)];
-        dataAccess(reg(Reg::Esp));
-        reg(Reg::Esp) += 8;
-        break;
-
-      case Opcode::Jmp:
-        predictor.noteUncond(in.addr);
-        countEvent(EventType::BrInstRetired);
-        doTakenBranch(in);
-        break;
-      case Opcode::Je:
-        cond_branch(zeroFlag);
-        break;
-      case Opcode::Jne:
-        cond_branch(!zeroFlag);
-        break;
-      case Opcode::Jl:
-        cond_branch(lessFlag);
-        break;
-      case Opcode::Jge:
-        cond_branch(!lessFlag);
-        break;
-
       case Opcode::Call:
       {
+        const std::string &callee = program->block(pc.block).callee(in);
+        const int target = program->find(callee);
+        if (target < 0)
+            throw StatusError(Status(StatusCode::NotFound,
+                                     "call to unknown block '" + callee +
+                                         "'"));
         predictor.noteUncond(in.addr);
         countEvent(EventType::BrInstRetired);
         callStack.push_back(CodePtr{pc.block, pc.index + 1});
-        pc = program->entry(program->block(pc.block).callee(in));
+        pc = CodePtr{target, 0};
         pcRedirected = true;
         frontEnd.redirect(pcAddr());
         break;
@@ -915,20 +801,13 @@ Core::execute(const Inst &in)
         break;
       }
 
-      case Opcode::Nop:
-        break;
-      case Opcode::Cpuid:
-        chargeCycles(static_cast<Cycles>(archRef.cpuidCycles));
-        break;
       case Opcode::Halt:
         halted = true;
         break;
 
-      case Opcode::HostOp:
-        pca_panic("HostOp reached execute()");
       default:
-        pca_panic("unimplemented opcode ",
-                  isa::opcodeName(in.op));
+        pca_panic("opcode ", isa::opcodeName(in.op),
+                  " reached execute()");
     }
 }
 
@@ -957,14 +836,19 @@ Core::deliverInterrupt(int vector)
     pca_assert(interruptEntry.valid());
     pc = interruptEntry;
     frontEnd.redirect(pcAddr());
-    poisonSinceBackward = true;
+    ++poisonEpoch;
 }
 
 void
 Core::maybeFastForwardKeyed(std::uint64_t key, const Inst &branch,
                             int branch_index)
 {
-    LoopFf &lf = loops[key];
+    auto [slot, fresh] = loops.try_emplace(key);
+    LoopFf &lf = slot->second;
+    if (fresh)
+        // A loop's first back-edge sees what happened since the last
+        // back-edge check of any loop.
+        lf.epoch = lastCheckEpoch;
     if (lf.unsafe)
         return;
     // Bulk-applying counts would skip overflow thresholds (and rob
@@ -972,10 +856,15 @@ Core::maybeFastForwardKeyed(std::uint64_t key, const Inst &branch,
     // and profiled runs force pure interpretation.
     if (pmuUnit.samplingActive() || prof != nullptr)
         return;
-    if (poisonSinceBackward) {
+    // Poisoned since this loop's own last back-edge, not since any
+    // loop's: an inner loop's back-edges must not hide an interrupt
+    // or a memory access from the loop around it.
+    const bool poisoned = lf.epoch != poisonEpoch;
+    lf.epoch = poisonEpoch;
+    lastCheckEpoch = poisonEpoch;
+    if (poisoned) {
         lf.headTaken = false;
         lf.histLen = 0;
-        poisonSinceBackward = false;
         return;
     }
 
@@ -1183,7 +1072,8 @@ Core::reset()
     userRdpmcOk = false;
     userRdtscOk = true;
     loops.clear();
-    poisonSinceBackward = true;
+    poisonEpoch = 1;
+    lastCheckEpoch = 0;
     lastFetchLine = ~Addr{0};
     lastFetchPage = ~Addr{0};
 }

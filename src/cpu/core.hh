@@ -22,6 +22,7 @@
 #include "cpu/predictor.hh"
 #include "isa/context.hh"
 #include "isa/program.hh"
+#include "obs/spc.hh"
 #include "support/types.hh"
 
 namespace pca::obs
@@ -105,16 +106,17 @@ class Core : public isa::CpuContext
     void setFastForwardEnabled(bool on) { ffEnabled = on; }
 
     /**
-     * Enable/disable the basic-block engine (default on). When
-     * enabled, straight-line runs of instructions (Inst::runEnd, set
-     * at link time) execute in one dispatch with batched retire
-     * accounting; when disabled (or whenever PMU sampling is armed),
-     * every instruction goes through the per-step interpreter.
-     * Architectural state, PMU counts, interrupt delivery points and
-     * fault schedules are identical either way (asserted by tests,
-     * measured by the ablation bench).
+     * Enable/disable the basic-block engine (default on). Both
+     * engines execute, fetch and retire through the same helpers.
+     * When enabled, straight-line runs (Inst::runEnd, set at link
+     * time) execute in one dispatch with batched charges; when
+     * disabled (or whenever PMU sampling is armed or a profiler is
+     * attached), step() runs one instruction at a time and applies
+     * its charges at once. Architectural state, PMU counts, interrupt
+     * delivery points and fault schedules are identical either way
+     * (asserted by tests, measured by the ablation bench).
      */
-    void setDecodeCacheEnabled(bool on) { decodeOn = on; }
+    void setBlockEngineEnabled(bool on) { blockEngine = on; }
 
     /**
      * Watchdog budgets for run(): abort with
@@ -252,6 +254,7 @@ class Core : public isa::CpuContext
     {
         bool headTaken = false; //!< head* hold the last back-edge
         bool unsafe = false;
+        Count epoch = 0; //!< poisonEpoch at this loop's last back-edge
 
         std::array<std::uint64_t, isa::numRegs> headRegs{};
         Count headInstr = 0;
@@ -265,15 +268,17 @@ class Core : public isa::CpuContext
     };
 
     void step();
-    Count stepDecodedBlock();
+    Count stepBlock();
+    bool execInline(const isa::Inst &in, Cycles &cycles,
+                    Count &branches);
     void execute(const isa::Inst &in);
+    Cycles fetch(Addr addr, int size, Addr &line, Addr &page);
+    Cycles fetchCaches(Addr addr, Addr &line, Addr &page);
+    void retire(Mode mode, Count n, Count branches, obs::Spc user_spc);
     void deliverInterrupt(int vector);
     void chargeCycles(Cycles c);
     void countEvent(EventType ev, Count n = 1);
-    void fetchCosts(Addr addr, int size);
-    Cycles fetchNewLine(Addr addr, Addr &fetch_page);
     Cycles nopRunCostBound(Addr addr, Count n) const;
-    void doTakenBranch(const isa::Inst &in);
     void dataAccess(Addr addr);
     void maybeFastForwardKeyed(std::uint64_t key,
                                const isa::Inst &branch,
@@ -327,19 +332,20 @@ class Core : public isa::CpuContext
     // Fast-forward state.
     bool ffEnabled = true;
     std::unordered_map<std::uint64_t, LoopFf> loops;
-    bool poisonSinceBackward = true;
+    // Counts what breaks a loop's per-iteration delta (an unsafe or
+    // kernel-mode instruction, a host op, an interrupt); each loop
+    // compares it with its value at the loop's last back-edge.
+    Count poisonEpoch = 1;
+    Count lastCheckEpoch = 0; //!< poisonEpoch at the last check
 
-    // Basic-block engine state. The last-fetched icache line / iTLB
-    // page let the block engine skip redundant lookups for
-    // consecutive fetches within one line: a repeat access is a
-    // guaranteed hit and, with a strictly monotonic per-model LRU
-    // clock, skipping it cannot change any future victim choice — so
-    // misses, penalties and cycles are identical.
-    bool decodeOn = true;
+    bool blockEngine = true;
     int icLineShift = 0;
     int itlbPageShift = 0;
-    int dcLineShift = 0;
-    int dtlbPageShift = 0;
+    // The last-fetched icache line / iTLB page let both engines skip
+    // repeat lookups. Only fetches touch the icache and iTLB, so a
+    // repeat is a guaranteed hit on an MRU entry and, with a strictly
+    // monotonic per-model LRU clock, skipping it cannot change any
+    // future victim choice, miss or cycle. reset() clears both keys.
     Addr lastFetchLine = ~Addr{0};
     Addr lastFetchPage = ~Addr{0};
 

@@ -85,7 +85,7 @@ Machine::finalize(Addr user_text_offset)
     prog.link(0x08048000ULL + user_text_offset, /*align=*/1);
     coreImpl->setProgram(&prog);
     coreImpl->setFastForwardEnabled(cfg.fastForward);
-    coreImpl->setDecodeCacheEnabled(cfg.decodeCache);
+    coreImpl->setBlockEngineEnabled(cfg.decodeCache);
     coreImpl->setRunDeadline(
         cfg.runInstrBudget != 0 ? cfg.runInstrBudget
                                 : cfg.faults.watchdogInstrs,
@@ -121,7 +121,7 @@ Machine::reboot(std::uint64_t seed)
     cfg.seed = seed;
     coreImpl->reset();
     coreImpl->setFastForwardEnabled(cfg.fastForward);
-    coreImpl->setDecodeCacheEnabled(cfg.decodeCache);
+    coreImpl->setBlockEngineEnabled(cfg.decodeCache);
     coreImpl->setRunDeadline(
         cfg.runInstrBudget != 0 ? cfg.runInstrBudget
                                 : cfg.faults.watchdogInstrs,

@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "support/logging.hh"
+#include "support/status.hh"
 
 namespace pca::isa
 {
@@ -82,7 +83,13 @@ Program::entry(const std::string &name) const
 const Inst &
 Program::inst(CodePtr ptr) const
 {
-    return block(ptr.block).inst(static_cast<std::size_t>(ptr.index));
+    const CodeBlock &blk = block(ptr.block);
+    const auto i = static_cast<std::size_t>(ptr.index);
+    if (i >= blk.size())
+        throw StatusError(Status(StatusCode::FailedPrecondition,
+                                 "ran off the end of block '" +
+                                     blk.name() + "'"));
+    return blk.data()[i];
 }
 
 std::string

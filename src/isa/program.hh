@@ -104,7 +104,11 @@ class Program
     /** Entry point of a named block; panics if absent. */
     CodePtr entry(const std::string &name) const;
 
-    /** The instruction at @p ptr. */
+    /**
+     * The instruction at @p ptr. A pc past its block's last record
+     * (a block with no terminating instruction) is a guest fault:
+     * throws StatusError(FailedPrecondition).
+     */
     const Inst &inst(CodePtr ptr) const;
 
     /** Total byte size of all blocks (after link). */

@@ -41,13 +41,13 @@ spcName(Spc c)
       case Spc::DegradedPoints: return "degraded_points";
       case Spc::ProfileSamples: return "profile_samples";
       case Spc::ProfileSkidInstrs: return "profile_skid_instrs";
-      case Spc::DecodedEscapeCallret:
-        return "decoded_escape_callret";
-      case Spc::DecodedEscapeTimeread:
-        return "decoded_escape_timeread";
-      case Spc::DecodedEscapeSyscall:
-        return "decoded_escape_syscall";
-      case Spc::DecodedEscapeOther: return "decoded_escape_other";
+      case Spc::BlockEscapeCallret:
+        return "block_escape_callret";
+      case Spc::BlockEscapeTimeread:
+        return "block_escape_timeread";
+      case Spc::BlockEscapeSyscall:
+        return "block_escape_syscall";
+      case Spc::BlockEscapeOther: return "block_escape_other";
       case Spc::ParallelWorkerErrors:
         return "parallel_worker_errors";
       case Spc::DeadlineExceededRuns:

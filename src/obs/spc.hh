@@ -48,10 +48,10 @@ enum class Spc : std::uint8_t
     DegradedPoints,     //!< study rows recorded as degraded
     ProfileSamples,     //!< sampling-profiler samples latched
     ProfileSkidInstrs,  //!< user instructions traversed as skid
-    DecodedEscapeCallret,  //!< decoded-engine exits at call/ret
-    DecodedEscapeTimeread, //!< decoded-engine exits at rdtsc/rdpmc
-    DecodedEscapeSyscall,  //!< decoded-engine exits at syscall/iret
-    DecodedEscapeOther,    //!< decoded-engine exits at hostop/halt/...
+    BlockEscapeCallret,    //!< block-engine exits at call/ret
+    BlockEscapeTimeread,   //!< block-engine exits at rdtsc/rdpmc
+    BlockEscapeSyscall,    //!< block-engine exits at syscall/iret
+    BlockEscapeOther,      //!< block-engine exits at hostop/halt/...
     ParallelWorkerErrors,  //!< worker errors captured by parallelFor
     DeadlineExceededRuns,  //!< runs killed by the watchdog budget
     RetryBackoffCycles,    //!< virtual backoff charged before retries

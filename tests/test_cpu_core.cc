@@ -485,7 +485,7 @@ TEST(CoreGuard, RunawayIsResourceExhaustedOnBothEngines)
         a.addImm(Reg::Eax, 1).jmp(loop);
         m.prog.add(a.take());
         m.finish();
-        m.core->setDecodeCacheEnabled(block);
+        m.core->setBlockEngineEnabled(block);
         try {
             m.core->run(m.prog.entry("main"), 10000);
             ADD_FAILURE() << "block=" << block << ": no runaway";

@@ -60,7 +60,7 @@ linkLoop(Count iters)
 
 } // namespace
 
-TEST(DecodedBlock, FlagsAndEscapes)
+TEST(BlockLayout, FlagsAndEscapes)
 {
     const isa::Program p = linkLoop(10);
     const isa::CodeBlock &blk = p.block(0);
@@ -85,7 +85,7 @@ TEST(DecodedBlock, FlagsAndEscapes)
     EXPECT_TRUE(blk.inst(4).escape());
 }
 
-TEST(DecodedBlock, RunEndsStopAtEscapes)
+TEST(BlockLayout, RunEndsStopAtEscapes)
 {
     const isa::Program p = linkLoop(10);
     const isa::CodeBlock &blk = p.block(0);
@@ -315,7 +315,7 @@ nopLoop(Count iters, std::vector<int> runs)
 
 } // namespace
 
-TEST(DecodeCacheCore, InterruptDeliveryIdentical)
+TEST(EngineIdentityCore, InterruptDeliveryIdentical)
 {
     // Interrupts enabled (default): the engine must break dispatch at
     // exactly the cycles the per-step interpreter polls.
@@ -330,7 +330,7 @@ TEST(DecodeCacheCore, InterruptDeliveryIdentical)
 // Every execution tier: legacy, block, and the inert trace switch
 // ---------------------------------------------------------------- //
 
-TEST(TraceTierCore, InterruptDeliveryIdentical)
+TEST(EngineIdentityCore, InterruptDeliveryIdenticalFfOnAndOff)
 {
     // Many interrupts land mid-loop; with fast-forward off every one
     // of them interrupts a block-engine dispatch.
@@ -340,14 +340,14 @@ TEST(TraceTierCore, InterruptDeliveryIdentical)
             countedLoop(200000), ff ? "ff=1" : "ff=0");
 }
 
-TEST(TraceTierCore, ReturnStackIdenticalUnderInterrupts)
+TEST(EngineIdentityCore, ReturnStackIdenticalUnderInterrupts)
 {
     // Interrupts deliver between dispatches while every iteration's
     // call keeps the core's return-address stack live.
     expectTiersIdentical(identityConfig(), callLoop(30000, true));
 }
 
-TEST(TraceTierCore, TimeReadFoldIdenticalInterruptsOff)
+TEST(EngineIdentityCore, TimeReadFoldIdenticalInterruptsOff)
 {
     // With interrupts off the block engine runs long dispatch chains
     // between escapes; every rdtsc must still observe fully retired
@@ -357,7 +357,7 @@ TEST(TraceTierCore, TimeReadFoldIdenticalInterruptsOff)
         callLoop(30000, true));
 }
 
-TEST(TraceTierCore, EscapesFoldAwayAndRebootReforms)
+TEST(EngineIdentityCore, EscapesFoldAwayAndRebootReforms)
 {
     // A register-only warm-up loop, then a call+rdtsc loop. Loop
     // fast-forward folds the warm-up away. The call loop is not
@@ -393,19 +393,19 @@ TEST(TraceTierCore, EscapesFoldAwayAndRebootReforms)
     const std::string first = digestOf(m);
     const Count folded = obs::spcValue(obs::Spc::FastForwardIters);
     EXPECT_GT(folded, 0u);
-    EXPECT_EQ(obs::spcValue(obs::Spc::DecodedEscapeCallret), 2000u);
-    EXPECT_EQ(obs::spcValue(obs::Spc::DecodedEscapeTimeread), 1000u);
-    EXPECT_EQ(obs::spcValue(obs::Spc::DecodedEscapeSyscall), 0u);
+    EXPECT_EQ(obs::spcValue(obs::Spc::BlockEscapeCallret), 2000u);
+    EXPECT_EQ(obs::spcValue(obs::Spc::BlockEscapeTimeread), 1000u);
+    EXPECT_EQ(obs::spcValue(obs::Spc::BlockEscapeSyscall), 0u);
 
     m.reboot(cfg.seed);
     EXPECT_EQ(digestOf(m), first);
     EXPECT_EQ(obs::spcValue(obs::Spc::FastForwardIters), 2 * folded);
-    EXPECT_EQ(obs::spcValue(obs::Spc::DecodedEscapeCallret), 4000u);
-    EXPECT_EQ(obs::spcValue(obs::Spc::DecodedEscapeTimeread), 2000u);
+    EXPECT_EQ(obs::spcValue(obs::Spc::BlockEscapeCallret), 4000u);
+    EXPECT_EQ(obs::spcValue(obs::Spc::BlockEscapeTimeread), 2000u);
     obs::spcReset();
 }
 
-TEST(TraceTierCore, EscapeCountersTellTiersApart)
+TEST(EngineIdentityCore, EscapeCountersTellTiersApart)
 {
     // The block engine hands each call, ret and rdtsc to the legacy
     // interpreter and counts the hand-off by reason. The legacy
@@ -428,17 +428,17 @@ TEST(TraceTierCore, EscapeCountersTellTiersApart)
         cfg.decodeCache = t.decode;
         cfg.traceTier = t.trace;
         programDigest(cfg, callLoop(500, true));
-        EXPECT_EQ(obs::spcValue(obs::Spc::DecodedEscapeCallret),
+        EXPECT_EQ(obs::spcValue(obs::Spc::BlockEscapeCallret),
                   t.callret)
             << "decode=" << t.decode << " traceTier=" << t.trace;
-        EXPECT_EQ(obs::spcValue(obs::Spc::DecodedEscapeTimeread),
+        EXPECT_EQ(obs::spcValue(obs::Spc::BlockEscapeTimeread),
                   t.timeread)
             << "decode=" << t.decode << " traceTier=" << t.trace;
     }
     obs::spcReset();
 }
 
-TEST(TraceTierMemory, StridePatternsIdenticalAllTiers)
+TEST(EngineIdentityMemory, StridePatternsIdenticalAllTiers)
 {
     // Constant address (stride 0), a stride that crosses a dcache
     // line every few iterations (8), a descending walk (-8), and a
@@ -456,7 +456,7 @@ TEST(TraceTierMemory, StridePatternsIdenticalAllTiers)
                         " ff=" + std::to_string(ff));
 }
 
-TEST(TraceTierMemory, NestedLoopsIdenticalAllTiers)
+TEST(EngineIdentityMemory, NestedLoopsIdenticalAllTiers)
 {
     // A register-only inner loop, and one whose memory stride grows
     // every outer pass.
@@ -471,7 +471,7 @@ TEST(TraceTierMemory, NestedLoopsIdenticalAllTiers)
                         " ff=" + std::to_string(ff));
 }
 
-TEST(TraceTierMemory, InlinedCallLoopIdenticalAllTiers)
+TEST(EngineIdentityMemory, InlinedCallLoopIdenticalAllTiers)
 {
     // A loop whose only work is a call to a branch-free leaf.
     for (const auto proc :
@@ -487,7 +487,7 @@ TEST(TraceTierMemory, InlinedCallLoopIdenticalAllTiers)
 // Nop runs: retired a run at a time, identical to one at a time
 // ---------------------------------------------------------------- //
 
-TEST(TraceTierCore, NopRunsAtEveryLineOffsetIdentical)
+TEST(EngineIdentityCore, NopRunsAtEveryLineOffsetIdentical)
 {
     // Runs of 2..300 Nops, the whole text shifted through every
     // start offset of a 64-byte line: each run enters its lines,
@@ -498,7 +498,7 @@ TEST(TraceTierCore, NopRunsAtEveryLineOffsetIdentical)
                              "offset=" + std::to_string(off), off);
 }
 
-TEST(TraceTierCore, NopRunAcrossPagesIdentical)
+TEST(EngineIdentityCore, NopRunAcrossPagesIdentical)
 {
     // One run crossing several 4 KiB iTLB pages and longer than a
     // dispatch chunk (65536 steps), so it also splits across
@@ -510,7 +510,7 @@ TEST(TraceTierCore, NopRunAcrossPagesIdentical)
                              cpu::processorCode(proc));
 }
 
-TEST(TraceTierCore, NopLoopsUnderTimerTicksIdentical)
+TEST(EngineIdentityCore, NopLoopsUnderTimerTicksIdentical)
 {
     // A short timer period: ticks fall due inside Nop runs, so the
     // interrupt horizon decides between one step per run and one per
@@ -555,7 +555,7 @@ TEST(TraceTierCore, NopLoopsUnderTimerTicksIdentical)
         }
 }
 
-TEST(TraceTierCore, NopRecordDeadlineIdentical)
+TEST(EngineIdentityCore, NopRecordDeadlineIdentical)
 {
     // A Halt-less loop around a 100,000-Nop record under a watchdog
     // budget of three dispatch chunks (65536 instructions each) less
@@ -590,7 +590,7 @@ TEST(TraceTierCore, NopRecordDeadlineIdentical)
     }
 }
 
-TEST(DecodedBlock, NopRunEndsStopAtOtherInstructions)
+TEST(BlockLayout, NopRunEndsStopAtOtherInstructions)
 {
     isa::Assembler a("main");
     a.nop(3).addImm(isa::Reg::Eax, 1).nop(1).nop(2).halt();
@@ -613,7 +613,7 @@ TEST(DecodedBlock, NopRunEndsStopAtOtherInstructions)
     }
 }
 
-TEST(DecodedBlock, NopRunCounterCountsFoldedNops)
+TEST(BlockLayout, NopRunCounterCountsFoldedNops)
 {
     // nop_run_instrs counts the Nops the block engine retires a run
     // at a time; the per-step interpreter retires none that way.
@@ -636,7 +636,7 @@ TEST(DecodedBlock, NopRunCounterCountsFoldedNops)
     }
 }
 
-TEST(DecodedBlock, UserInstrCountersSplitByPath)
+TEST(BlockLayout, UserInstrCountersSplitByPath)
 {
     // Every user instruction is retired by exactly one path: the
     // block engine, the per-step interpreter (including the escapes
@@ -720,7 +720,7 @@ TEST(DecodedBlock, UserInstrCountersSplitByPath)
 // Measurement equality across decode x fast-forward
 // ---------------------------------------------------------------- //
 
-TEST(DecodeCacheHarness, MeasurementIdenticalAcrossFfSettings)
+TEST(EngineIdentityHarness, MeasurementIdenticalAcrossFfSettings)
 {
     const LoopBench bench(50000);
     Measurement ref;
@@ -796,7 +796,7 @@ expectStudyTiersIdentical(StudyFn &&study)
 
 } // namespace
 
-TEST(TraceTierStudies, NullErrorStudyByteIdentical)
+TEST(EngineIdentityStudies, NullErrorStudyByteIdentical)
 {
     const auto points = core::FactorSpace()
                             .processors({cpu::Processor::Core2Duo,
@@ -811,7 +811,7 @@ TEST(TraceTierStudies, NullErrorStudyByteIdentical)
         [&] { return core::runNullErrorStudy(points, 3, 42, obs); });
 }
 
-TEST(TraceTierStudies, DurationStudyByteIdentical)
+TEST(EngineIdentityStudies, DurationStudyByteIdentical)
 {
     core::DurationStudyOptions opt;
     opt.processors = {cpu::Processor::Core2Duo,
@@ -822,7 +822,7 @@ TEST(TraceTierStudies, DurationStudyByteIdentical)
         [&] { return core::runDurationStudy(opt); });
 }
 
-TEST(TraceTierStudies, CycleStudyByteIdentical)
+TEST(EngineIdentityStudies, CycleStudyByteIdentical)
 {
     core::CycleStudyOptions opt;
     opt.processors = {cpu::Processor::Core2Duo};
@@ -832,7 +832,7 @@ TEST(TraceTierStudies, CycleStudyByteIdentical)
     expectStudyTiersIdentical([&] { return core::runCycleStudy(opt); });
 }
 
-TEST(TraceTierStudies, FaultPlanByteIdentical)
+TEST(EngineIdentityStudies, FaultPlanByteIdentical)
 {
     // Under a live fault plan (retries, degraded rows, counter-width
     // wraps) the faulted rows must land identically on every tier and

@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -272,18 +273,44 @@ TEST(TryRun, UnknownEntryIsNotFound)
 
 TEST(TryRun, GuestFaultIsAStatus)
 {
-    // A program that faults (#GP: a privileged instruction in user
-    // mode) fails its run with a typed status instead of aborting the
-    // process, so a study degrades the point.
-    Machine m(MachineConfig{});
-    isa::Assembler a("main");
-    a.nop(4).rdmsr().halt();
-    m.addUserBlock(a.take());
-    m.finalize();
-    const auto r = m.tryRun("main");
-    ASSERT_FALSE(r.ok());
-    EXPECT_EQ(r.status().code(), StatusCode::FailedPrecondition);
-    EXPECT_EQ(r.status().message(), "#GP: rdmsr in user mode");
+    // A program that faults fails its run with a typed status instead
+    // of aborting the process, so a study degrades the point. Both
+    // engines report each fault with the same code and message.
+    struct Fault
+    {
+        const char *what;
+        std::function<void(isa::Assembler &)> body;
+        StatusCode code;
+        std::string message;
+    };
+    const std::vector<Fault> faults = {
+        {"privileged instruction in user mode",
+         [](isa::Assembler &a) { a.nop(4).rdmsr().halt(); },
+         StatusCode::FailedPrecondition, "#GP: rdmsr in user mode"},
+        {"call to a block that does not exist",
+         [](isa::Assembler &a) { a.nop(4).call("nowhere").halt(); },
+         StatusCode::NotFound, "call to unknown block 'nowhere'"},
+        {"block with no terminating instruction",
+         [](isa::Assembler &a) { a.nop(4).addImm(Reg::Eax, 1); },
+         StatusCode::FailedPrecondition,
+         "ran off the end of block 'main'"},
+    };
+    for (const Fault &f : faults)
+        for (const bool block : {true, false}) {
+            MachineConfig cfg;
+            cfg.decodeCache = block;
+            Machine m(cfg);
+            isa::Assembler a("main");
+            f.body(a);
+            m.addUserBlock(a.take());
+            m.finalize();
+            const auto r = m.tryRun("main");
+            ASSERT_FALSE(r.ok()) << f.what << " block=" << block;
+            EXPECT_EQ(r.status().code(), f.code)
+                << f.what << " block=" << block;
+            EXPECT_EQ(r.status().message(), f.message)
+                << f.what << " block=" << block;
+        }
 }
 
 // ---------------------------------------------------------------- //
