@@ -16,8 +16,8 @@
 #include <iostream>
 
 #include "bench_util.hh"
-#include "harness/harness.hh"
 #include "harness/microbench.hh"
+#include "harness/session.hh"
 #include "stats/histogram.hh"
 #include "support/table.hh"
 
@@ -28,9 +28,9 @@ main()
     using harness::AccessPattern;
     using harness::CountingMode;
     using harness::HarnessConfig;
+    using harness::HarnessSession;
     using harness::Interface;
     using harness::LoopBench;
-    using harness::MeasurementHarness;
     using Clock = std::chrono::steady_clock;
 
     bench::banner("Ablation", "Design-decision ablations");
@@ -50,10 +50,10 @@ main()
 
         cfg.fastForward = true;
         auto t0 = Clock::now();
-        const auto with_ff = MeasurementHarness(cfg).measure(loop);
+        const auto with_ff = HarnessSession(cfg, loop).run(cfg.seed);
         auto t1 = Clock::now();
         cfg.fastForward = false;
-        const auto no_ff = MeasurementHarness(cfg).measure(loop);
+        const auto no_ff = HarnessSession(cfg, loop).run(cfg.seed);
         auto t2 = Clock::now();
 
         const double ff_ms =
@@ -89,10 +89,10 @@ main()
 
         cfg.decodeCache = true;
         auto t0 = Clock::now();
-        const auto decoded = MeasurementHarness(cfg).measure(loop);
+        const auto decoded = HarnessSession(cfg, loop).run(cfg.seed);
         auto t1 = Clock::now();
         cfg.decodeCache = false;
-        const auto interp = MeasurementHarness(cfg).measure(loop);
+        const auto interp = HarnessSession(cfg, loop).run(cfg.seed);
         auto t2 = Clock::now();
 
         const double dec_ms =
@@ -151,7 +151,7 @@ main()
             cfg.primaryEvent = cpu::EventType::CpuClkUnhalted;
             cfg.interruptsEnabled = false;
             const auto m =
-                MeasurementHarness(cfg).measure(LoopBench{200000});
+                HarnessSession(cfg, LoopBench{200000}).run(cfg.seed);
             h.add(static_cast<double>(m.delta()) / 200000.0);
         }
     }

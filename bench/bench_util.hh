@@ -48,10 +48,9 @@ paperRef(const std::string &what, double paper, double measured,
 }
 
 /**
- * Collect null-benchmark errors for one configuration, through the
- * same per-point path the study engine uses (one assembled program,
- * rebooted per run — values identical to building a fresh
- * MeasurementHarness for every run, which this helper used to do).
+ * Null-benchmark errors of @p runs runs of @p cfg, measured by
+ * measurePoint() like a study point: run r takes the seed
+ * mixSeed(@p seed, r). Runs that fail are left out.
  */
 inline std::vector<double>
 nullErrors(harness::HarnessConfig cfg, int runs,

@@ -71,8 +71,6 @@ profileTwoPhase(Count hot_iters, Count cold_iters, Count period,
         .jne(hot);
     // A marker so the phases sit at distinct addresses.
     a.nop(32);
-    const int cold_start_idx = static_cast<int>(a.size());
-    (void)cold_start_idx;
     // Phase 2: cold loop.
     a.movImm(Reg::Ebx, 0);
     int cold = a.label();

@@ -11,8 +11,8 @@
 #include <iostream>
 
 #include "bench_util.hh"
-#include "harness/harness.hh"
 #include "harness/microbench.hh"
+#include "harness/session.hh"
 #include "stats/boxplot.hh"
 #include "stats/regression.hh"
 #include "support/table.hh"
@@ -25,7 +25,6 @@ main()
     using harness::HarnessConfig;
     using harness::Interface;
     using harness::LoopBench;
-    using harness::MeasurementHarness;
 
     bench::banner("Figure 9",
                   "Kernel-mode instructions by loop size (pc on CD)");
@@ -37,25 +36,27 @@ main()
     // thousand; here enough for stable means).
     constexpr int runs = 60;
 
+    HarnessConfig cfg;
+    cfg.processor = cpu::Processor::Core2Duo;
+    cfg.iface = Interface::Pc;
+    cfg.pattern = harness::AccessPattern::StartRead;
+    cfg.mode = CountingMode::Kernel;
+
     TextTable t({"loop size", "mean", "median", "q3", "max"});
     std::vector<double> xs, ys;
     std::vector<std::string> labels;
     std::vector<stats::BoxPlot> boxes;
     for (Count size : sizes) {
+        const auto seed_of = [size](int r) {
+            return mixSeed(909, size * 100 + static_cast<Count>(r));
+        };
         std::vector<double> deltas;
-        const LoopBench bench(size);
-        for (int r = 0; r < runs; ++r) {
-            HarnessConfig cfg;
-            cfg.processor = cpu::Processor::Core2Duo;
-            cfg.iface = Interface::Pc;
-            cfg.pattern = harness::AccessPattern::StartRead;
-            cfg.mode = CountingMode::Kernel;
-            cfg.seed = mixSeed(909, size * 100 +
-                                        static_cast<Count>(r));
-            const auto m = MeasurementHarness(cfg).measure(bench);
-            deltas.push_back(static_cast<double>(m.delta()));
+        for (const StatusOr<harness::Measurement> &m :
+             harness::measurePoint(cfg, LoopBench(size), runs, seed_of)) {
+            const auto delta = static_cast<double>(m.value().delta());
+            deltas.push_back(delta);
             xs.push_back(static_cast<double>(size));
-            ys.push_back(static_cast<double>(m.delta()));
+            ys.push_back(delta);
         }
         const auto s = stats::summarize(deltas);
         t.addRow({fmtCount(static_cast<long long>(size)),

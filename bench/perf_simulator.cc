@@ -79,8 +79,8 @@
 
 #include "core/factor_space.hh"
 #include "core/study.hh"
-#include "harness/harness.hh"
 #include "harness/microbench.hh"
+#include "harness/session.hh"
 #include "isa/assembler.hh"
 #include "kernel/faults.hh"
 #include "obs/snapshot.hh"
@@ -98,11 +98,11 @@ namespace fs = std::filesystem;
 using harness::AccessPattern;
 using harness::CountingMode;
 using harness::HarnessConfig;
+using harness::HarnessSession;
 using harness::Interface;
 using harness::LoopBench;
 using harness::Machine;
 using harness::MachineConfig;
-using harness::MeasurementHarness;
 using harness::NullBench;
 using isa::Assembler;
 using isa::Reg;
@@ -345,7 +345,7 @@ timeHarnessPoints(bool decode, int runs)
         cfg.pattern = AccessPattern::ReadRead;
         cfg.seed = static_cast<std::uint64_t>(r) + 1;
         cfg.decodeCache = decode;
-        const auto m = MeasurementHarness(cfg).measure(bench);
+        const auto m = HarnessSession(cfg, bench).run(cfg.seed);
         digest << m.error() << '/';
     }
     const double sec = secondsSince(t0);
@@ -536,7 +536,7 @@ legacySerialNullStudy(const std::vector<core::FactorPoint> &points,
             HarnessConfig cfg = p.toHarnessConfig(
                 mixSeed(seed, point_id * 1000 +
                                   static_cast<std::uint64_t>(r)));
-            const auto m = MeasurementHarness(cfg).measure(bench);
+            const auto m = HarnessSession(cfg, bench).run(cfg.seed);
             table.add({cpu::processorCode(p.processor),
                        harness::interfaceCode(p.iface),
                        harness::patternName(p.pattern),

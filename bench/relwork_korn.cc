@@ -10,8 +10,8 @@
 #include <iostream>
 
 #include "bench_util.hh"
-#include "harness/harness.hh"
 #include "harness/microbench.hh"
+#include "harness/session.hh"
 #include "support/table.hh"
 
 int
@@ -22,10 +22,10 @@ main()
     using harness::ArrayWalkBench;
     using harness::CountingMode;
     using harness::HarnessConfig;
+    using harness::HarnessSession;
     using harness::Interface;
     using harness::LinearBench;
     using harness::LoopBench;
-    using harness::MeasurementHarness;
 
     bench::banner("Related work (Korn et al.)",
                   "Measured vs analytical event counts");
@@ -74,7 +74,7 @@ main()
             cfg.interruptsEnabled = false;
             cfg.seed = 4711;
             const auto m =
-                MeasurementHarness(cfg).measure(*p.bench);
+                HarnessSession(cfg, *p.bench).run(cfg.seed);
             const auto expected =
                 p.bench->expectedEvents(p.event, arch);
             const auto exp_v = expected ? *expected : 0;

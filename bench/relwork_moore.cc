@@ -12,8 +12,8 @@
 #include <iostream>
 
 #include "bench_util.hh"
-#include "harness/harness.hh"
 #include "harness/microbench.hh"
+#include "harness/session.hh"
 #include "support/table.hh"
 
 int
@@ -24,7 +24,6 @@ main()
     using harness::CountingMode;
     using harness::HarnessConfig;
     using harness::Interface;
-    using harness::MeasurementHarness;
     using harness::NullBench;
 
     bench::banner("Related work (Moore)",
@@ -34,19 +33,18 @@ main()
     // access calls inside the measured window.
     auto cycle_cost = [](cpu::Processor proc, Interface iface,
                          AccessPattern pat) {
+        HarnessConfig cfg;
+        cfg.processor = proc;
+        cfg.iface = iface;
+        cfg.pattern = pat;
+        cfg.mode = CountingMode::UserKernel;
+        cfg.primaryEvent = cpu::EventType::CpuClkUnhalted;
         std::vector<double> cycles;
-        for (int r = 0; r < 7; ++r) {
-            HarnessConfig cfg;
-            cfg.processor = proc;
-            cfg.iface = iface;
-            cfg.pattern = pat;
-            cfg.mode = CountingMode::UserKernel;
-            cfg.primaryEvent = cpu::EventType::CpuClkUnhalted;
-            cfg.seed = 606 + static_cast<std::uint64_t>(r);
-            cycles.push_back(static_cast<double>(
-                MeasurementHarness(cfg).measure(NullBench{})
-                    .delta()));
-        }
+        for (const StatusOr<harness::Measurement> &m :
+             harness::measurePoint(cfg, NullBench{}, 7, [](int r) {
+                 return 606 + static_cast<std::uint64_t>(r);
+             }))
+            cycles.push_back(static_cast<double>(m.value().delta()));
         return stats::summarize(cycles);
     };
 

@@ -12,6 +12,7 @@
 #include <iostream>
 
 #include "bench_util.hh"
+#include "harness/session.hh"
 #include "harness/tool.hh"
 #include "support/table.hh"
 
@@ -20,8 +21,8 @@ main()
 {
     using namespace pca;
     using harness::HarnessConfig;
+    using harness::HarnessSession;
     using harness::LoopBench;
-    using harness::MeasurementHarness;
     using harness::ToolConfig;
     using harness::ToolKind;
 
@@ -66,7 +67,7 @@ main()
     in_process.mode = harness::CountingMode::UserKernel;
     in_process.seed = 99;
     const auto fine =
-        MeasurementHarness(in_process).measure(small_loop);
+        HarnessSession(in_process, small_loop).run(in_process.seed);
     std::cout << "\nin-process (pm, read-read) for loop/1000: error "
               << fine.error() << " instructions ("
               << fmtDouble(100.0 * static_cast<double>(fine.error()) /

@@ -13,8 +13,8 @@
 
 #include <iostream>
 
-#include "harness/harness.hh"
 #include "harness/microbench.hh"
+#include "harness/session.hh"
 #include "stats/descriptive.hh"
 #include "stats/regression.hh"
 #include "support/strutil.hh"
@@ -36,11 +36,11 @@ main()
 
     // --- Step 1: fixed overhead from the null benchmark ---
     std::vector<double> null_errs;
-    for (int r = 0; r < 15; ++r) {
-        cfg.seed = 100 + static_cast<std::uint64_t>(r);
-        null_errs.push_back(static_cast<double>(
-            MeasurementHarness(cfg).measure(NullBench{}).error()));
-    }
+    for (const StatusOr<Measurement> &m :
+         measurePoint(cfg, NullBench{}, 15, [](int r) {
+             return 100 + static_cast<std::uint64_t>(r);
+         }))
+        null_errs.push_back(static_cast<double>(m.value().error()));
     const double fixed_overhead = stats::median(null_errs);
     std::cout << "fixed overhead (null benchmark median):   "
               << fixed_overhead << " instructions\n";
@@ -48,13 +48,13 @@ main()
     // --- Step 2: variable overhead from the loop benchmark ---
     std::vector<double> xs, ys;
     for (Count size : {100000u, 400000u, 700000u, 1000000u}) {
-        const LoopBench loop(size);
-        for (int r = 0; r < 6; ++r) {
-            cfg.seed = 500 + size / 1000 +
-                static_cast<std::uint64_t>(r);
-            const auto m = MeasurementHarness(cfg).measure(loop);
+        for (const StatusOr<Measurement> &m :
+             measurePoint(cfg, LoopBench(size), 6, [size](int r) {
+                 return 500 + size / 1000 +
+                     static_cast<std::uint64_t>(r);
+             })) {
             xs.push_back(static_cast<double>(size));
-            ys.push_back(static_cast<double>(m.error()));
+            ys.push_back(static_cast<double>(m.value().error()));
         }
     }
     const auto fit = stats::linearFit(xs, ys);
@@ -67,8 +67,7 @@ main()
                  "residual"});
     for (Count size : {5000u, 50000u, 500000u, 2000000u}) {
         const LoopBench loop(size);
-        cfg.seed = 9000 + size;
-        const auto m = MeasurementHarness(cfg).measure(loop);
+        const auto m = HarnessSession(cfg, loop).run(9000 + size);
         const double corrected =
             static_cast<double>(m.delta()) - fixed_overhead -
             fit.slope * static_cast<double>(size);

@@ -13,8 +13,8 @@
 
 #include <iostream>
 
-#include "harness/harness.hh"
 #include "harness/microbench.hh"
+#include "harness/session.hh"
 #include "stats/descriptive.hh"
 #include "support/strutil.hh"
 #include "support/table.hh"
@@ -54,17 +54,17 @@ main()
         TextTable t({"phase instrs", "median error", "rel. error"});
         for (Count iters : phase_iters) {
             const LoopBench phase(iters);
+            HarnessConfig cfg;
+            cfg.processor = cpu::Processor::Core2Duo;
+            cfg.iface = s.iface;
+            cfg.pattern = s.pattern;
+            cfg.mode = s.mode;
             std::vector<double> errs;
-            for (int r = 0; r < 7; ++r) {
-                HarnessConfig cfg;
-                cfg.processor = cpu::Processor::Core2Duo;
-                cfg.iface = s.iface;
-                cfg.pattern = s.pattern;
-                cfg.mode = s.mode;
-                cfg.seed = 90 + static_cast<std::uint64_t>(r);
-                errs.push_back(static_cast<double>(
-                    MeasurementHarness(cfg).measure(phase).error()));
-            }
+            for (const StatusOr<Measurement> &m :
+                 measurePoint(cfg, phase, 7, [](int r) {
+                     return 90 + static_cast<std::uint64_t>(r);
+                 }))
+                errs.push_back(static_cast<double>(m.value().error()));
             const double med = stats::median(errs);
             const double expected =
                 static_cast<double>(phase.expectedInstructions());

@@ -11,9 +11,10 @@
 
 #include <iostream>
 
-#include "harness/harness.hh"
 #include "harness/microbench.hh"
+#include "harness/session.hh"
 #include "obs/env.hh"
+#include "support/random.hh"
 
 int
 main()
@@ -41,11 +42,10 @@ main()
     //    paper's loop executes exactly 1 + 3*MAX instructions.
     const LoopBench loop(100000);
 
-    // 3. Run. Each measure() boots a fresh simulated machine,
-    //    builds the measurement program (library calls + inline
-    //    benchmark), and executes it.
-    const MeasurementHarness harness(cfg);
-    const Measurement m = harness.measure(loop);
+    // 3. Run. A session boots a simulated machine and builds the
+    //    measurement program (library calls + inline benchmark);
+    //    run() reboots the machine with a seed and executes it.
+    const Measurement m = HarnessSession(cfg, loop).run(cfg.seed);
 
     std::cout << "benchmark:            " << loop.name() << " x "
               << loop.iterations() << " iterations\n"
@@ -61,7 +61,7 @@ main()
     //    The attribution breaks the error down by cause — its
     //    components sum to the error exactly.
     cfg.mode = CountingMode::UserKernel;
-    const Measurement uk = MeasurementHarness(cfg).measure(loop);
+    const Measurement uk = HarnessSession(cfg, loop).run(cfg.seed);
     std::cout << "user+kernel c-delta:   " << uk.delta() << '\n'
               << "user+kernel error:     " << uk.error()
               << " instructions\n"
@@ -70,11 +70,14 @@ main()
               << '\n';
 
     // 5. Repeat measurements with fresh seeds to see run-to-run
-    //    variation (interrupt phase, preemption).
+    //    variation (interrupt phase, preemption): measurePoint runs
+    //    one session once per seed.
     std::cout << "\nfive repeated user+kernel measurements:";
-    for (const auto &rep :
-         MeasurementHarness(cfg).measureMany(loop, 5))
-        std::cout << ' ' << rep.error();
+    for (const StatusOr<Measurement> &rep :
+         measurePoint(cfg, loop, 5, [&](int r) {
+             return mixSeed(cfg.seed, static_cast<std::uint64_t>(r));
+         }))
+        std::cout << ' ' << rep.value().error();
     std::cout << '\n';
     return 0;
 }

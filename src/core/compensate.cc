@@ -1,6 +1,7 @@
 #include "core/compensate.hh"
 
 #include "harness/microbench.hh"
+#include "harness/session.hh"
 #include "stats/descriptive.hh"
 #include "stats/regression.hh"
 #include "support/logging.hh"
@@ -22,32 +23,29 @@ Compensator::calibrate(const harness::HarnessConfig &cfg,
     pca_assert(opt.nullRuns >= 3);
     pca_assert(opt.loopSizes.size() >= 2);
 
-    harness::HarnessConfig run_cfg = cfg;
-
     // Fixed overhead: median null-benchmark error.
     std::vector<double> null_errs;
-    const harness::NullBench null_bench;
-    for (int r = 0; r < opt.nullRuns; ++r) {
-        run_cfg.seed = mixSeed(opt.seed, static_cast<Count>(r));
-        null_errs.push_back(static_cast<double>(
-            harness::MeasurementHarness(run_cfg)
-                .measure(null_bench)
-                .error()));
-    }
+    for (const StatusOr<harness::Measurement> &m : harness::measurePoint(
+             cfg, harness::NullBench{}, opt.nullRuns, [&](int r) {
+                 return mixSeed(opt.seed, static_cast<Count>(r));
+             }))
+        null_errs.push_back(static_cast<double>(m.value().error()));
     const double fixed = stats::median(null_errs);
 
     // Variable overhead: error vs true instruction count.
     std::vector<double> xs, ys;
     for (Count size : opt.loopSizes) {
         const harness::LoopBench loop(size);
-        for (int r = 0; r < opt.runsPerSize; ++r) {
-            run_cfg.seed =
-                mixSeed(opt.seed, size * 31 + static_cast<Count>(r));
-            const auto m =
-                harness::MeasurementHarness(run_cfg).measure(loop);
+        for (const StatusOr<harness::Measurement> &m :
+             harness::measurePoint(
+                 cfg, loop, opt.runsPerSize, [&](int r) {
+                     return mixSeed(opt.seed,
+                                    size * 31 + static_cast<Count>(r));
+                 })) {
             xs.push_back(
                 static_cast<double>(loop.expectedInstructions()));
-            ys.push_back(static_cast<double>(m.error()) - fixed);
+            ys.push_back(static_cast<double>(m.value().error()) -
+                         fixed);
         }
     }
     const auto fit = stats::linearFit(xs, ys);

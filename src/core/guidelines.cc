@@ -4,9 +4,11 @@
 
 #include "core/factor_space.hh"
 #include "harness/microbench.hh"
+#include "harness/session.hh"
 #include "stats/descriptive.hh"
 #include "support/logging.hh"
 #include "support/random.hh"
+#include "support/status.hh"
 #include "support/strutil.hh"
 #include "support/table.hh"
 
@@ -48,6 +50,16 @@ Guidelines::Guidelines(int calibration_runs, std::uint64_t seed)
     : runs(calibration_runs), seed(seed)
 {
     pca_assert(runs >= 3);
+    // Run r of candidate k takes seed index k·100 + r, so a candidate
+    // may have at most 100 runs before it replays the next one's.
+    constexpr int maxRuns = 100;
+    if (runs > maxRuns)
+        throw StatusError(Status(
+            StatusCode::InvalidArgument,
+            detail::cat("guidelines: at most ", maxRuns,
+                        " calibration runs (got ", runs,
+                        "); more would repeat the next candidate's "
+                        "seeds")));
 }
 
 Recommendation
@@ -79,14 +91,14 @@ Guidelines::recommend(const GuidelineQuery &query) const
     for (const FactorPoint &p : space.generate()) {
         ++point_id;
         std::vector<double> errors;
-        for (int r = 0; r < runs; ++r) {
-            auto cfg = p.toHarnessConfig(
-                mixSeed(seed, point_id * 100 +
-                                  static_cast<std::uint64_t>(r)));
-            errors.push_back(static_cast<double>(
-                harness::MeasurementHarness(cfg).measure(bench)
-                    .error()));
-        }
+        for (const StatusOr<harness::Measurement> &m :
+             harness::measurePoint(
+                 p.toHarnessConfig(seed), bench, runs, [&](int r) {
+                     return mixSeed(seed,
+                                    point_id * 100 +
+                                        static_cast<std::uint64_t>(r));
+                 }))
+            errors.push_back(static_cast<double>(m.value().error()));
         RankedChoice c;
         c.iface = p.iface;
         c.pattern = p.pattern;

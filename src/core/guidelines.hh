@@ -67,7 +67,8 @@ class Guidelines
 {
   public:
     /**
-     * @param calibration_runs measurements per candidate config
+     * @param calibration_runs measurements per candidate config, 3 to
+     *        100 (more throws StatusError(InvalidArgument))
      * @param seed RNG stream for the calibration runs
      */
     explicit Guidelines(int calibration_runs = 7,

@@ -6,8 +6,8 @@
 #include <cstdlib>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <mutex>
-#include <optional>
 
 #include "core/checkpoint.hh"
 #include "harness/microbench.hh"
@@ -28,6 +28,7 @@ using harness::HarnessConfig;
 using harness::Interface;
 using harness::LoopBench;
 using harness::Measurement;
+using harness::MicroBenchmark;
 using harness::NullBench;
 
 StudyObsOptions
@@ -154,15 +155,6 @@ class StudyObserver
     std::mutex mtx;
 };
 
-/** The four attribution key columns, in table order. */
-void
-appendAttrColumns(std::vector<std::string> &cols)
-{
-    cols.insert(cols.end(),
-                {"attr_pattern", "attr_timer", "attr_io",
-                 "attr_preempt"});
-}
-
 void
 appendAttrKeys(std::vector<std::string> &keys,
                const obs::ErrorAttribution &a)
@@ -248,53 +240,104 @@ histOf(const PointRecord &rec)
     return h;
 }
 
-/**
- * FNV-1a over every point label: pins the swept factor space inside
- * the checkpoint identity without recording each label.
- */
-std::string
-labelsDigest(std::size_t n,
-             const std::function<std::string(std::size_t)> &label_of)
+/** One point-key column of a study table. */
+struct KeyColumn
 {
-    std::uint64_t h = 1469598103934665603ull;
-    for (std::size_t i = 0; i < n; ++i)
-        for (char c : label_of(i)) {
-            h ^= static_cast<unsigned char>(c);
-            h *= 1099511628211ull;
+    const char *name;        //!< table column
+    const char *labelPrefix; //!< the cell's prefix in the point label
+};
+
+/**
+ * What one canned study sweeps; runSweep() does the rest. Keys,
+ * configurations and benchmarks derive from the point index on
+ * demand, so nothing per point is stored before it runs.
+ */
+struct Sweep
+{
+    const char *study;     //!< observer and checkpoint name
+    const char *valueName; //!< the table's value column
+    std::vector<KeyColumn> columns; //!< point keys, before "run"
+    std::size_t points = 0;
+    int runs = 0; //!< runs per point
+    std::uint64_t seed = 0;
+    /** Identity fields the study pins after its seed and runs. */
+    std::string identity;
+    bool useDelta = false; //!< raw c∆ instead of c∆ - expected
+    StudyObsOptions obs;
+    std::function<std::vector<std::string>(std::size_t)> keysOf;
+    /** Point i's configuration; the sweep adds the fault plan. */
+    std::function<HarnessConfig(std::size_t)> configOf;
+    std::function<std::unique_ptr<MicroBenchmark>(std::size_t)> benchOf;
+    /**
+     * Run r of point i takes the seed mixSeed(seed, seedIndex(i, r)):
+     * a pure function of the point and run, never of scheduling.
+     */
+    std::function<std::uint64_t(std::size_t, int)> seedIndex;
+
+    /**
+     * Point i's name in the metrics, the distributions and the
+     * checkpoint digest: its prefixed key cells joined with '/'.
+     */
+    std::string
+    label(std::size_t i) const
+    {
+        const std::vector<std::string> keys = keysOf(i);
+        std::string out;
+        for (std::size_t c = 0; c < keys.size(); ++c) {
+            if (c > 0)
+                out += '/';
+            out += columns[c].labelPrefix;
+            out += keys[c];
         }
-    char buf[24];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(h));
-    return buf;
-}
+        return out;
+    }
+
+    /**
+     * The checkpoint identity: seed, runs, the study's own fields,
+     * an FNV-1a digest over every point label (pinning the swept
+     * factor space without recording each label) and the fault plan.
+     */
+    std::string
+    identityOf(const kernel::FaultPlan &plan) const
+    {
+        std::uint64_t h = 1469598103934665603ull;
+        for (std::size_t i = 0; i < points; ++i)
+            for (char c : label(i)) {
+                h ^= static_cast<unsigned char>(c);
+                h *= 1099511628211ull;
+            }
+        char digest[24];
+        std::snprintf(digest, sizeof digest, "%016llx",
+                      static_cast<unsigned long long>(h));
+        return detail::cat("seed=", seed, "|runs=", runs, identity,
+                           "|pts=", digest,
+                           "|faults=", plan.fingerprint());
+    }
+};
 
 /**
  * The shared resilient point loop behind all three studies.
  *
- * Fans the factor points over the worker pool; measure(i, budget)
- * produces point i's runs (their seeds must be a pure function of
- * the study seed and i, never of scheduling). With
- * PCA_CHECKPOINT set, points completed by a prior invocation load
- * from the checkpoint and are not re-measured, each finished point
- * is durably appended as it completes, and SIGINT turns into
- * cooperative cancellation: workers drain, the checkpoint stays
- * consistent, and the Cancelled error propagates to the caller.
- * Every point's retry allowance is the policy's deterministic
- * per-point share, so a study-wide budget can never make results
- * depend on worker timing. The returned records are in point order
- * and identical whether any prefix was resumed, at any thread count.
+ * Fans the factor points over the worker pool, each measured by
+ * measurePoint(). With PCA_CHECKPOINT set, points completed by a
+ * prior invocation load from the checkpoint and are not re-measured,
+ * each finished point is durably appended as it completes, and
+ * SIGINT turns into cooperative cancellation: workers drain, the
+ * checkpoint stays consistent, and the Cancelled error propagates to
+ * the caller. Every point's retry allowance is the policy's
+ * deterministic per-point share, so a study-wide budget can never
+ * make results depend on worker timing. The returned records are in
+ * point order and identical whether any prefix was resumed, at any
+ * thread count.
  */
 std::vector<PointRecord>
-runPoints(
-    const char *study, const std::string &identity, std::size_t n,
-    const kernel::FaultPlan &fault_plan, StudyObserver &observer,
-    const std::function<std::string(std::size_t)> &label_of,
-    const std::function<std::vector<StatusOr<Measurement>>(
-        std::size_t, std::optional<long>)> &measure,
-    bool use_delta, bool with_attr)
+runPoints(const Sweep &s, const kernel::FaultPlan &fault_plan,
+          StudyObserver &observer)
 {
+    const std::size_t n = s.points;
     std::vector<PointRecord> slots(n);
-    auto ckpt = StudyCheckpoint::openFromEnv(study, identity, n);
+    auto ckpt = StudyCheckpoint::openFromEnv(
+        s.study, s.identityOf(fault_plan), n);
     std::vector<std::size_t> todo;
     todo.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -307,7 +350,7 @@ runPoints(
     if (ckpt) {
         installSigintCancel();
         if (todo.size() < n)
-            pca_inform(study, ": resuming from ", ckpt->path(), " (",
+            pca_inform(s.study, ": resuming from ", ckpt->path(), " (",
                        n - todo.size(), "/", n,
                        " points already complete)");
     }
@@ -315,16 +358,23 @@ runPoints(
     try {
         parallelFor(todo.size(), [&](std::size_t t) {
             const std::size_t i = todo[t];
+            HarnessConfig cfg = s.configOf(i);
+            cfg.faults = fault_plan;
             slots[i] = toRecord(
-                measure(i, fault_plan.retry.effectivePointBudget(n, i)),
-                use_delta, with_attr);
+                harness::measurePoint(
+                    cfg, *s.benchOf(i), s.runs,
+                    [&](int r) {
+                        return mixSeed(s.seed, s.seedIndex(i, r));
+                    },
+                    fault_plan.retry.effectivePointBudget(n, i)),
+                s.useDelta, s.obs.attributionColumns);
             if (ckpt)
                 ckpt->record(i, slots[i]);
-            observer.pointDone(label_of(i), okValues(slots[i]));
+            observer.pointDone(s.label(i), okValues(slots[i]));
         });
     } catch (const StatusError &e) {
         if (e.status().code() == StatusCode::Cancelled && ckpt)
-            pca_warn(study, ": cancelled with ",
+            pca_warn(s.study, ": cancelled with ",
                      ckpt->completedCount(), "/", n,
                      " points checkpointed in ", ckpt->path(),
                      "; rerun with PCA_CHECKPOINT set to resume");
@@ -333,86 +383,43 @@ runPoints(
     return slots;
 }
 
-} // namespace
-
+/**
+ * Measure every point of @p s and emit the table: one row per run,
+ * keyed by the point's keys, the run index and, when enabled, the
+ * run's attribution cells, in point order, so the table is
+ * byte-identical for every PCA_THREADS value.
+ */
 DataTable
-runNullErrorStudy(const std::vector<FactorPoint> &points,
-                  int runs_per_point, std::uint64_t seed,
-                  const StudyObsOptions &obs_opt)
+runSweep(const Sweep &s)
 {
-    pca_assert(runs_per_point >= 1);
-    std::vector<std::string> cols{"processor", "interface",
-                                  "pattern",   "mode",
-                                  "opt",       "nctrs",
-                                  "tsc",       "run"};
-    if (obs_opt.attributionColumns)
-        appendAttrColumns(cols);
-    DataTable table(cols, "error");
-    StudyObserver observer(obs_opt, "null_error", points.size());
-    const NullBench bench;
-    const kernel::FaultPlan fault_plan = kernel::FaultPlan::fromEnv();
+    std::vector<std::string> cols;
+    for (const KeyColumn &c : s.columns)
+        cols.push_back(c.name);
+    cols.push_back("run");
+    if (s.obs.attributionColumns)
+        cols.insert(cols.end(), {"attr_pattern", "attr_timer",
+                                 "attr_io", "attr_preempt"});
+    DataTable table(cols, s.valueName);
 
-    // Every run's seed is a pure function of (study seed, point
-    // index, run index), so the measured values cannot depend on
-    // which worker claims a point; the point-order emission below
-    // makes the table byte-identical for every PCA_THREADS value.
-    const auto label_of = [&](std::size_t i) {
-        const FactorPoint &p = points[i];
-        return detail::cat(cpu::processorCode(p.processor), "/",
-                           harness::interfaceCode(p.iface), "/",
-                           harness::patternName(p.pattern), "/",
-                           harness::countingModeName(p.mode), "/O",
-                           p.optLevel, "/n", p.numCounters, "/tsc=",
-                           p.tsc ? "on" : "off");
-    };
-    const auto measure = [&](std::size_t i,
-                             std::optional<long> budget) {
-        const FactorPoint &p = points[i];
-        const std::uint64_t point_id = i + 1;
-        HarnessConfig cfg = p.toHarnessConfig(seed);
-        cfg.faults = fault_plan;
-        return harness::measurePoint(
-            cfg, bench, runs_per_point,
-            [&](int r) {
-                return mixSeed(seed,
-                               point_id * 1000 +
-                                   static_cast<std::uint64_t>(r));
-            },
-            budget);
-    };
-    const std::string identity = detail::cat(
-        "seed=", seed, "|runs=", runs_per_point,
-        "|attr=", obs_opt.attributionColumns ? 1 : 0,
-        "|pts=", labelsDigest(points.size(), label_of),
-        "|faults=", fault_plan.fingerprint());
-    std::vector<PointRecord> slots =
-        runPoints("null_error", identity, points.size(), fault_plan,
-                  observer, label_of, measure, false,
-                  obs_opt.attributionColumns);
+    StudyObserver observer(s.obs, s.study, s.points);
+    const std::vector<PointRecord> slots =
+        runPoints(s, kernel::FaultPlan::fromEnv(), observer);
 
     // Point-order append => thread-count-independent output.
-    if (obs_opt.distributions)
-        for (std::size_t i = 0; i < points.size(); ++i)
-            obs_opt.distributions->addPoint(label_of(i),
-                                            histOf(slots[i]));
+    if (s.obs.distributions)
+        for (std::size_t i = 0; i < s.points; ++i)
+            s.obs.distributions->addPoint(s.label(i), histOf(slots[i]));
 
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        const FactorPoint &p = points[i];
-        for (int r = 0; r < runs_per_point; ++r) {
+    for (std::size_t i = 0; i < s.points; ++i) {
+        const std::vector<std::string> point_keys = s.keysOf(i);
+        for (int r = 0; r < s.runs; ++r) {
             const CheckpointRun &run =
                 slots[i][static_cast<std::size_t>(r)];
-            std::vector<std::string> keys{
-                cpu::processorCode(p.processor),
-                harness::interfaceCode(p.iface),
-                harness::patternName(p.pattern),
-                harness::countingModeName(p.mode),
-                "O" + std::to_string(p.optLevel),
-                std::to_string(p.numCounters),
-                p.tsc ? "on" : "off",
-                std::to_string(r)};
-            if (obs_opt.attributionColumns)
-                keys.insert(keys.end(), run.attr.begin(),
-                            run.attr.end());
+            // A record carries attribution cells exactly when the
+            // table has their columns.
+            std::vector<std::string> keys = point_keys;
+            keys.push_back(std::to_string(r));
+            keys.insert(keys.end(), run.attr.begin(), run.attr.end());
             if (run.ok) {
                 table.add(keys, run.value);
             } else {
@@ -425,15 +432,75 @@ runNullErrorStudy(const std::vector<FactorPoint> &points,
     return table;
 }
 
+/**
+ * The loop studies' legacy serial numbering: the seed index ticked
+ * once per run, in point order. Preserved exactly so their tables
+ * match the pre-parallel engine bit for bit.
+ */
+std::function<std::uint64_t(std::size_t, int)>
+serialSeedIndex(int runs)
+{
+    return [runs](std::size_t i, int r) {
+        return i * static_cast<std::uint64_t>(runs) +
+            static_cast<std::uint64_t>(r) + 1;
+    };
+}
+
+} // namespace
+
+DataTable
+runNullErrorStudy(const std::vector<FactorPoint> &points,
+                  int runs_per_point, std::uint64_t seed,
+                  const StudyObsOptions &obs_opt)
+{
+    pca_assert(runs_per_point >= 1);
+    // Run r of point i takes seed index (i+1)·1000 + r, so a point
+    // may have at most 1000 runs before it replays the next point's.
+    constexpr int maxRuns = 1000;
+    if (runs_per_point > maxRuns)
+        throw StatusError(Status(
+            StatusCode::InvalidArgument,
+            detail::cat("null error study: at most ", maxRuns,
+                        " runs per point (got ", runs_per_point,
+                        "); more would repeat the next point's "
+                        "seeds")));
+    return runSweep({
+        .study = "null_error",
+        .valueName = "error",
+        .columns = {{"processor", ""}, {"interface", ""},
+                    {"pattern", ""}, {"mode", ""}, {"opt", ""},
+                    {"nctrs", "n"}, {"tsc", "tsc="}},
+        .points = points.size(),
+        .runs = runs_per_point,
+        .seed = seed,
+        .identity = detail::cat(
+            "|attr=", obs_opt.attributionColumns ? 1 : 0),
+        .obs = obs_opt,
+        .keysOf = [&](std::size_t i) {
+            const FactorPoint &p = points[i];
+            return std::vector<std::string>{
+                cpu::processorCode(p.processor),
+                harness::interfaceCode(p.iface),
+                harness::patternName(p.pattern),
+                harness::countingModeName(p.mode),
+                "O" + std::to_string(p.optLevel),
+                std::to_string(p.numCounters), p.tsc ? "on" : "off"};
+        },
+        .configOf = [&](std::size_t i) {
+            return points[i].toHarnessConfig(seed);
+        },
+        .benchOf = [](std::size_t) {
+            return std::make_unique<NullBench>();
+        },
+        .seedIndex = [](std::size_t i, int r) {
+            return (i + 1) * 1000 + static_cast<std::uint64_t>(r);
+        },
+    });
+}
+
 DataTable
 runDurationStudy(const DurationStudyOptions &opt)
 {
-    std::vector<std::string> cols{"processor", "interface",
-                                  "loopsize", "run"};
-    if (opt.obs.attributionColumns)
-        appendAttrColumns(cols);
-    DataTable table(cols, "error");
-
     struct Point
     {
         cpu::Processor proc;
@@ -449,78 +516,38 @@ runDurationStudy(const DurationStudyOptions &opt)
                 pts.push_back({proc, iface, size});
         }
 
-    StudyObserver observer(opt.obs, "duration", pts.size());
-    const kernel::FaultPlan fault_plan = kernel::FaultPlan::fromEnv();
-    const auto label_of = [&](std::size_t i) {
-        const Point &p = pts[i];
-        return detail::cat(cpu::processorCode(p.proc), "/",
-                           harness::interfaceCode(p.iface),
-                           "/size=", p.size);
-    };
-    const auto measure = [&](std::size_t i,
-                             std::optional<long> budget) {
-        const Point &p = pts[i];
-        const LoopBench bench(p.size);
-        HarnessConfig cfg;
-        cfg.processor = p.proc;
-        cfg.iface = p.iface;
-        cfg.pattern = opt.pattern;
-        cfg.mode = opt.mode;
-        cfg.faults = fault_plan;
-        // Legacy serial numbering: point_id ticked once per run, in
-        // point order. Preserved exactly so the table matches the
-        // pre-parallel engine bit for bit.
-        const std::uint64_t base =
-            static_cast<std::uint64_t>(i) *
-            static_cast<std::uint64_t>(opt.runsPerSize);
-        return harness::measurePoint(
-            cfg, bench, opt.runsPerSize,
-            [&](int r) {
-                return mixSeed(
-                    opt.seed,
-                    base + static_cast<std::uint64_t>(r) + 1);
-            },
-            budget);
-    };
-    const std::string identity = detail::cat(
-        "seed=", opt.seed, "|runs=", opt.runsPerSize,
-        "|pat=", harness::patternName(opt.pattern),
-        "|mode=", harness::countingModeName(opt.mode),
-        "|attr=", opt.obs.attributionColumns ? 1 : 0,
-        "|pts=", labelsDigest(pts.size(), label_of),
-        "|faults=", fault_plan.fingerprint());
-    std::vector<PointRecord> slots =
-        runPoints("duration", identity, pts.size(), fault_plan,
-                  observer, label_of, measure, false,
-                  opt.obs.attributionColumns);
-
-    if (opt.obs.distributions)
-        for (std::size_t i = 0; i < pts.size(); ++i)
-            opt.obs.distributions->addPoint(label_of(i),
-                                            histOf(slots[i]));
-
-    for (std::size_t i = 0; i < pts.size(); ++i) {
-        const Point &p = pts[i];
-        for (int r = 0; r < opt.runsPerSize; ++r) {
-            const CheckpointRun &run =
-                slots[i][static_cast<std::size_t>(r)];
-            std::vector<std::string> keys{
-                cpu::processorCode(p.proc),
-                harness::interfaceCode(p.iface),
-                std::to_string(p.size), std::to_string(r)};
-            if (opt.obs.attributionColumns)
-                keys.insert(keys.end(), run.attr.begin(),
-                            run.attr.end());
-            if (run.ok) {
-                table.add(keys, run.value);
-            } else {
-                PCA_SPC_INC(DegradedPoints);
-                table.add(keys, run.value, run.note);
-            }
-        }
-    }
-    observer.finish();
-    return table;
+    return runSweep({
+        .study = "duration",
+        .valueName = "error",
+        .columns = {{"processor", ""}, {"interface", ""},
+                    {"loopsize", "size="}},
+        .points = pts.size(),
+        .runs = opt.runsPerSize,
+        .seed = opt.seed,
+        .identity = detail::cat(
+            "|pat=", harness::patternName(opt.pattern),
+            "|mode=", harness::countingModeName(opt.mode),
+            "|attr=", opt.obs.attributionColumns ? 1 : 0),
+        .obs = opt.obs,
+        .keysOf = [&](std::size_t i) {
+            return std::vector<std::string>{
+                cpu::processorCode(pts[i].proc),
+                harness::interfaceCode(pts[i].iface),
+                std::to_string(pts[i].size)};
+        },
+        .configOf = [&](std::size_t i) {
+            HarnessConfig cfg;
+            cfg.processor = pts[i].proc;
+            cfg.iface = pts[i].iface;
+            cfg.pattern = opt.pattern;
+            cfg.mode = opt.mode;
+            return cfg;
+        },
+        .benchOf = [&](std::size_t i) {
+            return std::make_unique<LoopBench>(pts[i].size);
+        },
+        .seedIndex = serialSeedIndex(opt.runsPerSize),
+    });
 }
 
 std::vector<SlopeRow>
@@ -552,11 +579,6 @@ errorSlopes(const DataTable &duration_data)
 DataTable
 runCycleStudy(const CycleStudyOptions &opt)
 {
-    DataTable table(
-        {"processor", "interface", "pattern", "opt", "loopsize",
-         "run"},
-        "cycles");
-
     struct Point
     {
         cpu::Processor proc;
@@ -579,74 +601,43 @@ runCycleStudy(const CycleStudyOptions &opt)
 
     // The cycle table has no attribution columns (it measures raw
     // c∆, not error); the observer's other channels apply as-is.
-    StudyObserver observer(opt.obs, "cycle", pts.size());
-    const auto label_of = [&](std::size_t i) {
-        const Point &p = pts[i];
-        return detail::cat(cpu::processorCode(p.proc), "/",
-                           harness::interfaceCode(p.iface), "/",
-                           harness::patternName(p.pat), "/O",
-                           p.optLevel, "/size=", p.size);
-    };
-    const kernel::FaultPlan fault_plan = kernel::FaultPlan::fromEnv();
-    const auto measure = [&](std::size_t i,
-                             std::optional<long> budget) {
-        const Point &p = pts[i];
-        const LoopBench bench(p.size);
-        HarnessConfig cfg;
-        cfg.processor = p.proc;
-        cfg.iface = p.iface;
-        cfg.pattern = p.pat;
-        cfg.optLevel = p.optLevel;
-        cfg.mode = harness::CountingMode::UserKernel;
-        cfg.primaryEvent = cpu::EventType::CpuClkUnhalted;
-        cfg.faults = fault_plan;
-        // Same legacy per-run numbering as the duration study.
-        const std::uint64_t base =
-            static_cast<std::uint64_t>(i) *
-            static_cast<std::uint64_t>(opt.runsPerConfig);
-        return harness::measurePoint(
-            cfg, bench, opt.runsPerConfig,
-            [&](int r) {
-                return mixSeed(
-                    opt.seed,
-                    base + static_cast<std::uint64_t>(r) + 1);
-            },
-            budget);
-    };
-    const std::string identity = detail::cat(
-        "seed=", opt.seed, "|runs=", opt.runsPerConfig,
-        "|pts=", labelsDigest(pts.size(), label_of),
-        "|faults=", fault_plan.fingerprint());
-    std::vector<PointRecord> slots =
-        runPoints("cycle", identity, pts.size(), fault_plan, observer,
-                  label_of, measure, true, false);
-
-    if (opt.obs.distributions)
-        for (std::size_t i = 0; i < pts.size(); ++i)
-            opt.obs.distributions->addPoint(label_of(i),
-                                            histOf(slots[i]));
-
-    for (std::size_t i = 0; i < pts.size(); ++i) {
-        const Point &p = pts[i];
-        for (int r = 0; r < opt.runsPerConfig; ++r) {
-            const CheckpointRun &run =
-                slots[i][static_cast<std::size_t>(r)];
-            std::vector<std::string> keys{
+    StudyObsOptions obs = opt.obs;
+    obs.attributionColumns = false;
+    return runSweep({
+        .study = "cycle",
+        .valueName = "cycles",
+        .columns = {{"processor", ""}, {"interface", ""},
+                    {"pattern", ""}, {"opt", ""},
+                    {"loopsize", "size="}},
+        .points = pts.size(),
+        .runs = opt.runsPerConfig,
+        .seed = opt.seed,
+        .useDelta = true,
+        .obs = obs,
+        .keysOf = [&](std::size_t i) {
+            const Point &p = pts[i];
+            return std::vector<std::string>{
                 cpu::processorCode(p.proc),
                 harness::interfaceCode(p.iface),
                 harness::patternName(p.pat),
                 "O" + std::to_string(p.optLevel),
-                std::to_string(p.size), std::to_string(r)};
-            if (run.ok) {
-                table.add(keys, run.value);
-            } else {
-                PCA_SPC_INC(DegradedPoints);
-                table.add(keys, run.value, run.note);
-            }
-        }
-    }
-    observer.finish();
-    return table;
+                std::to_string(p.size)};
+        },
+        .configOf = [&](std::size_t i) {
+            HarnessConfig cfg;
+            cfg.processor = pts[i].proc;
+            cfg.iface = pts[i].iface;
+            cfg.pattern = pts[i].pat;
+            cfg.optLevel = pts[i].optLevel;
+            cfg.mode = harness::CountingMode::UserKernel;
+            cfg.primaryEvent = cpu::EventType::CpuClkUnhalted;
+            return cfg;
+        },
+        .benchOf = [&](std::size_t i) {
+            return std::make_unique<LoopBench>(pts[i].size);
+        },
+        .seedIndex = serialSeedIndex(opt.runsPerConfig),
+    });
 }
 
 } // namespace pca::core

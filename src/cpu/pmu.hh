@@ -29,8 +29,11 @@ namespace pca::cpu
  * enable bit 22), so the simulated kernel extensions program the PMU
  * the same way the real perfctr/perfmon2 do.
  *
- * Counting happens in "counting" mode only: overflow interrupts
- * (sampling mode) are outside the paper's scope and unimplemented.
+ * A counter counts, or, armed by setSamplePeriod(), samples: every
+ * period events it overflows, and the core delivers a performance
+ * monitoring interrupt (PMI) to the kernel, whose perfmon2 module
+ * records the interrupted address (bench/ext_sampling,
+ * examples/phase_profiler). The paper's measurements only count.
  */
 class Pmu
 {

@@ -1,9 +1,10 @@
 /**
  * @file
- * The measurement harness: embeds a micro-benchmark in the library
- * calls of a counter access pattern, runs the result on a freshly
- * booted Machine, and reports the measured counts next to the
- * benchmark's analytical ground truth (§3.5-3.6 of the paper).
+ * What the measurement harness measures and reports: one point of
+ * the factor space (HarnessConfig) and one run's result
+ * (Measurement), the measured counts next to the benchmark's
+ * analytical ground truth (§3.5-3.6 of the paper). HarnessSession
+ * (harness/session.hh) builds and runs the measurement program.
  */
 
 #ifndef PCA_HARNESS_HARNESS_HH
@@ -33,17 +34,6 @@ enum class CountingMode
 
 const char *countingModeName(CountingMode m);
 PlMask toPlMask(CountingMode m);
-
-struct HarnessConfig;
-
-/** The counter events @p cfg programs (primary + extras). */
-std::vector<cpu::EventType> counterEvents(const HarnessConfig &cfg);
-
-namespace detail
-{
-/** Shared config validation (fatal on unusable configs). */
-void validateHarnessConfig(const HarnessConfig &cfg);
-} // namespace detail
 
 /**
  * Process-wide default for HarnessConfig::decodeCache: true unless
@@ -143,49 +133,6 @@ struct Measurement
     {
         return delta() - static_cast<SCount>(expected);
     }
-};
-
-/**
- * Builds and runs one measurement. Each measure() call assembles the
- * program, boots a Machine (fresh caches, new interrupt phase), and
- * executes the full sequence: setup, pattern calls, inline
- * benchmark, teardown. Internally backed by a single-use
- * HarnessSession (harness/session.hh); measureMany() is one
- * measurePoint() call, whose runs share one session, which changes
- * nothing in the results (see the session equivalence contract) but
- * skips redundant re-assembly, and re-execution of runs no interrupt
- * reaches.
- */
-class MeasurementHarness
-{
-  public:
-    explicit MeasurementHarness(const HarnessConfig &cfg);
-
-    /** Run the measurement once. */
-    Measurement measure(const MicroBenchmark &bench) const;
-
-    /** Run @p runs times with distinct seeds; returns all results. */
-    std::vector<Measurement>
-    measureMany(const MicroBenchmark &bench, int runs) const;
-
-    /**
-     * Like measure(), but a run that fails (injected fault, refused
-     * precondition) after exhausting the session's transient-fault
-     * retries comes back as a Status instead of throwing.
-     */
-    StatusOr<Measurement> tryMeasure(const MicroBenchmark &bench) const;
-
-    /** Like measureMany(); failed runs are error slots, in order. */
-    std::vector<StatusOr<Measurement>>
-    tryMeasureMany(const MicroBenchmark &bench, int runs) const;
-
-    const HarnessConfig &config() const { return cfg; }
-
-    /** The counter events this config programs (primary + extras). */
-    std::vector<cpu::EventType> counterEvents() const;
-
-  private:
-    HarnessConfig cfg;
 };
 
 } // namespace pca::harness

@@ -118,15 +118,10 @@ Machine::reboot(std::uint64_t seed)
 {
     pca_assert(finalized);
     PCA_SPC_INC(MachineReboots);
-    cfg.seed = seed;
+    // Core::reset keeps what finalize() installed: the program, trap
+    // entries, interrupt client (or its interrupts-off absence),
+    // engine toggles and watchdog deadline.
     coreImpl->reset();
-    coreImpl->setFastForwardEnabled(cfg.fastForward);
-    coreImpl->setBlockEngineEnabled(cfg.decodeCache);
-    coreImpl->setRunDeadline(
-        cfg.runInstrBudget != 0 ? cfg.runInstrBudget
-                                : cfg.faults.watchdogInstrs,
-        cfg.runCycleBudget != 0 ? cfg.runCycleBudget
-                                : cfg.faults.watchdogCycles);
     kernelImpl->reset(seed);
     // Re-seed the injector so runs after reboot(s) replay the same
     // fault schedule as a fresh boot with seed s (the reboot
@@ -136,11 +131,6 @@ Machine::reboot(std::uint64_t seed)
         injector->reset(seed);
     if (prof)
         prof->reset();
-    // Core::reset keeps the program, trap entries, and interrupt
-    // client installed by finalize(); only re-apply the
-    // interrupts-off override.
-    if (!cfg.interruptsEnabled)
-        coreImpl->setInterruptClient(nullptr);
 }
 
 Cycles

@@ -109,7 +109,6 @@ class Machine
     explicit Machine(const MachineConfig &cfg);
 
     const cpu::MicroArch &arch() const { return archRef; }
-    const MachineConfig &config() const { return cfg; }
     Interface iface() const { return cfg.iface; }
     cpu::Core &core() { return *coreImpl; }
     kernel::Kernel &kernel() { return *kernelImpl; }

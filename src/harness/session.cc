@@ -54,6 +54,23 @@ countPatternOverhead(const Measurement &m)
                     static_cast<Count>(m.attribution.patternOverhead));
 }
 
+/** @p cfg, once it is known to be measurable (fatal otherwise). */
+const HarnessConfig &
+validated(const HarnessConfig &cfg)
+{
+    pca_assert(cfg.optLevel >= 0 && cfg.optLevel <= 3);
+    if (!patternSupported(cfg.iface, cfg.pattern))
+        pca_fatal("interface ", interfaceCode(cfg.iface),
+                  " does not support the ", patternName(cfg.pattern),
+                  " pattern");
+    const auto &arch = cpu::microArch(cfg.processor);
+    const int want = 1 + static_cast<int>(cfg.extraEvents.size());
+    if (want > arch.progCounters)
+        pca_fatal(arch.name, " has only ", arch.progCounters,
+                  " programmable counters; requested ", want);
+    return cfg;
+}
+
 MachineConfig
 toMachineConfig(const HarnessConfig &cfg)
 {
@@ -77,12 +94,12 @@ toMachineConfig(const HarnessConfig &cfg)
 
 HarnessSession::HarnessSession(const HarnessConfig &cfg,
                                const MicroBenchmark &bench)
-    : cfg(cfg), machine(toMachineConfig(cfg))
+    : cfg(validated(cfg)), machine(toMachineConfig(cfg))
 {
-    detail::validateHarnessConfig(cfg);
-
     ApiConfig acfg;
-    acfg.events = counterEvents(cfg);
+    acfg.events = {cfg.primaryEvent};
+    acfg.events.insert(acfg.events.end(), cfg.extraEvents.begin(),
+                       cfg.extraEvents.end());
     acfg.pl = toPlMask(cfg.mode);
     acfg.tsc = cfg.tsc;
     auto api = makeCounterApi(machine, acfg);

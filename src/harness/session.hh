@@ -2,21 +2,18 @@
  * @file
  * Reusable measurement sessions and the per-point run loop.
  *
- * MeasurementHarness::measure() assembles the measurement program,
- * boots a machine, runs once, and throws everything away. The study
- * sweeps run the *same* configuration runs_per_point times back to
- * back, differing only in seed — re-invoking the assembler and
- * linker each time buys nothing. A HarnessSession assembles and
- * links once, then replays runs by rebooting the machine
- * (Machine::reboot: exact power-on state, re-seeded stochastics), so
- * every run after the first skips harness assembly and linking (the
- * kernel code is emitted once per process: Kernel::boot). Most runs
- * skip execution too: a run no interrupt reaches is the same run for
- * every seed, so the session answers it from its first such run
- * (result reuse, see HarnessSession). A session run is
- * result-identical to a fresh MeasurementHarness::measure() with the
- * same seed (asserted by tests/test_parallel.cc), so both kinds of
- * reuse are invisible in study output.
+ * A HarnessSession assembles and links the measurement program once
+ * and replays runs by rebooting the machine (Machine::reboot: exact
+ * power-on state, re-seeded stochastics), so every run after the
+ * first skips harness assembly and linking (the kernel code is
+ * emitted once per process: Kernel::boot). Most runs skip execution
+ * too: a run no interrupt reaches is the same run for every seed, so
+ * the session answers it from its first such run (result reuse, see
+ * HarnessSession). A rebooted session's run is result-identical to a
+ * fresh session's first run with the same seed (asserted by
+ * tests/test_parallel.cc), so both kinds of reuse are invisible in
+ * study output. A single measurement is one session and one run:
+ * HarnessSession(cfg, bench).run(cfg.seed).
  *
  * measurePoint() is the one per-point loop: it builds a session,
  * runs the point's seeds on it, and drops it — the paper's one
@@ -43,8 +40,8 @@ namespace pca::harness
  * One assembled measurement program bound to one (rebootable)
  * machine. Build once, run many: each run() reboots the machine with
  * the given seed and executes the program from the top — setup,
- * pattern calls, benchmark, teardown — exactly as a fresh harness
- * would. The kernel text comes from the shared kernel image; only
+ * pattern calls, benchmark, teardown — exactly as a freshly booted
+ * machine would. The kernel text comes from the shared kernel image; only
  * the user program is the session's own. Sessions are pinned to one
  * address (the user program's host ops capture pointers into the
  * session), hence non-copyable and non-movable.
@@ -62,6 +59,11 @@ namespace pca::harness
 class HarnessSession
 {
   public:
+    /**
+     * Validate @p cfg, then boot the machine and build the program.
+     * A pattern the interface lacks or more counters than the
+     * processor has is fatal before anything boots.
+     */
     HarnessSession(const HarnessConfig &cfg,
                    const MicroBenchmark &bench);
 
@@ -75,7 +77,7 @@ class HarnessSession
      * Like run(), but failures surface as a Status. Transient
      * failures (Busy, Unavailable, DeadlineExceeded — injected
      * EBUSY, flaky reads, watchdog-killed hangs) are retried up to
-     * config().faults.retry.retries times, each attempt rebooting
+     * the config's faults.retry.retries times, each attempt rebooting
      * with a fresh seed derived from @p seed — nanoBench's
      * retry-and-discard policy. Retries feed the session_retries SPC
      * and charge the policy's exponential backoff in virtual time
@@ -95,8 +97,6 @@ class HarnessSession
      */
     StatusOr<Measurement> tryRun(std::uint64_t seed,
                                  RetryBudget *budget);
-
-    const HarnessConfig &config() const { return cfg; }
 
     /** Total virtual backoff charged by retries so far. */
     Cycles backoffCycles() const { return backoff; }

@@ -96,8 +96,6 @@ class Profiler
   public:
     explicit Profiler(const ProfileConfig &cfg);
 
-    const ProfileConfig &config() const { return cfg; }
-
     /** Install the symbol table (any order; sorted internally). */
     void setSymbols(std::vector<ProfileSymbol> symbols);
 

@@ -10,6 +10,7 @@
 
 #include "core/compensate.hh"
 #include "harness/microbench.hh"
+#include "harness/session.hh"
 
 namespace pca::core
 {
@@ -19,9 +20,9 @@ namespace
 using harness::AccessPattern;
 using harness::CountingMode;
 using harness::HarnessConfig;
+using harness::HarnessSession;
 using harness::Interface;
 using harness::LoopBench;
-using harness::MeasurementHarness;
 
 HarnessConfig
 baseConfig(CountingMode mode = CountingMode::UserKernel)
@@ -78,7 +79,7 @@ TEST(Compensate, CorrectsShortMeasurements)
     HarnessConfig run_cfg = cfg;
     run_cfg.seed = 777;
     const LoopBench bench(5000);
-    const auto m = MeasurementHarness(run_cfg).measure(bench);
+    const auto m = HarnessSession(run_cfg, bench).run(run_cfg.seed);
     const double raw_err = std::abs(
         static_cast<double>(m.delta()) -
         static_cast<double>(m.expected));
@@ -95,7 +96,7 @@ TEST(Compensate, CorrectsLongMeasurements)
     HarnessConfig run_cfg = cfg;
     run_cfg.seed = 888;
     const LoopBench bench(3000000);
-    const auto m = MeasurementHarness(run_cfg).measure(bench);
+    const auto m = HarnessSession(run_cfg, bench).run(run_cfg.seed);
     const double truth = static_cast<double>(m.expected);
     const double raw_rel =
         std::abs(static_cast<double>(m.delta()) - truth) / truth;
@@ -115,7 +116,7 @@ TEST(Compensate, WorksAcrossInterfaces)
         HarnessConfig run_cfg = cfg;
         run_cfg.seed = 999;
         const LoopBench bench(100000);
-        const auto m = MeasurementHarness(run_cfg).measure(bench);
+        const auto m = HarnessSession(run_cfg, bench).run(run_cfg.seed);
         const double comp_err = std::abs(
             comp.compensate(m) - static_cast<double>(m.expected));
         // A single short run sees 0 or 1 timer ticks while the

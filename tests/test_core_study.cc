@@ -12,6 +12,8 @@
 #include "core/factor_space.hh"
 #include "core/guidelines.hh"
 #include "core/study.hh"
+#include "obs/spc.hh"
+#include "support/status.hh"
 
 namespace pca::core
 {
@@ -205,6 +207,33 @@ TEST(StudyTest, NullErrorStudyShape)
         EXPECT_GE(v, 0.0);
 }
 
+TEST(StudyTest, NullStudyRejectsRunCountsThatRepeatSeeds)
+{
+    // Run r of point i takes seed index (i+1)·1000 + r: run 1000 of
+    // point 0 would be run 0 of point 1.
+    const auto points = FactorSpace()
+                            .processors({cpu::Processor::AthlonX2})
+                            .interfaces({Interface::Pm, Interface::Pc})
+                            .patterns({AccessPattern::StartRead})
+                            .modes({CountingMode::User})
+                            .optLevels({2})
+                            .generate();
+    obs::spcReset();
+    obs::spcAttach("machine_boots");
+    try {
+        runNullErrorStudy(points, 1001);
+        FAIL() << "1001 runs per point must be rejected";
+    } catch (const StatusError &e) {
+        EXPECT_EQ(e.status().code(), StatusCode::InvalidArgument);
+        EXPECT_NE(e.status().message().find("at most 1000"),
+                  std::string::npos)
+            << e.status().toString();
+    }
+    EXPECT_EQ(obs::spcValue(obs::Spc::MachineBoots), 0u)
+        << "rejected before anything is measured";
+    obs::spcReset();
+}
+
 TEST(StudyTest, DurationStudyAndSlopes)
 {
     DurationStudyOptions opt;
@@ -317,6 +346,21 @@ TEST(GuidelinesTest, CycleCautionOnlyWhenMeasuringCycles)
     };
     EXPECT_TRUE(mentions_cycles(with_cycles));
     EXPECT_FALSE(mentions_cycles(without));
+}
+
+TEST(GuidelinesTest, RejectsCalibrationRunCountsThatRepeatSeeds)
+{
+    // Run r of candidate k takes seed index k·100 + r: run 100 of one
+    // candidate would be run 0 of the next.
+    try {
+        Guidelines(101, 3);
+        FAIL() << "101 calibration runs must be rejected";
+    } catch (const StatusError &e) {
+        EXPECT_EQ(e.status().code(), StatusCode::InvalidArgument);
+        EXPECT_NE(e.status().message().find("at most 100"),
+                  std::string::npos)
+            << e.status().toString();
+    }
 }
 
 TEST(GuidelinesTest, PrintMentionsBestInterface)

@@ -9,10 +9,10 @@
 #include <sstream>
 
 #include "core/datatable.hh"
-#include "harness/harness.hh"
 #include "harness/machine.hh"
-#include "harness/tool.hh"
 #include "harness/microbench.hh"
+#include "harness/session.hh"
+#include "harness/tool.hh"
 #include "isa/assembler.hh"
 #include "perfctr/libperfctr.hh"
 #include "stats/descriptive.hh"
@@ -118,7 +118,7 @@ TEST(HarnessEdge, OptLevelOutOfRangePanics)
 {
     harness::HarnessConfig cfg;
     cfg.optLevel = 4;
-    EXPECT_THROW(harness::MeasurementHarness{cfg},
+    EXPECT_THROW(harness::HarnessSession(cfg, harness::NullBench{}),
                  std::logic_error);
 }
 
@@ -129,8 +129,8 @@ TEST(HarnessEdge, ExactCounterLimitAccepted)
     cfg.iface = Interface::Pm;
     cfg.interruptsEnabled = false;
     cfg.extraEvents = {cpu::EventType::BrInstRetired}; // exactly 2
-    const auto m = harness::MeasurementHarness(cfg).measure(
-        harness::NullBench{});
+    const auto m =
+        harness::HarnessSession(cfg, harness::NullBench{}).run(cfg.seed);
     EXPECT_GT(m.c1, 0u);
 }
 
@@ -138,8 +138,8 @@ TEST(HarnessEdge, MeasureManyRejectsZeroRuns)
 {
     harness::HarnessConfig cfg;
     cfg.interruptsEnabled = false;
-    EXPECT_THROW(harness::MeasurementHarness(cfg).measureMany(
-                     harness::NullBench{}, 0),
+    EXPECT_THROW(harness::measurePoint(cfg, harness::NullBench{}, 0,
+                                       [](int r) { return r; }),
                  std::logic_error);
 }
 

@@ -24,9 +24,9 @@
 
 #include "core/factor_space.hh"
 #include "core/study.hh"
-#include "harness/harness.hh"
 #include "harness/machine.hh"
 #include "harness/microbench.hh"
+#include "harness/session.hh"
 #include "isa/assembler.hh"
 #include "isa/program.hh"
 #include "obs/spc.hh"
@@ -735,7 +735,7 @@ TEST(EngineIdentityHarness, MeasurementIdenticalAcrossFfSettings)
             cfg.decodeCache = decode;
             cfg.fastForward = ff;
             const Measurement m =
-                MeasurementHarness(cfg).measure(bench);
+                HarnessSession(cfg, bench).run(cfg.seed);
             if (first) {
                 ref = m;
                 first = false;

@@ -24,6 +24,7 @@
 #include "harness/session.hh"
 #include "kernel/faults.hh"
 #include "obs/spc.hh"
+#include "support/random.hh"
 #include "support/status.hh"
 
 using namespace pca;
@@ -252,7 +253,7 @@ TEST(FaultHarness, CertainAttachFaultExhaustsRetries)
 {
     HarnessConfig cfg;
     cfg.faults = FaultPlan::parse("seed=1,attach=1,retries=2");
-    const auto r = MeasurementHarness(cfg).tryMeasure(NullBench{});
+    const auto r = HarnessSession(cfg, NullBench{}).tryRun(cfg.seed);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), StatusCode::Unavailable);
     EXPECT_NE(r.status().message().find("after 2 retries"),
@@ -265,8 +266,9 @@ TEST(FaultHarness, RetriesRecoverFromTransientFaults)
     // every measurement still lands (deterministically, same seed).
     HarnessConfig cfg;
     cfg.faults = FaultPlan::parse("seed=6,attach=0.5,retries=8");
-    for (const auto &m :
-         MeasurementHarness(cfg).tryMeasureMany(NullBench{}, 12))
+    for (const auto &m : measurePoint(cfg, NullBench{}, 12, [&](int r) {
+             return mixSeed(cfg.seed, static_cast<std::uint64_t>(r));
+         }))
         EXPECT_TRUE(m.ok()) << m.status().toString();
 }
 
@@ -276,7 +278,7 @@ TEST(FaultHarness, SessionRetriesFeedTheSpc)
     obs::spcAttach("session_retries,faults_injected");
     HarnessConfig cfg;
     cfg.faults = FaultPlan::parse("seed=1,attach=1,retries=3");
-    const auto r = MeasurementHarness(cfg).tryMeasure(NullBench{});
+    const auto r = HarnessSession(cfg, NullBench{}).tryRun(cfg.seed);
     EXPECT_FALSE(r.ok());
     EXPECT_EQ(obs::spcValue(obs::Spc::SessionRetries), 3u);
     EXPECT_GE(obs::spcValue(obs::Spc::FaultsInjected), 4u);
@@ -287,10 +289,11 @@ TEST(FaultHarness, FaultedMeasurementsAreDeterministic)
 {
     HarnessConfig cfg;
     cfg.faults = FaultPlan::parse("seed=5,rate=0.1,width=48");
-    const auto a =
-        MeasurementHarness(cfg).tryMeasureMany(NullBench{}, 6);
-    const auto b =
-        MeasurementHarness(cfg).tryMeasureMany(NullBench{}, 6);
+    const auto seeds = [&](int r) {
+        return mixSeed(cfg.seed, static_cast<std::uint64_t>(r));
+    };
+    const auto a = measurePoint(cfg, NullBench{}, 6, seeds);
+    const auto b = measurePoint(cfg, NullBench{}, 6, seeds);
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
         ASSERT_EQ(a[i].ok(), b[i].ok());
@@ -315,19 +318,19 @@ TEST(FaultHarness, DroppedAndSpuriousTicksMoveInterruptCounts)
     cfg.iface = Interface::Pc;
     cfg.pattern = AccessPattern::ReadRead;
     const Count baseline =
-        MeasurementHarness(cfg).measure(bench).run.interrupts;
+        HarnessSession(cfg, bench).run(cfg.seed).run.interrupts;
     ASSERT_GT(baseline, 0u);
 
     HarnessConfig dropped = cfg;
     dropped.faults = FaultPlan::parse("seed=2,drop=1");
     EXPECT_EQ(
-        MeasurementHarness(dropped).measure(bench).run.interrupts,
+        HarnessSession(dropped, bench).run(dropped.seed).run.interrupts,
         0u);
 
     HarnessConfig spurious = cfg;
     spurious.faults = FaultPlan::parse("seed=2,spurious=0.9");
     EXPECT_GT(
-        MeasurementHarness(spurious).measure(bench).run.interrupts,
+        HarnessSession(spurious, bench).run(spurious.seed).run.interrupts,
         baseline);
 }
 

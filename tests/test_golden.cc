@@ -14,8 +14,8 @@
 #include <gtest/gtest.h>
 
 #include "core/factor_space.hh"
-#include "harness/harness.hh"
 #include "harness/microbench.hh"
+#include "harness/session.hh"
 
 namespace pca
 {
@@ -25,8 +25,8 @@ namespace
 using harness::AccessPattern;
 using harness::CountingMode;
 using harness::HarnessConfig;
+using harness::HarnessSession;
 using harness::Interface;
-using harness::MeasurementHarness;
 using harness::NullBench;
 
 SCount
@@ -44,7 +44,7 @@ nullError(cpu::Processor proc, Interface iface, AccessPattern pat,
     for (int i = 0; i + 1 < nctrs; ++i)
         cfg.extraEvents.push_back(
             menu[static_cast<std::size_t>(i)]);
-    return MeasurementHarness(cfg).measure(NullBench{}).error();
+    return HarnessSession(cfg, NullBench{}).run(cfg.seed).error();
 }
 
 using P = cpu::Processor;
@@ -157,7 +157,7 @@ TEST(Golden, LoopCyclesPerIterationK8)
             cfg.optLevel = opt;
             const double cpi =
                 static_cast<double>(
-                    MeasurementHarness(cfg).measure(loop).delta()) /
+                    HarnessSession(cfg, loop).run(cfg.seed).delta()) /
                 1e6;
             const bool is2 = std::abs(cpi - 2.0) < 0.05;
             const bool is3 = std::abs(cpi - 3.0) < 0.05;

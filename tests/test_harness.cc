@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
-#include "harness/harness.hh"
 #include "harness/microbench.hh"
+#include "harness/session.hh"
+#include "obs/spc.hh"
+#include "support/random.hh"
 
 namespace pca::harness
 {
@@ -70,7 +72,19 @@ TEST(Patterns, UnsupportedPatternIsFatal)
 {
     HarnessConfig cfg = quietConfig(Interface::PHpm,
                                     AccessPattern::ReadRead);
-    EXPECT_THROW(MeasurementHarness{cfg}, std::runtime_error);
+    EXPECT_THROW(HarnessSession(cfg, NullBench{}), std::runtime_error);
+}
+
+TEST(Patterns, InvalidConfigFailsBeforeBoot)
+{
+    obs::spcReset();
+    obs::spcAttach("machine_boots");
+    EXPECT_THROW(HarnessSession(quietConfig(Interface::PHpm,
+                                            AccessPattern::ReadRead),
+                                NullBench{}),
+                 std::runtime_error);
+    EXPECT_EQ(obs::spcValue(obs::Spc::MachineBoots), 0u);
+    obs::spcReset();
 }
 
 TEST(Patterns, TooManyCountersIsFatal)
@@ -79,16 +93,15 @@ TEST(Patterns, TooManyCountersIsFatal)
     cfg.processor = cpu::Processor::Core2Duo; // 2 counters
     cfg.extraEvents = {cpu::EventType::BrInstRetired,
                        cpu::EventType::IcacheMiss};
-    EXPECT_THROW(MeasurementHarness{cfg}, std::runtime_error);
+    EXPECT_THROW(HarnessSession(cfg, NullBench{}), std::runtime_error);
 }
 
 TEST(Patterns, StartPatternsLeaveC0Zero)
 {
     for (auto pat :
          {AccessPattern::StartRead, AccessPattern::StartStop}) {
-        const auto m =
-            MeasurementHarness(quietConfig(Interface::Pm, pat))
-                .measure(NullBench{});
+        const HarnessConfig cfg = quietConfig(Interface::Pm, pat);
+        const auto m = HarnessSession(cfg, NullBench{}).run(cfg.seed);
         EXPECT_EQ(m.c0, 0u);
         EXPECT_GT(m.c1, 0u);
     }
@@ -98,9 +111,8 @@ TEST(Patterns, ReadPatternsCaptureBoth)
 {
     for (auto pat :
          {AccessPattern::ReadRead, AccessPattern::ReadStop}) {
-        const auto m =
-            MeasurementHarness(quietConfig(Interface::Pm, pat))
-                .measure(NullBench{});
+        const HarnessConfig cfg = quietConfig(Interface::Pm, pat);
+        const auto m = HarnessSession(cfg, NullBench{}).run(cfg.seed);
         EXPECT_GT(m.c0, 0u);
         EXPECT_GT(m.c1, m.c0);
     }
@@ -112,8 +124,9 @@ TEST(ErrorModel, NullErrorIsNonNegative)
         for (AccessPattern p : allPatterns()) {
             if (!patternSupported(i, p))
                 continue;
-            const auto m = MeasurementHarness(quietConfig(i, p))
-                               .measure(NullBench{});
+            const HarnessConfig cfg = quietConfig(i, p);
+            const auto m =
+                HarnessSession(cfg, NullBench{}).run(cfg.seed);
             EXPECT_GE(m.error(), 0)
                 << interfaceCode(i) << "/" << patternName(p);
         }
@@ -123,28 +136,26 @@ TEST(ErrorModel, NullErrorIsNonNegative)
 TEST(ErrorModel, LoopMeasurementMatchesModelPlusOverhead)
 {
     const LoopBench loop(10000);
-    const auto m = MeasurementHarness(quietConfig(Interface::Pc))
-                       .measure(loop);
+    const HarnessConfig cfg = quietConfig(Interface::Pc);
+    const auto m = HarnessSession(cfg, loop).run(cfg.seed);
     EXPECT_EQ(m.expected, 30001u);
     // Measured = model + fixed overhead; overhead is the same as
     // for the null benchmark on a quiet machine.
-    const auto null_err = MeasurementHarness(quietConfig(Interface::Pc))
-                              .measure(NullBench{})
-                              .error();
+    const auto null_err =
+        HarnessSession(cfg, NullBench{}).run(cfg.seed).error();
     EXPECT_EQ(m.error(), null_err);
 }
 
 TEST(ErrorModel, UserErrorNoLargerThanUserKernel)
 {
     for (Interface i : allInterfaces()) {
-        const auto uk = MeasurementHarness(
-                            quietConfig(i, AccessPattern::StartRead,
-                                        CountingMode::UserKernel))
-                            .measure(NullBench{});
-        const auto u = MeasurementHarness(
-                           quietConfig(i, AccessPattern::StartRead,
-                                       CountingMode::User))
-                           .measure(NullBench{});
+        const HarnessConfig uk_cfg = quietConfig(
+            i, AccessPattern::StartRead, CountingMode::UserKernel);
+        const HarnessConfig u_cfg =
+            quietConfig(i, AccessPattern::StartRead, CountingMode::User);
+        const auto uk =
+            HarnessSession(uk_cfg, NullBench{}).run(uk_cfg.seed);
+        const auto u = HarnessSession(u_cfg, NullBench{}).run(u_cfg.seed);
         EXPECT_LE(u.error(), uk.error()) << interfaceCode(i);
     }
 }
@@ -154,7 +165,7 @@ TEST(ErrorModel, KernelModeCountsOnlyKernel)
     HarnessConfig cfg = quietConfig(Interface::Pc,
                                     AccessPattern::StartRead,
                                     CountingMode::Kernel);
-    const auto m = MeasurementHarness(cfg).measure(NullBench{});
+    const auto m = HarnessSession(cfg, NullBench{}).run(cfg.seed);
     // Expected is 0 for kernel-only counting; the measured delta is
     // pure kernel-side overhead.
     EXPECT_EQ(m.expected, 0u);
@@ -165,8 +176,8 @@ TEST(Determinism, SameSeedSameResult)
 {
     const auto cfg = quietConfig(Interface::PLpc,
                                  AccessPattern::ReadRead);
-    const auto a = MeasurementHarness(cfg).measure(NullBench{});
-    const auto b = MeasurementHarness(cfg).measure(NullBench{});
+    const auto a = HarnessSession(cfg, NullBench{}).run(cfg.seed);
+    const auto b = HarnessSession(cfg, NullBench{}).run(cfg.seed);
     EXPECT_EQ(a.c0, b.c0);
     EXPECT_EQ(a.c1, b.c1);
     EXPECT_EQ(a.run.cycles, b.run.cycles);
@@ -176,8 +187,12 @@ TEST(Determinism, MeasureManyUsesDistinctSeeds)
 {
     HarnessConfig cfg = quietConfig(Interface::Pc);
     cfg.interruptsEnabled = true; // seeds shift interrupt phases
-    const auto ms =
-        MeasurementHarness(cfg).measureMany(LoopBench{2000000}, 4);
+    std::vector<Measurement> ms;
+    for (StatusOr<Measurement> &m :
+         measurePoint(cfg, LoopBench{2000000}, 4, [&](int r) {
+             return mixSeed(cfg.seed, static_cast<std::uint64_t>(r));
+         }))
+        ms.push_back(std::move(m.value()));
     ASSERT_EQ(ms.size(), 4u);
     // Interrupt phases differ -> at least the cycle counts differ.
     bool any_diff = false;
@@ -190,7 +205,7 @@ TEST(Measurement, TscCapturedForPerfctr)
 {
     HarnessConfig cfg = quietConfig(Interface::Pc,
                                     AccessPattern::ReadRead);
-    const auto m = MeasurementHarness(cfg).measure(NullBench{});
+    const auto m = HarnessSession(cfg, NullBench{}).run(cfg.seed);
     EXPECT_GT(m.tsc1, m.tsc0);
 }
 
@@ -200,7 +215,7 @@ TEST(Measurement, AllCounterValuesExposed)
                                     AccessPattern::ReadRead);
     cfg.extraEvents = {cpu::EventType::BrInstRetired,
                        cpu::EventType::IcacheMiss};
-    const auto m = MeasurementHarness(cfg).measure(NullBench{});
+    const auto m = HarnessSession(cfg, NullBench{}).run(cfg.seed);
     EXPECT_EQ(m.c0All.size(), 3u);
     EXPECT_EQ(m.c1All.size(), 3u);
 }
@@ -209,7 +224,7 @@ TEST(Measurement, CycleMeasurementHasNoExpectedModel)
 {
     HarnessConfig cfg = quietConfig(Interface::Pm);
     cfg.primaryEvent = cpu::EventType::CpuClkUnhalted;
-    const auto m = MeasurementHarness(cfg).measure(LoopBench{1000});
+    const auto m = HarnessSession(cfg, LoopBench{1000}).run(cfg.seed);
     EXPECT_EQ(m.expected, 0u);
     // ~2-3 cycles/iteration on K8.
     EXPECT_GT(m.delta(), 2000);
@@ -223,7 +238,7 @@ TEST(Measurement, GroundTruthMatchesMeasurementForUserMode)
     HarnessConfig cfg = quietConfig(Interface::Pc,
                                     AccessPattern::StartRead,
                                     CountingMode::User);
-    const auto m = MeasurementHarness(cfg).measure(LoopBench{5000});
+    const auto m = HarnessSession(cfg, LoopBench{5000}).run(cfg.seed);
     // raw user instructions = harness + library + benchmark; the
     // measured delta must be smaller but within the overhead bound.
     EXPECT_LE(m.delta(),

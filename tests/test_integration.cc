@@ -9,8 +9,8 @@
 #include "core/datatable.hh"
 #include "core/factor_space.hh"
 #include "core/study.hh"
-#include "harness/harness.hh"
 #include "harness/microbench.hh"
+#include "harness/session.hh"
 #include "stats/anova.hh"
 #include "stats/descriptive.hh"
 #include "stats/histogram.hh"
@@ -24,9 +24,9 @@ namespace
 using harness::AccessPattern;
 using harness::CountingMode;
 using harness::HarnessConfig;
+using harness::HarnessSession;
 using harness::Interface;
 using harness::LoopBench;
-using harness::MeasurementHarness;
 using harness::NullBench;
 
 double
@@ -42,7 +42,7 @@ medianError(cpu::Processor proc, Interface iface, AccessPattern pat,
         cfg.mode = mode;
         cfg.seed = 31337 + static_cast<std::uint64_t>(r) * 7;
         errs.push_back(static_cast<double>(
-            MeasurementHarness(cfg).measure(NullBench{}).error()));
+            HarnessSession(cfg, NullBench{}).run(cfg.seed).error()));
     }
     return stats::median(errs);
 }
@@ -195,7 +195,7 @@ TEST(Section5, KernelOnlyCountsExplainTheSlope)
         for (int r = 0; r < 4; ++r) {
             cfg.seed = mixSeed(55, size + static_cast<Count>(r));
             const auto m =
-                MeasurementHarness(cfg).measure(LoopBench{size});
+                HarnessSession(cfg, LoopBench{size}).run(cfg.seed);
             xs.push_back(static_cast<double>(size));
             ys.push_back(static_cast<double>(m.delta()));
         }

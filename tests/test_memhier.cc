@@ -6,9 +6,9 @@
 
 #include <gtest/gtest.h>
 
-#include "harness/harness.hh"
 #include "harness/machine.hh"
 #include "harness/microbench.hh"
+#include "harness/session.hh"
 #include "isa/assembler.hh"
 
 namespace pca::cpu
@@ -20,11 +20,11 @@ using harness::AccessPattern;
 using harness::ArrayWalkBench;
 using harness::CountingMode;
 using harness::HarnessConfig;
+using harness::HarnessSession;
 using harness::Interface;
 using harness::LinearBench;
 using harness::Machine;
 using harness::MachineConfig;
-using harness::MeasurementHarness;
 using isa::Assembler;
 using isa::Reg;
 
@@ -174,7 +174,7 @@ TEST(KornModels, MeasuredIcacheMissesMatchLinearModel)
     cfg.primaryEvent = EventType::IcacheMiss;
     cfg.interruptsEnabled = false;
     const LinearBench bench(8192);
-    const auto m = MeasurementHarness(cfg).measure(bench);
+    const auto m = HarnessSession(cfg, bench).run(cfg.seed);
     const auto expected = *bench.expectedEvents(
         EventType::IcacheMiss, microArch(Processor::AthlonX2));
     EXPECT_NEAR(static_cast<double>(m.delta()),
@@ -191,7 +191,7 @@ TEST(KornModels, MeasuredDcacheMissesMatchWalkModel)
     cfg.primaryEvent = EventType::DcacheMiss;
     cfg.interruptsEnabled = false;
     const ArrayWalkBench bench(2048, 64);
-    const auto m = MeasurementHarness(cfg).measure(bench);
+    const auto m = HarnessSession(cfg, bench).run(cfg.seed);
     EXPECT_NEAR(static_cast<double>(m.delta()), 2048.0, 4.0);
 }
 
@@ -205,7 +205,7 @@ TEST(KornModels, MeasuredDtlbMissesMatchWalkModel)
     cfg.primaryEvent = EventType::DtlbMiss;
     cfg.interruptsEnabled = false;
     const ArrayWalkBench bench(256, 4096);
-    const auto m = MeasurementHarness(cfg).measure(bench);
+    const auto m = HarnessSession(cfg, bench).run(cfg.seed);
     EXPECT_NEAR(static_cast<double>(m.delta()), 256.0, 3.0);
 }
 

@@ -273,9 +273,9 @@ TEST_F(SpcTest, MeasurementRunFeedsCounters)
     cfg.pattern = harness::AccessPattern::StartRead;
     cfg.mode = harness::CountingMode::UserKernel;
     cfg.seed = 11;
-    harness::MeasurementHarness h(cfg);
     // Long enough to span several 2.4M-cycle timer periods.
-    h.measure(harness::LoopBench(3'000'000));
+    harness::HarnessSession(cfg, harness::LoopBench(3'000'000))
+        .run(cfg.seed);
     EXPECT_EQ(spcValue(Spc::MachineBoots), 1u);
     EXPECT_EQ(spcValue(Spc::RunsExecuted), 1u);
     EXPECT_EQ(spcValue(Spc::PatternCallsSetup), 1u);
@@ -349,8 +349,7 @@ TEST_F(TracerTest, HarnessEmitsPhaseSpansWhenEnabled)
     cfg.pattern = harness::AccessPattern::StartRead;
     cfg.mode = harness::CountingMode::UserKernel;
     cfg.seed = 3;
-    harness::MeasurementHarness h(cfg);
-    h.measure(harness::LoopBench(20000));
+    harness::HarnessSession(cfg, harness::LoopBench(20000)).run(cfg.seed);
 
     std::ostringstream os;
     tracer().writeChromeJson(os);
@@ -439,9 +438,11 @@ TEST(Attribution, ExactForSeededUserKernelRuns)
         cfg.pattern = c.pattern;
         cfg.mode = CountingMode::UserKernel;
         cfg.seed = 42;
-        MeasurementHarness h(cfg);
-        for (const Measurement &m :
-             h.measureMany(LoopBench(100000), 5)) {
+        for (const StatusOr<Measurement> &run :
+             measurePoint(cfg, LoopBench(100000), 5, [&](int r) {
+                 return mixSeed(cfg.seed, static_cast<std::uint64_t>(r));
+             })) {
+            const Measurement &m = run.value();
             EXPECT_EQ(m.attribution.total(), m.error())
                 << interfaceCode(c.iface) << "/"
                 << patternName(c.pattern);
@@ -461,8 +462,7 @@ TEST(Attribution, UserModeCountsOnlyPatternOverhead)
     cfg.pattern = AccessPattern::StartRead;
     cfg.mode = CountingMode::User;
     cfg.seed = 9;
-    MeasurementHarness h(cfg);
-    const Measurement m = h.measure(LoopBench(100000));
+    const Measurement m = HarnessSession(cfg, LoopBench(100000)).run(cfg.seed);
     EXPECT_EQ(m.attribution.total(), m.error());
     // User-mode counters never see kernel instructions.
     EXPECT_EQ(m.attribution.timerInterrupts, 0);

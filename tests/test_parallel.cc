@@ -3,7 +3,7 @@
  * The parallel study engine's two contracts: parallelFor runs every
  * index exactly once and propagates failures, and parallelism plus
  * per-point session reuse are *invisible* — a rebooted session
- * produces Measurements identical to a fresh harness, and every
+ * produces Measurements identical to a fresh session, and every
  * canned study emits byte-identical CSV under PCA_THREADS=1 and
  * PCA_THREADS=4.
  */
@@ -202,7 +202,7 @@ expectSameMeasurement(const Measurement &a, const Measurement &b)
 
 /**
  * The contract session reuse rests on: run(s) on a reused, rebooted
- * session equals measure() on a fresh machine with seed s —
+ * session equals the first run(s) of a fresh session —
  * for every interface, pattern, and mode, with interrupts and
  * preemption on.
  */
@@ -224,7 +224,7 @@ TEST(SessionEquivalence, RebootedRunEqualsFreshHarness)
             const Measurement viaSession = sess.run(99);
             const Measurement warmAgain = sess.run(7);
             const Measurement fresh =
-                MeasurementHarness(cfg).measure(bench);
+                HarnessSession(cfg, bench).run(cfg.seed);
             expectSameMeasurement(viaSession, fresh);
             expectSameMeasurement(warm, warmAgain);
         }
@@ -246,7 +246,7 @@ TEST(SessionEquivalence, CoversModesAndCounterSets)
         HarnessSession sess(cfg, bench);
         sess.run(5);
         expectSameMeasurement(
-            sess.run(1234), MeasurementHarness(cfg).measure(bench));
+            sess.run(1234), HarnessSession(cfg, bench).run(cfg.seed));
     }
 }
 
@@ -336,7 +336,7 @@ TEST(SessionEquivalence, RetryHistoryInvisibleAcrossSessionRuns)
 
 /**
  * Result reuse on both sides of its decision: every session runs 8
- * seeds, and each run must equal a fresh single-run harness (which
+ * seeds, and each run must equal a fresh session's first run (which
  * never reuses) at the same seed — on every processor, supported
  * (interface, pattern) and user / user+kernel mode, for the null
  * benchmark and for a loop that covers about half a timer period,
@@ -356,7 +356,7 @@ TEST(SessionEquivalence, ReusedAndSimulatedRunsEqualFreshHarness)
         for (int k = 0; k < seeds; ++k) {
             cfg.seed = mixSeed(sessions, 0x5e55ULL + k);
             expectSameMeasurement(sess.run(cfg.seed),
-                                  MeasurementHarness(cfg).measure(bench));
+                                  HarnessSession(cfg, bench).run(cfg.seed));
         }
         const Count reused = obs::spcValue(obs::Spc::RunsReused) - before;
         mixed += reused > 0 && reused < seeds - 1;
@@ -370,7 +370,7 @@ TEST(SessionEquivalence, ReusedAndSimulatedRunsEqualFreshHarness)
         quiet.interruptsEnabled = false;
         constexpr Count probe = 100000;
         const Cycles probeCycles =
-            MeasurementHarness(quiet).measure(LoopBench(probe)).run.cycles;
+            HarnessSession(quiet, LoopBench(probe)).run(quiet.seed).run.cycles;
         const LoopBench halfTick(cpu::microArch(proc).timerPeriodCycles() /
                                  2 * probe / probeCycles);
         for (Interface iface : allInterfaces()) {
@@ -420,7 +420,7 @@ TEST(SessionEquivalence, FaultPlanRunsEqualFreshHarness)
     for (std::uint64_t seed = 1; seed <= 8; ++seed) {
         cfg.seed = seed;
         const auto viaSession = sess.tryRun(seed);
-        const auto fresh = MeasurementHarness(cfg).tryMeasure(bench);
+        const auto fresh = HarnessSession(cfg, bench).tryRun(cfg.seed);
         ASSERT_EQ(viaSession.ok(), fresh.ok());
         if (viaSession.ok())
             expectSameMeasurement(*viaSession, *fresh);
@@ -544,7 +544,7 @@ TEST(SharedKernelImage, InterleavedSessionsEqualFreshMachines)
                 fresh.seed = seed;
                 const Measurement m = sess.run(seed);
                 expectSameMeasurement(
-                    m, MeasurementHarness(fresh).measure(bench));
+                    m, HarnessSession(fresh, bench).run(fresh.seed));
                 interrupts += m.run.interrupts;
             }
         }

@@ -101,6 +101,51 @@ crashCheckpoint(const std::string &path)
     return keep - 1;
 }
 
+/** A study's CSV and the header line of its checkpoint. */
+struct ResumeOutcome
+{
+    std::string csv;
+    std::string header;
+};
+
+/**
+ * Run @p study checkpointed to @p path at 4 threads, crash the
+ * checkpoint, and resume at 1 thread: both runs must emit the
+ * uncheckpointed table byte for byte, the resume must load exactly
+ * the records kept and execute fewer runs than the full run.
+ */
+ResumeOutcome
+crashAndResume(const std::function<core::DataTable()> &study,
+               const std::string &path)
+{
+    unsetenv("PCA_FAULTS");
+    unsetenv("PCA_CHECKPOINT");
+    setenv("PCA_THREADS", "4", 1);
+    ResumeOutcome out{csvOf(study()), ""};
+
+    std::remove(path.c_str());
+    setenv("PCA_CHECKPOINT", path.c_str(), 1);
+    obs::spcReset();
+    obs::spcAttach("runs_executed");
+    EXPECT_EQ(csvOf(study()), out.csv);
+    const Count fullRuns = obs::spcValue(obs::Spc::RunsExecuted);
+    std::getline(std::ifstream(path), out.header);
+
+    const std::size_t kept = crashCheckpoint(path);
+    EXPECT_GT(kept, 0u);
+    setenv("PCA_THREADS", "1", 1);
+    obs::spcReset();
+    obs::spcAttach("runs_executed,checkpoint_points_resumed");
+    EXPECT_EQ(csvOf(study()), out.csv);
+    EXPECT_EQ(obs::spcValue(obs::Spc::CheckpointPointsResumed), kept);
+    EXPECT_LT(obs::spcValue(obs::Spc::RunsExecuted), fullRuns);
+    obs::spcReset();
+    std::remove(path.c_str());
+    unsetenv("PCA_CHECKPOINT");
+    unsetenv("PCA_THREADS");
+    return out;
+}
+
 } // namespace
 
 // ---------------------------------------------------------------- //
@@ -327,7 +372,7 @@ TEST(HangFault, WatchdogReapsACertainHangAfterRetries)
     cfg.iface = Interface::Pm;
     cfg.faults = FaultPlan::parse("seed=1,hang=1,budget=300000,"
                                   "retries=2");
-    const auto r = MeasurementHarness(cfg).tryMeasure(NullBench{});
+    const auto r = HarnessSession(cfg, NullBench{}).tryRun(cfg.seed);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), StatusCode::DeadlineExceeded);
     EXPECT_NE(r.status().message().find("after 2 retries"),
@@ -342,8 +387,8 @@ TEST(HangFault, InertHangPlanChangesNothing)
     clean.iface = Interface::Pm;
     HarnessConfig gated = clean;
     gated.faults = FaultPlan::parse("seed=1,hang=0");
-    const auto a = MeasurementHarness(clean).measure(NullBench{});
-    const auto b = MeasurementHarness(gated).measure(NullBench{});
+    const auto a = HarnessSession(clean, NullBench{}).run(clean.seed);
+    const auto b = HarnessSession(gated, NullBench{}).run(gated.seed);
     EXPECT_EQ(a.c0, b.c0);
     EXPECT_EQ(a.c1, b.c1);
     EXPECT_EQ(a.run.cycles, b.run.cycles);
@@ -617,6 +662,63 @@ TEST(CheckpointStudy, CrashedResumeIsByteIdenticalAcrossThreads)
     unsetenv("PCA_CHECKPOINT");
     unsetenv("PCA_FAULTS");
     unsetenv("PCA_THREADS");
+}
+
+// The header literals below are what earlier builds wrote for these
+// option sets: a checkpoint they left behind must still resume.
+
+TEST(CheckpointStudy, NullStudyHeaderIsStable)
+{
+    const std::string path =
+        testing::TempDir() + "pca_ck_null_header.jsonl";
+    std::remove(path.c_str());
+    unsetenv("PCA_FAULTS");
+    setenv("PCA_CHECKPOINT", path.c_str(), 1);
+    core::runNullErrorStudy(smallPointSet(), 2, 42);
+    unsetenv("PCA_CHECKPOINT");
+    std::string header;
+    std::getline(std::ifstream(path), header);
+    EXPECT_EQ(header,
+              R"({"v":1,"study":"null_error","id":"seed=42|runs=2|)"
+              R"(attr=0|pts=5e894ab6df70e51f|faults=f-none",)"
+              R"("points":40,"crc":"c4932b15"})");
+    std::remove(path.c_str());
+}
+
+TEST(CheckpointStudy, DurationStudyWithAttributionResumesByteIdentical)
+{
+    core::DurationStudyOptions opt;
+    opt.processors = {cpu::Processor::PentiumD};
+    opt.interfaces = {Interface::Pm, Interface::Pc};
+    opt.loopSizes = {1, 250000, 500000, 1000000};
+    opt.runsPerSize = 3;
+    opt.obs.attributionColumns = true;
+    const ResumeOutcome out = crashAndResume(
+        [&] { return core::runDurationStudy(opt); },
+        testing::TempDir() + "pca_ck_duration.jsonl");
+    EXPECT_NE(out.csv.find("attr_timer"), std::string::npos);
+    EXPECT_EQ(out.header,
+              R"({"v":1,"study":"duration","id":"seed=42|runs=3|)"
+              R"(pat=start-read|mode=user+kernel|attr=1|)"
+              R"(pts=64e2b1d2faeff36b|faults=f-none","points":8,)"
+              R"("crc":"756ab50d"})");
+}
+
+TEST(CheckpointStudy, CycleStudyResumesByteIdentical)
+{
+    core::CycleStudyOptions opt;
+    opt.processors = {cpu::Processor::AthlonX2};
+    opt.interfaces = {Interface::Pm};
+    opt.patterns = {AccessPattern::StartRead, AccessPattern::ReadRead};
+    opt.optLevels = {0, 2};
+    opt.loopSizes = {1, 200000};
+    const ResumeOutcome out = crashAndResume(
+        [&] { return core::runCycleStudy(opt); },
+        testing::TempDir() + "pca_ck_cycle.jsonl");
+    EXPECT_EQ(out.header,
+              R"({"v":1,"study":"cycle","id":"seed=42|runs=2|)"
+              R"(pts=65276c93a233acd3|faults=f-none","points":8,)"
+              R"("crc":"ee6b7c5c"})");
 }
 
 // ---------------------------------------------------------------- //
