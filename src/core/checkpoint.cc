@@ -194,14 +194,14 @@ StudyCheckpoint::open(const std::string &path, const std::string &study,
 }
 
 std::unique_ptr<StudyCheckpoint>
-StudyCheckpoint::openFromEnv(const std::string &study,
-                             const std::string &identity,
-                             std::size_t points)
+StudyCheckpoint::openFromEnv(
+    const std::string &study,
+    const std::function<std::string()> &identity, std::size_t points)
 {
     const char *path = std::getenv("PCA_CHECKPOINT");
     if (path == nullptr || *path == '\0')
         return nullptr;
-    return open(path, study, identity, points);
+    return open(path, study, identity(), points);
 }
 
 StudyCheckpoint::StudyCheckpoint(std::string path, std::string study,

@@ -26,6 +26,7 @@
 #define PCA_CORE_CHECKPOINT_HH
 
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -77,11 +78,13 @@ class StudyCheckpoint
          const std::string &identity, std::size_t points);
 
     /**
-     * open(getenv("PCA_CHECKPOINT"), ...); null when the variable is
-     * unset or empty — the studies' one-liner.
+     * open(getenv("PCA_CHECKPOINT"), ..., identity(), ...); null when
+     * the variable is unset or empty — the studies' one-liner. The
+     * identity is built only when a checkpoint opens.
      */
     static std::unique_ptr<StudyCheckpoint>
-    openFromEnv(const std::string &study, const std::string &identity,
+    openFromEnv(const std::string &study,
+                const std::function<std::string()> &identity,
                 std::size_t points);
 
     ~StudyCheckpoint();

@@ -77,17 +77,19 @@ namespace
 class StudyObserver
 {
   public:
+    /** @p label_of names a point; called only for metrics records. */
     StudyObserver(const StudyObsOptions &opt, const char *study,
-                  std::size_t total_points)
+                  std::size_t total_points,
+                  std::function<std::string(std::size_t)> label_of)
         : opt(opt), study(study), totalPoints(total_points),
+          labelOf(std::move(label_of)),
           start(std::chrono::steady_clock::now())
     {
     }
 
-    /** Report one finished factor point and its per-run errors. */
+    /** Report finished factor point @p point and its per-run errors. */
     void
-    pointDone(const std::string &label,
-              const std::vector<double> &values)
+    pointDone(std::size_t point, const std::vector<double> &values)
     {
         std::lock_guard<std::mutex> lock(mtx);
         ++donePoints;
@@ -101,7 +103,7 @@ class StudyObserver
                 sum += v;
             }
             pca_metric("{\"study\":\"", study, "\",\"point\":\"",
-                       label, "\",\"runs\":", values.size(),
+                       labelOf(point), "\",\"runs\":", values.size(),
                        ",\"mean\":",
                        sum / static_cast<double>(values.size()),
                        ",\"min\":", lo, ",\"max\":", hi, "}");
@@ -148,6 +150,7 @@ class StudyObserver
     StudyObsOptions opt;
     const char *study;
     std::size_t totalPoints;
+    std::function<std::string(std::size_t)> labelOf;
     std::size_t donePoints = 0;
     std::size_t totalRuns = 0;
     double lastEta = std::numeric_limits<double>::infinity();
@@ -337,7 +340,7 @@ runPoints(const Sweep &s, const kernel::FaultPlan &fault_plan,
     const std::size_t n = s.points;
     std::vector<PointRecord> slots(n);
     auto ckpt = StudyCheckpoint::openFromEnv(
-        s.study, s.identityOf(fault_plan), n);
+        s.study, [&] { return s.identityOf(fault_plan); }, n);
     std::vector<std::size_t> todo;
     todo.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -370,7 +373,7 @@ runPoints(const Sweep &s, const kernel::FaultPlan &fault_plan,
                 s.useDelta, s.obs.attributionColumns);
             if (ckpt)
                 ckpt->record(i, slots[i]);
-            observer.pointDone(s.label(i), okValues(slots[i]));
+            observer.pointDone(i, okValues(slots[i]));
         });
     } catch (const StatusError &e) {
         if (e.status().code() == StatusCode::Cancelled && ckpt)
@@ -401,7 +404,8 @@ runSweep(const Sweep &s)
                                  "attr_io", "attr_preempt"});
     DataTable table(cols, s.valueName);
 
-    StudyObserver observer(s.obs, s.study, s.points);
+    StudyObserver observer(s.obs, s.study, s.points,
+                           [&s](std::size_t i) { return s.label(i); });
     const std::vector<PointRecord> slots =
         runPoints(s, kernel::FaultPlan::fromEnv(), observer);
 

@@ -33,6 +33,13 @@ class CacheModel
      * Look up the line containing @p addr, filling it on a miss.
      * @return true on hit
      *
+     * The valid ways of a set always form a prefix of it: a set
+     * starts empty (first touch, flush), a fill takes the first
+     * invalid way, and a valid way is replaced only when the set is
+     * full. So the scan stops at the first invalid way: no later way
+     * can hold the line, and it is the LRU victim, because an
+     * invalid way counts as age 0 (the first one wins the tie).
+     *
      * Inline: every simulated instruction funnels several of these
      * (fetch, TLB, data, BTB), and the way loop is short.
      */
@@ -42,20 +49,22 @@ class CacheModel
         const Addr tag = tagOf(addr);
         ++useClock;
 
+        const std::size_t end = base + static_cast<std::size_t>(numWays);
         std::size_t victim = base;
         std::uint64_t oldest = UINT64_MAX;
-        for (std::size_t w = base;
-             w < base + static_cast<std::size_t>(numWays); ++w) {
+        for (std::size_t w = base; w < end; ++w) {
             Way &way = waysStore[w];
-            const bool live = valid(way);
-            if (live && way.tag == tag) {
+            if (!valid(way)) {
+                victim = w;
+                break;
+            }
+            if (way.tag == tag) {
                 way.lastUse = useClock;
                 ++hitCount;
                 return true;
             }
-            const std::uint64_t age = live ? way.lastUse : 0;
-            if (age < oldest) {
-                oldest = age;
+            if (way.lastUse < oldest) {
+                oldest = way.lastUse;
                 victim = w;
             }
         }

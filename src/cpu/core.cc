@@ -96,10 +96,11 @@ Core::setReg(Reg r, std::uint64_t v)
 }
 
 void
-Core::jumpTo(const std::string &symbol)
+Core::jumpTo(int block)
 {
-    pca_assert(program);
-    pc = program->entry(symbol);
+    pca_assert(program &&
+               static_cast<std::size_t>(block) < program->blockCount());
+    pc = CodePtr{block, 0};
     pcRedirected = true;
     frontEnd.redirect(pcAddr());
 }
@@ -288,25 +289,24 @@ Core::execInline(const Inst &in, Cycles &cycles, Count &branches)
       case Opcode::Load:
       {
         const Addr a = reg(in.r2) + static_cast<Addr>(in.imm);
-        auto it = memory.find(a);
-        reg(in.r1) = it == memory.end() ? 0 : it->second;
+        reg(in.r1) = memory.load(a);
         dataAccess(a);
         return false;
       }
       case Opcode::Store:
       {
         const Addr a = reg(in.r2) + static_cast<Addr>(in.imm);
-        memory[a] = reg(in.r1);
+        memory.store(a, reg(in.r1));
         dataAccess(a);
         return false;
       }
       case Opcode::Push:
         reg(Reg::Esp) -= 8;
-        memory[reg(Reg::Esp)] = reg(in.r1);
+        memory.store(reg(Reg::Esp), reg(in.r1));
         dataAccess(reg(Reg::Esp));
         return false;
       case Opcode::Pop:
-        reg(in.r1) = memory[reg(Reg::Esp)];
+        reg(in.r1) = memory.load(reg(Reg::Esp));
         dataAccess(reg(Reg::Esp));
         reg(Reg::Esp) += 8;
         return false;
@@ -697,12 +697,13 @@ Core::execute(const Inst &in)
     switch (in.op) {
       case Opcode::Call:
       {
-        const std::string &callee = program->block(pc.block).callee(in);
-        const int target = program->find(callee);
+        // The callee's block id, resolved when the program linked.
+        const int target = in.targetIndex;
         if (target < 0)
-            throw StatusError(Status(StatusCode::NotFound,
-                                     "call to unknown block '" + callee +
-                                         "'"));
+            throw StatusError(Status(
+                StatusCode::NotFound,
+                "call to unknown block '" +
+                    program->block(pc.block).callee(in) + "'"));
         predictor.noteUncond(in.addr);
         countEvent(EventType::BrInstRetired);
         callStack.push_back(CodePtr{pc.block, pc.index + 1});

@@ -17,6 +17,7 @@
 #include "cpu/cache.hh"
 #include "cpu/event.hh"
 #include "cpu/frontend.hh"
+#include "cpu/memory.hh"
 #include "cpu/microarch.hh"
 #include "cpu/pmu.hh"
 #include "cpu/predictor.hh"
@@ -205,7 +206,7 @@ class Core : public isa::CpuContext
     // --- isa::CpuContext ---
     std::uint64_t getReg(isa::Reg r) const override;
     void setReg(isa::Reg r, std::uint64_t v) override;
-    void jumpTo(const std::string &symbol) override;
+    void jumpTo(int block) override;
     isa::HostEnv *hostEnv() const override { return hostState; }
     Mode mode() const override { return curMode; }
     Cycles cycles() const override { return cycleCount; }
@@ -314,7 +315,7 @@ class Core : public isa::CpuContext
 
     std::vector<isa::CodePtr> callStack;
     std::vector<SavedContext> trapStack;
-    std::unordered_map<Addr, std::uint64_t> memory;
+    GuestMemory memory;
 
     Cycles cycleCount = 0;
     std::array<Cycles, 2> cyclesPerMode{};

@@ -1,7 +1,5 @@
 #include "cpu/frontend.hh"
 
-#include <algorithm>
-
 #include "support/logging.hh"
 
 namespace pca::cpu
@@ -38,19 +36,27 @@ FrontEnd::onNops(Addr addr, Count n)
         return c;
     }
     // A 1-byte instruction never spans two windows; each window the
-    // run enters costs a cycle and restarts the decode group.
-    const Addr end = addr + n;
-    for (Addr a = addr; a < end;) {
-        const Addr w = windowOf(a);
-        const Addr next = std::min(end, (w + 1) << windowShift);
-        if (w != curWindow) {
-            ++c;
-            issued = 0;
-            curWindow = w;
-        }
-        issue(next - a);
-        a = next;
+    // run enters costs a cycle and restarts the decode group. Only
+    // the first window can be the current one, so the run costs its
+    // first window, then every later one afresh: the whole windows
+    // between alike, and the last with what is left of the run.
+    const Addr first = windowOf(addr);
+    const Addr last = windowOf(addr + n - 1);
+    if (first != curWindow) {
+        ++c;
+        issued = 0;
     }
+    if (first == last) {
+        issue(n);
+    } else {
+        issue(((first + 1) << windowShift) - addr);
+        const auto bytes = static_cast<Count>(arch.fetchBytes);
+        c += (last - first - 1) * (1 + bytes / width);
+        ++c;
+        issued = 0;
+        issue(addr + n - (last << windowShift));
+    }
+    curWindow = last;
     return c;
 }
 

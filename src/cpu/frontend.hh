@@ -69,7 +69,7 @@ class FrontEnd
     /**
      * Account for fetching/decoding @p n consecutive 1-byte
      * instructions from @p addr: the cycles and final state of n
-     * calls of onInst(addr + i, 1), in O(fetch windows).
+     * calls of onInst(addr + i, 1), in O(1).
      */
     Cycles onNops(Addr addr, Count n);
 

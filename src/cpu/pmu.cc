@@ -20,6 +20,8 @@ Pmu::Pmu(const MicroArch &arch)
         fixed[1].event = EventType::CpuClkUnhalted;
     if (fixed.size() > 2)
         fixed[2].event = EventType::CpuClkUnhalted;
+    // The active sets are 32-bit masks over counter indexes.
+    pca_assert(prog.size() <= 32 && fixed.size() <= 32);
     rebuildActive();
 }
 
@@ -159,7 +161,9 @@ Pmu::countSlow(EventType ev, Mode mode, Count n)
     const auto e = static_cast<std::size_t>(ev);
     const auto m = static_cast<std::size_t>(mode);
     const auto cls = static_cast<std::size_t>(attrCls);
-    for (int i : active[e][m]) {
+    for (std::uint32_t bits = activeProg[e][m]; bits != 0;
+         bits &= bits - 1) {
+        const int i = __builtin_ctz(bits);
         Counter &c = prog[static_cast<std::size_t>(i)];
         c.value += n;
         c.byClass[cls] += n;
@@ -169,8 +173,9 @@ Pmu::countSlow(EventType ev, Mode mode, Count n)
             pendingMask |= 1ULL << i;
         }
     }
-    for (int i : activeFixed[e][m]) {
-        Counter &c = fixed[static_cast<std::size_t>(i)];
+    for (std::uint32_t bits = activeFixed[e][m]; bits != 0;
+         bits &= bits - 1) {
+        Counter &c = fixed[static_cast<std::size_t>(__builtin_ctz(bits))];
         c.value += n;
         c.byClass[cls] += n;
     }
@@ -248,34 +253,28 @@ Pmu::reset()
 void
 Pmu::rebuildActive()
 {
-    for (auto &per_event : active)
-        for (auto &lst : per_event)
-            lst.clear();
-    for (auto &per_event : activeFixed)
-        for (auto &lst : per_event)
-            lst.clear();
-
-    auto add = [](auto &table, const std::vector<Counter> &ctrs) {
+    auto masks = [](const std::vector<Counter> &ctrs) {
+        ActiveMasks table{};
         for (std::size_t i = 0; i < ctrs.size(); ++i) {
             const Counter &c = ctrs[i];
             if (!c.enabled)
                 continue;
             const auto e = static_cast<std::size_t>(c.event);
-            for (Mode m : {Mode::User, Mode::Kernel}) {
+            for (Mode m : {Mode::User, Mode::Kernel})
                 if (plMaskIncludes(c.pl, m))
-                    table[e][static_cast<std::size_t>(m)]
-                        .push_back(static_cast<int>(i));
-            }
+                    table[e][static_cast<std::size_t>(m)] |=
+                        std::uint32_t{1} << i;
         }
+        return table;
     };
-    add(active, prog);
-    add(activeFixed, fixed);
+    activeProg = masks(prog);
+    activeFixed = masks(fixed);
 
     activeAnyMask = {0, 0};
     static_assert(numEvents <= 64);
     for (std::size_t e = 0; e < numEvents; ++e)
         for (std::size_t m = 0; m < 2; ++m)
-            if (!active[e][m].empty() || !activeFixed[e][m].empty())
+            if ((activeProg[e][m] | activeFixed[e][m]) != 0)
                 activeAnyMask[m] |= std::uint64_t{1} << e;
 }
 

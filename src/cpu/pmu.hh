@@ -206,12 +206,13 @@ class Pmu
     std::function<Count(Count)> readTamper; //!< torn-read hook
 
     /**
-     * Cache of enabled counters per (event, mode): counting is on the
-     * interpreter's hot path and PD has 18 programmable counters.
-     * Entries are indexes into prog (fixed handled separately).
+     * The enabled counters per (event, mode), as bitmasks over the
+     * indexes into prog and fixed: counting is on the interpreter's
+     * hot path and PD has 18 programmable counters.
      */
-    std::array<std::array<std::vector<int>, 2>, numEvents> active;
-    std::array<std::array<std::vector<int>, 2>, numEvents> activeFixed;
+    using ActiveMasks = std::array<std::array<std::uint32_t, 2>, numEvents>;
+    ActiveMasks activeProg{};
+    ActiveMasks activeFixed{};
     /** Per-mode bitmask over events: any enabled counter at all? */
     std::array<std::uint64_t, 2> activeAnyMask{};
 };

@@ -134,13 +134,13 @@ Machine::reboot(std::uint64_t seed)
 }
 
 Cycles
-Machine::seedHorizon() const
+Machine::seedHorizon(std::uint64_t seed) const
 {
     if (injector || prof)
         return 0;
     if (!cfg.interruptsEnabled)
         return ~Cycles{0};
-    return kernelImpl->interrupts().nextInterruptCycle();
+    return kernelImpl->firstInterruptCycle(seed);
 }
 
 cpu::RunResult

@@ -169,8 +169,9 @@ class Machine
     void reboot(std::uint64_t seed);
 
     /**
-     * The first cycle at which the current boot's seed can reach a
-     * run. The seed has exactly four inputs:
+     * The first cycle at which a boot with @p seed can reach a run,
+     * computed without rebooting: what reboot(@p seed) would leave
+     * due. The seed has exactly four inputs:
      *  - the interrupt controller's schedule (timer phase, I/O
      *    arrivals);
      *  - the kernel's scheduler RNG, drawn only in the timer handler;
@@ -178,12 +179,13 @@ class Machine
      *  - the profiler, whose samples ride the timer ticks.
      * The core polls interrupts only in user mode, at cycles no later
      * than the run's end. So this is 0 with a fault injector or a
-     * profiler attached, the kernel's next interrupt cycle with
-     * interrupts on, and never (the maximum) otherwise. A run that
-     * ends before it takes no interrupt and is the same run for every
-     * seed: HarnessSession's result reuse (DESIGN §6.6).
+     * profiler attached, the kernel's first interrupt cycle for
+     * @p seed with interrupts on, and never (the maximum) otherwise.
+     * A run that ends before it takes no interrupt and is the same
+     * run for every seed: HarnessSession's result reuse (DESIGN
+     * §6.6).
      */
-    Cycles seedHorizon() const;
+    Cycles seedHorizon(std::uint64_t seed) const;
 
   private:
     MachineConfig cfg;

@@ -213,22 +213,23 @@ HarnessSession::tryRun(std::uint64_t seed, RetryBudget *budget)
         const std::uint64_t attempt_seed = a == 0
             ? seed
             : mixSeed(seed, 0xb0ffULL + static_cast<std::uint64_t>(a));
-        machine.reboot(attempt_seed);
         const bool later = attempted;
         attempted = true;
         // Result reuse: a seed that cannot reach the reference's last
-        // cycle replays its interrupt-free trajectory exactly.
-        const Cycles horizon = machine.seedHorizon();
+        // cycle replays its interrupt-free trajectory exactly, so
+        // only a run that executes reboots.
+        const Cycles horizon = machine.seedHorizon(attempt_seed);
         if (reference && reference->run.cycles < horizon) {
             PCA_SPC_INC(RunsReused);
+            // At cycle 0, where a rebooted machine would start.
             if (obs::traceEnabled())
-                obs::tracer().instant("run-reused:main", "machine",
-                                      machine.core().cycles());
+                obs::tracer().instant("run-reused:main", "machine", 0);
             countPatternOverhead(*reference);
             return *reference;
         }
         if (later && horizon > 0)
             PCA_SPC_INC(RunsReuseBlockedIrq);
+        machine.reboot(attempt_seed);
         s0 = CaptureSink{};
         s1 = CaptureSink{};
 

@@ -52,7 +52,8 @@ namespace pca::harness
  * (Machine::seedHorizon: no fault injector, no profiler, and no
  * interrupt due at or before the reference's last cycle) would
  * follow the same interrupt-free trajectory, so it returns a copy of
- * the reference instead of executing (runs_reused SPC). A later run
+ * the reference instead of rebooting and executing (runs_reused
+ * SPC; machine_reboots counts executed runs only). A later run
  * that executes although no injector or profiler forbids reuse counts
  * in runs_reuse_blocked_irq. The reference never leaves the session.
  */

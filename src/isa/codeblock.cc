@@ -188,6 +188,15 @@ CodeBlock::layout(Addr base_addr)
     linked = true;
 }
 
+void
+CodeBlock::resolveCalls(
+    const std::function<int(const std::string &)> &block_id)
+{
+    for (Inst &in : insts)
+        if (in.op == Opcode::Call)
+            in.targetIndex = block_id(callee(in));
+}
+
 std::string
 CodeBlock::disassemble() const
 {

@@ -6,6 +6,7 @@
 #ifndef PCA_ISA_CODEBLOCK_HH
 #define PCA_ISA_CODEBLOCK_HH
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -80,6 +81,13 @@ class CodeBlock
      * Panics on unbound labels.
      */
     void layout(Addr base_addr);
+
+    /**
+     * Give every Call its callee's block id (Inst::targetIndex):
+     * @p block_id maps a name to an id, -1 if no block has it.
+     */
+    void resolveCalls(const std::function<int(const std::string &)>
+                          &block_id);
 
     /** Pretty-print a disassembly listing. */
     std::string disassemble() const;

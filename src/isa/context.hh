@@ -8,7 +8,6 @@
 #define PCA_ISA_CONTEXT_HH
 
 #include <cstdint>
-#include <string>
 
 #include "isa/inst.hh"
 
@@ -52,8 +51,12 @@ class CpuContext
     /** Write a general-purpose register. */
     virtual void setReg(Reg r, std::uint64_t v) = 0;
 
-    /** Redirect execution to the entry of the named block. */
-    virtual void jumpTo(const std::string &symbol) = 0;
+    /**
+     * Redirect execution to the entry of block @p block, an id of
+     * the linked program (kernel host ops take theirs from the
+     * kernel image, resolved when it was built).
+     */
+    virtual void jumpTo(int block) = 0;
 
     /** Current privilege mode. */
     virtual Mode mode() const = 0;

@@ -155,7 +155,11 @@ struct Inst
     /** Branch target: index of a label within the owning block. */
     int label = -1;
 
-    /** Resolved branch target as a record index in the block. */
+    /**
+     * Branches: the resolved target as a record index in the block.
+     * Call: the callee's block id, set by Program::link (-1 while
+     * unlinked or when no block has the callee's name).
+     */
     int targetIndex = -1;
 
     /** Address assigned at link time. */

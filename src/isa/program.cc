@@ -59,6 +59,11 @@ Program::link2(Addr user_base, Addr kernel_base, Addr align)
         a += blocks[i].bytes();
         totalBytes += blocks[i].bytes();
     }
+    // Calls resolve once every name is known; an unknown callee
+    // stays -1 and faults when the call executes.
+    for (CodeBlock &blk : blocks)
+        blk.resolveCalls(
+            [this](const std::string &name) { return find(name); });
     isLinked = true;
 }
 

@@ -69,7 +69,7 @@ class Program
     /**
      * Link all blocks: place them sequentially within their segment
      * starting at the segment's base, each block aligned to
-     * @p align bytes.
+     * @p align bytes, and give every Call its callee's block id.
      */
     void link(Addr base_addr = 0x08048000, Addr align = 16);
 

@@ -21,18 +21,33 @@ InterruptController::reset(std::uint64_t seed)
     ioCount = 0;
     droppedCount = 0;
     spuriousCount = 0;
-    nextTimer = never;
-    nextIo = never;
     nextSpurious = never;
+    firstDraws(rng, nextTimer, nextIo);
+}
+
+void
+InterruptController::firstDraws(Rng &r, Cycles &timer, Cycles &io) const
+{
+    timer = never;
+    io = never;
     if (timerPeriod > 0) {
         // Random phase: measurements start anywhere in a tick period.
-        nextTimer = rng.nextBelow(timerPeriod) + 1;
+        timer = r.nextBelow(timerPeriod) + 1;
     }
     if (ioMeanInterval > 0) {
-        nextIo = static_cast<Cycles>(
-            rng.nextExponential(static_cast<double>(ioMeanInterval)))
+        io = static_cast<Cycles>(
+                 r.nextExponential(static_cast<double>(ioMeanInterval)))
             + 1;
     }
+}
+
+Cycles
+InterruptController::firstInterruptCycle(std::uint64_t seed) const
+{
+    Rng r(seed);
+    Cycles timer, io;
+    firstDraws(r, timer, io);
+    return std::min(timer, io);
 }
 
 Cycles

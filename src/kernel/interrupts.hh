@@ -53,6 +53,12 @@ class InterruptController : public cpu::InterruptClient
      */
     void reset(std::uint64_t seed);
 
+    /**
+     * The first cycle an interrupt is due after reset(@p seed): the
+     * same draws, without touching this controller.
+     */
+    Cycles firstInterruptCycle(std::uint64_t seed) const;
+
     Cycles nextInterruptCycle() const override;
     int pollInterrupt(Cycles now) override;
 
@@ -77,6 +83,8 @@ class InterruptController : public cpu::InterruptClient
     static constexpr Cycles never = ~Cycles{0};
 
     void maybeScheduleSpurious(Cycles now);
+    /** The timer's first tick and I/O arrival drawn from @p r. */
+    void firstDraws(Rng &r, Cycles &timer, Cycles &io) const;
 
     Rng rng;
     Cycles timerPeriod;

@@ -37,7 +37,7 @@ Kernel::Kernel(const cpu::MicroArch &arch, std::uint64_t seed,
       intCtrl(timer_period_override != 0 ? timer_period_override
                                          : arch.timerPeriodCycles(),
               enable_io_interrupts ? ioMeanCycles(arch) : 0,
-              mixSeed(seed, 0x1234ULL))
+              interruptSeed(seed))
 {
 }
 
@@ -93,7 +93,7 @@ Kernel::dispatchSyscall(CpuContext &ctx)
         if (is_open && faults->fire(FaultKind::AttachFail))
             throw StatusError(Status(StatusCode::Unavailable,
                                      "injected: attach failed (" +
-                                         it->second + ")"));
+                                         it->second.name + ")"));
         if (is_alloc && faults->fire(FaultKind::CounterBusy))
             throw StatusError(Status(StatusCode::Busy,
                                      "injected: counters busy "
@@ -105,11 +105,11 @@ Kernel::dispatchSyscall(CpuContext &ctx)
             // The handler wedges instead of failing: control enters
             // the stuck poll loop and never returns. The watchdog
             // (Core run deadline) is the only way out.
-            ctx.jumpTo("k_hang");
+            ctx.jumpTo(image->hang);
             return;
         }
     }
-    ctx.jumpTo(it->second);
+    ctx.jumpTo(it->second.block);
 }
 
 void
@@ -118,11 +118,11 @@ Kernel::dispatchInterrupt(CpuContext &ctx)
     pca_assert(attachedCore);
     const int vec = attachedCore->currentVector();
     if (vec == VecTimer)
-        ctx.jumpTo("k_timer");
+        ctx.jumpTo(image->timer);
     else if (vec == VecIo)
-        ctx.jumpTo("k_io");
+        ctx.jumpTo(image->io);
     else if (vec == VecPmi)
-        ctx.jumpTo("k_pmi");
+        ctx.jumpTo(image->pmi);
     else
         pca_panic("interrupt dispatch with no active vector");
 }
@@ -147,9 +147,9 @@ Kernel::decidePreemption(CpuContext &ctx)
         if (obs::traceEnabled())
             obs::tracer().instant("preempt", "sched", ctx.cycles());
         ctx.setReg(Reg::Ecx, 500 + schedRng.nextBelow(2500));
-        ctx.jumpTo("k_preempt");
+        ctx.jumpTo(image->preempt);
     } else {
-        ctx.jumpTo("k_int_exit");
+        ctx.jumpTo(image->intExit);
     }
 }
 
@@ -190,6 +190,7 @@ Kernel::buildInto(isa::Program &prog)
             .host([](CpuContext &ctx) { of(ctx).dispatchSyscall(ctx); });
         prog.add(a.take());
     }
+    int sysexit;
     {
         Assembler a("k_sysexit");
         a.work(scaled(kc.syscallExitWork) - 4)
@@ -198,7 +199,7 @@ Kernel::buildInto(isa::Program &prog)
             .pop(Reg::Ebx)
             .pop(Reg::Ebp)
             .iret();
-        prog.add(a.take());
+        sysexit = prog.add(a.take());
     }
     {
         Assembler a("k_int_entry");
@@ -211,6 +212,9 @@ Kernel::buildInto(isa::Program &prog)
             });
         prog.add(a.take());
     }
+    // Host ops capture the ids of blocks emitted before them; the
+    // dispatchers reach later ones through the image (boot()).
+    int int_exit;
     {
         Assembler a("k_int_exit");
         a.work(scaled(kc.intExitWork) - 3)
@@ -218,7 +222,7 @@ Kernel::buildInto(isa::Program &prog)
             .pop(Reg::Ecx)
             .pop(Reg::Eax)
             .iret();
-        prog.add(a.take());
+        int_exit = prog.add(a.take());
     }
     {
         int tick_extra = 0;
@@ -236,19 +240,19 @@ Kernel::buildInto(isa::Program &prog)
         Assembler a("k_pmi");
         // PMI handler: acknowledge the overflow, hand it to the
         // extension that armed the counter (sample recording).
-        a.work(scaled(160)).host([](CpuContext &ctx) {
+        a.work(scaled(160)).host([int_exit](CpuContext &ctx) {
             Kernel &k = of(ctx);
             pca_assert(k.attachedCore);
             for (KernelModule *m : k.modules)
                 m->onPmi(*k.attachedCore);
-            ctx.jumpTo("k_int_exit");
+            ctx.jumpTo(int_exit);
         });
         prog.add(a.take());
     }
     {
         Assembler a("k_io");
         a.work(scaled(kc.ioHandlerWork))
-            .host([](CpuContext &ctx) { ctx.jumpTo("k_int_exit"); });
+            .host([int_exit](CpuContext &ctx) { ctx.jumpTo(int_exit); });
         prog.add(a.take());
     }
     {
@@ -266,13 +270,13 @@ Kernel::buildInto(isa::Program &prog)
         a.work(scaled(kc.ctxswInWork) / 2)
             .host([](CpuContext &ctx) { of(ctx).doSwitchIn(ctx); })
             .work(scaled(kc.ctxswInWork) / 2)
-            .host([](CpuContext &ctx) { ctx.jumpTo("k_int_exit"); });
+            .host([int_exit](CpuContext &ctx) { ctx.jumpTo(int_exit); });
         prog.add(a.take());
     }
     {
         Assembler a("k_sys_getpid");
         a.work(scaled(120)).host(
-            [](CpuContext &ctx) { ctx.jumpTo("k_sysexit"); });
+            [sysexit](CpuContext &ctx) { ctx.jumpTo(sysexit); });
         prog.add(a.take());
     }
     registerSyscall(sysno::getpid, "k_sys_getpid");
@@ -327,8 +331,16 @@ Kernel::boot()
         // Kernel text only, byte-granular like the user text that
         // Machine::finalize links over it.
         img->text.link(0xc0000000ULL, /*align=*/1);
-        img->syscalls = std::move(syscallTable);
+        for (const auto &[nr, name] : syscallTable)
+            img->syscalls[nr] = {img->text.entry(name).block, name};
         syscallTable.clear();
+        const isa::Program &t = img->text;
+        img->intExit = t.entry("k_int_exit").block;
+        img->timer = t.entry("k_timer").block;
+        img->io = t.entry("k_io").block;
+        img->pmi = t.entry("k_pmi").block;
+        img->preempt = t.entry("k_preempt").block;
+        img->hang = t.find("k_hang");
         slot = std::move(img);
         PCA_SPC_INC(KernelImagesBuilt);
     }
@@ -352,7 +364,7 @@ Kernel::reset(std::uint64_t seed)
     // kernel replays the same interrupt phases and scheduling
     // decisions as one freshly constructed with this seed.
     schedRng = Rng(mixSeed(seed, 0x5eedULL));
-    intCtrl.reset(mixSeed(seed, 0x1234ULL));
+    intCtrl.reset(interruptSeed(seed));
     ctxswCount = 0;
     for (KernelModule *m : modules)
         m->reset();

@@ -60,7 +60,22 @@ constexpr int pfmSetSmpl = 360;
 struct KernelImage
 {
     isa::Program text;
-    std::map<int, std::string> syscalls; //!< syscall nr -> block
+
+    /** A syscall's handler block, named for injected-fault messages. */
+    struct Syscall
+    {
+        int block = -1;
+        std::string name;
+    };
+    std::map<int, Syscall> syscalls; //!< by syscall number
+
+    /**
+     * Blocks the dispatch host ops jump to, resolved once the text
+     * is built: no run looks a block up by name (k_hang is -1 when
+     * the image has none).
+     */
+    int intExit = -1, timer = -1, io = -1, pmi = -1, preempt = -1,
+        hang = -1;
 };
 
 /**
@@ -140,7 +155,8 @@ class Kernel : public isa::HostEnv
 
     /**
      * Map a syscall number to a handler block (module API, while
-     * the kernel emits its blocks).
+     * the kernel emits its blocks; boot() resolves the name to the
+     * block's id).
      */
     void registerSyscall(int nr, const std::string &block_name);
 
@@ -151,6 +167,16 @@ class Kernel : public isa::HostEnv
     void setPreemptProbability(double p) { preemptProb = p; }
 
     InterruptController &interrupts() { return intCtrl; }
+
+    /**
+     * The first cycle an interrupt is due after reset(@p seed),
+     * computed without resetting anything.
+     */
+    Cycles
+    firstInterruptCycle(std::uint64_t seed) const
+    {
+        return intCtrl.firstInterruptCycle(interruptSeed(seed));
+    }
 
     /** Number of context switches the measured thread suffered. */
     Count contextSwitches() const { return ctxswCount; }
@@ -173,6 +199,13 @@ class Kernel : public isa::HostEnv
     void setProfiler(obs::Profiler *p) { profiler = p; }
 
   private:
+    /** The interrupt controller's stream for kernel seed @p seed. */
+    static std::uint64_t
+    interruptSeed(std::uint64_t seed)
+    {
+        return mixSeed(seed, 0x1234ULL);
+    }
+
     void dispatchSyscall(isa::CpuContext &ctx);
     void dispatchInterrupt(isa::CpuContext &ctx);
     void decidePreemption(isa::CpuContext &ctx);

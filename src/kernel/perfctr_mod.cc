@@ -44,13 +44,18 @@ PerfctrModule::buildBlocks(isa::Program &prog, Kernel &kernel)
 {
     const KernelCosts &kc = kernel.costs();
     auto scaled = [&](int n) { return kc.scaled(n, archRef); };
+    // Handlers leave through the kernel's exit path, emitted before
+    // any module block.
+    const int sysexit = prog.entry("k_sysexit").block;
 
     // --- vperfctr open: create the per-task state, map the state
     // page, and set CR4.PCE so RDPMC works from user mode. ---
     {
         Assembler a("pc_sys_open");
-        a.work(scaled(kc.pcOpenWork)).host([](CpuContext &ctx) {
-            modOf(ctx).sysOpen(ctx, coreOf(ctx));
+        a.work(scaled(kc.pcOpenWork)).host([sysexit](CpuContext &ctx) {
+            // Mapping the state page sets CR4.PCE for this task.
+            coreOf(ctx).allowUserRdpmc(true);
+            ctx.jumpTo(sysexit);
         });
         prog.add(a.take());
     }
@@ -96,7 +101,7 @@ PerfctrModule::buildBlocks(isa::Program &prog, Kernel &kernel)
         a.jne(loop);
         a.host([](CpuContext &ctx) { modOf(ctx).active = true; });
         a.work(scaled(kc.pcControlPost));
-        a.host([](CpuContext &ctx) { ctx.jumpTo("k_sysexit"); });
+        a.host([sysexit](CpuContext &ctx) { ctx.jumpTo(sysexit); });
         prog.add(a.take());
     }
 
@@ -125,7 +130,7 @@ PerfctrModule::buildBlocks(isa::Program &prog, Kernel &kernel)
         a.jl(loop);
         a.host([](CpuContext &ctx) { modOf(ctx).active = false; });
         a.work(scaled(kc.pcStopPost));
-        a.host([](CpuContext &ctx) { ctx.jumpTo("k_sysexit"); });
+        a.host([sysexit](CpuContext &ctx) { ctx.jumpTo(sysexit); });
         prog.add(a.take());
     }
 
@@ -151,7 +156,7 @@ PerfctrModule::buildBlocks(isa::Program &prog, Kernel &kernel)
             modOf(ctx).readTsc = coreOf(ctx).pmu().rdtsc();
         });
         a.work(scaled(kc.pcSlowReadPost));
-        a.host([](CpuContext &ctx) { ctx.jumpTo("k_sysexit"); });
+        a.host([sysexit](CpuContext &ctx) { ctx.jumpTo(sysexit); });
         prog.add(a.take());
     }
 
@@ -171,14 +176,6 @@ PerfctrModule::reset()
     active = false;
     resumes = 0;
     suspendedEnables.clear();
-}
-
-void
-PerfctrModule::sysOpen(CpuContext &ctx, cpu::Core &core)
-{
-    // Mapping the state page sets CR4.PCE for this task.
-    core.allowUserRdpmc(true);
-    ctx.jumpTo("k_sysexit");
 }
 
 void

@@ -64,9 +64,6 @@ class PerfctrModule : public KernelModule
     const PerfctrControl &activeControl() const { return control; }
 
   private:
-    void sysOpen(isa::CpuContext &ctx, cpu::Core &core);
-    void sysStopDisable(cpu::Core &core, int idx);
-
     const cpu::MicroArch &archRef;
 
     PerfctrControl control;

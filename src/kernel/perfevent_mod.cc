@@ -43,6 +43,9 @@ PerfEventModule::buildBlocks(isa::Program &prog, Kernel &kernel)
 {
     const KernelCosts &kc = kernel.costs();
     auto scaled = [&](int n) { return kc.scaled(n, archRef); };
+    // Handlers leave through the kernel's exit path, emitted before
+    // any module block.
+    const int sysexit = prog.entry("k_sysexit").block;
 
     // --- perf_event_open: allocate a counter and an fd. The call is
     // heavyweight (attr validation, context allocation, mmap setup),
@@ -50,7 +53,7 @@ PerfEventModule::buildBlocks(isa::Program &prog, Kernel &kernel)
     {
         Assembler a("pe_sys_open");
         a.work(scaled(1100));
-        a.host([](CpuContext &ctx) {
+        a.host([sysexit](CpuContext &ctx) {
             PerfEventModule &m = modOf(ctx);
             const int idx = static_cast<int>(m.fds.size());
             if (idx >= m.archRef.progCounters)
@@ -73,7 +76,7 @@ PerfEventModule::buildBlocks(isa::Program &prog, Kernel &kernel)
             // page (perf's cap_user_rdpmc).
             core.allowUserRdpmc(true);
             ctx.setReg(Reg::Eax, static_cast<std::uint64_t>(idx));
-            ctx.jumpTo("k_sysexit");
+            ctx.jumpTo(sysexit);
         });
         prog.add(a.take());
     }
@@ -101,7 +104,7 @@ PerfEventModule::buildBlocks(isa::Program &prog, Kernel &kernel)
         a.cmpImm(Reg::Edx, 0);
         a.jne(loop);
         a.work(scaled(60));
-        a.host([](CpuContext &ctx) { ctx.jumpTo("k_sysexit"); });
+        a.host([sysexit](CpuContext &ctx) { ctx.jumpTo(sysexit); });
         prog.add(a.take());
     }
 
@@ -128,7 +131,7 @@ PerfEventModule::buildBlocks(isa::Program &prog, Kernel &kernel)
         a.cmpReg(Reg::Edx, Reg::Esi);
         a.jl(loop);
         a.work(scaled(130));
-        a.host([](CpuContext &ctx) { ctx.jumpTo("k_sysexit"); });
+        a.host([sysexit](CpuContext &ctx) { ctx.jumpTo(sysexit); });
         prog.add(a.take());
     }
 
@@ -150,7 +153,7 @@ PerfEventModule::buildBlocks(isa::Program &prog, Kernel &kernel)
                     m.fds[static_cast<std::size_t>(m.argFd)].counter));
         });
         a.work(scaled(140));
-        a.host([](CpuContext &ctx) { ctx.jumpTo("k_sysexit"); });
+        a.host([sysexit](CpuContext &ctx) { ctx.jumpTo(sysexit); });
         prog.add(a.take());
     }
 

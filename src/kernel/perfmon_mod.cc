@@ -43,16 +43,19 @@ PerfmonModule::buildBlocks(isa::Program &prog, Kernel &kernel)
 {
     const KernelCosts &kc = kernel.costs();
     auto scaled = [&](int n) { return kc.scaled(n, archRef); };
+    // Handlers leave through the kernel's exit path, emitted before
+    // any module block.
+    const int sysexit = prog.entry("k_sysexit").block;
 
     // --- pfm_create_context ---
     {
         Assembler a("pm_sys_create");
         a.work(scaled(kc.pmCreateWork));
-        a.host([](CpuContext &ctx) {
+        a.host([sysexit](CpuContext &ctx) {
             PerfmonModule &m = modOf(ctx);
             m.loaded = true;
             m.running = false;
-            ctx.jumpTo("k_sysexit");
+            ctx.jumpTo(sysexit);
         });
         prog.add(a.take());
     }
@@ -90,7 +93,7 @@ PerfmonModule::buildBlocks(isa::Program &prog, Kernel &kernel)
         a.addImm(Reg::Edx, 1);
         a.cmpReg(Reg::Edx, Reg::Esi);
         a.jl(loop);
-        a.host([](CpuContext &ctx) { ctx.jumpTo("k_sysexit"); });
+        a.host([sysexit](CpuContext &ctx) { ctx.jumpTo(sysexit); });
         prog.add(a.take());
     }
 
@@ -118,7 +121,7 @@ PerfmonModule::buildBlocks(isa::Program &prog, Kernel &kernel)
         a.addImm(Reg::Edx, 1);
         a.cmpReg(Reg::Edx, Reg::Esi);
         a.jl(loop);
-        a.host([](CpuContext &ctx) { ctx.jumpTo("k_sysexit"); });
+        a.host([sysexit](CpuContext &ctx) { ctx.jumpTo(sysexit); });
         prog.add(a.take());
     }
 
@@ -153,7 +156,7 @@ PerfmonModule::buildBlocks(isa::Program &prog, Kernel &kernel)
         a.jl(loop);
         a.host([](CpuContext &ctx) { modOf(ctx).running = true; });
         a.work(scaled(kc.pmStartPost));
-        a.host([](CpuContext &ctx) { ctx.jumpTo("k_sysexit"); });
+        a.host([sysexit](CpuContext &ctx) { ctx.jumpTo(sysexit); });
         prog.add(a.take());
     }
 
@@ -181,7 +184,7 @@ PerfmonModule::buildBlocks(isa::Program &prog, Kernel &kernel)
         a.jl(loop);
         a.host([](CpuContext &ctx) { modOf(ctx).running = false; });
         a.work(scaled(kc.pmStopPost));
-        a.host([](CpuContext &ctx) { ctx.jumpTo("k_sysexit"); });
+        a.host([sysexit](CpuContext &ctx) { ctx.jumpTo(sysexit); });
         prog.add(a.take());
     }
 
@@ -209,7 +212,7 @@ PerfmonModule::buildBlocks(isa::Program &prog, Kernel &kernel)
         a.cmpReg(Reg::Edx, Reg::Esi);
         a.jl(loop);
         a.work(scaled(kc.pmReadPost));
-        a.host([](CpuContext &ctx) { ctx.jumpTo("k_sysexit"); });
+        a.host([sysexit](CpuContext &ctx) { ctx.jumpTo(sysexit); });
         prog.add(a.take());
     }
 
@@ -217,7 +220,7 @@ PerfmonModule::buildBlocks(isa::Program &prog, Kernel &kernel)
     {
         Assembler a("pm_sys_create_evtsets");
         a.work(scaled(600));
-        a.host([](CpuContext &ctx) {
+        a.host([sysexit](CpuContext &ctx) {
             PerfmonModule &m = modOf(ctx);
             if (!m.loaded)
                 throw StatusError(
@@ -245,7 +248,7 @@ PerfmonModule::buildBlocks(isa::Program &prog, Kernel &kernel)
                 m.mpxSoft.emplace_back(g.size(), 0);
             m.mpxReadBuf.clear();
             m.programGroup(coreOf(ctx), 0, true);
-            ctx.jumpTo("k_sysexit");
+            ctx.jumpTo(sysexit);
         });
         prog.add(a.take());
     }
@@ -254,7 +257,7 @@ PerfmonModule::buildBlocks(isa::Program &prog, Kernel &kernel)
     {
         Assembler a("pm_sys_start_mpx");
         a.work(scaled(300));
-        a.host([](CpuContext &ctx) {
+        a.host([sysexit](CpuContext &ctx) {
             PerfmonModule &m = modOf(ctx);
             if (!m.mpxOn)
                 throw StatusError(
@@ -262,7 +265,7 @@ PerfmonModule::buildBlocks(isa::Program &prog, Kernel &kernel)
                            "pfm_start: no event sets"));
             m.programGroup(coreOf(ctx), m.mpxCurGroup, true);
             m.mpxRunning = true;
-            ctx.jumpTo("k_sysexit");
+            ctx.jumpTo(sysexit);
         });
         prog.add(a.take());
     }
@@ -271,7 +274,7 @@ PerfmonModule::buildBlocks(isa::Program &prog, Kernel &kernel)
     {
         Assembler a("pm_sys_stop_mpx");
         a.work(scaled(250));
-        a.host([](CpuContext &ctx) {
+        a.host([sysexit](CpuContext &ctx) {
             PerfmonModule &m = modOf(ctx);
             if (!m.mpxOn)
                 throw StatusError(
@@ -294,7 +297,7 @@ PerfmonModule::buildBlocks(isa::Program &prog, Kernel &kernel)
                                  0);
             }
             m.mpxRunning = false;
-            ctx.jumpTo("k_sysexit");
+            ctx.jumpTo(sysexit);
         });
         prog.add(a.take());
     }
@@ -303,7 +306,7 @@ PerfmonModule::buildBlocks(isa::Program &prog, Kernel &kernel)
     {
         Assembler a("pm_sys_read_mpx");
         a.work(scaled(220));
-        a.host([](CpuContext &ctx) {
+        a.host([sysexit](CpuContext &ctx) {
             PerfmonModule &m = modOf(ctx);
             if (!m.mpxOn)
                 throw StatusError(
@@ -338,7 +341,7 @@ PerfmonModule::buildBlocks(isa::Program &prog, Kernel &kernel)
                         fraction > 0 ? raw / fraction : 0.0);
                 }
             }
-            ctx.jumpTo("k_sysexit");
+            ctx.jumpTo(sysexit);
         });
         prog.add(a.take());
     }
@@ -353,7 +356,7 @@ PerfmonModule::buildBlocks(isa::Program &prog, Kernel &kernel)
     {
         Assembler a("pm_sys_set_smpl");
         a.work(scaled(520)); // sampling buffer setup + remap
-        a.host([](CpuContext &ctx) {
+        a.host([sysexit](CpuContext &ctx) {
             PerfmonModule &m = modOf(ctx);
             if (!m.loaded)
                 throw StatusError(
@@ -374,7 +377,7 @@ PerfmonModule::buildBlocks(isa::Program &prog, Kernel &kernel)
             core.pmu().wrmsr(
                 cpu::Pmu::msrEvtSelBase,
                 cpu::Pmu::encodeEvtSel(m.smpl.event, m.smpl.pl, true));
-            ctx.jumpTo("k_sysexit");
+            ctx.jumpTo(sysexit);
         });
         prog.add(a.take());
     }

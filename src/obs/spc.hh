@@ -40,7 +40,7 @@ enum class Spc : std::uint8_t
     PatternCallsStop,   //!< API stop(+read) calls emitted
     PatternOverheadInstrs, //!< measured-window overhead instructions
     FastForwardIters,   //!< loop iterations applied in bulk
-    MachineReboots,     //!< session reuses (reboot without re-assembly)
+    MachineReboots,     //!< reboots before executed session runs
     ProgramCacheHits,   //!< point runs on an already-built session
     ProgramCacheMisses, //!< per-point session builds
     FaultsInjected,     //!< faults the FaultInjector fired

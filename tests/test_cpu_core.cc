@@ -92,6 +92,55 @@ TEST(CoreAlu, BitOps)
     EXPECT_EQ(m.core->getReg(Reg::Eax), 0b111u);
 }
 
+TEST(CoreMemory, ResetForgetsEveryWord)
+{
+    // 300 stored and 300 pushed words, past the guest memory's first
+    // table size: "sum" reads all of them back before a reset and
+    // none after it.
+    constexpr int words = 300;
+    constexpr std::uint64_t sum_of_words = words * (words + 1) / 2;
+    TestMachine m;
+    Assembler fill("fill");
+    fill.movImm(Reg::Ebx, 0x10000).movImm(Reg::Ecx, 0);
+    const int store_loop = fill.label();
+    fill.addImm(Reg::Ecx, 1)
+        .store(Reg::Ecx, Reg::Ebx, 0)
+        .push(Reg::Ecx)
+        .addImm(Reg::Ebx, 8)
+        .cmpImm(Reg::Ecx, words)
+        .jne(store_loop)
+        .halt();
+    m.prog.add(fill.take());
+    Assembler sum("sum");
+    // eax sums the stored words, edx the popped ones.
+    sum.movImm(Reg::Esp, 0xbfff0000 - 8 * words)
+        .movImm(Reg::Ebx, 0x10000)
+        .movImm(Reg::Eax, 0)
+        .movImm(Reg::Edx, 0)
+        .movImm(Reg::Ecx, 0);
+    const int load_loop = sum.label();
+    sum.load(Reg::Esi, Reg::Ebx, 0)
+        .addReg(Reg::Eax, Reg::Esi)
+        .pop(Reg::Edi)
+        .addReg(Reg::Edx, Reg::Edi)
+        .addImm(Reg::Ebx, 8)
+        .addImm(Reg::Ecx, 1)
+        .cmpImm(Reg::Ecx, words)
+        .jne(load_loop)
+        .halt();
+    m.prog.add(sum.take());
+    m.finish();
+
+    m.run("fill");
+    m.run("sum");
+    EXPECT_EQ(m.core->getReg(Reg::Eax), sum_of_words);
+    EXPECT_EQ(m.core->getReg(Reg::Edx), sum_of_words);
+    m.core->reset();
+    m.run("sum");
+    EXPECT_EQ(m.core->getReg(Reg::Eax), 0u);
+    EXPECT_EQ(m.core->getReg(Reg::Edx), 0u);
+}
+
 TEST(CoreControl, LoopRunsExactIterations)
 {
     TestMachine m;
@@ -329,13 +378,14 @@ TEST(CoreCounting, HostOpJumpRedirects)
 {
     TestMachine m;
     Assembler a("main");
-    a.host([](isa::CpuContext &ctx) { ctx.jumpTo("elsewhere"); })
+    int elsewhere = -1; // its block id, known once it is added
+    a.host([&elsewhere](isa::CpuContext &ctx) { ctx.jumpTo(elsewhere); })
         .movImm(Reg::Eax, 1) // skipped
         .halt();
     m.prog.add(a.take());
     Assembler e("elsewhere");
     e.movImm(Reg::Eax, 2).halt();
-    m.prog.add(e.take());
+    elsewhere = m.prog.add(e.take());
     m.finish();
     m.run();
     EXPECT_EQ(m.core->getReg(Reg::Eax), 2u);
@@ -345,18 +395,20 @@ TestMachine
 withMiniKernel()
 {
     TestMachine m;
+    // Block ids follow the order the blocks are added in.
+    constexpr int k_add = 1, k_exit = 2;
     Assembler entry("k_entry");
     entry.nop(5).host([](isa::CpuContext &ctx) {
         // Dispatch: syscall 1 -> k_add; else exit.
         if (ctx.getReg(Reg::Eax) == 1)
-            ctx.jumpTo("k_add");
+            ctx.jumpTo(k_add);
         else
-            ctx.jumpTo("k_exit");
+            ctx.jumpTo(k_exit);
     });
     m.prog.add(entry.take());
     Assembler add("k_add");
     add.addImm(Reg::Ebx, 1000).nop(3).host(
-        [](isa::CpuContext &ctx) { ctx.jumpTo("k_exit"); });
+        [](isa::CpuContext &ctx) { ctx.jumpTo(k_exit); });
     m.prog.add(add.take());
     Assembler exit("k_exit");
     exit.nop(2).iret();

@@ -1,10 +1,12 @@
 /**
  * @file
  * Unit tests for the micro-architectural structures: cache model,
- * branch predictor, and front-end fetch model.
+ * guest memory, branch predictor, and front-end fetch model.
  */
 
+#include <algorithm>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -12,6 +14,7 @@
 
 #include "cpu/cache.hh"
 #include "cpu/frontend.hh"
+#include "cpu/memory.hh"
 #include "cpu/microarch.hh"
 #include "cpu/predictor.hh"
 #include "support/random.hh"
@@ -105,27 +108,39 @@ TEST(Cache, FlushedModelBehavesLikeFreshOne)
 
 TEST(Cache, FlushCyclesMatchZeroInitializedLru)
 {
-    // Core 2's L2 geometry (4096 sets x 16 ways, 64 B lines), random
-    // accesses over every set across many flush cycles, against a
-    // plain LRU whose ways are zeroed at construction and at every
-    // flush. The model clears a set only on its first access since
-    // construction, and a flush only moves its LRU clock floor; it
-    // must be indistinguishable, contains() included.
-    constexpr int sets = 4096;
-    constexpr int ways = 16;
+    // Every cache, TLB and BTB geometry of the three processors,
+    // random accesses across many flush cycles, against a plain LRU
+    // whose ways are zeroed at construction and at every flush and
+    // whose every lookup scans the whole set. The model clears a set
+    // only on its first access since construction, a flush only
+    // moves its LRU clock floor, and a lookup stops at the set's
+    // first invalid way; it must be indistinguishable, contains()
+    // included.
     struct Reference
     {
+        std::size_t sets, ways;
+        int shift = 0;
         std::vector<std::pair<Addr, std::uint64_t>> way; // tag, lastUse
         std::uint64_t clock = 0;
 
-        Reference() : way(std::size_t{sets} * ways) {}
+        Reference(int s, int w, int line_bytes)
+            : sets(static_cast<std::size_t>(s)),
+              ways(static_cast<std::size_t>(w)), way(sets * ways)
+        {
+            while ((1 << shift) < line_bytes)
+                ++shift;
+        }
+        std::size_t base(Addr a) const
+        {
+            return static_cast<std::size_t>((a >> shift) % sets) * ways;
+        }
         bool access(Addr a)
         {
-            const Addr tag = a >> 6;
-            const std::size_t base = (tag % sets) * ways;
+            const Addr tag = a >> shift;
+            const std::size_t b = base(a);
             ++clock;
-            std::size_t victim = base;
-            for (std::size_t w = base; w < base + ways; ++w) {
+            std::size_t victim = b;
+            for (std::size_t w = b; w < b + ways; ++w) {
                 if (way[w].second != 0 && way[w].first == tag) {
                     way[w].second = clock;
                     return true;
@@ -138,9 +153,9 @@ TEST(Cache, FlushCyclesMatchZeroInitializedLru)
         }
         bool contains(Addr a) const
         {
-            const Addr tag = a >> 6;
-            const std::size_t base = (tag % sets) * ways;
-            for (std::size_t w = base; w < base + ways; ++w)
+            const Addr tag = a >> shift;
+            const std::size_t b = base(a);
+            for (std::size_t w = b; w < b + ways; ++w)
                 if (way[w].second != 0 && way[w].first == tag)
                     return true;
             return false;
@@ -162,37 +177,74 @@ TEST(Cache, FlushCyclesMatchZeroInitializedLru)
             ASSERT_FALSE(reborn.contains(line * 64)) << line;
     }
 
-    Rng rng(7);
-    // 24 lines per set: enough to evict from a 16-way set.
-    auto addr = [&] {
-        return static_cast<Addr>(rng.nextBelow(sets * 24)) * 64 +
-            rng.nextBelow(64);
+    // The geometries Core and BranchPredictor build.
+    struct Geometry
+    {
+        std::string name;
+        int sets, ways, lineBytes;
     };
-    CacheModel model(sets, ways, 64);
-    Reference ref;
-    Addr last = 0;
-    for (int cycle = 0; cycle < 30; ++cycle) {
-        // Sets not touched since the flush hold no line, whatever
-        // their ways held before.
-        for (int i = 0; i < 200; ++i) {
-            const Addr a = addr();
-            ASSERT_FALSE(model.contains(a)) << "cycle " << cycle;
-            ASSERT_FALSE(ref.contains(a));
+    std::vector<Geometry> geometries;
+    for (const Processor proc : allProcessors()) {
+        const MicroArch &m = microArch(proc);
+        const std::string p = processorCode(proc);
+        geometries.push_back(
+            {p + " icache", m.icacheSets, m.icacheWays, m.icacheLineBytes});
+        geometries.push_back({p + " itlb",
+                              std::max(1, m.itlbEntries / m.itlbWays),
+                              m.itlbWays, 4096});
+        geometries.push_back(
+            {p + " dcache", m.dcacheSets, m.dcacheWays, m.dcacheLineBytes});
+        geometries.push_back({p + " l2", m.l2Sets, m.l2Ways, m.l2LineBytes});
+        geometries.push_back({p + " dtlb",
+                              std::max(1, m.dtlbEntries / m.dtlbWays),
+                              m.dtlbWays, 4096});
+        geometries.push_back({p + " btb", m.btbSets, m.btbWays, 4});
+    }
+
+    Rng rng(7);
+    for (const Geometry &g : geometries) {
+        SCOPED_TRACE(g.name);
+        const auto sets = static_cast<Addr>(g.sets);
+        // Most accesses go to a few hot sets holding 1.5x their ways
+        // in lines, so those fill up and evict; the rest spread over
+        // every set, most of which stay partly filled.
+        auto addr = [&] {
+            const Addr set = rng.nextBool(0.75)
+                ? rng.nextBelow(std::min<Addr>(sets, 8))
+                : rng.nextBelow(sets);
+            const Addr tag = set +
+                sets * rng.nextBelow(static_cast<Addr>(
+                           g.ways + g.ways / 2 + 1));
+            return tag * static_cast<Addr>(g.lineBytes) +
+                rng.nextBelow(static_cast<Addr>(g.lineBytes));
+        };
+        CacheModel model(g.sets, g.ways, g.lineBytes);
+        Reference ref(g.sets, g.ways, g.lineBytes);
+        Addr last = 0;
+        for (int cycle = 0; cycle < 8; ++cycle) {
+            // Sets not touched since the flush hold no line, whatever
+            // their ways held before.
+            for (int i = 0; i < 100; ++i) {
+                const Addr a = addr();
+                ASSERT_FALSE(model.contains(a)) << "cycle " << cycle;
+                ASSERT_FALSE(ref.contains(a));
+            }
+            for (int i = 0; i < 6000; ++i) {
+                // Repeats exercise accessHot's memo.
+                const Addr a = rng.nextBool(0.2) ? last : addr();
+                last = a;
+                const bool want = ref.access(a);
+                const bool got = rng.nextBool(0.5) ? model.access(a)
+                                                   : model.accessHot(a);
+                ASSERT_EQ(got, want)
+                    << "cycle " << cycle << " access " << i;
+                const Addr probe = addr();
+                ASSERT_EQ(model.contains(probe), ref.contains(probe))
+                    << "cycle " << cycle << " probe " << i;
+            }
+            model.flush();
+            ref.flush();
         }
-        for (int i = 0; i < 20000; ++i) {
-            // Repeats exercise accessHot's memo.
-            const Addr a = rng.nextBool(0.2) ? last : addr();
-            last = a;
-            const bool want = ref.access(a);
-            const bool got =
-                rng.nextBool(0.5) ? model.access(a) : model.accessHot(a);
-            ASSERT_EQ(got, want) << "cycle " << cycle << " access " << i;
-            const Addr probe = addr();
-            ASSERT_EQ(model.contains(probe), ref.contains(probe))
-                << "cycle " << cycle << " probe " << i;
-        }
-        model.flush();
-        ref.flush();
     }
 }
 
@@ -205,6 +257,68 @@ TEST(Cache, TlbGeometryWorks)
         EXPECT_TRUE(tlb.access(p * 4096));
     EXPECT_FALSE(tlb.access(32 * 4096)); // evicts page 0 (LRU)
     EXPECT_FALSE(tlb.contains(0));
+}
+
+TEST(GuestMemoryTest, MatchesUnorderedMap)
+{
+    // Random loads, stores, pushes and pops (a stack pointer walking
+    // down and up, as the core's push and pop move esp), resets, and
+    // footprints that grow the table far past its first size and
+    // then reuse it, against std::unordered_map: a word nothing was
+    // stored at reads 0, and a reset forgets every word.
+    Rng rng(11);
+    GuestMemory mem;
+    std::unordered_map<Addr, std::uint64_t> ref;
+    auto want = [&](Addr a) -> std::uint64_t {
+        const auto it = ref.find(a);
+        return it == ref.end() ? 0 : it->second;
+    };
+    const std::size_t first_capacity = mem.capacity();
+    std::size_t peak = 0;
+    for (int round = 0; round < 24; ++round) {
+        SCOPED_TRACE(round);
+        const bool big = round % 4 == 3;
+        const Addr span = big ? 4096 : 48;
+        Addr sp = 0xbfff0000;
+        for (int i = 0; i < (big ? 20000 : 2000); ++i) {
+            // Mostly aligned words, some unaligned addresses.
+            const Addr a = 0x10000 + 8 * rng.nextBelow(span) +
+                (rng.nextBool(0.1) ? rng.nextBelow(8) : 0);
+            const std::uint64_t v = rng.next();
+            switch (rng.nextBelow(4)) {
+              case 0:
+                ASSERT_EQ(mem.load(a), want(a)) << "load " << i;
+                break;
+              case 1:
+                mem.store(a, v);
+                ref[a] = v;
+                break;
+              case 2: // push
+                sp -= 8;
+                mem.store(sp, v);
+                ref[sp] = v;
+                break;
+              default: // pop
+                ASSERT_EQ(mem.load(sp), want(sp)) << "pop " << i;
+                sp += 8;
+                break;
+            }
+            ASSERT_EQ(mem.size(), ref.size());
+        }
+        for (const auto &[a, v] : ref)
+            ASSERT_EQ(mem.load(a), v);
+        peak = std::max(peak, ref.size());
+        const std::size_t grown = mem.capacity();
+        mem.clear();
+        EXPECT_EQ(mem.capacity(), grown); // the storage stays
+        for (const auto &entry : ref)
+            ASSERT_EQ(mem.load(entry.first), 0u);
+        ref.clear();
+        EXPECT_EQ(mem.size(), 0u);
+    }
+    // At most half full: it grew with the largest footprint.
+    EXPECT_GT(mem.capacity(), first_capacity);
+    EXPECT_GE(mem.capacity(), 2 * peak);
 }
 
 TEST(Predictor, LoopBranchWarmsUp)

@@ -117,7 +117,7 @@ struct NullContext : CpuContext
 {
     std::uint64_t getReg(Reg) const override { return 0; }
     void setReg(Reg, std::uint64_t) override {}
-    void jumpTo(const std::string &) override {}
+    void jumpTo(int) override {}
     Mode mode() const override { return Mode::User; }
     Cycles cycles() const override { return 0; }
 };

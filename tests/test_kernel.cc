@@ -235,6 +235,48 @@ TEST(KernelTest, IoInterruptsAddKernelWork)
     EXPECT_GT(with_io.interrupts, without_io.interrupts);
 }
 
+TEST(KernelTest, EachInterruptVectorRunsItsOwnHandler)
+{
+    // Known answer: with preemption off and a user loop that makes no
+    // syscall, every kernel instruction belongs to an interrupt, and
+    // each timer tick and each I/O interrupt retires its own path:
+    // entry, its handler, exit.
+    MachineConfig cfg;
+    cfg.processor = cpu::Processor::AthlonX2;
+    cfg.preemptProb = 0.0;
+    cfg.seed = 19;
+    Machine m(cfg);
+    Assembler a("main");
+    a.movImm(Reg::Eax, 0);
+    int loop = a.label();
+    a.addImm(Reg::Eax, 1).cmpImm(Reg::Eax, 200000000).jne(loop).halt();
+    m.addUserBlock(a.take());
+    m.finalize();
+    const cpu::RunResult r = m.run();
+
+    const isa::Program &prog = m.program();
+    auto instrs = [&](const char *block) {
+        const isa::CodeBlock &b = prog.block(prog.find(block));
+        Count n = 0;
+        for (std::size_t i = 0; i < b.size(); ++i) {
+            const isa::Inst &in = b.inst(i);
+            if (in.op != isa::Opcode::HostOp)
+                n += in.op == isa::Opcode::Nop
+                    ? static_cast<Count>(in.size)
+                    : 1;
+        }
+        return n;
+    };
+    const Count around = instrs("k_int_entry") + instrs("k_int_exit");
+    const InterruptController &ic = m.kernel().interrupts();
+    ASSERT_GT(ic.ioDelivered(), 0u);
+    ASSERT_GT(ic.timerDelivered(), 0u);
+    EXPECT_EQ(r.interrupts, ic.timerDelivered() + ic.ioDelivered());
+    EXPECT_EQ(r.kernelInstr,
+              ic.timerDelivered() * (around + instrs("k_timer")) +
+                  ic.ioDelivered() * (around + instrs("k_io")));
+}
+
 TEST(KernelTest, DoubleBuildPanics)
 {
     Kernel k(cpu::microArch(cpu::Processor::AthlonX2), 1, false);

@@ -387,6 +387,28 @@ TEST_F(TracerTest, ReusedRunRecordsOneInstantEvent)
     EXPECT_EQ(count("\"run-reused:main\""), 11u);
 }
 
+TEST_F(TracerTest, ReusedRunInstantSitsAtCycleZero)
+{
+    // A reused run does not reboot, so the machine still holds the
+    // executed run's last cycle; its instant goes where a rebooted
+    // machine starts.
+    harness::HarnessConfig cfg;
+    cfg.interruptsEnabled = false;
+    harness::measurePoint(cfg, harness::NullBench(), 3,
+                          [](int r) { return 1 + r; });
+
+    std::ostringstream os;
+    tracer().writeChromeJson(os);
+    const std::string json = os.str();
+    const std::string at_zero =
+        "\"ts\":0,\"s\":\"t\",\"name\":\"run-reused:main\"";
+    std::size_t n = 0;
+    for (std::size_t at = json.find(at_zero); at != std::string::npos;
+         at = json.find(at_zero, at + 1))
+        ++n;
+    EXPECT_EQ(n, 2u) << json;
+}
+
 TEST(AttrClass, VectorMapping)
 {
     EXPECT_EQ(attrClassForVector(0), AttrClass::Timer);

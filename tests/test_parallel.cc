@@ -496,6 +496,64 @@ TEST(ResultReuse, KnownAnswersForATwelveRunPoint)
     EXPECT_EQ(c.executed, 12u - c.reused);
 }
 
+TEST(ResultReuse, SeedHorizonNeedsNoReboot)
+{
+    // seedHorizon(seed) reads, from the seed alone, what a reboot
+    // with that seed leaves due, whatever the machine ran or was
+    // booted with before.
+    for (const cpu::Processor proc : cpu::allProcessors())
+        for (const bool io : {true, false})
+            for (const Cycles period : {Cycles{0}, Cycles{100000}}) {
+                MachineConfig mc;
+                mc.processor = proc;
+                mc.ioInterrupts = io;
+                mc.timerPeriodOverride = period;
+                Machine m(mc);
+                m.finalize();
+                for (std::uint64_t s = 0; s < 200; ++s) {
+                    const std::uint64_t seed = mixSeed(99, s);
+                    const Cycles horizon = m.seedHorizon(seed);
+                    m.reboot(seed);
+                    ASSERT_EQ(horizon,
+                              m.kernel().interrupts().nextInterruptCycle())
+                        << cpu::processorCode(proc) << " io=" << io
+                        << " period=" << period << " seed " << s;
+                }
+            }
+
+    // No interrupts: never. A fault injector or a profiler draws on
+    // the seed from cycle 0.
+    MachineConfig quiet;
+    quiet.interruptsEnabled = false;
+    MachineConfig faulty;
+    faulty.faults = kernel::FaultPlan::parse("seed=1,width=48");
+    MachineConfig profiled;
+    profiled.profile.enabled = true;
+    Machine q(quiet), f(faulty), p(profiled);
+    for (std::uint64_t s = 0; s < 50; ++s) {
+        EXPECT_EQ(q.seedHorizon(s), ~Cycles{0});
+        EXPECT_EQ(f.seedHorizon(s), 0u);
+        EXPECT_EQ(p.seedHorizon(s), 0u);
+    }
+}
+
+TEST(ResultReuse, OnlyExecutedRunsReboot)
+{
+    // Interrupts off: one run executes, eleven reuse it unbooted.
+    HarnessConfig quiet;
+    quiet.interruptsEnabled = false;
+    obs::spcReset();
+    obs::spcAttach("machine_reboots,runs_executed,runs_reused");
+    const auto runs = measurePoint(quiet, NullBench(), 12, [](int r) {
+        return mixSeed(7, static_cast<std::uint64_t>(r));
+    });
+    EXPECT_EQ(runs.size(), 12u);
+    EXPECT_EQ(obs::spcValue(obs::Spc::MachineReboots), 1u);
+    EXPECT_EQ(obs::spcValue(obs::Spc::RunsExecuted), 1u);
+    EXPECT_EQ(obs::spcValue(obs::Spc::RunsReused), 11u);
+    obs::spcReset();
+}
+
 // ---------------------------------------------------------------- //
 // Shared kernel image
 // ---------------------------------------------------------------- //
