@@ -184,7 +184,7 @@ StudyCheckpoint::open(const std::string &path, const std::string &study,
     std::unique_ptr<StudyCheckpoint> cp(
         new StudyCheckpoint(path, study, identity, points));
     if (!cp->loadExisting())
-        cp->startFresh();
+        cp->file = std::fopen(path.c_str(), "w");
     if (cp->file == nullptr) {
         pca_warn("checkpoint: cannot open ", path, " for append (",
                  std::strerror(errno), "); checkpointing disabled");
@@ -223,18 +223,19 @@ StudyCheckpoint::loadExisting()
 {
     std::FILE *in = std::fopen(filePath.c_str(), "r");
     if (in == nullptr)
-        return false; // no file yet: fresh start, not a mismatch
+        return false; // no file yet: fresh start
 
     // Scan line by line, tracking the byte offset just past the last
-    // valid line so a torn or corrupt tail can be truncated away.
+    // valid line so a torn or corrupt tail can be truncated away. A
+    // header opens a section; only our sections' records load.
     std::string line;
     std::size_t validEnd = 0;
     bool sawHeader = false;
-    bool mismatch = false;
+    bool ours = false; //!< the current section is this identity's
     int c;
     std::size_t offset = 0;
     std::size_t resumed = 0;
-    while (!mismatch && (c = std::fgetc(in)) != EOF) {
+    while ((c = std::fgetc(in)) != EOF) {
         ++offset;
         if (c != '\n') {
             line += static_cast<char>(c);
@@ -244,24 +245,19 @@ StudyCheckpoint::loadExisting()
         if (!body)
             break; // torn/corrupt: drop this line and everything after
         Cursor cur{body->first, body->first + body->second};
-        if (!sawHeader) {
+        if (cur.lit("{\"v\":1,\"study\":")) {
             std::string study, id;
             std::uint64_t pts = 0;
-            if (!cur.lit("{\"v\":1,\"study\":") ||
-                !cur.quoted(study) || !cur.lit(",\"id\":") ||
+            if (!cur.quoted(study) || !cur.lit(",\"id\":") ||
                 !cur.quoted(id) || !cur.lit(",\"points\":") ||
                 !cur.number(pts) || cur.p != cur.end)
                 break;
-            if (study != studyName || id != identity ||
-                pts != numPoints) {
-                pca_warn("checkpoint ", filePath,
-                         ": identity mismatch (found study=", study,
-                         " id=", id, "); restarting checkpoint");
-                mismatch = true;
-                break;
-            }
             sawHeader = true;
-        } else {
+            ours = study == studyName && id == identity &&
+                pts == numPoints;
+        } else if (!sawHeader) {
+            break;
+        } else if (ours) {
             std::uint64_t point = 0;
             if (!cur.lit("{\"point\":") || !cur.number(point) ||
                 !cur.lit(",\"runs\":[") || point >= numPoints)
@@ -307,13 +303,11 @@ StudyCheckpoint::loadExisting()
     }
     std::fclose(in);
 
-    if (mismatch || !sawHeader) {
-        if (!mismatch)
+    if (!sawHeader) {
+        // An empty file is a fresh start (its study recorded nothing).
+        if (offset > 0)
             pca_warn("checkpoint ", filePath,
                      ": unreadable header; restarting checkpoint");
-        // Forget anything scanned before deciding to restart.
-        loaded.assign(numPoints, std::nullopt);
-        doneCount = 0;
         return false;
     }
 
@@ -335,25 +329,10 @@ StudyCheckpoint::loadExisting()
     }
 
     PCA_SPC_ADD(CheckpointPointsResumed, resumed);
+    // Records append to the last section: ours, or a new one.
+    headerPending = !ours;
     file = std::fopen(filePath.c_str(), "a");
     return true;
-}
-
-void
-StudyCheckpoint::startFresh()
-{
-    file = std::fopen(filePath.c_str(), "w");
-    if (file == nullptr)
-        return;
-    std::string body = "{\"v\":1,\"study\":\"";
-    jsonEscape(body, studyName);
-    body += "\",\"id\":\"";
-    jsonEscape(body, identity);
-    body += "\",\"points\":" + std::to_string(numPoints);
-    sealLine(body);
-    std::fwrite(body.data(), 1, body.size(), file);
-    std::fflush(file);
-    ::fsync(fileno(file));
 }
 
 bool
@@ -413,6 +392,16 @@ StudyCheckpoint::record(std::size_t point, const PointRecord &rec)
     std::lock_guard<std::mutex> lock(mtx);
     if (file == nullptr)
         return;
+    if (headerPending) {
+        std::string header = "{\"v\":1,\"study\":\"";
+        jsonEscape(header, studyName);
+        header += "\",\"id\":\"";
+        jsonEscape(header, identity);
+        header += "\",\"points\":" + std::to_string(numPoints);
+        sealLine(header);
+        body.insert(0, header);
+        headerPending = false;
+    }
     std::fwrite(body.data(), 1, body.size(), file);
     std::fflush(file);
     ::fsync(fileno(file)); // a crash can tear at most this one line

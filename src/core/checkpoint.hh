@@ -15,11 +15,13 @@
  * round-trips, the attribution key cells, the degraded note), and
  * emission is point-ordered either way.
  *
- * One file holds one study invocation: a header line pins the study
- * name, an identity string (seed, runs, point count, fault plan
- * fingerprint, ...), and the point count; opening with a different
- * identity restarts the file rather than resuming someone else's
- * sweep.
+ * One file holds every study of an exhibit as a list of sections. A
+ * header line opens each: it pins the study name, an identity string
+ * (seed, runs, point count, fault plan fingerprint, ...), and the
+ * point count. A study loads the records of every section whose
+ * header is its own and never another identity's; its own records
+ * follow its header, which it appends before its first record unless
+ * its section ends the file.
  */
 
 #ifndef PCA_CORE_CHECKPOINT_HH
@@ -67,11 +69,12 @@ class StudyCheckpoint
   public:
     /**
      * Open (resuming) or create @p path for @p points points of
-     * study @p study under @p identity. An existing file with a
-     * matching header resumes: valid records load, the torn tail
-     * (if any) is truncated away. A mismatched header (different
-     * study/identity/point count) or unreadable file warns and
-     * restarts the checkpoint from scratch.
+     * study @p study under @p identity. The records of every section
+     * with a matching header (same study, identity and point count)
+     * load; the torn tail (if any) is truncated away. Sections of
+     * other identities are kept but not read. A file whose first
+     * line is no header warns and restarts the checkpoint from
+     * scratch.
      */
     static std::unique_ptr<StudyCheckpoint>
     open(const std::string &path, const std::string &study,
@@ -114,13 +117,14 @@ class StudyCheckpoint
                     std::string identity, std::size_t points);
 
     bool loadExisting();
-    void startFresh();
 
     std::string filePath;
     std::string studyName;
     std::string identity;
     std::size_t numPoints;
     std::FILE *file = nullptr;
+    /** Append our header before the next record. */
+    bool headerPending = true;
     std::vector<std::optional<PointRecord>> loaded;
     std::size_t doneCount = 0;
     mutable std::mutex mtx;

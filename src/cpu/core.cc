@@ -728,10 +728,6 @@ Core::execute(const Inst &in)
       }
 
       case Opcode::Rdtsc:
-        if (curMode == Mode::User && !userRdtscOk)
-            throw StatusError(
-                Status(StatusCode::FailedPrecondition,
-                       "#GP: rdtsc in user mode with CR4.TSD set"));
         reg(Reg::Eax) = pmuUnit.rdtsc();
         chargeCycles(static_cast<Cycles>(archRef.rdtscCycles));
         break;
@@ -1071,7 +1067,6 @@ Core::reset()
     // re-enables user RDPMC through its own setup path, exactly as
     // it would on a freshly booted machine.
     userRdpmcOk = false;
-    userRdtscOk = true;
     loops.clear();
     poisonEpoch = 1;
     lastCheckEpoch = 0;

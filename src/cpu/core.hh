@@ -157,8 +157,6 @@ class Core : public isa::CpuContext
 
     /** CR4.PCE: whether RDPMC is legal in user mode. */
     void allowUserRdpmc(bool allow) { userRdpmcOk = allow; }
-    /** CR4.TSD is off by default: RDTSC legal in user mode. */
-    void allowUserRdtsc(bool allow) { userRdtscOk = allow; }
 
     /**
      * Execute from @p entry until a Halt instruction retires.
@@ -311,7 +309,6 @@ class Core : public isa::CpuContext
     bool lessFlag = false;
     Mode curMode = Mode::User;
     bool userRdpmcOk = false;
-    bool userRdtscOk = true;
 
     std::vector<isa::CodePtr> callStack;
     std::vector<SavedContext> trapStack;

@@ -160,8 +160,6 @@ class Pmu
      * Consume one pending overflow; returns the counter index or -1.
      */
     int takeOverflow();
-    /** Directly set the TSC (context restore / virtualization). */
-    void setTsc(Count v) { tsc = v; }
 
     // --- Fault modelling (installed by harness::Machine) ---
 

@@ -12,33 +12,30 @@ Machine::Machine(const MachineConfig &cfg)
 {
     PCA_SPC_INC(MachineBoots);
     coreImpl = std::make_unique<cpu::Core>(archRef);
-    kernelImpl = std::make_unique<kernel::Kernel>(
-        archRef, cfg.seed, cfg.ioInterrupts,
-        cfg.timerPeriodOverride);
-    kernelImpl->setPreemptProbability(cfg.preemptProb);
     if (cfg.profile.enabled)
         prof = std::make_unique<obs::Profiler>(cfg.profile);
 
     // Load exactly one extension, mirroring the paper's two patched
     // kernels (a perfctr kernel and a perfmon2 kernel) — or the
     // modern perf_event replacement for the forward-looking study.
-    Status mod_status;
+    kernel::KernelModule *ext;
     if (cfg.usePerfEvent) {
         peMod = std::make_unique<kernel::PerfEventModule>(archRef);
-        mod_status = kernelImpl->addModule(peMod.get());
         peLib = std::make_unique<perfevent::LibPerf>(*peMod);
+        ext = peMod.get();
     } else if (usesPerfmon(cfg.iface)) {
         pmMod = std::make_unique<kernel::PerfmonModule>(archRef);
-        mod_status = kernelImpl->addModule(pmMod.get());
         pmLib = std::make_unique<perfmon::LibPfm>(*pmMod);
+        ext = pmMod.get();
     } else {
         pcMod = std::make_unique<kernel::PerfctrModule>(archRef);
-        mod_status = kernelImpl->addModule(pcMod.get());
         pcLib = std::make_unique<perfctr::LibPerfctr>(*pcMod);
+        ext = pcMod.get();
     }
-    // The boot sequence itself is not a fallible user boundary: a
-    // module-registration failure here is a programming error.
-    pca_assert(mod_status.ok());
+    kernelImpl = std::make_unique<kernel::Kernel>(
+        archRef, *ext, cfg.seed, cfg.ioInterrupts,
+        cfg.timerPeriodOverride);
+    kernelImpl->setPreemptProbability(cfg.preemptProb);
 
     if (cfg.faults.enabled()) {
         injector = std::make_unique<kernel::FaultInjector>(cfg.faults,

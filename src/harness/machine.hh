@@ -150,9 +150,6 @@ class Machine
      */
     StatusOr<cpu::RunResult> tryRun(const std::string &entry = "main");
 
-    /** The machine's fault injector (null when the plan is inert). */
-    kernel::FaultInjector *faultInjector() { return injector.get(); }
-
     /** The machine's profiler (null when profiling is disabled). */
     obs::Profiler *profiler() { return prof.get(); }
 
@@ -191,10 +188,10 @@ class Machine
     MachineConfig cfg;
     const cpu::MicroArch &archRef;
     std::unique_ptr<cpu::Core> coreImpl;
-    std::unique_ptr<kernel::Kernel> kernelImpl;
     std::unique_ptr<kernel::PerfctrModule> pcMod;
     std::unique_ptr<kernel::PerfmonModule> pmMod;
     std::unique_ptr<kernel::PerfEventModule> peMod;
+    std::unique_ptr<kernel::Kernel> kernelImpl; //!< refers to a module
     std::unique_ptr<perfctr::LibPerfctr> pcLib;
     std::unique_ptr<perfmon::LibPfm> pmLib;
     std::unique_ptr<perfevent::LibPerf> peLib;

@@ -111,11 +111,6 @@ class ArrayWalkBench : public MicroBenchmark
     expectedEvents(cpu::EventType ev,
                    const cpu::MicroArch &arch) const override;
 
-    Count bytesTouched() const
-    {
-        return elements * static_cast<Count>(strideBytes);
-    }
-
   private:
     Count elements;
     int strideBytes;

@@ -23,41 +23,21 @@ Program::add(CodeBlock block)
     const int id = static_cast<int>(blockCount());
     symbols.emplace(block.name(), id);
     blocks.push_back(std::move(block));
-    blockSegments.push_back(0);
     isLinked = false;
     return id;
 }
 
 void
-Program::setSegment(int block_id, int segment)
-{
-    pca_assert(block_id >= baseCount &&
-               block_id < static_cast<int>(blockCount()));
-    pca_assert(segment == 0 || segment == 1);
-    blockSegments[static_cast<std::size_t>(block_id - baseCount)] =
-        segment;
-}
-
-void
 Program::link(Addr base_addr, Addr align)
 {
-    link2(base_addr, 0xc0000000ULL, align);
-}
-
-void
-Program::link2(Addr user_base, Addr kernel_base, Addr align)
-{
     pca_assert(align > 0 && (align & (align - 1)) == 0);
-    Addr cursor[2] = {user_base, kernel_base};
+    Addr a = base_addr;
     totalBytes = 0;
-    for (std::size_t i = 0; i < blocks.size(); ++i) {
-        // The base owns the kernel segment: its layout is final.
-        pca_assert(!base || blockSegments[i] == 0);
-        Addr &a = cursor[static_cast<std::size_t>(blockSegments[i])];
+    for (CodeBlock &blk : blocks) {
         a = (a + align - 1) & ~(align - 1);
-        blocks[i].layout(a);
-        a += blocks[i].bytes();
-        totalBytes += blocks[i].bytes();
+        blk.layout(a);
+        a += blk.bytes();
+        totalBytes += blk.bytes();
     }
     // Calls resolve once every name is known; an unknown callee
     // stays -1 and faults when the call executes.

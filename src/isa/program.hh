@@ -59,26 +59,13 @@ class Program
     int add(CodeBlock block);
 
     /**
-     * Assign one of this program's own blocks to a segment
-     * (default 0). Segment 0 is user text, segment 1 kernel text;
-     * they link at separate bases so that kernel code size never
+     * Link this program's own blocks: place them sequentially from
+     * @p base_addr, each aligned to @p align bytes, and give every
+     * Call its callee's block id. A base program keeps its layout,
+     * so kernel text linked as a base at its own address never
      * perturbs user code placement.
      */
-    void setSegment(int block_id, int segment);
-
-    /**
-     * Link all blocks: place them sequentially within their segment
-     * starting at the segment's base, each block aligned to
-     * @p align bytes, and give every Call its callee's block id.
-     */
     void link(Addr base_addr = 0x08048000, Addr align = 16);
-
-    /**
-     * Two-segment link: user text at @p user_base, kernel text at
-     * @p kernel_base. Over a base program only the own blocks are
-     * laid out, and they must all be user text.
-     */
-    void link2(Addr user_base, Addr kernel_base, Addr align = 16);
 
     bool linked() const { return isLinked; }
 
@@ -125,7 +112,6 @@ class Program
     std::shared_ptr<const Program> base;
     int baseCount = 0; //!< base->blockCount(), for block()
     std::vector<CodeBlock> blocks;
-    std::vector<int> blockSegments;
     std::map<std::string, int> symbols;
     std::size_t totalBytes = 0;
     bool isLinked = false;

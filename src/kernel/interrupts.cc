@@ -19,8 +19,6 @@ InterruptController::reset(std::uint64_t seed)
     rng = Rng(seed);
     timerCount = 0;
     ioCount = 0;
-    droppedCount = 0;
-    spuriousCount = 0;
     nextSpurious = never;
     firstDraws(rng, nextTimer, nextIo);
 }
@@ -76,7 +74,6 @@ InterruptController::pollInterrupt(Cycles now)
         // Spurious tick: the kernel services a timer interrupt that
         // was never scheduled (extra handler work, extra phase).
         nextSpurious = never;
-        ++spuriousCount;
         ++timerCount;
         return VecTimer;
     }
@@ -89,7 +86,6 @@ InterruptController::pollInterrupt(Cycles now)
             // Lost interrupt: the tick never reaches the kernel, so
             // neither its handler work nor its per-tick module
             // bookkeeping (e.g. multiplex rotation) happens.
-            ++droppedCount;
             return -1;
         }
         ++timerCount;

@@ -76,9 +76,6 @@ class InterruptController : public cpu::InterruptClient
         faults = injector;
     }
 
-    Count droppedTicks() const { return droppedCount; }
-    Count spuriousTicks() const { return spuriousCount; }
-
   private:
     static constexpr Cycles never = ~Cycles{0};
 
@@ -94,8 +91,6 @@ class InterruptController : public cpu::InterruptClient
     Cycles nextSpurious = never;
     Count timerCount = 0;
     Count ioCount = 0;
-    Count droppedCount = 0;
-    Count spuriousCount = 0;
     FaultInjector *faults = nullptr;
 };
 

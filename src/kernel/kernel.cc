@@ -29,28 +29,17 @@ ioMeanCycles(const cpu::MicroArch &arch)
 
 } // namespace
 
-Kernel::Kernel(const cpu::MicroArch &arch, std::uint64_t seed,
-               bool enable_io_interrupts,
+Kernel::Kernel(const cpu::MicroArch &arch, KernelModule &ext,
+               std::uint64_t seed, bool enable_io_interrupts,
                Cycles timer_period_override)
     : archRef(arch),
       schedRng(mixSeed(seed, 0x5eedULL)),
       intCtrl(timer_period_override != 0 ? timer_period_override
                                          : arch.timerPeriodCycles(),
               enable_io_interrupts ? ioMeanCycles(arch) : 0,
-              interruptSeed(seed))
+              interruptSeed(seed)),
+      ext(ext)
 {
-}
-
-Status
-Kernel::addModule(KernelModule *mod)
-{
-    if (mod == nullptr)
-        return Status(StatusCode::InvalidArgument, "null kernel module");
-    if (built)
-        return Status(StatusCode::FailedPrecondition,
-                      "addModule after boot");
-    modules.push_back(mod);
-    return OkStatus();
 }
 
 void
@@ -115,8 +104,7 @@ Kernel::dispatchSyscall(CpuContext &ctx)
 void
 Kernel::dispatchInterrupt(CpuContext &ctx)
 {
-    pca_assert(attachedCore);
-    const int vec = attachedCore->currentVector();
+    const int vec = core().currentVector();
     if (vec == VecTimer)
         ctx.jumpTo(image->timer);
     else if (vec == VecIo)
@@ -130,19 +118,18 @@ Kernel::dispatchInterrupt(CpuContext &ctx)
 void
 Kernel::decidePreemption(CpuContext &ctx)
 {
-    // Per-tick module bookkeeping (e.g. perfmon2 event-set
+    // Per-tick extension bookkeeping (e.g. perfmon2 event-set
     // multiplex switching) happens in the tick path.
-    pca_assert(attachedCore);
+    cpu::Core &c = core();
     if (profiler != nullptr)
-        profiler->onTimerTick(attachedCore->lastInterruptedAddr(),
-                              attachedCore->callChainAddrs());
-    for (KernelModule *m : modules)
-        m->onTick(*attachedCore);
+        profiler->onTimerTick(c.lastInterruptedAddr(),
+                              c.callChainAddrs());
+    ext.onTick(c);
     if (schedRng.nextBool(preemptProb)) {
         // Give the kernel thread a short timeslice. From here until
         // iret the measured thread is descheduled, so the work is a
         // scheduling artifact, not timer service: re-class it.
-        attachedCore->setAttrClass(obs::AttrClass::Preempt);
+        c.setAttrClass(obs::AttrClass::Preempt);
         PCA_SPC_INC(Preemptions);
         if (obs::traceEnabled())
             obs::tracer().instant("preempt", "sched", ctx.cycles());
@@ -154,23 +141,11 @@ Kernel::decidePreemption(CpuContext &ctx)
 }
 
 void
-Kernel::doSwitchOut(CpuContext &ctx)
+Kernel::doSwitchOut()
 {
-    pca_assert(attachedCore);
     ++ctxswCount;
     PCA_SPC_INC(ContextSwitches);
-    for (KernelModule *m : modules)
-        m->onSwitchOut(*attachedCore);
-    (void)ctx;
-}
-
-void
-Kernel::doSwitchIn(CpuContext &ctx)
-{
-    pca_assert(attachedCore);
-    for (KernelModule *m : modules)
-        m->onSwitchIn(*attachedCore);
-    (void)ctx;
+    ext.onSwitchOut(core());
 }
 
 void
@@ -225,12 +200,9 @@ Kernel::buildInto(isa::Program &prog)
         int_exit = prog.add(a.take());
     }
     {
-        int tick_extra = 0;
-        for (KernelModule *m : modules)
-            tick_extra += m->tickExtraInstrs();
         Assembler a("k_timer");
         // timerHandlerInstrs is already per-arch; no extra scaling.
-        a.work(archRef.timerHandlerInstrs + tick_extra)
+        a.work(archRef.timerHandlerInstrs + ext.tickExtraInstrs())
             .host([](CpuContext &ctx) {
                 of(ctx).decidePreemption(ctx);
             });
@@ -242,9 +214,7 @@ Kernel::buildInto(isa::Program &prog)
         // extension that armed the counter (sample recording).
         a.work(scaled(160)).host([int_exit](CpuContext &ctx) {
             Kernel &k = of(ctx);
-            pca_assert(k.attachedCore);
-            for (KernelModule *m : k.modules)
-                m->onPmi(*k.attachedCore);
+            k.ext.onPmi(k.core());
             ctx.jumpTo(int_exit);
         });
         prog.add(a.take());
@@ -258,7 +228,7 @@ Kernel::buildInto(isa::Program &prog)
     {
         Assembler a("k_preempt");
         a.work(scaled(kc.ctxswOutWork) * 3 / 5)
-            .host([](CpuContext &ctx) { of(ctx).doSwitchOut(ctx); })
+            .host([](CpuContext &ctx) { of(ctx).doSwitchOut(); })
             .work(scaled(kc.ctxswOutWork) * 2 / 5);
         // Kernel-thread timeslice: ecx iterations of bookkeeping.
         a.movImm(Reg::Edx, 0);
@@ -268,7 +238,10 @@ Kernel::buildInto(isa::Program &prog)
             .cmpReg(Reg::Edx, Reg::Ecx)
             .jl(loop);
         a.work(scaled(kc.ctxswInWork) / 2)
-            .host([](CpuContext &ctx) { of(ctx).doSwitchIn(ctx); })
+            .host([](CpuContext &ctx) {
+                Kernel &k = of(ctx);
+                k.ext.onSwitchIn(k.core());
+            })
             .work(scaled(kc.ctxswInWork) / 2)
             .host([int_exit](CpuContext &ctx) { ctx.jumpTo(int_exit); });
         prog.add(a.take());
@@ -296,8 +269,7 @@ Kernel::buildInto(isa::Program &prog)
         prog.add(a.take());
     }
 
-    for (KernelModule *m : modules)
-        m->buildBlocks(prog, *this);
+    ext.buildBlocks(prog, *this);
 
     built = true;
 }
@@ -313,13 +285,11 @@ Kernel::boot()
 {
     pca_assert(!built);
     // Everything buildInto reads: the processor (cost scale, timer
-    // handler length), each extension (its blocks and tick cost) and
+    // handler length), the extension (its blocks and tick cost) and
     // whether k_hang is emitted. Never evicted: at most
     // 3 processors x 3 extensions x 2 = 18 images.
-    using Key = std::tuple<cpu::Processor, std::vector<std::string>, bool>;
-    Key key{archRef.processor, {}, canHang()};
-    for (const KernelModule *m : modules)
-        std::get<1>(key).emplace_back(m->name());
+    using Key = std::tuple<cpu::Processor, std::string, bool>;
+    const Key key{archRef.processor, ext.name(), canHang()};
 
     static std::mutex mu;
     static std::map<Key, std::shared_ptr<const KernelImage>> images;
@@ -349,14 +319,6 @@ Kernel::boot()
     return image;
 }
 
-Kernel &
-Kernel::of(CpuContext &ctx)
-{
-    auto *k = dynamic_cast<Kernel *>(ctx.hostEnv());
-    pca_assert(k != nullptr);
-    return *k;
-}
-
 void
 Kernel::reset(std::uint64_t seed)
 {
@@ -366,8 +328,7 @@ Kernel::reset(std::uint64_t seed)
     schedRng = Rng(mixSeed(seed, 0x5eedULL));
     intCtrl.reset(interruptSeed(seed));
     ctxswCount = 0;
-    for (KernelModule *m : modules)
-        m->reset();
+    ext.reset();
 }
 
 Status

@@ -2,7 +2,7 @@
  * @file
  * The simulated operating system kernel: trap entry/exit paths,
  * syscall dispatch, the timer tick with optional preemption by a
- * kernel thread, and loadable kernel extensions (perfctr, perfmon2).
+ * kernel thread, and the hooks of its one kernel extension.
  */
 
 #ifndef PCA_KERNEL_KERNEL_HH
@@ -11,7 +11,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "cpu/core.hh"
 #include "isa/program.hh"
@@ -52,10 +51,10 @@ constexpr int pfmSetSmpl = 360;
 
 /**
  * Kernel text linked at 0xc0000000 plus its syscall table: what
- * Kernel::buildInto emits for one (processor, loaded extensions,
- * hang block) combination. Immutable once built and shared by every
- * machine that boots that combination; its host ops capture no
- * state and act on the kernel of the core that runs them.
+ * Kernel::buildInto emits for one (processor, extension, hang block)
+ * combination. Immutable once built and shared by every machine that
+ * boots that combination; its host ops capture no state and act on
+ * the kernel of the core that runs them.
  */
 struct KernelImage
 {
@@ -79,10 +78,11 @@ struct KernelImage
 };
 
 /**
- * A Linux-2.6.22-like kernel for one core.
+ * A Linux-2.6.22-like kernel for one core, patched with one
+ * extension (perfctr, perfmon2 or the perf_event analogue).
  *
  * Usage (normally done by harness::Machine):
- *  1. construct, addModule() the extensions, setFaultInjector();
+ *  1. construct with the extension, setFaultInjector();
  *  2. boot() for the shared kernel image (built on first use);
  *  3. link a Program over the image's text with the user blocks;
  *  4. attach(core) to install trap entries, the interrupt source
@@ -93,29 +93,23 @@ class Kernel : public isa::HostEnv
   public:
     /**
      * @param arch processor descriptor (scales kernel path lengths)
+     * @param ext the loaded extension; it outlives the kernel
      * @param seed RNG stream for interrupt phases and scheduling
      * @param enable_io_interrupts model rare disk/net interrupts
      * @param timer_period_override nonzero: cycles between timer
      *        ticks instead of the arch's HZ=1000 period (a raised
      *        tick rate for sampling-profiler studies)
      */
-    Kernel(const cpu::MicroArch &arch, std::uint64_t seed,
-           bool enable_io_interrupts = true,
+    Kernel(const cpu::MicroArch &arch, KernelModule &ext,
+           std::uint64_t seed, bool enable_io_interrupts = true,
            Cycles timer_period_override = 0);
 
     /**
-     * Register a kernel extension (before boot). Fails with
-     * InvalidArgument for a null module and FailedPrecondition once
-     * the kernel has built or booted its blocks.
-     */
-    Status addModule(KernelModule *mod);
-
-    /**
-     * The linked kernel image for this kernel's processor, loaded
-     * extensions and fault plan (whether it can fire a Hang). The
-     * first boot of a combination builds the image with buildInto()
-     * (counted in the kernel_images_built SPC); every later boot, on
-     * any thread, gets the same pointer. Images live until exit.
+     * The linked kernel image for this kernel's processor, extension
+     * and fault plan (whether it can fire a Hang). The first boot of
+     * a combination builds the image with buildInto() (counted in
+     * the kernel_images_built SPC); every later boot, on any thread,
+     * gets the same pointer. Images live until exit.
      */
     std::shared_ptr<const KernelImage> boot();
 
@@ -129,24 +123,42 @@ class Kernel : public isa::HostEnv
      */
     Status attach(cpu::Core &core);
 
-    /** The kernel of the core running a host op (see attach). */
-    static Kernel &of(isa::CpuContext &ctx);
-
-    /** The loaded extension of type @p M; panics if absent. */
-    template <class M>
-    M &
-    module()
+    /**
+     * The kernel of the core running a host op. attach() is the only
+     * caller of Core::setHostEnv, so the environment is a Kernel.
+     */
+    static Kernel &
+    of(isa::CpuContext &ctx)
     {
-        for (KernelModule *m : modules)
-            if (auto *mod = dynamic_cast<M *>(m))
-                return *mod;
-        pca_panic("kernel module not loaded");
+        isa::HostEnv *env = ctx.hostEnv();
+        pca_assert(env != nullptr);
+        return *static_cast<Kernel *>(env);
+    }
+
+    /** The core this kernel is attached to (see attach). */
+    cpu::Core &
+    core()
+    {
+        pca_assert(attachedCore);
+        return *attachedCore;
     }
 
     /**
-     * Return the kernel and its loaded modules to the freshly booted
+     * The loaded extension as its type @p M. Only @p M's own blocks
+     * ask, and those exist only in images whose key holds @p M's
+     * name, so the extension is an @p M.
+     */
+    template <class M>
+    M &
+    extension()
+    {
+        return static_cast<M &>(ext);
+    }
+
+    /**
+     * Return the kernel and its extension to the freshly booted
      * state for @p seed: re-seeded scheduler RNG, fresh interrupt
-     * phases, zeroed context-switch count, reset module state. The
+     * phases, zeroed context-switch count, reset extension state. The
      * kernel image and the attached core are kept. With the same seed
      * the kernel's subsequent behavior is identical to a newly
      * constructed kernel's (Machine::reboot's contract).
@@ -154,7 +166,7 @@ class Kernel : public isa::HostEnv
     void reset(std::uint64_t seed);
 
     /**
-     * Map a syscall number to a handler block (module API, while
+     * Map a syscall number to a handler block (extension API, while
      * the kernel emits its blocks; boot() resolves the name to the
      * block's id).
      */
@@ -209,8 +221,8 @@ class Kernel : public isa::HostEnv
     void dispatchSyscall(isa::CpuContext &ctx);
     void dispatchInterrupt(isa::CpuContext &ctx);
     void decidePreemption(isa::CpuContext &ctx);
-    void doSwitchOut(isa::CpuContext &ctx);
-    void doSwitchIn(isa::CpuContext &ctx);
+    /** The measured thread is switched out for a kernel thread. */
+    void doSwitchOut();
     /** Whether the fault plan can fire a Hang (emits k_hang). */
     bool canHang() const;
 
@@ -218,7 +230,7 @@ class Kernel : public isa::HostEnv
     KernelCosts kcosts;
     Rng schedRng;
     InterruptController intCtrl;
-    std::vector<KernelModule *> modules;
+    KernelModule &ext;
     /** Filled by registerSyscall while buildInto emits. */
     std::map<int, std::string> syscallTable;
     std::shared_ptr<const KernelImage> image;

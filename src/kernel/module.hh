@@ -3,7 +3,7 @@
  * Kernel extension interface. perfctr and perfmon2 are loadable
  * kernel extensions in the paper's setup (patched 2.6.22 kernels);
  * here they are KernelModules that contribute syscall handler blocks
- * and context-switch hooks.
+ * and context-switch hooks. A kernel loads exactly one.
  */
 
 #ifndef PCA_KERNEL_MODULE_HH
@@ -32,9 +32,10 @@ class KernelModule
      * per kernel image, by whichever machine boots it first: the
      * blocks are shared by every machine that loads this extension,
      * so their host ops capture nothing and reach the running
-     * machine's module as Kernel::of(ctx).module<M>(). Emission may
-     * depend only on what the image key holds (processor, module
-     * names, whether k_hang exists).
+     * machine's module as Kernel::of(ctx).extension<M>() and its
+     * core as Kernel::of(ctx).core(). Emission may depend only on
+     * what the image key holds (processor, extension name, whether
+     * k_hang exists).
      */
     virtual void buildBlocks(isa::Program &prog, Kernel &kernel) = 0;
 

@@ -16,20 +16,11 @@ using isa::Reg;
 namespace
 {
 
-/** HostOp callbacks run on the core itself. */
-cpu::Core &
-coreOf(CpuContext &ctx)
-{
-    auto *core = dynamic_cast<cpu::Core *>(&ctx);
-    pca_assert(core != nullptr);
-    return *core;
-}
-
 /** The perfctr module of the kernel a HostOp runs under. */
 PerfctrModule &
 modOf(CpuContext &ctx)
 {
-    return Kernel::of(ctx).module<PerfctrModule>();
+    return Kernel::of(ctx).extension<PerfctrModule>();
 }
 
 } // namespace
@@ -54,7 +45,7 @@ PerfctrModule::buildBlocks(isa::Program &prog, Kernel &kernel)
         Assembler a("pc_sys_open");
         a.work(scaled(kc.pcOpenWork)).host([sysexit](CpuContext &ctx) {
             // Mapping the state page sets CR4.PCE for this task.
-            coreOf(ctx).allowUserRdpmc(true);
+            Kernel::of(ctx).core().allowUserRdpmc(true);
             ctx.jumpTo(sysexit);
         });
         prog.add(a.take());
@@ -147,13 +138,15 @@ PerfctrModule::buildBlocks(isa::Program &prog, Kernel &kernel)
         a.work(scaled(kc.pcSlowReadPerCtr));
         a.host([](CpuContext &ctx) {
             const auto i = ctx.getReg(Reg::Edx);
-            modOf(ctx).readBuf.at(i) = coreOf(ctx).pmu().rdpmc(i);
+            modOf(ctx).readBuf.at(i) =
+                Kernel::of(ctx).core().pmu().rdpmc(i);
         });
         a.addImm(Reg::Edx, 1);
         a.cmpReg(Reg::Edx, Reg::Esi);
         a.jl(loop);
         a.host([](CpuContext &ctx) {
-            modOf(ctx).readTsc = coreOf(ctx).pmu().rdtsc();
+            modOf(ctx).readTsc =
+                Kernel::of(ctx).core().pmu().rdtsc();
         });
         a.work(scaled(kc.pcSlowReadPost));
         a.host([sysexit](CpuContext &ctx) { ctx.jumpTo(sysexit); });

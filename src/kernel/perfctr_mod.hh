@@ -61,7 +61,6 @@ class PerfctrModule : public KernelModule
     // --- mmap'd state page (read by the fast user-mode path) ---
     std::uint32_t resumeCount() const { return resumes; }
     bool sessionActive() const { return active; }
-    const PerfctrControl &activeControl() const { return control; }
 
   private:
     const cpu::MicroArch &archRef;

@@ -16,19 +16,11 @@ using isa::Reg;
 namespace
 {
 
-cpu::Core &
-coreOf(CpuContext &ctx)
-{
-    auto *core = dynamic_cast<cpu::Core *>(&ctx);
-    pca_assert(core != nullptr);
-    return *core;
-}
-
 /** The perf_event module of the kernel a HostOp runs under. */
 PerfEventModule &
 modOf(CpuContext &ctx)
 {
-    return Kernel::of(ctx).module<PerfEventModule>();
+    return Kernel::of(ctx).extension<PerfEventModule>();
 }
 
 } // namespace
@@ -65,7 +57,7 @@ PerfEventModule::buildBlocks(isa::Program &prog, Kernel &kernel)
             f.pl = m.pendingPl;
             f.counter = idx;
             m.fds.push_back(f);
-            cpu::Core &core = coreOf(ctx);
+            cpu::Core &core = Kernel::of(ctx).core();
             core.pmu().wrmsr(Pmu::msrPmcBase +
                                  static_cast<std::uint32_t>(idx),
                              0);
@@ -148,7 +140,7 @@ PerfEventModule::buildBlocks(isa::Program &prog, Kernel &kernel)
                     Status(StatusCode::InvalidArgument,
                            "read: bad perf_event fd " +
                                std::to_string(m.argFd)));
-            m.readValue = coreOf(ctx).pmu().rdpmc(
+            m.readValue = Kernel::of(ctx).core().pmu().rdpmc(
                 static_cast<std::uint64_t>(
                     m.fds[static_cast<std::size_t>(m.argFd)].counter));
         });

@@ -16,19 +16,11 @@ using isa::Reg;
 namespace
 {
 
-cpu::Core &
-coreOf(CpuContext &ctx)
-{
-    auto *core = dynamic_cast<cpu::Core *>(&ctx);
-    pca_assert(core != nullptr);
-    return *core;
-}
-
 /** The perfmon2 module of the kernel a HostOp runs under. */
 PerfmonModule &
 modOf(CpuContext &ctx)
 {
-    return Kernel::of(ctx).module<PerfmonModule>();
+    return Kernel::of(ctx).extension<PerfmonModule>();
 }
 
 } // namespace
@@ -206,7 +198,8 @@ PerfmonModule::buildBlocks(isa::Program &prog, Kernel &kernel)
         a.work(scaled(kc.pmReadPerCtr));
         a.host([](CpuContext &ctx) {
             const auto i = ctx.getReg(Reg::Edx);
-            modOf(ctx).readBuf.at(i) = coreOf(ctx).pmu().rdpmc(i);
+            modOf(ctx).readBuf.at(i) =
+                Kernel::of(ctx).core().pmu().rdpmc(i);
         });
         a.addImm(Reg::Edx, 1);
         a.cmpReg(Reg::Edx, Reg::Esi);
@@ -247,7 +240,7 @@ PerfmonModule::buildBlocks(isa::Program &prog, Kernel &kernel)
             for (const auto &g : m.mpx.groups)
                 m.mpxSoft.emplace_back(g.size(), 0);
             m.mpxReadBuf.clear();
-            m.programGroup(coreOf(ctx), 0, true);
+            m.programGroup(Kernel::of(ctx).core(), 0, true);
             ctx.jumpTo(sysexit);
         });
         prog.add(a.take());
@@ -263,7 +256,7 @@ PerfmonModule::buildBlocks(isa::Program &prog, Kernel &kernel)
                 throw StatusError(
                     Status(StatusCode::FailedPrecondition,
                            "pfm_start: no event sets"));
-            m.programGroup(coreOf(ctx), m.mpxCurGroup, true);
+            m.programGroup(Kernel::of(ctx).core(), m.mpxCurGroup, true);
             m.mpxRunning = true;
             ctx.jumpTo(sysexit);
         });
@@ -280,7 +273,7 @@ PerfmonModule::buildBlocks(isa::Program &prog, Kernel &kernel)
                 throw StatusError(
                     Status(StatusCode::FailedPrecondition,
                            "pfm_stop: no event sets"));
-            cpu::Core &core = coreOf(ctx);
+            cpu::Core &core = Kernel::of(ctx).core();
             // Bank the current group's counts before stopping.
             const auto &g = m.mpx.groups[static_cast<std::size_t>(
                 m.mpxCurGroup)];
@@ -312,7 +305,7 @@ PerfmonModule::buildBlocks(isa::Program &prog, Kernel &kernel)
                 throw StatusError(
                     Status(StatusCode::FailedPrecondition,
                            "pfm_read: no event sets"));
-            cpu::Core &core = coreOf(ctx);
+            cpu::Core &core = Kernel::of(ctx).core();
             m.mpxReadBuf.clear();
             for (std::size_t g = 0; g < m.mpx.groups.size(); ++g) {
                 const bool live = m.mpxRunning &&
@@ -372,7 +365,7 @@ PerfmonModule::buildBlocks(isa::Program &prog, Kernel &kernel)
             // The sampling counter doubles as config (stop reuses it).
             m.config.events = {m.smpl.event};
             m.config.pl = m.smpl.pl;
-            cpu::Core &core = coreOf(ctx);
+            cpu::Core &core = Kernel::of(ctx).core();
             core.pmu().setSamplePeriod(0, m.smpl.period);
             core.pmu().wrmsr(
                 cpu::Pmu::msrEvtSelBase,

@@ -94,7 +94,6 @@ class PerfmonModule : public KernelModule
 
     /** Recorded sample addresses (the mmap'd sampling buffer). */
     const std::vector<Addr> &samples() const { return sampleBuf; }
-    int currentGroup() const { return mpxCurGroup; }
     Count mpxTicks() const { return mpxTotalTicks; }
 
   private:

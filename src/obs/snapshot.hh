@@ -110,8 +110,6 @@ class SpcSnapshotReader
     /** Map @p path; fails on missing file or bad magic/version. */
     Status open(const std::string &path);
 
-    bool isOpen() const { return mem != nullptr; }
-
     /**
      * One consistent snapshot. Retries while a write is in flight;
      * fails with Unavailable if the writer never quiesces within the

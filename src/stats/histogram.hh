@@ -27,7 +27,6 @@ class Histogram
     /** Add many observations. */
     void addAll(const std::vector<double> &xs);
 
-    std::size_t binCount() const { return counts.size(); }
     std::size_t count(std::size_t bin) const { return counts.at(bin); }
     std::size_t total() const { return totalCount; }
 

@@ -54,7 +54,7 @@ linkLoop(Count iters)
         .halt();
     isa::Program p;
     p.add(a.take());
-    p.link2(/*user_base=*/0x1000, /*kernel_base=*/0x100000);
+    p.link(/*base_addr=*/0x1000);
     return p;
 }
 
@@ -596,7 +596,7 @@ TEST(BlockLayout, NopRunEndsStopAtOtherInstructions)
     a.nop(3).addImm(isa::Reg::Eax, 1).nop(1).nop(2).halt();
     isa::Program p;
     p.add(a.take());
-    p.link2(/*user_base=*/0x1000, /*kernel_base=*/0x100000);
+    p.link(/*base_addr=*/0x1000);
     const isa::CodeBlock &blk = p.block(0);
     // nop x3 | add | nop x3 | halt: successive nop() calls extend one
     // record, and any other instruction ends it.

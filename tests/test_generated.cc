@@ -10,7 +10,7 @@
  * block engine, with loop fast-forward on and off, on all three
  * processors, with timer ticks and I/O interrupts live.
  *
- * Two checks, which catch different faults:
+ * Three checks, which catch different faults:
  *  - every run of a program on one processor leaves the same
  *    RunResult, per-mode raw events and final registers (a fault in
  *    one engine's driver, such as a bulk Nop step that skips an
@@ -18,7 +18,11 @@
  *  - every run retires the closed-form user instruction count and
  *    leaves the closed-form loop counters (a fault in the one
  *    instruction semantics both engines share, which they would
- *    agree on).
+ *    agree on);
+ *  - every run's counters satisfy the consistency invariants a
+ *    correct PMU implies (branch misses within branches within
+ *    instructions, misses within accesses, per-mode instructions,
+ *    interrupts and cycles summing to the RunResult's).
  */
 
 #include <algorithm>
@@ -318,6 +322,31 @@ runGenerated(std::uint64_t seed, cpu::Processor proc, bool block,
                 << isa::regName(static_cast<Reg>(i));
         }
     }
+
+    // Counter-consistency invariants: a correct PMU satisfies them
+    // on every run, whatever the engines agree on.
+    using cpu::EventType;
+    const cpu::Core &core = m.core();
+    Count hw_interrupts = 0;
+    Cycles mode_cycles = 0;
+    for (const auto mode : {Mode::User, Mode::Kernel}) {
+        SCOPED_TRACE(mode == Mode::User ? "user" : "kernel");
+        auto ev = [&](EventType e) { return core.rawEvents(e, mode); };
+        EXPECT_LE(ev(EventType::BrMispRetired),
+                  ev(EventType::BrInstRetired));
+        EXPECT_LE(ev(EventType::BrInstRetired),
+                  ev(EventType::InstrRetired));
+        EXPECT_LE(ev(EventType::DcacheMiss), ev(EventType::DcacheAccess));
+        EXPECT_LE(ev(EventType::DtlbMiss), ev(EventType::DcacheAccess));
+        EXPECT_LE(ev(EventType::L2Miss),
+                  ev(EventType::DcacheMiss) + ev(EventType::IcacheMiss));
+        EXPECT_EQ(ev(EventType::InstrRetired),
+                  mode == Mode::User ? r->userInstr : r->kernelInstr);
+        hw_interrupts += ev(EventType::HwInterrupt);
+        mode_cycles += core.modeCycles(mode);
+    }
+    EXPECT_EQ(hw_interrupts, r->interrupts);
+    EXPECT_EQ(mode_cycles, r->cycles);
 
     std::ostringstream os;
     os << r->userInstr << '/' << r->kernelInstr << '/' << r->cycles

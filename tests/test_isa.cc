@@ -221,33 +221,21 @@ TEST(ProgramTest, BlocksAlignedTo16)
     EXPECT_EQ(p.block(1).baseAddr(), 0x1010u);
 }
 
-TEST(ProgramTest, TwoSegmentLink)
-{
-    Program p;
-    Assembler k("kernel_blk");
-    k.nop(4);
-    const int kid = p.add(k.take());
-    Assembler u("user_blk");
-    u.nop(4);
-    p.add(u.take());
-    p.setSegment(kid, 1);
-    p.link2(0x08048000, 0xc0000000);
-    EXPECT_EQ(p.block(kid).baseAddr(), 0xc0000000u);
-    EXPECT_EQ(p.block(1).baseAddr(), 0x08048000u);
-}
-
 TEST(ProgramTest, UserOffsetShiftsOnlyUserText)
 {
-    auto build = [](Addr off) {
-        Program p;
-        Assembler k("k");
-        k.nop(4);
-        const int kid = p.add(k.take());
-        p.setSegment(kid, 1);
+    // Kernel text is its own program, linked once at 0xc0000000;
+    // user text links over it at its own base.
+    auto kernel = std::make_shared<Program>();
+    Assembler k("k");
+    k.nop(4);
+    const int kid = kernel->add(k.take());
+    kernel->link(0xc0000000);
+    auto build = [&](Addr off) {
+        Program p(kernel);
         Assembler u("u");
         u.nop(4);
         const int uid = p.add(u.take());
-        p.link2(0x08048000 + off, 0xc0000000);
+        p.link(0x08048000 + off);
         return std::pair{p.block(kid).baseAddr(),
                          p.block(uid).baseAddr()};
     };

@@ -279,7 +279,9 @@ TEST(KernelTest, EachInterruptVectorRunsItsOwnHandler)
 
 TEST(KernelTest, DoubleBuildPanics)
 {
-    Kernel k(cpu::microArch(cpu::Processor::AthlonX2), 1, false);
+    const cpu::MicroArch &arch = cpu::microArch(cpu::Processor::AthlonX2);
+    PerfctrModule ext(arch);
+    Kernel k(arch, ext, 1, false);
     isa::Program p;
     k.buildInto(p);
     isa::Program p2;
@@ -288,7 +290,9 @@ TEST(KernelTest, DoubleBuildPanics)
 
 TEST(KernelTest, DuplicateSyscallRegistrationPanics)
 {
-    Kernel k(cpu::microArch(cpu::Processor::AthlonX2), 1, false);
+    const cpu::MicroArch &arch = cpu::microArch(cpu::Processor::AthlonX2);
+    PerfctrModule ext(arch);
+    Kernel k(arch, ext, 1, false);
     k.registerSyscall(777, "blk");
     EXPECT_THROW(k.registerSyscall(777, "blk2"), std::logic_error);
 }

@@ -642,16 +642,13 @@ TEST(SharedKernelImage, KeyCoversEverythingEmissionReads)
                     mod = std::make_unique<kernel::PerfmonModule>(arch);
                 else
                     mod = std::make_unique<kernel::PerfEventModule>(arch);
-                kernel::Kernel k(arch, cfg.seed);
-                ASSERT_TRUE(k.addModule(mod.get()).ok());
+                kernel::Kernel k(arch, *mod, cfg.seed);
                 kernel::FaultInjector injector(cfg.faults, cfg.seed);
                 if (cfg.faults.enabled())
                     k.setFaultInjector(&injector);
                 isa::Program priv;
                 k.buildInto(priv);
-                for (std::size_t b = 0; b < priv.blockCount(); ++b)
-                    priv.setSegment(static_cast<int>(b), 1);
-                priv.link2(0x08048000ULL, 0xc0000000ULL, /*align=*/1);
+                priv.link(0xc0000000ULL, /*align=*/1);
                 EXPECT_EQ(shared, priv.disassemble());
             }
         }

@@ -611,6 +611,45 @@ TEST(Checkpoint, IdentityMismatchRestartsTheFile)
     std::remove(path.c_str());
 }
 
+TEST(Checkpoint, ResumingAnEarlierSectionKeepsEverySection)
+{
+    const std::string path =
+        testing::TempDir() + "pca_ck_sections.jsonl";
+    std::remove(path.c_str());
+    auto rec = [](double v) {
+        return PointRecord{CheckpointRun{true, v, {}, ""}};
+    };
+    {
+        auto a = StudyCheckpoint::open(path, "a", "id", 2);
+        ASSERT_NE(a, nullptr);
+        a->record(0, rec(1.0));
+    }
+    {
+        auto b = StudyCheckpoint::open(path, "b", "id", 3);
+        ASSERT_NE(b, nullptr);
+        EXPECT_EQ(b->completedCount(), 0u);
+        b->record(2, rec(2.0));
+    }
+    {
+        // b's section now ends the file: a's next record must open a
+        // section of a's own instead of landing in b's.
+        auto a = StudyCheckpoint::open(path, "a", "id", 2);
+        ASSERT_NE(a, nullptr);
+        EXPECT_EQ(a->completedCount(), 1u);
+        a->record(1, rec(3.0));
+    }
+    auto a = StudyCheckpoint::open(path, "a", "id", 2);
+    auto b = StudyCheckpoint::open(path, "b", "id", 3);
+    ASSERT_NE(a, nullptr);
+    ASSERT_NE(b, nullptr);
+    EXPECT_EQ(a->completedCount(), 2u);
+    ASSERT_NE(a->get(1), nullptr);
+    EXPECT_EQ(a->get(1)->front().value, 3.0);
+    EXPECT_EQ(b->completedCount(), 1u);
+    EXPECT_TRUE(b->completed(2));
+    std::remove(path.c_str());
+}
+
 // ---------------------------------------------------------------- //
 // Crash/resume byte-identity — the tentpole contract
 // ---------------------------------------------------------------- //
@@ -719,6 +758,57 @@ TEST(CheckpointStudy, CycleStudyResumesByteIdentical)
               R"({"v":1,"study":"cycle","id":"seed=42|runs=2|)"
               R"(pts=65276c93a233acd3|faults=f-none","points":8,)"
               R"("crc":"ee6b7c5c"})");
+}
+
+TEST(CheckpointStudy, OneFileResumesEveryStudyOfAnExhibit)
+{
+    // dump_datasets' four studies, small, on one checkpoint file: the
+    // second pass resumes every point, appends nothing and emits the
+    // same tables.
+    auto exhibit = [] {
+        std::string out =
+            csvOf(core::runNullErrorStudy(smallPointSet(), 2, 1));
+        core::DurationStudyOptions dur;
+        dur.processors = {cpu::Processor::Core2Duo};
+        dur.interfaces = {Interface::Pm, Interface::Pc};
+        dur.loopSizes = {1, 200000};
+        dur.runsPerSize = 2;
+        dur.seed = 2;
+        out += csvOf(core::runDurationStudy(dur));
+        dur.mode = CountingMode::User;
+        out += csvOf(core::runDurationStudy(dur));
+        core::CycleStudyOptions cyc;
+        cyc.processors = {cpu::Processor::AthlonX2};
+        cyc.interfaces = {Interface::Pm};
+        cyc.patterns = {AccessPattern::StartRead};
+        cyc.optLevels = {0, 2};
+        cyc.loopSizes = {1, 200000};
+        cyc.seed = 3;
+        return out + csvOf(core::runCycleStudy(cyc));
+    };
+    const std::string path =
+        testing::TempDir() + "pca_ck_exhibit.jsonl";
+    auto contents = [&] {
+        std::ostringstream os;
+        os << std::ifstream(path).rdbuf();
+        return os.str();
+    };
+    std::remove(path.c_str());
+    unsetenv("PCA_FAULTS");
+    setenv("PCA_CHECKPOINT", path.c_str(), 1);
+    const std::string first = exhibit();
+    const std::string written = contents();
+
+    obs::spcReset();
+    obs::spcAttach("runs_executed,checkpoint_points_resumed");
+    EXPECT_EQ(exhibit(), first);
+    EXPECT_EQ(obs::spcValue(obs::Spc::RunsExecuted), 0u);
+    EXPECT_EQ(obs::spcValue(obs::Spc::CheckpointPointsResumed),
+              40u + 4u + 4u + 4u);
+    EXPECT_EQ(contents(), written);
+    obs::spcReset();
+    unsetenv("PCA_CHECKPOINT");
+    std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------- //
