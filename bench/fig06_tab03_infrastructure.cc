@@ -31,7 +31,7 @@ main()
     {
         Interface iface;
         CountingMode mode;
-        AccessPattern best_pattern;
+        AccessPattern best_pattern = AccessPattern::StartRead;
         double median = 0;
         double min = 0;
         std::vector<double> errors; // best-pattern errors, all procs

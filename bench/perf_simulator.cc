@@ -6,7 +6,8 @@
  *
  * `perf_simulator --studies [output.json]` times the study engine
  * end to end on the Figure 1 workload — the legacy serial path
- * (fresh machine + re-assembly + execution per run) against the
+ * (one session per run: re-assembly, link and execution on the
+ * thread's idle machine, not a boot per run) against the
  * parallel engine, which builds one session per point, reboots it
  * for the point's other runs and answers most of them from the
  * point's reference run — and writes points/sec, speedup, the
@@ -329,7 +330,8 @@ escapeCounts(Count iters)
 
 /**
  * Time full measurement points (fig07 shape: loop benchmark, PD/Pc,
- * interrupts live) with the block engine on or off. Returns
+ * interrupts live) with the block engine on or off, one session per
+ * point on the thread's idle machine (no boot per point). Returns
  * {points/sec, error-sequence digest}.
  */
 std::pair<double, std::string>
@@ -515,11 +517,12 @@ runInterpMode(const std::string &out_path)
 }
 
 /**
- * The pre-engine study loop, reproduced verbatim: a fresh machine,
- * fresh assembly, and fresh link for every single run, in point
- * order on one thread. This is the baseline the speedup is measured
- * against (and what runNullErrorStudy compiled to before the
- * parallel engine existed).
+ * The pre-engine study loop: a fresh session (fresh assembly and
+ * link) for every single run, in point order on one thread. This is
+ * the baseline the speedup is measured against (and what
+ * runNullErrorStudy compiled to before the parallel engine existed).
+ * Its sessions take the thread's idle machine like any other, so it
+ * no longer times a boot per run; every run still executes.
  */
 core::DataTable
 legacySerialNullStudy(const std::vector<core::FactorPoint> &points,
@@ -541,7 +544,7 @@ legacySerialNullStudy(const std::vector<core::FactorPoint> &points,
                        harness::interfaceCode(p.iface),
                        harness::patternName(p.pattern),
                        harness::countingModeName(p.mode),
-                       "O" + std::to_string(p.optLevel),
+                       std::string("O").append(std::to_string(p.optLevel)),
                        std::to_string(p.numCounters),
                        p.tsc ? "on" : "off", std::to_string(r)},
                       static_cast<double>(m.error()));

@@ -42,7 +42,8 @@ main()
     //    paper's loop executes exactly 1 + 3*MAX instructions.
     const LoopBench loop(100000);
 
-    // 3. Run. A session boots a simulated machine and builds the
+    // 3. Run. A session boots a simulated machine (or takes this
+    //    thread's idle one of the same kind) and builds the
     //    measurement program (library calls + inline benchmark);
     //    run() reboots the machine with a seed and executes it.
     const Measurement m = HarnessSession(cfg, loop).run(cfg.seed);

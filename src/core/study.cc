@@ -487,7 +487,7 @@ runNullErrorStudy(const std::vector<FactorPoint> &points,
                 harness::interfaceCode(p.iface),
                 harness::patternName(p.pattern),
                 harness::countingModeName(p.mode),
-                "O" + std::to_string(p.optLevel),
+                std::string("O").append(std::to_string(p.optLevel)),
                 std::to_string(p.numCounters), p.tsc ? "on" : "off"};
         },
         .configOf = [&](std::size_t i) {
@@ -616,6 +616,7 @@ runCycleStudy(const CycleStudyOptions &opt)
         .points = pts.size(),
         .runs = opt.runsPerConfig,
         .seed = opt.seed,
+        .identity = "",
         .useDelta = true,
         .obs = obs,
         .keysOf = [&](std::size_t i) {
@@ -624,7 +625,7 @@ runCycleStudy(const CycleStudyOptions &opt)
                 cpu::processorCode(p.proc),
                 harness::interfaceCode(p.iface),
                 harness::patternName(p.pat),
-                "O" + std::to_string(p.optLevel),
+                std::string("O").append(std::to_string(p.optLevel)),
                 std::to_string(p.size)};
         },
         .configOf = [&](std::size_t i) {

@@ -64,6 +64,14 @@ Machine::Machine(const MachineConfig &cfg)
         std::shared_ptr<const isa::Program>(image, &image->text));
 }
 
+bool
+sameMachine(const MachineConfig &a, const MachineConfig &b)
+{
+    MachineConfig reseeded = b;
+    reseeded.seed = a.seed;
+    return a == reseeded;
+}
+
 int
 Machine::addUserBlock(isa::CodeBlock block)
 {
@@ -108,6 +116,13 @@ Machine::finalize(Addr user_text_offset)
         kernelImpl->setProfiler(prof.get());
     }
     finalized = true;
+}
+
+void
+Machine::unload()
+{
+    prog.clear();
+    finalized = false;
 }
 
 void

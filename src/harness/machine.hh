@@ -3,10 +3,11 @@
  * A complete simulated platform: one processor core, a kernel with
  * the appropriate extension loaded, and the user-space measurement
  * library stack — one of the two "patched kernels" of the paper's
- * §3.3, booted fresh for every measurement run. The kernel's code is
- * one immutable image per (processor, extension, hang plan), shared
- * by every machine that boots it; each machine owns its kernel and
- * module state, its core, and its user program.
+ * §3.3, which stayed booted while each factor combination ran as a
+ * new executable on it. The kernel's code is one immutable image per
+ * (processor, extension, hang plan), shared by every machine that
+ * boots it; each machine owns its kernel and module state, its core,
+ * and its user program, which it can unload to link another.
  */
 
 #ifndef PCA_HARNESS_MACHINE_HH
@@ -96,12 +97,24 @@ struct MachineConfig
 
     /** Watchdog: virtual-cycle budget per run(); 0 = unlimited. */
     Cycles runCycleBudget = 0;
+
+    bool operator==(const MachineConfig &) const = default;
 };
 
 /**
+ * Whether a machine booted for @p a serves @p b: the configs are
+ * equal in every field but seed. The seed only picks what
+ * reboot(seed) replaces, so after reboot(s) either machine runs a
+ * program exactly as one freshly booted for @p b with seed s.
+ */
+bool sameMachine(const MachineConfig &a, const MachineConfig &b);
+
+/**
  * One booted machine. The paper ran each measurement in a fresh
- * process on a quiet machine; correspondingly a Machine is built,
- * runs one measurement program, and is discarded.
+ * process on a quiet, booted machine; correspondingly a Machine
+ * links one user program, reboots before each of its runs, and can
+ * unload() the program to link the next one over the same kernel
+ * text (HarnessSession keeps one idle machine per thread for that).
  */
 class Machine
 {
@@ -109,6 +122,8 @@ class Machine
     explicit Machine(const MachineConfig &cfg);
 
     const cpu::MicroArch &arch() const { return archRef; }
+    /** The config it booted with (its seed is the first boot's). */
+    const MachineConfig &config() const { return cfg; }
     Interface iface() const { return cfg.iface; }
     cpu::Core &core() { return *coreImpl; }
     kernel::Kernel &kernel() { return *kernelImpl; }
@@ -139,6 +154,14 @@ class Machine
      */
     void finalize(Addr user_text_offset = 0);
 
+    /**
+     * Drop the user program, whose host ops may point into its
+     * caller, so that addUserBlock() and finalize() can link another
+     * over the same kernel text. Core, kernel, modules and libraries
+     * stay booted; the next program's runs start with reboot().
+     */
+    void unload();
+
     /** Execute from the named user block until Halt. */
     cpu::RunResult run(const std::string &entry = "main");
 
@@ -159,9 +182,10 @@ class Machine
      * power-on defaults, and every seed input (see seedHorizon) is
      * re-seeded from @p seed. After reboot(s), run() produces
      * results identical to those of a freshly constructed Machine
-     * with seed s running the same program — the equivalence
-     * HarnessSession's session reuse is built on, asserted by
-     * tests/test_parallel.cc. Only valid once finalized.
+     * with seed s running the same program, also after unload() and
+     * a new program — the equivalence HarnessSession's session and
+     * machine reuse are built on, asserted by tests/test_parallel.cc
+     * and tests/test_machine_reuse.cc. Only valid once finalized.
      */
     void reboot(std::uint64_t seed);
 

@@ -90,19 +90,42 @@ toMachineConfig(const HarnessConfig &cfg)
     return mc;
 }
 
+/**
+ * This thread's idle machine: booted, its program unloaded (null
+ * when there is none).
+ */
+thread_local std::unique_ptr<Machine> idleMachine;
+
+/**
+ * This thread's idle machine if it serves @p mc, else a new one; the
+ * idle machine is dropped before the boot.
+ */
+std::unique_ptr<Machine>
+takeMachine(const MachineConfig &mc)
+{
+    std::unique_ptr<Machine> m = std::move(idleMachine);
+    if (m && sameMachine(m->config(), mc)) {
+        PCA_SPC_INC(MachineReuses);
+        return m;
+    }
+    m.reset();
+    return std::make_unique<Machine>(mc);
+}
+
 } // namespace
 
 HarnessSession::HarnessSession(const HarnessConfig &cfg,
                                const MicroBenchmark &bench)
-    : cfg(validated(cfg)), machine(toMachineConfig(cfg))
+    : cfg(validated(cfg)), machine(takeMachine(toMachineConfig(cfg)))
 {
     ApiConfig acfg;
-    acfg.events = {cfg.primaryEvent};
+    acfg.events.reserve(1 + cfg.extraEvents.size());
+    acfg.events.push_back(cfg.primaryEvent);
     acfg.events.insert(acfg.events.end(), cfg.extraEvents.begin(),
                        cfg.extraEvents.end());
     acfg.pl = toPlMask(cfg.mode);
     acfg.tsc = cfg.tsc;
-    auto api = makeCounterApi(machine, acfg);
+    auto api = makeCounterApi(*machine, acfg);
 
     Assembler a("main");
 
@@ -169,8 +192,8 @@ HarnessSession::HarnessSession(const HarnessConfig &cfg,
     a.pop(Reg::Ebp);
     a.halt();
 
-    machine.addUserBlock(a.take());
-    machine.finalize();
+    machine->addUserBlock(a.take());
+    machine->finalize();
 
     // The analytical ground truth exists only for the benchmark's
     // retired user-mode instructions.
@@ -178,6 +201,12 @@ HarnessSession::HarnessSession(const HarnessConfig &cfg,
         cfg.mode != CountingMode::Kernel) {
         expected = bench.expectedInstructions();
     }
+}
+
+HarnessSession::~HarnessSession()
+{
+    machine->unload();
+    idleMachine = std::move(machine);
 }
 
 Measurement
@@ -218,7 +247,7 @@ HarnessSession::tryRun(std::uint64_t seed, RetryBudget *budget)
         // Result reuse: a seed that cannot reach the reference's last
         // cycle replays its interrupt-free trajectory exactly, so
         // only a run that executes reboots.
-        const Cycles horizon = machine.seedHorizon(attempt_seed);
+        const Cycles horizon = machine->seedHorizon(attempt_seed);
         if (reference && reference->run.cycles < horizon) {
             PCA_SPC_INC(RunsReused);
             // At cycle 0, where a rebooted machine would start.
@@ -229,12 +258,12 @@ HarnessSession::tryRun(std::uint64_t seed, RetryBudget *budget)
         }
         if (later && horizon > 0)
             PCA_SPC_INC(RunsReuseBlockedIrq);
-        machine.reboot(attempt_seed);
+        machine->reboot(attempt_seed);
         s0 = CaptureSink{};
         s1 = CaptureSink{};
 
-        const Cycles t0 = machine.core().cycles();
-        StatusOr<cpu::RunResult> r = machine.tryRun("main");
+        const Cycles t0 = machine->core().cycles();
+        StatusOr<cpu::RunResult> r = machine->tryRun("main");
         if (!r.ok()) {
             last = r.status();
             if (!last.transient())
@@ -255,7 +284,7 @@ HarnessSession::tryRun(std::uint64_t seed, RetryBudget *budget)
                 obs::tracer().complete(
                     "retry:" + std::string(
                                    statusCodeName(last.code())),
-                    "harness", t0, machine.core().cycles() - t0);
+                    "harness", t0, machine->core().cycles() - t0);
             continue;
         }
 

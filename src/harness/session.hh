@@ -17,9 +17,13 @@
  *
  * measurePoint() is the one per-point loop: it builds a session,
  * runs the point's seeds on it, and drops it — the paper's one
- * executable per factor combination, run repeatedly. A session is
- * not thread-safe; the parallel study engine gives each point to
- * exactly one worker.
+ * executable per factor combination, run repeatedly. The machine
+ * under it outlives the session, as the paper's booted kernels
+ * outlived each executable: a dropped session unloads its program
+ * and leaves the machine idle for the next session of its kind on
+ * the same thread (see HarnessSession). A session is not
+ * thread-safe; the parallel study engine gives each point to exactly
+ * one worker.
  */
 
 #ifndef PCA_HARNESS_SESSION_HH
@@ -27,6 +31,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -45,6 +50,18 @@ namespace pca::harness
  * the user program is the session's own. Sessions are pinned to one
  * address (the user program's host ops capture pointers into the
  * session), hence non-copyable and non-movable.
+ *
+ * Machine reuse: each thread keeps at most one idle machine. A
+ * session takes it when the idle machine's MachineConfig equals its
+ * own in every field but seed (sameMachine; machine_reuses SPC), and
+ * boots a new machine otherwise, dropping the idle one first, so a
+ * thread holds at most one machine more than it has live sessions.
+ * The reused machine is exact because every executed run reboots it
+ * with its own seed first, and reboot(s) leaves core, kernel,
+ * modules, fault injector and profiler as a fresh boot at seed s
+ * would; the program is the session's own. A destroyed session
+ * unloads its program (its host ops point into the session) and
+ * leaves the machine idle in its thread's slot.
  *
  * Result reuse: the session keeps its first successful run that took
  * no interrupt (PMIs included) as its reference. A later run whose
@@ -70,6 +87,9 @@ class HarnessSession
 
     HarnessSession(const HarnessSession &) = delete;
     HarnessSession &operator=(const HarnessSession &) = delete;
+
+    /** Unload the program and leave the machine idle. */
+    ~HarnessSession();
 
     /** Reboot with @p seed and run the measurement once. */
     Measurement run(std::uint64_t seed);
@@ -104,7 +124,7 @@ class HarnessSession
 
   private:
     HarnessConfig cfg;
-    Machine machine;
+    std::unique_ptr<Machine> machine;
     CaptureSink s0, s1;
     Count expected = 0;
     Cycles backoff = 0;

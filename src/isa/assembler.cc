@@ -13,9 +13,9 @@ Assembler::Assembler(std::string block_name)
 }
 
 Assembler &
-Assembler::emit(Inst inst)
+Assembler::emit(Opcode op, Reg r1, Reg r2, std::int64_t imm, int label)
 {
-    block.append(inst);
+    block.append(op, r1, r2, imm, label);
     return *this;
 }
 
@@ -40,194 +40,142 @@ Assembler::bind(int l)
     return *this;
 }
 
-namespace
-{
-
-Inst
-ri(Opcode op, Reg r, std::int64_t imm)
-{
-    Inst i;
-    i.op = op;
-    i.r1 = r;
-    i.imm = imm;
-    return i;
-}
-
-Inst
-rr(Opcode op, Reg a, Reg b)
-{
-    Inst i;
-    i.op = op;
-    i.r1 = a;
-    i.r2 = b;
-    return i;
-}
-
-Inst
-jump(Opcode op, int l)
-{
-    Inst i;
-    i.op = op;
-    i.label = l;
-    return i;
-}
-
-Inst
-bare(Opcode op)
-{
-    Inst i;
-    i.op = op;
-    return i;
-}
-
-} // namespace
-
 Assembler &
 Assembler::movImm(Reg r, std::int64_t imm)
 {
-    return emit(ri(Opcode::MovImm, r, imm));
+    return emit(Opcode::MovImm, r, Reg::Eax, imm);
 }
 
 Assembler &
 Assembler::movReg(Reg dst, Reg src)
 {
-    return emit(rr(Opcode::MovReg, dst, src));
+    return emit(Opcode::MovReg, dst, src);
 }
 
 Assembler &
 Assembler::addImm(Reg r, std::int64_t imm)
 {
-    return emit(ri(Opcode::AddImm, r, imm));
+    return emit(Opcode::AddImm, r, Reg::Eax, imm);
 }
 
 Assembler &
 Assembler::addReg(Reg dst, Reg src)
 {
-    return emit(rr(Opcode::AddReg, dst, src));
+    return emit(Opcode::AddReg, dst, src);
 }
 
 Assembler &
 Assembler::subImm(Reg r, std::int64_t imm)
 {
-    return emit(ri(Opcode::SubImm, r, imm));
+    return emit(Opcode::SubImm, r, Reg::Eax, imm);
 }
 
 Assembler &
 Assembler::subReg(Reg dst, Reg src)
 {
-    return emit(rr(Opcode::SubReg, dst, src));
+    return emit(Opcode::SubReg, dst, src);
 }
 
 Assembler &
 Assembler::cmpImm(Reg r, std::int64_t imm)
 {
-    return emit(ri(Opcode::CmpImm, r, imm));
+    return emit(Opcode::CmpImm, r, Reg::Eax, imm);
 }
 
 Assembler &
 Assembler::cmpReg(Reg a, Reg b)
 {
-    return emit(rr(Opcode::CmpReg, a, b));
+    return emit(Opcode::CmpReg, a, b);
 }
 
 Assembler &
 Assembler::testReg(Reg a, Reg b)
 {
-    return emit(rr(Opcode::TestReg, a, b));
+    return emit(Opcode::TestReg, a, b);
 }
 
 Assembler &
 Assembler::xorReg(Reg dst, Reg src)
 {
-    return emit(rr(Opcode::XorReg, dst, src));
+    return emit(Opcode::XorReg, dst, src);
 }
 
 Assembler &
 Assembler::andImm(Reg r, std::int64_t imm)
 {
-    return emit(ri(Opcode::AndImm, r, imm));
+    return emit(Opcode::AndImm, r, Reg::Eax, imm);
 }
 
 Assembler &
 Assembler::orReg(Reg dst, Reg src)
 {
-    return emit(rr(Opcode::OrReg, dst, src));
+    return emit(Opcode::OrReg, dst, src);
 }
 
 Assembler &
 Assembler::shlImm(Reg r, std::int64_t imm)
 {
-    return emit(ri(Opcode::ShlImm, r, imm));
+    return emit(Opcode::ShlImm, r, Reg::Eax, imm);
 }
 
 Assembler &
 Assembler::shrImm(Reg r, std::int64_t imm)
 {
-    return emit(ri(Opcode::ShrImm, r, imm));
+    return emit(Opcode::ShrImm, r, Reg::Eax, imm);
 }
 
 Assembler &
 Assembler::load(Reg dst, Reg base, std::int64_t offset)
 {
-    Inst i;
-    i.op = Opcode::Load;
-    i.r1 = dst;
-    i.r2 = base;
-    i.imm = offset;
-    return emit(i);
+    return emit(Opcode::Load, dst, base, offset);
 }
 
 Assembler &
 Assembler::store(Reg src, Reg base, std::int64_t offset)
 {
-    Inst i;
-    i.op = Opcode::Store;
-    i.r1 = src;
-    i.r2 = base;
-    i.imm = offset;
-    return emit(i);
+    return emit(Opcode::Store, src, base, offset);
 }
 
 Assembler &
 Assembler::push(Reg r)
 {
-    return emit(ri(Opcode::Push, r, 0));
+    return emit(Opcode::Push, r);
 }
 
 Assembler &
 Assembler::pop(Reg r)
 {
-    return emit(ri(Opcode::Pop, r, 0));
+    return emit(Opcode::Pop, r);
 }
 
 Assembler &
 Assembler::jmp(int l)
 {
-    return emit(jump(Opcode::Jmp, l));
+    return emit(Opcode::Jmp, Reg::Eax, Reg::Eax, 0, l);
 }
 
 Assembler &
 Assembler::je(int l)
 {
-    return emit(jump(Opcode::Je, l));
+    return emit(Opcode::Je, Reg::Eax, Reg::Eax, 0, l);
 }
 
 Assembler &
 Assembler::jne(int l)
 {
-    return emit(jump(Opcode::Jne, l));
+    return emit(Opcode::Jne, Reg::Eax, Reg::Eax, 0, l);
 }
 
 Assembler &
 Assembler::jl(int l)
 {
-    return emit(jump(Opcode::Jl, l));
+    return emit(Opcode::Jl, Reg::Eax, Reg::Eax, 0, l);
 }
 
 Assembler &
 Assembler::jge(int l)
 {
-    return emit(jump(Opcode::Jge, l));
+    return emit(Opcode::Jge, Reg::Eax, Reg::Eax, 0, l);
 }
 
 Assembler &
@@ -240,66 +188,64 @@ Assembler::call(const std::string &callee)
 Assembler &
 Assembler::ret()
 {
-    return emit(bare(Opcode::Ret));
+    return emit(Opcode::Ret);
 }
 
 Assembler &
 Assembler::rdtsc()
 {
-    return emit(bare(Opcode::Rdtsc));
+    return emit(Opcode::Rdtsc);
 }
 
 Assembler &
 Assembler::rdpmc()
 {
-    return emit(bare(Opcode::Rdpmc));
+    return emit(Opcode::Rdpmc);
 }
 
 Assembler &
 Assembler::rdmsr()
 {
-    return emit(bare(Opcode::Rdmsr));
+    return emit(Opcode::Rdmsr);
 }
 
 Assembler &
 Assembler::wrmsr()
 {
-    return emit(bare(Opcode::Wrmsr));
+    return emit(Opcode::Wrmsr);
 }
 
 Assembler &
 Assembler::syscall()
 {
-    return emit(bare(Opcode::Syscall));
+    return emit(Opcode::Syscall);
 }
 
 Assembler &
 Assembler::iret()
 {
-    return emit(bare(Opcode::Iret));
+    return emit(Opcode::Iret);
 }
 
 Assembler &
 Assembler::nop(int n)
 {
     pca_assert(n >= 0);
-    if (n == 0)
-        return *this;
-    Inst i = bare(Opcode::Nop);
-    i.size = n;
-    return emit(i);
+    if (n > 0)
+        block.appendNops(n);
+    return *this;
 }
 
 Assembler &
 Assembler::cpuid()
 {
-    return emit(bare(Opcode::Cpuid));
+    return emit(Opcode::Cpuid);
 }
 
 Assembler &
 Assembler::halt()
 {
-    return emit(bare(Opcode::Halt));
+    return emit(Opcode::Halt);
 }
 
 Assembler &

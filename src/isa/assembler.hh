@@ -104,7 +104,8 @@ class Assembler
     CodeBlock take();
 
   private:
-    Assembler &emit(Inst inst);
+    Assembler &emit(Opcode op, Reg r1 = Reg::Eax, Reg r2 = Reg::Eax,
+                    std::int64_t imm = 0, int label = -1);
 
     CodeBlock block;
 };

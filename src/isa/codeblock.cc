@@ -70,6 +70,13 @@ inlineOp(Opcode op)
     }
 }
 
+/**
+ * Records a block reserves at its first append. The main blocks of
+ * the three canned studies' measurement programs hold 30 to 130
+ * records, so building one seldom moves its records.
+ */
+constexpr std::size_t initialRecords = 128;
+
 } // namespace
 
 CodeBlock::CodeBlock(std::string name)
@@ -77,51 +84,66 @@ CodeBlock::CodeBlock(std::string name)
 {
 }
 
-int
-CodeBlock::append(Inst inst)
+Inst &
+CodeBlock::newRecord(Opcode op)
 {
-    if (inst.size < 0)
-        inst.size = defaultSize(inst.op);
-    if (inst.op == Opcode::Call)
-        pca_assert(inst.payload >= 0 &&
-                   inst.payload < static_cast<int>(callees.size()));
-    if (inst.op == Opcode::HostOp)
-        pca_assert(inst.payload >= 0 &&
-                   inst.payload < static_cast<int>(hosts.size()) &&
-                   hosts[static_cast<std::size_t>(inst.payload)]);
     linked = false;
-    if (inst.op == Opcode::Nop && pendingLabels.empty() &&
-        !insts.empty() && insts.back().op == Opcode::Nop) {
-        pca_assert(inst.size <= INT_MAX - insts.back().size);
-        insts.back().size += inst.size;
-        return static_cast<int>(insts.size()) - 1;
-    }
+    if (insts.empty())
+        insts.reserve(initialRecords);
     const int idx = static_cast<int>(insts.size());
     for (int label : pendingLabels)
         labelTargets[label] = idx;
     pendingLabels.clear();
-    insts.push_back(inst);
-    return idx;
+    Inst &in = insts.emplace_back();
+    in.op = op;
+    in.size = defaultSize(op);
+    return in;
+}
+
+int
+CodeBlock::append(Opcode op, Reg r1, Reg r2, std::int64_t imm,
+                  int label)
+{
+    pca_assert(op != Opcode::Nop && op != Opcode::Call &&
+               op != Opcode::HostOp);
+    Inst &in = newRecord(op);
+    in.r1 = r1;
+    in.r2 = r2;
+    in.imm = imm;
+    in.label = label;
+    return static_cast<int>(insts.size()) - 1;
+}
+
+int
+CodeBlock::appendNops(int n)
+{
+    pca_assert(n >= 1);
+    if (pendingLabels.empty() && !insts.empty() &&
+        insts.back().op == Opcode::Nop) {
+        pca_assert(n <= INT_MAX - insts.back().size);
+        linked = false;
+        insts.back().size += n;
+    } else {
+        newRecord(Opcode::Nop).size = n;
+    }
+    return static_cast<int>(insts.size()) - 1;
 }
 
 int
 CodeBlock::appendCall(std::string callee)
 {
-    Inst i;
-    i.op = Opcode::Call;
-    i.payload = static_cast<int>(callees.size());
+    newRecord(Opcode::Call).payload = static_cast<int>(callees.size());
     callees.push_back(std::move(callee));
-    return append(i);
+    return static_cast<int>(insts.size()) - 1;
 }
 
 int
 CodeBlock::appendHost(HostFn fn)
 {
-    Inst i;
-    i.op = Opcode::HostOp;
-    i.payload = static_cast<int>(hosts.size());
+    pca_assert(fn);
+    newRecord(Opcode::HostOp).payload = static_cast<int>(hosts.size());
     hosts.push_back(std::move(fn));
-    return append(i);
+    return static_cast<int>(insts.size()) - 1;
 }
 
 int

@@ -30,13 +30,20 @@ class CodeBlock
     const std::string &name() const { return blockName; }
 
     /**
-     * Append an instruction record; returns its index, which pending
-     * labels bind to. A Nop appended right after a Nop record, with
-     * no label pending, extends that record instead, so a label
-     * always binds to the start of a record. A Call or HostOp must
-     * carry the payload appendCall()/appendHost() gives it.
+     * Append a record of @p op with its operands, built in place in
+     * the block's storage; returns its index, which pending labels
+     * bind to. Nop runs, Calls and HostOps have their own appenders.
      */
-    int append(Inst inst);
+    int append(Opcode op, Reg r1 = Reg::Eax, Reg r2 = Reg::Eax,
+               std::int64_t imm = 0, int label = -1);
+
+    /**
+     * Append @p n (>= 1) 1-byte Nops as one record; returns its
+     * index. Right after a Nop record, with no label pending, that
+     * record grows instead, so a label always binds to the start of
+     * a record.
+     */
+    int appendNops(int n);
 
     /** Append a Call to the block named @p callee. */
     int appendCall(std::string callee);
@@ -93,6 +100,12 @@ class CodeBlock
     std::string disassemble() const;
 
   private:
+    /**
+     * A new record of @p op at the end, its size the opcode's
+     * default; binds the pending labels to it.
+     */
+    Inst &newRecord(Opcode op);
+
     std::string blockName;
     std::vector<Inst> insts;
     /** Call targets and HostOp callbacks, by Inst::payload. */

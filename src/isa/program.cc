@@ -28,6 +28,15 @@ Program::add(CodeBlock block)
 }
 
 void
+Program::clear()
+{
+    blocks.clear();
+    symbols.clear();
+    totalBytes = 0;
+    isLinked = false;
+}
+
+void
 Program::link(Addr base_addr, Addr align)
 {
     pca_assert(align > 0 && (align & (align - 1)) == 0);

@@ -59,6 +59,12 @@ class Program
     int add(CodeBlock block);
 
     /**
+     * Drop this program's own blocks; the base stays. The program is
+     * then as Program(base) left it, ready for other blocks.
+     */
+    void clear();
+
+    /**
      * Link this program's own blocks: place them sequentially from
      * @p base_addr, each aligned to @p align bytes, and give every
      * Call its callee's block id. A base program keeps its layout,

@@ -160,6 +160,8 @@ struct FaultPlan
      * another.
      */
     std::string fingerprint() const;
+
+    bool operator==(const FaultPlan &) const = default;
 };
 
 /**

@@ -63,6 +63,8 @@ struct ProfileConfig
      * and "skid=K".
      */
     static ProfileConfig fromEnv();
+
+    bool operator==(const ProfileConfig &) const = default;
 };
 
 /** One symbol (function) range in the simulated address space. */

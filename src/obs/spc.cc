@@ -71,6 +71,7 @@ spcName(Spc c)
         return "runs_forced_step_sampling";
       case Spc::RunsReused: return "runs_reused";
       case Spc::RunsReuseBlockedIrq: return "runs_reuse_blocked_irq";
+      case Spc::MachineReuses: return "machine_reuses";
       case Spc::NumSpcs: break;
     }
     return "?";

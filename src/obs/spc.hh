@@ -68,6 +68,7 @@ enum class Spc : std::uint8_t
     RunsForcedStepSampling, //!< runs PMU sampling kept per-step
     RunsReused,            //!< session runs answered from a reference
     RunsReuseBlockedIrq,   //!< later session runs an interrupt could reach
+    MachineReuses,         //!< sessions that took the idle machine
     NumSpcs,
 };
 

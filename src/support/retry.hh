@@ -64,6 +64,8 @@ struct RetryPolicy
     /** All fields at their defaults? (Fingerprint shortcut.) */
     bool isDefault() const;
 
+    bool operator==(const RetryPolicy &) const = default;
+
     /**
      * Virtual backoff before retry @p attempt (1-based): base
      * doubled per prior retry, capped at backoffCap.

@@ -13,6 +13,8 @@
 #include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -709,28 +711,36 @@ TEST(ParallelStudies, NullErrorStudyByteIdentical)
     auto study = [&] {
         return core::runNullErrorStudy(points, 3, 42, obs);
     };
-    // Every point builds one session and boots one machine for its
-    // first run; its other two runs reuse that session. These are
-    // the counts the study benchmark reads, at any thread count.
+    // Every point builds one session for its first run; its other
+    // two runs reuse that session. These are the counts the study
+    // benchmark reads, at any thread count. Each session boots a
+    // machine or takes its thread's idle one of the same kind.
     const auto countedCsv = [&](int threads) {
         obs::spcReset();
-        obs::spcAttach(
-            "program_cache_hits,program_cache_misses,machine_boots");
+        obs::spcAttach("program_cache_hits,program_cache_misses,"
+                       "machine_boots,machine_reuses");
         const std::string csv = csvWithThreads(threads, study);
         EXPECT_EQ(obs::spcValue(obs::Spc::ProgramCacheMisses),
                   points.size())
             << "threads=" << threads;
-        EXPECT_EQ(obs::spcValue(obs::Spc::MachineBoots), points.size())
+        EXPECT_EQ(obs::spcValue(obs::Spc::MachineBoots) +
+                      obs::spcValue(obs::Spc::MachineReuses),
+                  points.size())
             << "threads=" << threads;
         EXPECT_EQ(obs::spcValue(obs::Spc::ProgramCacheHits),
                   2 * points.size())
             << "threads=" << threads;
+        const Count boots = obs::spcValue(obs::Spc::MachineBoots);
         obs::spcReset();
-        return csv;
+        return std::pair{csv, boots};
     };
-    const std::string serial = countedCsv(1);
-    const std::string parallel = countedCsv(4);
-    EXPECT_EQ(serial, parallel);
+    // Serially, on a thread with no idle machine yet, the points of
+    // each interface run back to back: one boot per interface.
+    std::pair<std::string, Count> serial;
+    std::thread([&] { serial = countedCsv(1); }).join();
+    EXPECT_EQ(serial.second, 6u);
+    const std::string parallel = countedCsv(4).first;
+    EXPECT_EQ(serial.first, parallel);
 }
 
 TEST(ParallelStudies, DurationStudyByteIdentical)

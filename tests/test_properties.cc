@@ -351,7 +351,7 @@ INSTANTIATE_TEST_SUITE_P(
     PowersOfTen, LoopSizes,
     testing::Values(1u, 10u, 100u, 1000u, 10000u, 100000u, 1000000u),
     [](const testing::TestParamInfo<Count> &info) {
-        return "n" + std::to_string(info.param);
+        return std::string("n").append(std::to_string(info.param));
     });
 
 } // namespace

@@ -594,7 +594,7 @@ TEST(Checkpoint, TornAndCorruptTailIsDroppedNotFatal)
     std::remove(path.c_str());
 }
 
-TEST(Checkpoint, IdentityMismatchRestartsTheFile)
+TEST(Checkpoint, SecondIdentityLoadsNoRecordOfTheFirst)
 {
     const std::string path = testing::TempDir() + "pca_ck_id.jsonl";
     std::remove(path.c_str());
