@@ -50,10 +50,10 @@ main()
 
         cfg.fastForward = true;
         auto t0 = Clock::now();
-        const auto with_ff = HarnessSession(cfg, loop).run(cfg.seed);
+        const auto with_ff = HarnessSession(cfg, loop).run();
         auto t1 = Clock::now();
         cfg.fastForward = false;
-        const auto no_ff = HarnessSession(cfg, loop).run(cfg.seed);
+        const auto no_ff = HarnessSession(cfg, loop).run();
         auto t2 = Clock::now();
 
         const double ff_ms =
@@ -89,10 +89,10 @@ main()
 
         cfg.decodeCache = true;
         auto t0 = Clock::now();
-        const auto decoded = HarnessSession(cfg, loop).run(cfg.seed);
+        const auto decoded = HarnessSession(cfg, loop).run();
         auto t1 = Clock::now();
         cfg.decodeCache = false;
-        const auto interp = HarnessSession(cfg, loop).run(cfg.seed);
+        const auto interp = HarnessSession(cfg, loop).run();
         auto t2 = Clock::now();
 
         const double dec_ms =
@@ -151,7 +151,7 @@ main()
             cfg.primaryEvent = cpu::EventType::CpuClkUnhalted;
             cfg.interruptsEnabled = false;
             const auto m =
-                HarnessSession(cfg, LoopBench{200000}).run(cfg.seed);
+                HarnessSession(cfg, LoopBench{200000}).run();
             h.add(static_cast<double>(m.delta()) / 200000.0);
         }
     }

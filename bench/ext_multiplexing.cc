@@ -39,7 +39,7 @@ mpxInstrEstimate(Count iters, std::uint64_t seed)
     mc.preemptProb = 0.0;
     mc.seed = seed;
     Machine m(mc);
-    perfmon::LibPfm lib(*m.perfmonModule());
+    perfmon::LibPfm &lib = *m.libPfm();
 
     kernel::PerfmonMpxSpec spec;
     spec.groups = {

@@ -51,7 +51,7 @@ profileTwoPhase(Count hot_iters, Count cold_iters, Count period,
     mc.preemptProb = 0.0;
     mc.seed = seed;
     Machine m(mc);
-    perfmon::LibPfm lib(*m.perfmonModule());
+    perfmon::LibPfm &lib = *m.libPfm();
 
     kernel::PerfmonSamplingSpec spec;
     spec.event = cpu::EventType::InstrRetired;

@@ -347,7 +347,7 @@ timeHarnessPoints(bool decode, int runs)
         cfg.pattern = AccessPattern::ReadRead;
         cfg.seed = static_cast<std::uint64_t>(r) + 1;
         cfg.decodeCache = decode;
-        const auto m = HarnessSession(cfg, bench).run(cfg.seed);
+        const auto m = HarnessSession(cfg, bench).run();
         digest << m.error() << '/';
     }
     const double sec = secondsSince(t0);
@@ -539,7 +539,7 @@ legacySerialNullStudy(const std::vector<core::FactorPoint> &points,
             HarnessConfig cfg = p.toHarnessConfig(
                 mixSeed(seed, point_id * 1000 +
                                   static_cast<std::uint64_t>(r)));
-            const auto m = HarnessSession(cfg, bench).run(cfg.seed);
+            const auto m = HarnessSession(cfg, bench).run();
             table.add({cpu::processorCode(p.processor),
                        harness::interfaceCode(p.iface),
                        harness::patternName(p.pattern),

@@ -74,7 +74,7 @@ main()
             cfg.interruptsEnabled = false;
             cfg.seed = 4711;
             const auto m =
-                HarnessSession(cfg, *p.bench).run(cfg.seed);
+                HarnessSession(cfg, *p.bench).run();
             const auto expected =
                 p.bench->expectedEvents(p.event, arch);
             const auto exp_v = expected ? *expected : 0;

@@ -67,7 +67,7 @@ main()
     in_process.mode = harness::CountingMode::UserKernel;
     in_process.seed = 99;
     const auto fine =
-        HarnessSession(in_process, small_loop).run(in_process.seed);
+        HarnessSession(in_process, small_loop).run();
     std::cout << "\nin-process (pm, read-read) for loop/1000: error "
               << fine.error() << " instructions ("
               << fmtDouble(100.0 * static_cast<double>(fine.error()) /

@@ -10,6 +10,7 @@
 #include <iostream>
 
 #include "core/guidelines.hh"
+#include "obs/env.hh"
 
 int
 main()
@@ -18,6 +19,7 @@ main()
     using core::GuidelineQuery;
     using core::Guidelines;
 
+    obs::initObservabilityFromEnv();
     Guidelines engine(/*calibration_runs=*/9, /*seed=*/20260705);
 
     // Task: count user-mode instructions of short code sections on

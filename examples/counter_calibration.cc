@@ -15,6 +15,7 @@
 
 #include "harness/microbench.hh"
 #include "harness/session.hh"
+#include "obs/env.hh"
 #include "stats/descriptive.hh"
 #include "stats/regression.hh"
 #include "support/strutil.hh"
@@ -25,6 +26,8 @@ main()
 {
     using namespace pca;
     using namespace pca::harness;
+
+    obs::initObservabilityFromEnv();
 
     // The configuration we want to calibrate: perfctr, start-read,
     // user+kernel counting on a Core 2 Duo.

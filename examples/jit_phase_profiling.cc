@@ -15,6 +15,7 @@
 
 #include "harness/microbench.hh"
 #include "harness/session.hh"
+#include "obs/env.hh"
 #include "stats/descriptive.hh"
 #include "support/strutil.hh"
 #include "support/table.hh"
@@ -25,6 +26,7 @@ main()
     using namespace pca;
     using namespace pca::harness;
 
+    obs::initObservabilityFromEnv();
     std::cout << "Profiling short phases: relative error vs phase "
                  "length\n\n";
 

@@ -42,7 +42,7 @@ main()
     mc.preemptProb = 0.0;
     mc.seed = 20260705;
     Machine m(mc);
-    perfmon::LibPfm lib(*m.perfmonModule());
+    perfmon::LibPfm &lib = *m.libPfm();
 
     kernel::PerfmonSamplingSpec spec;
     spec.event = cpu::EventType::InstrRetired;

@@ -46,7 +46,7 @@ main()
     //    thread's idle one of the same kind) and builds the
     //    measurement program (library calls + inline benchmark);
     //    run() reboots the machine with a seed and executes it.
-    const Measurement m = HarnessSession(cfg, loop).run(cfg.seed);
+    const Measurement m = HarnessSession(cfg, loop).run();
 
     std::cout << "benchmark:            " << loop.name() << " x "
               << loop.iterations() << " iterations\n"
@@ -62,7 +62,7 @@ main()
     //    The attribution breaks the error down by cause — its
     //    components sum to the error exactly.
     cfg.mode = CountingMode::UserKernel;
-    const Measurement uk = HarnessSession(cfg, loop).run(cfg.seed);
+    const Measurement uk = HarnessSession(cfg, loop).run();
     std::cout << "user+kernel c-delta:   " << uk.delta() << '\n'
               << "user+kernel error:     " << uk.error()
               << " instructions\n"

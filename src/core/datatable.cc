@@ -4,7 +4,6 @@
 
 #include "support/logging.hh"
 #include "support/strutil.hh"
-#include "support/table.hh"
 
 namespace pca::core
 {
@@ -123,28 +122,6 @@ DataTable::toObservations(const std::vector<std::string> &factors) const
         out.push_back(std::move(obs));
     }
     return out;
-}
-
-void
-DataTable::printSummary(std::ostream &os,
-                        const std::vector<std::string> &columns) const
-{
-    std::vector<std::string> headers = columns;
-    for (const char *h : {"n", "min", "q1", "median", "q3", "max"})
-        headers.emplace_back(h);
-    TextTable t(headers);
-    for (const auto &group : groupBy(columns)) {
-        const stats::Summary s = stats::summarize(group.values);
-        std::vector<std::string> cells = group.keys;
-        cells.push_back(std::to_string(s.n));
-        cells.push_back(fmtDouble(s.min, 1));
-        cells.push_back(fmtDouble(s.q1, 1));
-        cells.push_back(fmtDouble(s.median, 1));
-        cells.push_back(fmtDouble(s.q3, 1));
-        cells.push_back(fmtDouble(s.max, 1));
-        t.addRow(std::move(cells));
-    }
-    t.print(os);
 }
 
 void

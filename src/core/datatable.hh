@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "stats/anova.hh"
-#include "stats/descriptive.hh"
 
 namespace pca::core
 {
@@ -95,13 +94,6 @@ class DataTable
     /** Export as ANOVA observations over the given factor columns. */
     std::vector<stats::Observation>
     toObservations(const std::vector<std::string> &factors) const;
-
-    /**
-     * Print per-group summaries (n, min, q1, median, q3, max) for
-     * groups of @p columns.
-     */
-    void printSummary(std::ostream &os,
-                      const std::vector<std::string> &columns) const;
 
     /**
      * Write all rows as CSV (header first). A trailing "status"

@@ -133,33 +133,4 @@ FactorSpace::generate() const
     return out;
 }
 
-std::vector<std::vector<int>>
-combinations(int n, int k)
-{
-    pca_assert(n >= 0 && k >= 0 && k <= n);
-    std::vector<std::vector<int>> out;
-    std::vector<int> cur(static_cast<std::size_t>(k));
-    // Iterative lexicographic enumeration.
-    for (int i = 0; i < k; ++i)
-        cur[static_cast<std::size_t>(i)] = i;
-    if (k == 0) {
-        out.push_back({});
-        return out;
-    }
-    while (true) {
-        out.push_back(cur);
-        int i = k - 1;
-        while (i >= 0 &&
-               cur[static_cast<std::size_t>(i)] == n - k + i)
-            --i;
-        if (i < 0)
-            break;
-        ++cur[static_cast<std::size_t>(i)];
-        for (int j = i + 1; j < k; ++j)
-            cur[static_cast<std::size_t>(j)] =
-                cur[static_cast<std::size_t>(j - 1)] + 1;
-    }
-    return out;
-}
-
 } // namespace pca::core

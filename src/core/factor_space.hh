@@ -69,9 +69,6 @@ class FactorSpace
     std::vector<bool> tscs;
 };
 
-/** All k-element index subsets of {0..n-1} (counter-set selections). */
-std::vector<std::vector<int>> combinations(int n, int k);
-
 } // namespace pca::core
 
 #endif // PCA_CORE_FACTOR_SPACE_HH

@@ -211,12 +211,6 @@ Pmu::progCounter(int i) const
     return prog.at(static_cast<std::size_t>(i));
 }
 
-const Pmu::Counter &
-Pmu::fixedCounter(int i) const
-{
-    return fixed.at(static_cast<std::size_t>(i));
-}
-
 void
 Pmu::setProgValue(int i, Count v)
 {

@@ -116,7 +116,6 @@ class Pmu
     };
 
     const Counter &progCounter(int i) const;
-    const Counter &fixedCounter(int i) const;
 
     /** Directly set a programmable counter value (context restore). */
     void setProgValue(int i, Count v);

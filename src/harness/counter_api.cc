@@ -234,8 +234,6 @@ class PapiHighApi : public CounterApi
         high.emitStopCounters(a, papiCapture(pmu, sink));
     }
 
-    bool supportsPlainRead() const override { return false; }
-
   private:
     papi::PapiLow low;
     papi::PapiHigh high;

@@ -67,12 +67,6 @@ class CounterApi
     /** Stop counting, then read the frozen values. */
     virtual void emitStopAndRead(isa::Assembler &a,
                                  CaptureSink *sink) = 0;
-
-    /**
-     * Does the interface offer a read that leaves the counters
-     * running and unreset? False for the PAPI high-level API.
-     */
-    virtual bool supportsPlainRead() const { return true; }
 };
 
 /** Build the adapter for the machine's configured interface. */

@@ -1,23 +1,9 @@
 #include "harness/harness.hh"
 
-#include <cstdlib>
-#include <cstring>
-
 #include "support/logging.hh"
 
 namespace pca::harness
 {
-
-bool
-defaultDecodeCache()
-{
-    const char *spec = std::getenv("PCA_DECODE");
-    if (!spec || !*spec)
-        return true;
-    return !(std::strcmp(spec, "0") == 0 ||
-             std::strcmp(spec, "off") == 0 ||
-             std::strcmp(spec, "false") == 0);
-}
 
 const char *
 countingModeName(CountingMode m)

@@ -1,10 +1,12 @@
 /**
  * @file
  * What the measurement harness measures and reports: one point of
- * the factor space (HarnessConfig) and one run's result
- * (Measurement), the measured counts next to the benchmark's
- * analytical ground truth (§3.5-3.6 of the paper). HarnessSession
- * (harness/session.hh) builds and runs the measurement program.
+ * the factor space (HarnessConfig: a MachineConfig plus the access
+ * pattern, counting mode, opt level and events the harness measures
+ * on that machine) and one run's result (Measurement), the measured
+ * counts next to the benchmark's analytical ground truth (§3.5-3.6
+ * of the paper). HarnessSession (harness/session.hh) builds and runs
+ * the measurement program.
  */
 
 #ifndef PCA_HARNESS_HARNESS_HH
@@ -36,20 +38,12 @@ const char *countingModeName(CountingMode m);
 PlMask toPlMask(CountingMode m);
 
 /**
- * Process-wide default for HarnessConfig::decodeCache: true unless
- * the environment sets PCA_DECODE=0/off/false. Because the canned
- * studies build their HarnessConfigs from factor points (which do not
- * carry the toggle), this is the one switch that flips the whole
- * study pipeline to pure per-step interpretation — the lever the
- * byte-identity tests and the ablation bench pull.
+ * One point in the experiment factor space: the machine the paper's
+ * executable ran on (MachineConfig, whose seed is the one run()
+ * uses) plus what the harness measures on it.
  */
-bool defaultDecodeCache();
-
-/** One point in the experiment factor space. */
-struct HarnessConfig
+struct HarnessConfig : MachineConfig
 {
-    cpu::Processor processor = cpu::Processor::Core2Duo;
-    Interface iface = Interface::Pm;
     AccessPattern pattern = AccessPattern::StartRead;
     CountingMode mode = CountingMode::UserKernel;
 
@@ -65,39 +59,11 @@ struct HarnessConfig
     /** perfctr only: enable the TSC (fast user-mode reads). */
     bool tsc = true;
 
-    std::uint64_t seed = 1;
-    bool interruptsEnabled = true;
-    bool ioInterrupts = true;
-    double preemptProb = 0.015;
-    bool fastForward = true;
-    /** Basic-block engine (results identical; see DESIGN §6). */
-    bool decodeCache = defaultDecodeCache();
-    /** Unused: nothing reads it; kept so old callers still build. */
-    bool traceTier = true;
-
     /**
-     * Fault-injection plan for the machines this config boots
-     * (default: inert). Also carries the session's transient-fault
-     * retry policy (FaultPlan::retry: attempts, virtual-time
-     * backoff, retry budgets) and watchdog budgets.
+     * Every field, the machine's included; without it a comparison
+     * would convert to MachineConfig and ignore the harness fields.
      */
-    kernel::FaultPlan faults;
-
-    /**
-     * Watchdog budgets per run (see MachineConfig::runInstrBudget /
-     * runCycleBudget); 0 = unlimited, falling back to the fault
-     * plan's watchdog fields.
-     */
-    Count runInstrBudget = 0;
-    Cycles runCycleBudget = 0;
-
-    /**
-     * Sampling-profiler configuration for the machines this config
-     * boots. Defaults from PCA_PROFILE so the canned studies can be
-     * profiled without code changes; profiling never changes any
-     * measured value (asserted by tests/test_profile.cc).
-     */
-    obs::ProfileConfig profile = obs::ProfileConfig::fromEnv();
+    bool operator==(const HarnessConfig &) const = default;
 };
 
 /** Result of one measurement run. */

@@ -1,11 +1,25 @@
 #include "harness/machine.hh"
 
+#include <cstdlib>
+#include <cstring>
+
 #include "obs/spc.hh"
 #include "obs/trace.hh"
 #include "support/logging.hh"
 
 namespace pca::harness
 {
+
+bool
+defaultDecodeCache()
+{
+    const char *spec = std::getenv("PCA_DECODE");
+    if (!spec || !*spec)
+        return true;
+    return !(std::strcmp(spec, "0") == 0 ||
+             std::strcmp(spec, "off") == 0 ||
+             std::strcmp(spec, "false") == 0);
+}
 
 Machine::Machine(const MachineConfig &cfg)
     : cfg(cfg), archRef(cpu::microArch(cfg.processor))

@@ -31,11 +31,28 @@
 namespace pca::harness
 {
 
-/** Platform configuration for one measurement run. */
+/**
+ * Process-wide default for MachineConfig::decodeCache: true unless
+ * the environment sets PCA_DECODE=0/off/false. Every machine, raw or
+ * built by a session, reads it through that default, so this is the
+ * one switch that flips every run to pure per-step interpretation —
+ * the lever the byte-identity tests and the ablation bench pull.
+ */
+bool defaultDecodeCache();
+
+/**
+ * Platform configuration for one measurement run. The environment
+ * defaults (PCA_DECODE, PCA_PROFILE) are read here, so they reach
+ * every machine.
+ */
 struct MachineConfig
 {
     cpu::Processor processor = cpu::Processor::Core2Duo;
     Interface iface = Interface::Pm;
+    /**
+     * Seed of the first boot, and the seed HarnessSession::run()
+     * runs with; every run reboots with its own (Machine::reboot).
+     */
     std::uint64_t seed = 1;
 
     /** Model timer + I/O interrupts (off = idealized machine). */
@@ -46,8 +63,8 @@ struct MachineConfig
     double preemptProb = 0.015;
     /** Loop fast-forwarding in the interpreter (results identical). */
     bool fastForward = true;
-    /** Basic-block execution engine (results identical). */
-    bool decodeCache = true;
+    /** Basic-block execution engine (results identical; PCA_DECODE). */
+    bool decodeCache = defaultDecodeCache();
     /** Unused: nothing reads it; kept so old callers still build. */
     bool traceTier = true;
 
@@ -63,25 +80,26 @@ struct MachineConfig
      * Fault-injection plan (default: inert). When enabled() the
      * machine boots a FaultInjector seeded from (faults.seed, seed)
      * and threads it into the kernel's syscall dispatch, the
-     * interrupt queue, and the PMU read path.
+     * interrupt queue, and the PMU read path. Its retry policy
+     * (FaultPlan::retry) is what HarnessSession::tryRun retries by.
      */
     kernel::FaultPlan faults;
 
     /**
-     * Sampling-profiler configuration (default: inert). When enabled
-     * the machine boots an obs::Profiler wired into the core's
-     * retire path and the kernel's timer tick; the run itself is
-     * unperturbed (samples ride existing interrupts and cost no
-     * simulated cycles), but execution drops to exact per-step
+     * Sampling-profiler configuration (default: PCA_PROFILE, inert
+     * when unset). When enabled the machine boots an obs::Profiler
+     * wired into the core's retire path and the kernel's timer tick;
+     * the run itself is unperturbed (samples ride existing
+     * interrupts and cost no simulated cycles; asserted by
+     * tests/test_profile.cc), but execution drops to exact per-step
      * interpretation.
      */
-    obs::ProfileConfig profile;
+    obs::ProfileConfig profile = obs::ProfileConfig::fromEnv();
 
     /**
      * Nonzero: cycles between timer ticks instead of the processor's
      * HZ=1000 period. A profiling study's lever for sample density
-     * on short benchmarks; changes the simulated machine, so it is
-     * deliberately absent from HarnessConfig.
+     * on short benchmarks; it changes the simulated machine.
      */
     Cycles timerPeriodOverride = 0;
 

@@ -59,6 +59,9 @@ const HarnessConfig &
 validated(const HarnessConfig &cfg)
 {
     pca_assert(cfg.optLevel >= 0 && cfg.optLevel <= 3);
+    if (cfg.usePerfEvent)
+        pca_fatal("the counter API cannot drive a perf_event machine "
+                  "(usePerfEvent); drive Machine::libPerf() directly");
     if (!patternSupported(cfg.iface, cfg.pattern))
         pca_fatal("interface ", interfaceCode(cfg.iface),
                   " does not support the ", patternName(cfg.pattern),
@@ -69,25 +72,6 @@ validated(const HarnessConfig &cfg)
         pca_fatal(arch.name, " has only ", arch.progCounters,
                   " programmable counters; requested ", want);
     return cfg;
-}
-
-MachineConfig
-toMachineConfig(const HarnessConfig &cfg)
-{
-    MachineConfig mc;
-    mc.processor = cfg.processor;
-    mc.iface = cfg.iface;
-    mc.seed = cfg.seed;
-    mc.interruptsEnabled = cfg.interruptsEnabled;
-    mc.ioInterrupts = cfg.ioInterrupts;
-    mc.preemptProb = cfg.preemptProb;
-    mc.fastForward = cfg.fastForward;
-    mc.decodeCache = cfg.decodeCache;
-    mc.faults = cfg.faults;
-    mc.profile = cfg.profile;
-    mc.runInstrBudget = cfg.runInstrBudget;
-    mc.runCycleBudget = cfg.runCycleBudget;
-    return mc;
 }
 
 /**
@@ -116,7 +100,7 @@ takeMachine(const MachineConfig &mc)
 
 HarnessSession::HarnessSession(const HarnessConfig &cfg,
                                const MicroBenchmark &bench)
-    : cfg(validated(cfg)), machine(takeMachine(toMachineConfig(cfg)))
+    : cfg(validated(cfg)), machine(takeMachine(cfg))
 {
     ApiConfig acfg;
     acfg.events.reserve(1 + cfg.extraEvents.size());
@@ -207,6 +191,12 @@ HarnessSession::~HarnessSession()
 {
     machine->unload();
     idleMachine = std::move(machine);
+}
+
+Measurement
+HarnessSession::run()
+{
+    return run(cfg.seed);
 }
 
 Measurement

@@ -13,7 +13,7 @@
  * fresh session's first run with the same seed (asserted by
  * tests/test_parallel.cc), so both kinds of reuse are invisible in
  * study output. A single measurement is one session and one run:
- * HarnessSession(cfg, bench).run(cfg.seed).
+ * HarnessSession(cfg, bench).run().
  *
  * measurePoint() is the one per-point loop: it builds a session,
  * runs the point's seeds on it, and drops it — the paper's one
@@ -79,8 +79,9 @@ class HarnessSession
   public:
     /**
      * Validate @p cfg, then boot the machine and build the program.
-     * A pattern the interface lacks or more counters than the
-     * processor has is fatal before anything boots.
+     * A perf_event machine (usePerfEvent), a pattern the interface
+     * lacks or more counters than the processor has is fatal before
+     * anything boots.
      */
     HarnessSession(const HarnessConfig &cfg,
                    const MicroBenchmark &bench);
@@ -90,6 +91,9 @@ class HarnessSession
 
     /** Unload the program and leave the machine idle. */
     ~HarnessSession();
+
+    /** Reboot with the config's seed and run the measurement once. */
+    Measurement run();
 
     /** Reboot with @p seed and run the measurement once. */
     Measurement run(std::uint64_t seed);

@@ -1,7 +1,6 @@
 #include "obs/profile.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 
 #include "obs/spc.hh"
@@ -232,35 +231,6 @@ Profiler::biasReport() const
                   return a.symbol < b.symbol;
               });
     return rows;
-}
-
-double
-Profiler::hotspotShareError(bool cycle_truth) const
-{
-    double sum = 0;
-    for (const ProfileBiasRow &row : biasReport())
-        sum += std::abs(row.estShare - (cycle_truth
-                                            ? row.trueCycleShare
-                                            : row.trueShare));
-    return sum / 2.0;
-}
-
-void
-Profiler::writeBiasCsv(std::ostream &os) const
-{
-    os << "symbol,samples,true_instrs,true_cycles,est_share,"
-          "true_share,true_cycle_share,abs_err,abs_err_cycle\n";
-    char buf[96];
-    for (const ProfileBiasRow &row : biasReport()) {
-        std::snprintf(
-            buf, sizeof buf, "%.6f,%.6f,%.6f,%.6f,%.6f",
-            row.estShare, row.trueShare, row.trueCycleShare,
-            std::abs(row.estShare - row.trueShare),
-            std::abs(row.estShare - row.trueCycleShare));
-        os << row.symbol << ',' << row.samples << ','
-           << row.trueInstrs << ',' << row.trueCycles << ',' << buf
-           << '\n';
-    }
 }
 
 void

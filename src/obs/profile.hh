@@ -151,23 +151,10 @@ class Profiler
     std::vector<ProfileBiasRow> biasReport() const;
 
     /**
-     * Total attribution error, 0.5 * sum |estShare - truth|, where
-     * truth is the instruction share by default or the cycle share
-     * (what tick sampling actually estimates) when @p cycle_truth.
-     */
-    double hotspotShareError(bool cycle_truth = false) const;
-
-    /**
      * Samples whose latched PC landed in a different symbol than the
      * interrupted PC — the skid-induced misattributions.
      */
     Count skidMisattributed() const { return misattributedCount; }
-
-    /**
-     * Bias report as CSV: symbol,samples,true_instrs,true_cycles,
-     * est_share,true_share,true_cycle_share,abs_err,abs_err_cycle
-     */
-    void writeBiasCsv(std::ostream &os) const;
 
     /**
      * Collapsed call stacks ("main;hot 42" — one line per unique

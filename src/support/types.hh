@@ -7,7 +7,6 @@
 #define PCA_SUPPORT_TYPES_HH
 
 #include <cstdint>
-#include <string>
 
 namespace pca
 {
@@ -35,13 +34,6 @@ enum class Mode : std::uint8_t
     Kernel, //!< CPL 0, kernel entry/exit, syscalls, interrupt handlers
 };
 
-/** Human-readable name for a privilege mode. */
-inline const char *
-modeName(Mode m)
-{
-    return m == Mode::User ? "user" : "kernel";
-}
-
 /**
  * Privilege-level mask attached to a performance counter
  * configuration: which modes the counter counts in (USR/OS bits of
@@ -67,19 +59,6 @@ plMaskIncludes(PlMask m, Mode mode)
 {
     int bit = (mode == Mode::User) ? 1 : 2;
     return (static_cast<int>(m) & bit) != 0;
-}
-
-/** Human-readable name for a privilege-level mask. */
-inline std::string
-plMaskName(PlMask m)
-{
-    switch (m) {
-      case PlMask::None: return "none";
-      case PlMask::User: return "user";
-      case PlMask::Kernel: return "kernel";
-      case PlMask::UserKernel: return "user+kernel";
-    }
-    return "?";
 }
 
 } // namespace pca

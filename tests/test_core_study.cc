@@ -114,14 +114,6 @@ TEST(DataTableTest, CsvRoundTripShape)
     EXPECT_EQ(lines, 6);
 }
 
-TEST(DataTableTest, SummaryPrints)
-{
-    std::ostringstream os;
-    sampleTable().printSummary(os, {"iface"});
-    EXPECT_NE(os.str().find("median"), std::string::npos);
-    EXPECT_NE(os.str().find("pm"), std::string::npos);
-}
-
 TEST(FactorSpaceTest, DefaultsCoverPaperSpace)
 {
     const auto points = FactorSpace().generate();
@@ -178,16 +170,6 @@ TEST(FactorSpaceTest, ToHarnessConfigFillsExtras)
     EXPECT_EQ(cfg.extraEvents.size(), 2u);
     EXPECT_EQ(cfg.optLevel, 2);
     EXPECT_EQ(cfg.seed, 5u);
-}
-
-TEST(FactorSpaceTest, Combinations)
-{
-    EXPECT_EQ(combinations(4, 2).size(), 6u);
-    EXPECT_EQ(combinations(5, 0).size(), 1u);
-    EXPECT_EQ(combinations(3, 3).size(), 1u);
-    const auto c = combinations(3, 2);
-    EXPECT_EQ(c[0], (std::vector<int>{0, 1}));
-    EXPECT_EQ(c[2], (std::vector<int>{1, 2}));
 }
 
 TEST(StudyTest, NullErrorStudyShape)

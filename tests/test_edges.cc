@@ -130,7 +130,7 @@ TEST(HarnessEdge, ExactCounterLimitAccepted)
     cfg.interruptsEnabled = false;
     cfg.extraEvents = {cpu::EventType::BrInstRetired}; // exactly 2
     const auto m =
-        harness::HarnessSession(cfg, harness::NullBench{}).run(cfg.seed);
+        harness::HarnessSession(cfg, harness::NullBench{}).run();
     EXPECT_GT(m.c1, 0u);
 }
 

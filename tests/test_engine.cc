@@ -371,6 +371,7 @@ TEST(EngineIdentityCore, EscapesFoldAwayAndRebootReforms)
     MachineConfig cfg =
         identityConfig(cpu::Processor::AthlonX2, true, false);
     cfg.iface = Interface::Pm;
+    cfg.decodeCache = true; // escapes exist on the block engine only
     Machine m(cfg);
     addLeaf(m);
     isa::Assembler a("main");
@@ -702,6 +703,7 @@ TEST(BlockLayout, UserInstrCountersSplitByPath)
     obs::spcAttach("all");
     MachineConfig cfg = identityConfig(cpu::Processor::PentiumD, true);
     cfg.timerPeriodOverride = 5003;
+    cfg.decodeCache = true; // forced off the engine, not deselected
     cfg.profile.enabled = true;
     Machine m(cfg);
     program(m);
@@ -735,7 +737,7 @@ TEST(EngineIdentityHarness, MeasurementIdenticalAcrossFfSettings)
             cfg.decodeCache = decode;
             cfg.fastForward = ff;
             const Measurement m =
-                HarnessSession(cfg, bench).run(cfg.seed);
+                HarnessSession(cfg, bench).run();
             if (first) {
                 ref = m;
                 first = false;

@@ -318,19 +318,19 @@ TEST(FaultHarness, DroppedAndSpuriousTicksMoveInterruptCounts)
     cfg.iface = Interface::Pc;
     cfg.pattern = AccessPattern::ReadRead;
     const Count baseline =
-        HarnessSession(cfg, bench).run(cfg.seed).run.interrupts;
+        HarnessSession(cfg, bench).run().run.interrupts;
     ASSERT_GT(baseline, 0u);
 
     HarnessConfig dropped = cfg;
     dropped.faults = FaultPlan::parse("seed=2,drop=1");
     EXPECT_EQ(
-        HarnessSession(dropped, bench).run(dropped.seed).run.interrupts,
+        HarnessSession(dropped, bench).run().run.interrupts,
         0u);
 
     HarnessConfig spurious = cfg;
     spurious.faults = FaultPlan::parse("seed=2,spurious=0.9");
     EXPECT_GT(
-        HarnessSession(spurious, bench).run(spurious.seed).run.interrupts,
+        HarnessSession(spurious, bench).run().run.interrupts,
         baseline);
 }
 

@@ -44,7 +44,7 @@ nullError(cpu::Processor proc, Interface iface, AccessPattern pat,
     for (int i = 0; i + 1 < nctrs; ++i)
         cfg.extraEvents.push_back(
             menu[static_cast<std::size_t>(i)]);
-    return HarnessSession(cfg, NullBench{}).run(cfg.seed).error();
+    return HarnessSession(cfg, NullBench{}).run().error();
 }
 
 using P = cpu::Processor;
@@ -157,7 +157,7 @@ TEST(Golden, LoopCyclesPerIterationK8)
             cfg.optLevel = opt;
             const double cpi =
                 static_cast<double>(
-                    HarnessSession(cfg, loop).run(cfg.seed).delta()) /
+                    HarnessSession(cfg, loop).run().delta()) /
                 1e6;
             const bool is2 = std::abs(cpi - 2.0) < 0.05;
             const bool is3 = std::abs(cpi - 3.0) < 0.05;

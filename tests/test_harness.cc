@@ -4,8 +4,11 @@
  * analytical models, error computation, and configuration checks.
  */
 
+#include <cstdlib>
+
 #include <gtest/gtest.h>
 
+#include "harness/machine.hh"
 #include "harness/microbench.hh"
 #include "harness/session.hh"
 #include "obs/spc.hh"
@@ -79,10 +82,13 @@ TEST(Patterns, InvalidConfigFailsBeforeBoot)
 {
     obs::spcReset();
     obs::spcAttach("machine_boots");
-    EXPECT_THROW(HarnessSession(quietConfig(Interface::PHpm,
-                                            AccessPattern::ReadRead),
-                                NullBench{}),
-                 std::runtime_error);
+    HarnessConfig perf_event = quietConfig();
+    perf_event.usePerfEvent = true;
+    for (const HarnessConfig &cfg :
+         {quietConfig(Interface::PHpm, AccessPattern::ReadRead),
+          perf_event})
+        EXPECT_THROW(HarnessSession(cfg, NullBench{}),
+                     std::runtime_error);
     EXPECT_EQ(obs::spcValue(obs::Spc::MachineBoots), 0u);
     obs::spcReset();
 }
@@ -96,12 +102,47 @@ TEST(Patterns, TooManyCountersIsFatal)
     EXPECT_THROW(HarnessSession(cfg, NullBench{}), std::runtime_error);
 }
 
+/**
+ * The counter API drives the six interfaces' extensions only, so a
+ * perf_event machine is as fatal as an unsupported pattern (and
+ * boots nothing first: InvalidConfigFailsBeforeBoot).
+ */
+TEST(PatternsDeathTest, PerfEventMachineIsFatal)
+{
+    HarnessConfig cfg = quietConfig();
+    cfg.usePerfEvent = true;
+    // Escaping a noexcept function ends the process, as the error
+    // escaping main ends a bench binary.
+    EXPECT_DEATH([&]() noexcept { HarnessSession s(cfg, NullBench{}); }(),
+                 "cannot drive a perf_event machine");
+}
+
+/**
+ * PCA_DECODE and PCA_PROFILE are MachineConfig defaults, so a raw
+ * machine sees them as a session's does.
+ */
+TEST(MachineConfigTest, EnvironmentDefaultsReachEveryMachine)
+{
+    setenv("PCA_DECODE", "0", 1);
+    EXPECT_FALSE(MachineConfig{}.decodeCache);
+    EXPECT_FALSE(HarnessConfig{}.decodeCache);
+    setenv("PCA_PROFILE", "on", 1);
+    EXPECT_TRUE(MachineConfig{}.profile.enabled);
+    EXPECT_TRUE(HarnessConfig{}.profile.enabled);
+    EXPECT_NE(Machine(MachineConfig{}).profiler(), nullptr);
+    unsetenv("PCA_DECODE");
+    unsetenv("PCA_PROFILE");
+    EXPECT_TRUE(MachineConfig{}.decodeCache);
+    EXPECT_FALSE(MachineConfig{}.profile.enabled);
+    EXPECT_EQ(Machine(MachineConfig{}).profiler(), nullptr);
+}
+
 TEST(Patterns, StartPatternsLeaveC0Zero)
 {
     for (auto pat :
          {AccessPattern::StartRead, AccessPattern::StartStop}) {
         const HarnessConfig cfg = quietConfig(Interface::Pm, pat);
-        const auto m = HarnessSession(cfg, NullBench{}).run(cfg.seed);
+        const auto m = HarnessSession(cfg, NullBench{}).run();
         EXPECT_EQ(m.c0, 0u);
         EXPECT_GT(m.c1, 0u);
     }
@@ -112,7 +153,7 @@ TEST(Patterns, ReadPatternsCaptureBoth)
     for (auto pat :
          {AccessPattern::ReadRead, AccessPattern::ReadStop}) {
         const HarnessConfig cfg = quietConfig(Interface::Pm, pat);
-        const auto m = HarnessSession(cfg, NullBench{}).run(cfg.seed);
+        const auto m = HarnessSession(cfg, NullBench{}).run();
         EXPECT_GT(m.c0, 0u);
         EXPECT_GT(m.c1, m.c0);
     }
@@ -126,7 +167,7 @@ TEST(ErrorModel, NullErrorIsNonNegative)
                 continue;
             const HarnessConfig cfg = quietConfig(i, p);
             const auto m =
-                HarnessSession(cfg, NullBench{}).run(cfg.seed);
+                HarnessSession(cfg, NullBench{}).run();
             EXPECT_GE(m.error(), 0)
                 << interfaceCode(i) << "/" << patternName(p);
         }
@@ -137,12 +178,12 @@ TEST(ErrorModel, LoopMeasurementMatchesModelPlusOverhead)
 {
     const LoopBench loop(10000);
     const HarnessConfig cfg = quietConfig(Interface::Pc);
-    const auto m = HarnessSession(cfg, loop).run(cfg.seed);
+    const auto m = HarnessSession(cfg, loop).run();
     EXPECT_EQ(m.expected, 30001u);
     // Measured = model + fixed overhead; overhead is the same as
     // for the null benchmark on a quiet machine.
     const auto null_err =
-        HarnessSession(cfg, NullBench{}).run(cfg.seed).error();
+        HarnessSession(cfg, NullBench{}).run().error();
     EXPECT_EQ(m.error(), null_err);
 }
 
@@ -154,8 +195,8 @@ TEST(ErrorModel, UserErrorNoLargerThanUserKernel)
         const HarnessConfig u_cfg =
             quietConfig(i, AccessPattern::StartRead, CountingMode::User);
         const auto uk =
-            HarnessSession(uk_cfg, NullBench{}).run(uk_cfg.seed);
-        const auto u = HarnessSession(u_cfg, NullBench{}).run(u_cfg.seed);
+            HarnessSession(uk_cfg, NullBench{}).run();
+        const auto u = HarnessSession(u_cfg, NullBench{}).run();
         EXPECT_LE(u.error(), uk.error()) << interfaceCode(i);
     }
 }
@@ -165,7 +206,7 @@ TEST(ErrorModel, KernelModeCountsOnlyKernel)
     HarnessConfig cfg = quietConfig(Interface::Pc,
                                     AccessPattern::StartRead,
                                     CountingMode::Kernel);
-    const auto m = HarnessSession(cfg, NullBench{}).run(cfg.seed);
+    const auto m = HarnessSession(cfg, NullBench{}).run();
     // Expected is 0 for kernel-only counting; the measured delta is
     // pure kernel-side overhead.
     EXPECT_EQ(m.expected, 0u);
@@ -176,8 +217,8 @@ TEST(Determinism, SameSeedSameResult)
 {
     const auto cfg = quietConfig(Interface::PLpc,
                                  AccessPattern::ReadRead);
-    const auto a = HarnessSession(cfg, NullBench{}).run(cfg.seed);
-    const auto b = HarnessSession(cfg, NullBench{}).run(cfg.seed);
+    const auto a = HarnessSession(cfg, NullBench{}).run();
+    const auto b = HarnessSession(cfg, NullBench{}).run();
     EXPECT_EQ(a.c0, b.c0);
     EXPECT_EQ(a.c1, b.c1);
     EXPECT_EQ(a.run.cycles, b.run.cycles);
@@ -205,7 +246,7 @@ TEST(Measurement, TscCapturedForPerfctr)
 {
     HarnessConfig cfg = quietConfig(Interface::Pc,
                                     AccessPattern::ReadRead);
-    const auto m = HarnessSession(cfg, NullBench{}).run(cfg.seed);
+    const auto m = HarnessSession(cfg, NullBench{}).run();
     EXPECT_GT(m.tsc1, m.tsc0);
 }
 
@@ -215,7 +256,7 @@ TEST(Measurement, AllCounterValuesExposed)
                                     AccessPattern::ReadRead);
     cfg.extraEvents = {cpu::EventType::BrInstRetired,
                        cpu::EventType::IcacheMiss};
-    const auto m = HarnessSession(cfg, NullBench{}).run(cfg.seed);
+    const auto m = HarnessSession(cfg, NullBench{}).run();
     EXPECT_EQ(m.c0All.size(), 3u);
     EXPECT_EQ(m.c1All.size(), 3u);
 }
@@ -224,7 +265,7 @@ TEST(Measurement, CycleMeasurementHasNoExpectedModel)
 {
     HarnessConfig cfg = quietConfig(Interface::Pm);
     cfg.primaryEvent = cpu::EventType::CpuClkUnhalted;
-    const auto m = HarnessSession(cfg, LoopBench{1000}).run(cfg.seed);
+    const auto m = HarnessSession(cfg, LoopBench{1000}).run();
     EXPECT_EQ(m.expected, 0u);
     // ~2-3 cycles/iteration on K8.
     EXPECT_GT(m.delta(), 2000);
@@ -238,7 +279,7 @@ TEST(Measurement, GroundTruthMatchesMeasurementForUserMode)
     HarnessConfig cfg = quietConfig(Interface::Pc,
                                     AccessPattern::StartRead,
                                     CountingMode::User);
-    const auto m = HarnessSession(cfg, LoopBench{5000}).run(cfg.seed);
+    const auto m = HarnessSession(cfg, LoopBench{5000}).run();
     // raw user instructions = harness + library + benchmark; the
     // measured delta must be smaller but within the overhead bound.
     EXPECT_LE(m.delta(),

@@ -42,7 +42,7 @@ medianError(cpu::Processor proc, Interface iface, AccessPattern pat,
         cfg.mode = mode;
         cfg.seed = 31337 + static_cast<std::uint64_t>(r) * 7;
         errs.push_back(static_cast<double>(
-            HarnessSession(cfg, NullBench{}).run(cfg.seed).error()));
+            HarnessSession(cfg, NullBench{}).run().error()));
     }
     return stats::median(errs);
 }
@@ -195,7 +195,7 @@ TEST(Section5, KernelOnlyCountsExplainTheSlope)
         for (int r = 0; r < 4; ++r) {
             cfg.seed = mixSeed(55, size + static_cast<Count>(r));
             const auto m =
-                HarnessSession(cfg, LoopBench{size}).run(cfg.seed);
+                HarnessSession(cfg, LoopBench{size}).run();
             xs.push_back(static_cast<double>(size));
             ys.push_back(static_cast<double>(m.delta()));
         }

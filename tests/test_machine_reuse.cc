@@ -168,7 +168,7 @@ halfTick(cpu::Processor proc)
     quiet.interruptsEnabled = false;
     constexpr Count probe = 100000;
     const Cycles cycles =
-        HarnessSession(quiet, LoopBench(probe)).run(quiet.seed).run.cycles;
+        HarnessSession(quiet, LoopBench(probe)).run().run.cycles;
     return LoopBench(cpu::microArch(proc).timerPeriodCycles() / 2 *
                      probe / cycles);
 }
@@ -185,8 +185,50 @@ otherPattern(Interface iface, AccessPattern pat)
 }
 
 /** A config one step away from another, and what the step changed. */
-template <class Config>
-using Edit = std::pair<const char *, std::function<void(Config &)>>;
+using Edit = std::pair<const char *, std::function<void(MachineConfig &)>>;
+
+/**
+ * One edit of every MachineConfig field but seed, and of every
+ * field of its fault plan and profiler. The decode and profiler
+ * switches toggle, since PCA_DECODE and PCA_PROFILE set their
+ * defaults.
+ */
+std::vector<Edit>
+machineEdits()
+{
+    using C = MachineConfig;
+    return {
+        {"processor", [](C &c) { c.processor = cpu::Processor::PentiumD; }},
+        {"iface", [](C &c) { c.iface = Interface::Pc; }},
+        {"interruptsEnabled", [](C &c) { c.interruptsEnabled = false; }},
+        {"ioInterrupts", [](C &c) { c.ioInterrupts = false; }},
+        {"preemptProb", [](C &c) { c.preemptProb = 0.5; }},
+        {"fastForward", [](C &c) { c.fastForward = false; }},
+        {"decodeCache", [](C &c) { c.decodeCache = !c.decodeCache; }},
+        {"traceTier", [](C &c) { c.traceTier = false; }},
+        {"usePerfEvent", [](C &c) { c.usePerfEvent = true; }},
+        {"faults.busyRate", [](C &c) { c.faults.busyRate = 0.1; }},
+        {"faults.dropRate", [](C &c) { c.faults.dropRate = 0.1; }},
+        {"faults.spuriousRate", [](C &c) { c.faults.spuriousRate = 0.1; }},
+        {"faults.attachRate", [](C &c) { c.faults.attachRate = 0.1; }},
+        {"faults.readFailRate", [](C &c) { c.faults.readFailRate = 0.1; }},
+        {"faults.tornRate", [](C &c) { c.faults.tornRate = 0.1; }},
+        {"faults.hangRate", [](C &c) { c.faults.hangRate = 0.1; }},
+        {"faults.counterWidthBits",
+         [](C &c) { c.faults.counterWidthBits = 48; }},
+        {"faults.watchdogInstrs", [](C &c) { c.faults.watchdogInstrs = 9; }},
+        {"faults.watchdogCycles", [](C &c) { c.faults.watchdogCycles = 9; }},
+        {"faults.retry", [](C &c) { c.faults.retry.retries = 9; }},
+        {"faults.seed", [](C &c) { c.faults.seed = 9; }},
+        {"profile.enabled",
+         [](C &c) { c.profile.enabled = !c.profile.enabled; }},
+        {"profile.periodTicks", [](C &c) { c.profile.periodTicks = 9; }},
+        {"profile.skidInstrs", [](C &c) { c.profile.skidInstrs = 9; }},
+        {"timerPeriodOverride", [](C &c) { c.timerPeriodOverride = 9; }},
+        {"runInstrBudget", [](C &c) { c.runInstrBudget = 9; }},
+        {"runCycleBudget", [](C &c) { c.runCycleBudget = 9; }},
+    };
+}
 
 } // namespace
 
@@ -279,39 +321,8 @@ TEST_F(MachineReuse, SameMachineIgnoresOnlyTheSeed)
     reseeded.seed = 77;
     EXPECT_TRUE(sameMachine(base, reseeded));
     EXPECT_TRUE(sameMachine(reseeded, base));
-    using C = MachineConfig;
-    const Edit<C> edits[] = {
-        {"processor", [](C &c) { c.processor = cpu::Processor::PentiumD; }},
-        {"iface", [](C &c) { c.iface = Interface::Pc; }},
-        {"interruptsEnabled", [](C &c) { c.interruptsEnabled = false; }},
-        {"ioInterrupts", [](C &c) { c.ioInterrupts = false; }},
-        {"preemptProb", [](C &c) { c.preemptProb = 0.5; }},
-        {"fastForward", [](C &c) { c.fastForward = false; }},
-        {"decodeCache", [](C &c) { c.decodeCache = false; }},
-        {"traceTier", [](C &c) { c.traceTier = false; }},
-        {"usePerfEvent", [](C &c) { c.usePerfEvent = true; }},
-        {"faults.busyRate", [](C &c) { c.faults.busyRate = 0.1; }},
-        {"faults.dropRate", [](C &c) { c.faults.dropRate = 0.1; }},
-        {"faults.spuriousRate", [](C &c) { c.faults.spuriousRate = 0.1; }},
-        {"faults.attachRate", [](C &c) { c.faults.attachRate = 0.1; }},
-        {"faults.readFailRate", [](C &c) { c.faults.readFailRate = 0.1; }},
-        {"faults.tornRate", [](C &c) { c.faults.tornRate = 0.1; }},
-        {"faults.hangRate", [](C &c) { c.faults.hangRate = 0.1; }},
-        {"faults.counterWidthBits",
-         [](C &c) { c.faults.counterWidthBits = 48; }},
-        {"faults.watchdogInstrs", [](C &c) { c.faults.watchdogInstrs = 9; }},
-        {"faults.watchdogCycles", [](C &c) { c.faults.watchdogCycles = 9; }},
-        {"faults.retry", [](C &c) { c.faults.retry.retries = 9; }},
-        {"faults.seed", [](C &c) { c.faults.seed = 9; }},
-        {"profile.enabled", [](C &c) { c.profile.enabled = true; }},
-        {"profile.periodTicks", [](C &c) { c.profile.periodTicks = 9; }},
-        {"profile.skidInstrs", [](C &c) { c.profile.skidInstrs = 9; }},
-        {"timerPeriodOverride", [](C &c) { c.timerPeriodOverride = 9; }},
-        {"runInstrBudget", [](C &c) { c.runInstrBudget = 9; }},
-        {"runCycleBudget", [](C &c) { c.runCycleBudget = 9; }},
-    };
-    for (const auto &[field, edit] : edits) {
-        C other = reseeded;
+    for (const auto &[field, edit] : machineEdits()) {
+        MachineConfig other = reseeded;
         edit(other);
         EXPECT_FALSE(sameMachine(base, other)) << field;
         EXPECT_FALSE(sameMachine(other, base)) << field;
@@ -319,9 +330,11 @@ TEST_F(MachineReuse, SameMachineIgnoresOnlyTheSeed)
 }
 
 /**
- * Sessions see the key through their HarnessConfig: the program's
- * own factors keep the idle machine, and any factor a machine is
- * booted for makes the session boot another.
+ * Sessions see the key through their HarnessConfig, which is a
+ * MachineConfig: the program's own factors keep the idle machine,
+ * and every machine field makes the session boot another. The edits
+ * are SameMachineIgnoresOnlyTheSeed's but usePerfEvent, which
+ * sessions reject (PatternsDeathTest.PerfEventMachineIsFatal).
  */
 TEST_F(MachineReuse, SessionsBootForEveryMachineFactor)
 {
@@ -342,22 +355,10 @@ TEST_F(MachineReuse, SessionsBootForEveryMachineFactor)
         EXPECT_EQ(boots(), booted);
         EXPECT_EQ(reuses(), 1u);
 
-        using C = HarnessConfig;
-        const Edit<C> edits[] = {
-            {"processor", [](C &c) { c.processor = cpu::Processor::AthlonX2; }},
-            {"iface", [](C &c) { c.iface = Interface::PLpc; }},
-            {"interruptsEnabled", [](C &c) { c.interruptsEnabled = false; }},
-            {"ioInterrupts", [](C &c) { c.ioInterrupts = false; }},
-            {"preemptProb", [](C &c) { c.preemptProb = 0.5; }},
-            {"fastForward", [](C &c) { c.fastForward = !c.fastForward; }},
-            {"decodeCache", [](C &c) { c.decodeCache = !c.decodeCache; }},
-            {"faults", [](C &c) { c.faults.tornRate = 0.1; }},
-            {"profile", [](C &c) { c.profile.enabled = !c.profile.enabled; }},
-            {"runInstrBudget", [](C &c) { c.runInstrBudget = 1'000'000; }},
-            {"runCycleBudget", [](C &c) { c.runCycleBudget = 1'000'000; }},
-        };
-        for (const auto &[field, edit] : edits) {
-            C other = base;
+        for (const auto &[field, edit] : machineEdits()) {
+            if (std::string(field) == "usePerfEvent")
+                continue;
+            HarnessConfig other = base;
             edit(other);
             { HarnessSession idle(base, null); }
             const Count before = boots();

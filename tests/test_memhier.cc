@@ -174,7 +174,7 @@ TEST(KornModels, MeasuredIcacheMissesMatchLinearModel)
     cfg.primaryEvent = EventType::IcacheMiss;
     cfg.interruptsEnabled = false;
     const LinearBench bench(8192);
-    const auto m = HarnessSession(cfg, bench).run(cfg.seed);
+    const auto m = HarnessSession(cfg, bench).run();
     const auto expected = *bench.expectedEvents(
         EventType::IcacheMiss, microArch(Processor::AthlonX2));
     EXPECT_NEAR(static_cast<double>(m.delta()),
@@ -191,7 +191,7 @@ TEST(KornModels, MeasuredDcacheMissesMatchWalkModel)
     cfg.primaryEvent = EventType::DcacheMiss;
     cfg.interruptsEnabled = false;
     const ArrayWalkBench bench(2048, 64);
-    const auto m = HarnessSession(cfg, bench).run(cfg.seed);
+    const auto m = HarnessSession(cfg, bench).run();
     EXPECT_NEAR(static_cast<double>(m.delta()), 2048.0, 4.0);
 }
 
@@ -205,7 +205,7 @@ TEST(KornModels, MeasuredDtlbMissesMatchWalkModel)
     cfg.primaryEvent = EventType::DtlbMiss;
     cfg.interruptsEnabled = false;
     const ArrayWalkBench bench(256, 4096);
-    const auto m = HarnessSession(cfg, bench).run(cfg.seed);
+    const auto m = HarnessSession(cfg, bench).run();
     EXPECT_NEAR(static_cast<double>(m.delta()), 256.0, 3.0);
 }
 

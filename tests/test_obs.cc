@@ -275,7 +275,7 @@ TEST_F(SpcTest, MeasurementRunFeedsCounters)
     cfg.seed = 11;
     // Long enough to span several 2.4M-cycle timer periods.
     harness::HarnessSession(cfg, harness::LoopBench(3'000'000))
-        .run(cfg.seed);
+        .run();
     // The session booted a machine or took this thread's idle one.
     EXPECT_EQ(spcValue(Spc::MachineBoots) + spcValue(Spc::MachineReuses),
               1u);
@@ -351,7 +351,7 @@ TEST_F(TracerTest, HarnessEmitsPhaseSpansWhenEnabled)
     cfg.pattern = harness::AccessPattern::StartRead;
     cfg.mode = harness::CountingMode::UserKernel;
     cfg.seed = 3;
-    harness::HarnessSession(cfg, harness::LoopBench(20000)).run(cfg.seed);
+    harness::HarnessSession(cfg, harness::LoopBench(20000)).run();
 
     std::ostringstream os;
     tracer().writeChromeJson(os);
@@ -486,7 +486,7 @@ TEST(Attribution, UserModeCountsOnlyPatternOverhead)
     cfg.pattern = AccessPattern::StartRead;
     cfg.mode = CountingMode::User;
     cfg.seed = 9;
-    const Measurement m = HarnessSession(cfg, LoopBench(100000)).run(cfg.seed);
+    const Measurement m = HarnessSession(cfg, LoopBench(100000)).run();
     EXPECT_EQ(m.attribution.total(), m.error());
     // User-mode counters never see kernel instructions.
     EXPECT_EQ(m.attribution.timerInterrupts, 0);

@@ -226,7 +226,7 @@ TEST(SessionEquivalence, RebootedRunEqualsFreshHarness)
             const Measurement viaSession = sess.run(99);
             const Measurement warmAgain = sess.run(7);
             const Measurement fresh =
-                HarnessSession(cfg, bench).run(cfg.seed);
+                HarnessSession(cfg, bench).run();
             expectSameMeasurement(viaSession, fresh);
             expectSameMeasurement(warm, warmAgain);
         }
@@ -248,7 +248,7 @@ TEST(SessionEquivalence, CoversModesAndCounterSets)
         HarnessSession sess(cfg, bench);
         sess.run(5);
         expectSameMeasurement(
-            sess.run(1234), HarnessSession(cfg, bench).run(cfg.seed));
+            sess.run(1234), HarnessSession(cfg, bench).run());
     }
 }
 
@@ -358,7 +358,7 @@ TEST(SessionEquivalence, ReusedAndSimulatedRunsEqualFreshHarness)
         for (int k = 0; k < seeds; ++k) {
             cfg.seed = mixSeed(sessions, 0x5e55ULL + k);
             expectSameMeasurement(sess.run(cfg.seed),
-                                  HarnessSession(cfg, bench).run(cfg.seed));
+                                  HarnessSession(cfg, bench).run());
         }
         const Count reused = obs::spcValue(obs::Spc::RunsReused) - before;
         mixed += reused > 0 && reused < seeds - 1;
@@ -372,7 +372,7 @@ TEST(SessionEquivalence, ReusedAndSimulatedRunsEqualFreshHarness)
         quiet.interruptsEnabled = false;
         constexpr Count probe = 100000;
         const Cycles probeCycles =
-            HarnessSession(quiet, LoopBench(probe)).run(quiet.seed).run.cycles;
+            HarnessSession(quiet, LoopBench(probe)).run().run.cycles;
         const LoopBench halfTick(cpu::microArch(proc).timerPeriodCycles() /
                                  2 * probe / probeCycles);
         for (Interface iface : allInterfaces()) {
@@ -604,7 +604,7 @@ TEST(SharedKernelImage, InterleavedSessionsEqualFreshMachines)
                 fresh.seed = seed;
                 const Measurement m = sess.run(seed);
                 expectSameMeasurement(
-                    m, HarnessSession(fresh, bench).run(fresh.seed));
+                    m, HarnessSession(fresh, bench).run());
                 interrupts += m.run.interrupts;
             }
         }

@@ -264,8 +264,6 @@ TEST(Profiler, GroundTruthHistogramsAndBiasReport)
     EXPECT_DOUBLE_EQ(rows[0].estShare, 0.0);
     EXPECT_EQ(rows[1].symbol, "g");
     EXPECT_DOUBLE_EQ(rows[1].estShare, 1.0);
-    EXPECT_DOUBLE_EQ(p.hotspotShareError(), 0.75);
-    EXPECT_DOUBLE_EQ(p.hotspotShareError(/*cycle_truth=*/true), 0.5);
 }
 
 TEST(Profiler, CollapsedStacksUseCallChain)

@@ -66,7 +66,7 @@ class EverySupportedConfig
 TEST_P(EverySupportedConfig, NullErrorNonNegative)
 {
     const HarnessConfig cfg = configOf(GetParam());
-    const auto m = HarnessSession(cfg, NullBench{}).run(cfg.seed);
+    const auto m = HarnessSession(cfg, NullBench{}).run();
     EXPECT_GE(m.error(), 0);
 }
 
@@ -74,7 +74,7 @@ TEST_P(EverySupportedConfig, NullErrorNonNegative)
 TEST_P(EverySupportedConfig, NullErrorBounded)
 {
     const HarnessConfig cfg = configOf(GetParam());
-    const auto m = HarnessSession(cfg, NullBench{}).run(cfg.seed);
+    const auto m = HarnessSession(cfg, NullBench{}).run();
     EXPECT_LT(m.error(), 20000);
 }
 
@@ -83,9 +83,9 @@ TEST_P(EverySupportedConfig, LoopErrorEqualsNullError)
 {
     const auto cfg = configOf(GetParam());
     const auto null_err =
-        HarnessSession(cfg, NullBench{}).run(cfg.seed).error();
+        HarnessSession(cfg, NullBench{}).run().error();
     const auto loop_err =
-        HarnessSession(cfg, LoopBench{20000}).run(cfg.seed).error();
+        HarnessSession(cfg, LoopBench{20000}).run().error();
     EXPECT_EQ(loop_err, null_err);
 }
 
@@ -93,8 +93,8 @@ TEST_P(EverySupportedConfig, LoopErrorEqualsNullError)
 TEST_P(EverySupportedConfig, Deterministic)
 {
     const auto cfg = configOf(GetParam());
-    const auto a = HarnessSession(cfg, LoopBench{5000}).run(cfg.seed);
-    const auto b = HarnessSession(cfg, LoopBench{5000}).run(cfg.seed);
+    const auto a = HarnessSession(cfg, LoopBench{5000}).run();
+    const auto b = HarnessSession(cfg, LoopBench{5000}).run();
     EXPECT_EQ(a.delta(), b.delta());
     EXPECT_EQ(a.run.cycles, b.run.cycles);
 }
@@ -103,7 +103,7 @@ TEST_P(EverySupportedConfig, Deterministic)
 TEST_P(EverySupportedConfig, ExpectedFollowsPaperModel)
 {
     const auto cfg = configOf(GetParam());
-    const auto m = HarnessSession(cfg, LoopBench{777}).run(cfg.seed);
+    const auto m = HarnessSession(cfg, LoopBench{777}).run();
     EXPECT_EQ(m.expected, 1u + 3u * 777u);
 }
 
@@ -139,8 +139,8 @@ TEST_P(EveryInterface, UserErrorAtMostUserKernel)
         auto cfg_u = configOf({cpu::Processor::Core2Duo, GetParam(),
                                pat, CountingMode::User});
         const auto uk =
-            HarnessSession(cfg_uk, NullBench{}).run(cfg_uk.seed);
-        const auto u = HarnessSession(cfg_u, NullBench{}).run(cfg_u.seed);
+            HarnessSession(cfg_uk, NullBench{}).run();
+        const auto u = HarnessSession(cfg_u, NullBench{}).run();
         EXPECT_LE(u.error(), uk.error()) << patternName(pat);
     }
 }
@@ -159,7 +159,7 @@ TEST_P(EveryInterface, ErrorMonotoneInCounterCountForReadRead)
         for (int i = 0; i + 1 < nc; ++i)
             cfg.extraEvents.push_back(menu[i]);
         const auto err =
-            HarnessSession(cfg, NullBench{}).run(cfg.seed).error();
+            HarnessSession(cfg, NullBench{}).run().error();
         EXPECT_GE(err, prev) << "nctrs=" << nc;
         prev = err;
     }
@@ -175,7 +175,7 @@ TEST_P(EveryInterface, OptLevelDoesNotChangeInstructionError)
                              CountingMode::UserKernel});
         cfg.optLevel = opt;
         const auto err =
-            HarnessSession(cfg, NullBench{}).run(cfg.seed).error();
+            HarnessSession(cfg, NullBench{}).run().error();
         if (baseline < 0)
             baseline = err;
         EXPECT_EQ(err, baseline) << "O" << opt;
@@ -196,9 +196,9 @@ TEST_P(EveryInterface, FastForwardInvariance)
                              CountingMode::UserKernel});
         const LoopBench loop(40000);
         cfg.fastForward = true;
-        const auto with_ff = HarnessSession(cfg, loop).run(cfg.seed);
+        const auto with_ff = HarnessSession(cfg, loop).run();
         cfg.fastForward = false;
-        const auto without_ff = HarnessSession(cfg, loop).run(cfg.seed);
+        const auto without_ff = HarnessSession(cfg, loop).run();
         const char *name = cpu::processorCode(proc);
         EXPECT_EQ(with_ff.delta(), without_ff.delta()) << name;
         EXPECT_EQ(with_ff.run.cycles, without_ff.run.cycles) << name;
@@ -265,7 +265,7 @@ TEST_P(EveryProcessor, LoopDeltaIndependentOfMicroArch)
 {
     auto cfg = configOf({GetParam(), Interface::Pm,
                          AccessPattern::ReadRead, CountingMode::User});
-    const auto m = HarnessSession(cfg, LoopBench{12345}).run(cfg.seed);
+    const auto m = HarnessSession(cfg, LoopBench{12345}).run();
     // delta = model + user-mode overhead (identical across arches:
     // library user code is arch-independent).
     EXPECT_EQ(m.delta() - m.expected, 37);
@@ -279,7 +279,7 @@ TEST_P(EveryProcessor, CyclesPerIterationWithinBand)
                          CountingMode::UserKernel});
     cfg.primaryEvent = cpu::EventType::CpuClkUnhalted;
     const Count iters = 100000;
-    const auto m = HarnessSession(cfg, LoopBench{iters}).run(cfg.seed);
+    const auto m = HarnessSession(cfg, LoopBench{iters}).run();
     const double cpi =
         static_cast<double>(m.delta()) / static_cast<double>(iters);
     EXPECT_GT(cpi, 0.9);
@@ -293,9 +293,9 @@ TEST_P(EveryProcessor, DisablingTscIncreasesPerfctrReadError)
                          AccessPattern::ReadRead,
                          CountingMode::UserKernel});
     cfg.tsc = true;
-    const auto on = HarnessSession(cfg, NullBench{}).run(cfg.seed);
+    const auto on = HarnessSession(cfg, NullBench{}).run();
     cfg.tsc = false;
-    const auto off = HarnessSession(cfg, NullBench{}).run(cfg.seed);
+    const auto off = HarnessSession(cfg, NullBench{}).run();
     EXPECT_GT(off.error(), on.error() * 5);
 }
 
@@ -311,10 +311,10 @@ TEST_P(EveryProcessor, DurationErrorOnlyWithKernelCounting)
     base.seed = 4242;
     const LoopBench big(4000000);
 
-    const auto uk = HarnessSession(base, big).run(base.seed);
+    const auto uk = HarnessSession(base, big).run();
     auto user_cfg = base;
     user_cfg.mode = CountingMode::User;
-    const auto u = HarnessSession(user_cfg, big).run(user_cfg.seed);
+    const auto u = HarnessSession(user_cfg, big).run();
 
     // Interrupts happened in both runs, but only the user+kernel
     // error includes their handlers.
@@ -342,7 +342,7 @@ TEST_P(LoopSizes, MeasuredDeltaIsModelPlusFixedOverhead)
     auto cfg = configOf({cpu::Processor::AthlonX2, Interface::Pc,
                          AccessPattern::ReadRead,
                          CountingMode::User});
-    const auto m = HarnessSession(cfg, LoopBench{GetParam()}).run(cfg.seed);
+    const auto m = HarnessSession(cfg, LoopBench{GetParam()}).run();
     EXPECT_EQ(m.delta(),
               static_cast<SCount>(1 + 3 * GetParam()) + 84);
 }

@@ -387,8 +387,8 @@ TEST(HangFault, InertHangPlanChangesNothing)
     clean.iface = Interface::Pm;
     HarnessConfig gated = clean;
     gated.faults = FaultPlan::parse("seed=1,hang=0");
-    const auto a = HarnessSession(clean, NullBench{}).run(clean.seed);
-    const auto b = HarnessSession(gated, NullBench{}).run(gated.seed);
+    const auto a = HarnessSession(clean, NullBench{}).run();
+    const auto b = HarnessSession(gated, NullBench{}).run();
     EXPECT_EQ(a.c0, b.c0);
     EXPECT_EQ(a.c1, b.c1);
     EXPECT_EQ(a.run.cycles, b.run.cycles);

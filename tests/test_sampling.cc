@@ -35,6 +35,9 @@ quiet()
     cfg.ioInterrupts = false;
     cfg.preemptProb = 0.0;
     cfg.seed = 3;
+    // Armed sampling forces a run off the block engine, so start on
+    // it whatever PCA_DECODE says.
+    cfg.decodeCache = true;
     return cfg;
 }
 
