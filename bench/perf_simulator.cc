@@ -41,22 +41,18 @@
  * file published by a process started with PCA_SPC_SNAPSHOT=<file>,
  * printing every new publish (torn-read safe via the seqlock).
  *
- * `perf_simulator --chaos [output.json]` soaks the resilient engine:
- * the fig01 workload runs under a PCA_FAULTS rate sweep at a fixed
- * fault-plan seed, asserting that every sweep step completes without
- * aborting, that degraded rows stay bounded, and that the chaos
- * output is deterministic. Every violated invariant is reported,
- * counted in the output's "violations" field, and turns the exit
- * status nonzero. Results (fault plan, degraded counts, retry
- * totals) go to BENCH_chaos.json.
- *
  * `perf_simulator --soak [output.json]` soaks the resilience layer
- * itself: a fault plan with hangs and a watchdog budget runs the
- * fig01 slice, then the same sweep is replayed, checkpointed,
+ * on a fig01 slice. First a PCA_FAULTS rate sweep at a fixed
+ * fault-plan seed: every step must complete, keep its degraded rows
+ * bounded and replay deterministically, and rate 0 must equal the
+ * fault-free table. Then a fault plan with hangs and a watchdog
+ * budget runs the slice, which is replayed, checkpointed,
  * crash-truncated and resumed, and cancelled and resumed — every
- * variant must produce byte-identical tables. Recovery rate, wasted
- * work, and resume fidelity go to BENCH_resilience.json; any
- * violated invariant makes the exit status nonzero.
+ * variant must produce byte-identical tables. The sweep's steps,
+ * recovery rate, wasted work and resume fidelity go to
+ * BENCH_resilience.json. Every violated invariant is reported,
+ * counted in its "violations" field, and turns the exit status
+ * nonzero.
  */
 
 #include <fcntl.h>
@@ -666,146 +662,21 @@ runStudiesMode(const std::string &out_path)
 }
 
 // ---------------------------------------------------------------- //
-// --chaos: fault-rate soak of the resilient study engine
+// --soak: resilience soak — a fault-rate sweep, then hangs,
+// deadlines, checkpoints and resume
 // ---------------------------------------------------------------- //
 
-struct ChaosStep
+/** One fault rate of the soak's sweep and what the study made of it. */
+struct SweepStep
 {
     double rate = 0.0;
-    std::string plan;       //!< PCA_FAULTS spec for this step
-    std::string fingerprint;
+    std::string plan; //!< PCA_FAULTS spec for this step
     std::size_t rows = 0;
     std::size_t degraded = 0;
     Count faultsInjected = 0;
     Count sessionRetries = 0;
     double sec = 0.0;
 };
-
-int
-runChaosMode(const std::string &out_path)
-{
-    // A slice of the fig01 workload — enough factor points to hit
-    // every interface and pattern, small enough to soak several
-    // fault rates in seconds.
-    const auto points = core::FactorSpace()
-                            .counterCounts({1, 2})
-                            .tscSettings({true})
-                            .generate();
-    constexpr int runsPerPoint = 4;
-    constexpr std::uint64_t seed = 20260704;
-    constexpr std::uint64_t faultSeed = 7;
-    const double rates[] = {0.0, 0.01, 0.05, 0.2};
-
-    std::cout << "chaos workload: " << points.size() << " points x "
-              << runsPerPoint << " runs, fault rates {0, 0.01, "
-                 "0.05, 0.2}\n";
-
-    // Violated invariants don't abort the sweep: every step still
-    // runs (so one report covers everything that is broken), but
-    // each violation is counted and the exit status ends up nonzero.
-    int violations = 0;
-    const auto violation = [&](const std::string &what) {
-        std::cerr << "FATAL: " << what << "\n";
-        ++violations;
-    };
-
-    // Reference output: no fault plan at all. Every sweep step with
-    // rate 0 must be byte-identical to this (inert plan == no plan).
-    unsetenv("PCA_FAULTS");
-    const std::string baseline = csvOf(core::runNullErrorStudy(
-        points, runsPerPoint, seed, core::StudyObsOptions{}));
-
-    std::vector<ChaosStep> steps;
-    for (const double rate : rates) {
-        ChaosStep step;
-        step.rate = rate;
-        step.plan = "seed=" + std::to_string(faultSeed) +
-                    ",rate=" + fmtDouble(rate, 2) + ",width=48";
-        setenv("PCA_FAULTS", step.plan.c_str(), 1);
-        step.fingerprint =
-            kernel::FaultPlan::fromEnv().fingerprint();
-
-        obs::spcReset();
-        obs::spcAttach("faults_injected,session_retries,"
-                       "degraded_points");
-        const auto t0 = std::chrono::steady_clock::now();
-        const auto table = core::runNullErrorStudy(
-            points, runsPerPoint, seed, core::StudyObsOptions{});
-        step.sec = secondsSince(t0);
-        step.rows = table.size();
-        step.degraded = table.degradedCount();
-        step.faultsInjected = obs::spcValue(obs::Spc::FaultsInjected);
-        step.sessionRetries = obs::spcValue(obs::Spc::SessionRetries);
-        obs::spcReset();
-
-        // Determinism: the same plan and seed must reproduce the
-        // same table bytes (the fault schedule is seeded, not timed).
-        const std::string csv = csvOf(table);
-        const auto replay = csvOf(core::runNullErrorStudy(
-            points, runsPerPoint, seed, core::StudyObsOptions{}));
-        if (csv != replay)
-            violation("chaos output not deterministic at rate " +
-                      fmtDouble(rate, 2));
-        if (rate == 0.0 && csv != baseline)
-            violation("rate-0 plan perturbed the study output");
-
-        // Degradation must stay bounded: transient faults are
-        // retried, so a run only degrades after failing all
-        // 1 + maxRetries attempts. Half the table degrading means
-        // the retry path is broken, not that faults were injected.
-        if (step.degraded * 2 > step.rows)
-            violation(std::to_string(step.degraded) + "/" +
-                      std::to_string(step.rows) +
-                      " rows degraded at rate " + fmtDouble(rate, 2));
-        if (rate == 0.0 && step.degraded != 0)
-            violation("degraded rows without faults");
-
-        std::cout << "rate " << fmtDouble(rate, 2) << ": "
-                  << step.rows << " rows, " << step.degraded
-                  << " degraded, " << step.faultsInjected
-                  << " faults injected, " << step.sessionRetries
-                  << " retries, " << fmtDouble(step.sec, 2) << " s\n";
-        steps.push_back(step);
-    }
-    unsetenv("PCA_FAULTS");
-
-    std::ofstream os(out_path);
-    if (!os) {
-        std::cerr << "cannot write " << out_path << "\n";
-        return 1;
-    }
-    os << "{\n"
-       << "  \"workload\": \"fig01_null_error_chaos\",\n"
-       << "  \"points\": " << points.size() << ",\n"
-       << "  \"runs_per_point\": " << runsPerPoint << ",\n"
-       << "  \"threads\": " << defaultThreadCount() << ",\n"
-       << "  \"fault_plan_seed\": " << faultSeed << ",\n"
-       << "  \"steps\": [\n";
-    for (std::size_t i = 0; i < steps.size(); ++i) {
-        const ChaosStep &s = steps[i];
-        os << "    {\"rate\": " << fmtDouble(s.rate, 2)
-           << ", \"fault_plan\": \"" << s.fingerprint
-           << "\", \"rows\": " << s.rows
-           << ", \"degraded\": " << s.degraded
-           << ", \"faults_injected\": " << s.faultsInjected
-           << ", \"session_retries\": " << s.sessionRetries
-           << ", \"sec\": " << fmtDouble(s.sec, 4) << "}"
-           << (i + 1 < steps.size() ? "," : "") << "\n";
-    }
-    os << "  ],\n"
-       << "  \"violations\": " << violations << ",\n"
-       << "  \"completed\": true\n"
-       << "}\n";
-    std::cout << "wrote " << out_path << "\n";
-    if (violations != 0)
-        std::cerr << violations << " invariant violation"
-                  << (violations == 1 ? "" : "s") << "\n";
-    return violations == 0 ? 0 : 1;
-}
-
-// ---------------------------------------------------------------- //
-// --soak: resilience soak — hangs, deadlines, checkpoints, resume
-// ---------------------------------------------------------------- //
 
 /**
  * Simulate a crash: rewrite @p path keeping the header and the first
@@ -834,10 +705,9 @@ truncateCheckpoint(const std::string &path)
 int
 runSoakMode(const std::string &out_path)
 {
-    // The chaos slice, under a plan that adds hangs: reads can wedge
-    // in an infinite kernel loop, and only the watchdog budget gets
-    // them back. Every hang must surface as a retried
-    // DeadlineExceeded — never a stuck study.
+    // A slice of the fig01 workload — enough factor points to hit
+    // every interface and pattern, small enough to soak several
+    // fault plans in seconds.
     const auto points = core::FactorSpace()
                             .counterCounts({1, 2})
                             .tscSettings({true})
@@ -847,13 +717,17 @@ runSoakMode(const std::string &out_path)
     const std::string plan =
         "seed=7,rate=0.02,hang=0.05,budget=2000000,width=48";
 
+    // Violated invariants don't abort the soak: every phase still
+    // runs (so one report covers everything that is broken), but
+    // each violation is counted and the exit status ends up nonzero.
     int violations = 0;
     const auto violation = [&](const std::string &what) {
         std::cerr << "FATAL: " << what << "\n";
         ++violations;
     };
     std::cout << "soak workload: " << points.size() << " points x "
-              << runsPerPoint << " runs, plan \"" << plan << "\"\n";
+              << runsPerPoint << " runs, fault rates {0, 0.01, "
+                 "0.05, 0.2}, then plan \"" << plan << "\"\n";
 
     const std::string ckpt = out_path + ".ckpt.jsonl";
     std::remove(ckpt.c_str());
@@ -861,15 +735,68 @@ runSoakMode(const std::string &out_path)
     const std::string saved_threads =
         old_threads ? old_threads : "";
     unsetenv("PCA_CHECKPOINT");
-    setenv("PCA_FAULTS", plan.c_str(), 1);
+    unsetenv("PCA_FAULTS");
     const auto runStudy = [&] {
         return core::runNullErrorStudy(points, runsPerPoint, seed,
                                        core::StudyObsOptions{});
     };
 
-    // 1. Baseline under the hang plan. The study must terminate
-    // (watchdog, not wall-clock luck), complete >= 99% of its rows,
-    // and actually exercise the deadline path.
+    // 1. The fault-rate sweep. Every rate-0 step must be
+    // byte-identical to the run without a plan (inert plan == no
+    // plan).
+    const std::string faultFree = csvOf(runStudy());
+    std::vector<SweepStep> sweep;
+    for (const double rate : {0.0, 0.01, 0.05, 0.2}) {
+        SweepStep step;
+        step.rate = rate;
+        step.plan = "seed=7,rate=" + fmtDouble(rate, 2) + ",width=48";
+        setenv("PCA_FAULTS", step.plan.c_str(), 1);
+        obs::spcReset();
+        obs::spcAttach("faults_injected,session_retries");
+        const auto t0 = std::chrono::steady_clock::now();
+        const auto table = runStudy();
+        step.sec = secondsSince(t0);
+        step.rows = table.size();
+        step.degraded = table.degradedCount();
+        step.faultsInjected = obs::spcValue(obs::Spc::FaultsInjected);
+        step.sessionRetries = obs::spcValue(obs::Spc::SessionRetries);
+        obs::spcReset();
+
+        // Determinism: the same plan and seed must reproduce the
+        // same table bytes (the fault schedule is seeded, not timed).
+        const std::string csv = csvOf(table);
+        if (csv != csvOf(runStudy()))
+            violation("sweep not deterministic at rate " +
+                      fmtDouble(rate, 2));
+        if (rate == 0.0 && csv != faultFree)
+            violation("rate-0 plan perturbed the study output");
+
+        // Degradation must stay bounded: transient faults are
+        // retried, so a run only degrades after failing all
+        // 1 + maxRetries attempts. Half the table degrading means
+        // the retry path is broken, not that faults were injected.
+        if (step.degraded * 2 > step.rows)
+            violation(std::to_string(step.degraded) + "/" +
+                      std::to_string(step.rows) +
+                      " rows degraded at rate " + fmtDouble(rate, 2));
+        if (rate == 0.0 && step.degraded != 0)
+            violation("degraded rows without faults");
+
+        std::cout << "rate " << fmtDouble(rate, 2) << ": "
+                  << step.rows << " rows, " << step.degraded
+                  << " degraded, " << step.faultsInjected
+                  << " faults injected, " << step.sessionRetries
+                  << " retries, " << fmtDouble(step.sec, 2) << " s\n";
+        sweep.push_back(step);
+    }
+
+    // 2. The hang plan: reads can wedge in an infinite kernel loop,
+    // and only the watchdog budget gets them back, so every hang
+    // must surface as a retried DeadlineExceeded — never a stuck
+    // study. Its baseline must terminate (watchdog, not wall-clock
+    // luck), complete >= 99% of its rows, and actually exercise the
+    // deadline path.
+    setenv("PCA_FAULTS", plan.c_str(), 1);
     obs::spcReset();
     obs::spcAttach("runs_executed,session_retries,"
                    "deadline_exceeded_runs,retry_backoff_cycles,"
@@ -894,7 +821,7 @@ runSoakMode(const std::string &out_path)
         ? 1.0
         : 1.0 - static_cast<double>(degraded) /
                     static_cast<double>(rows);
-    std::cout << "baseline: " << rows << " rows, " << degraded
+    std::cout << "hang plan: " << rows << " rows, " << degraded
               << " degraded, " << deadlines << " deadline runs, "
               << retries << " retries, "
               << fmtDouble(baselineSec, 2) << " s\n";
@@ -904,18 +831,18 @@ runSoakMode(const std::string &out_path)
     if (deadlines == 0)
         violation("hang plan fired no deadline_exceeded runs");
 
-    // 2. Determinism: hang recovery is seeded virtual time, so a
+    // 3. Determinism: hang recovery is seeded virtual time, so a
     // replay must reproduce the table bytes.
     if (csvOf(runStudy()) != baseline)
         violation("soak output not deterministic");
 
-    // 3. Checkpointing must be invisible: a fresh checkpointed run
+    // 4. Checkpointing must be invisible: a fresh checkpointed run
     // emits the same bytes while recording every point.
     setenv("PCA_CHECKPOINT", ckpt.c_str(), 1);
     if (csvOf(runStudy()) != baseline)
         violation("checkpointed run diverged from baseline");
 
-    // 4. Crash the checkpoint (drop half the records, tear the next
+    // 5. Crash the checkpoint (drop half the records, tear the next
     // line) and resume single-threaded: byte-identical output again,
     // from measurably less work than a full rerun.
     const std::size_t kept = truncateCheckpoint(ckpt);
@@ -943,7 +870,7 @@ runSoakMode(const std::string &out_path)
     if (kept > 0 && resumeRuns >= fullRuns)
         violation("resume re-measured everything (no work saved)");
 
-    // 5. Cooperative cancellation: a pending cancel drains cleanly
+    // 6. Cooperative cancellation: a pending cancel drains cleanly
     // as a typed Cancelled error, and the checkpoint left behind
     // resumes to the same bytes.
     std::remove(ckpt.c_str());
@@ -989,6 +916,19 @@ runSoakMode(const std::string &out_path)
        << "  \"points\": " << points.size() << ",\n"
        << "  \"runs_per_point\": " << runsPerPoint << ",\n"
        << "  \"threads\": " << defaultThreadCount() << ",\n"
+       << "  \"sweep\": [\n";
+    for (std::size_t i = 0; i < sweep.size(); ++i) {
+        const SweepStep &st = sweep[i];
+        os << "    {\"rate\": " << fmtDouble(st.rate, 2)
+           << ", \"fault_plan\": \"" << st.plan
+           << "\", \"rows\": " << st.rows
+           << ", \"degraded\": " << st.degraded
+           << ", \"faults_injected\": " << st.faultsInjected
+           << ", \"session_retries\": " << st.sessionRetries
+           << ", \"sec\": " << fmtDouble(st.sec, 4) << "}"
+           << (i + 1 < sweep.size() ? "," : "") << "\n";
+    }
+    os << "  ],\n"
        << "  \"rows\": " << rows << ",\n"
        << "  \"degraded\": " << degraded << ",\n"
        << "  \"completion_rate\": " << fmtDouble(completion, 6)
@@ -1369,12 +1309,6 @@ main(int argc, char **argv)
                 : "BENCH_interpreter.json";
             return runInterpMode(out);
         }
-        if (std::strcmp(argv[i], "--chaos") == 0) {
-            const std::string out = i + 1 < argc
-                ? argv[i + 1]
-                : "BENCH_chaos.json";
-            return runChaosMode(out);
-        }
         if (std::strcmp(argv[i], "--soak") == 0) {
             const std::string out = i + 1 < argc
                 ? argv[i + 1]
@@ -1409,7 +1343,7 @@ main(int argc, char **argv)
         }
     }
     std::cerr << "usage: " << argv[0]
-              << " --studies|--interp|--chaos|--soak [output.json]\n"
+              << " --studies|--interp|--soak [output.json]\n"
                  "       "
               << argv[0]
               << " --e2e [output.json] [bench_dir ...]\n"

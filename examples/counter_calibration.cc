@@ -6,18 +6,18 @@
  * to learn the duration-dependent overhead, then correct real
  * measurements with both.
  *
- * This is the workflow Najafzadeh et al. propose (null probes) made
- * concrete; the example shows that after calibration the corrected
- * counts match the analytical model to within a few instructions.
+ * This is the workflow Najafzadeh et al. propose (null probes), as
+ * core::Compensator implements it (§9); the example applies one
+ * calibration to new measurements and shows what each part of the
+ * correction removes.
  */
 
 #include <iostream>
 
+#include "core/compensate.hh"
 #include "harness/microbench.hh"
 #include "harness/session.hh"
 #include "obs/env.hh"
-#include "stats/descriptive.hh"
-#include "stats/regression.hh"
 #include "support/strutil.hh"
 #include "support/table.hh"
 
@@ -37,43 +37,24 @@ main()
     cfg.pattern = AccessPattern::StartRead;
     cfg.mode = CountingMode::UserKernel;
 
-    // --- Step 1: fixed overhead from the null benchmark ---
-    std::vector<double> null_errs;
-    for (const StatusOr<Measurement> &m :
-         measurePoint(cfg, NullBench{}, 15, [](int r) {
-             return 100 + static_cast<std::uint64_t>(r);
-         }))
-        null_errs.push_back(static_cast<double>(m.value().error()));
-    const double fixed_overhead = stats::median(null_errs);
+    // Steps 1 and 2: the null benchmark's median error is the fixed
+    // overhead; regressing loop errors on their instruction counts
+    // gives the duration-dependent overhead.
+    const auto comp = core::Compensator::calibrate(cfg);
     std::cout << "fixed overhead (null benchmark median):   "
-              << fixed_overhead << " instructions\n";
-
-    // --- Step 2: variable overhead from the loop benchmark ---
-    std::vector<double> xs, ys;
-    for (Count size : {100000u, 400000u, 700000u, 1000000u}) {
-        for (const StatusOr<Measurement> &m :
-             measurePoint(cfg, LoopBench(size), 6, [size](int r) {
-                 return 500 + size / 1000 +
-                     static_cast<std::uint64_t>(r);
-             })) {
-            xs.push_back(static_cast<double>(size));
-            ys.push_back(static_cast<double>(m.value().error()));
-        }
-    }
-    const auto fit = stats::linearFit(xs, ys);
+              << comp.fixedOverhead() << " instructions\n";
     std::cout << "variable overhead (loop regression slope): "
-              << fmtSci(fit.slope, 3) << " instructions/iteration\n\n";
+              << fmtSci(comp.slopePerInstruction(), 3)
+              << " instructions/instruction\n\n";
 
-    // --- Step 3: correct real measurements ---
+    // Step 3: correct new measurements.
     std::cout << "applying the calibration to new measurements:\n\n";
     TextTable t({"iters", "raw c-delta", "corrected", "model",
                  "residual"});
     for (Count size : {5000u, 50000u, 500000u, 2000000u}) {
         const LoopBench loop(size);
         const auto m = HarnessSession(cfg, loop).run(9000 + size);
-        const double corrected =
-            static_cast<double>(m.delta()) - fixed_overhead -
-            fit.slope * static_cast<double>(size);
+        const double corrected = comp.compensate(m);
         const auto model =
             static_cast<double>(loop.expectedInstructions());
         t.addRow({fmtCount(static_cast<long long>(size)),
@@ -83,8 +64,11 @@ main()
                   fmtDouble(corrected - model, 1)});
     }
     t.print(std::cout);
-    std::cout << "\nResiduals within a few tens of instructions "
-                 "even for multi-million\ninstruction runs — versus "
-                 "raw errors of hundreds to thousands.\n";
+    std::cout
+        << "\nThe fixed overhead is removed exactly. The duration "
+           "overhead is removed\nonly on average: a run that saw no "
+           "timer interrupt is over-corrected by\nthe slope times its "
+           "length, and a run that saw one still carries\nwhole "
+           "interrupts of kernel work.\n";
     return 0;
 }

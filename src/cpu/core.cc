@@ -373,7 +373,6 @@ Core::run(CodePtr entry, Count max_instr)
     pca_assert(program);
     pc = entry;
     halted = false;
-    Count steps = 0;
     // An attached profiler keeps the whole run on the per-step path;
     // armed sampling may start mid-run, and counts once when it does.
     if (blockEngine && prof != nullptr)
@@ -393,7 +392,7 @@ Core::run(CodePtr entry, Count max_instr)
         }
         if (blockEngine && !pmuUnit.samplingActive() &&
             prof == nullptr) {
-            steps += stepBlock();
+            stepBlock();
         } else {
             // Sampling sessions and an attached profiler force pure
             // interpretation: overflow (or the retired-PC ground
@@ -405,18 +404,21 @@ Core::run(CodePtr entry, Count max_instr)
                 PCA_SPC_INC(RunsForcedStepSampling);
             }
             step();
-            ++steps;
         }
-        if (steps > max_instr)
-            // Names the limit, not the step count: one block-engine
-            // dispatch overshoots it by up to a chunk, and the
-            // degraded-row note derived from this message must not
-            // depend on the engine.
+        // Retired, not dispatched: a folded loop retires its
+        // iterations in one dispatch, so only the retired count
+        // reaches the same verdict with folding on and off.
+        const Count retired = instrPerMode[0] + instrPerMode[1];
+        if (retired > max_instr)
+            // Names the limit, not the retired count: one dispatch
+            // overshoots it by up to a chunk or a folded loop, and
+            // the degraded-row note derived from this message must
+            // not depend on the engine.
             throw StatusError(Status(
                 StatusCode::ResourceExhausted,
                 "runaway program: more than " +
                     std::to_string(max_instr) +
-                    " steps without halting"));
+                    " instructions retired without halting"));
         if (deadlineInstrs != 0 || deadlineCycles != 0) {
             // The watchdog. Checked only at dispatch boundaries
             // (each engine caps a dispatch at one chunk, so a wedged
@@ -425,8 +427,6 @@ Core::run(CodePtr entry, Count max_instr)
             // overrun was observed at, because that position differs
             // between the engines while the degraded-row note
             // derived from this message must not.
-            const Count retired =
-                instrPerMode[0] + instrPerMode[1];
             if ((deadlineInstrs != 0 && retired > deadlineInstrs) ||
                 (deadlineCycles != 0 &&
                  cycleCount > deadlineCycles))
@@ -517,8 +517,7 @@ Core::step()
 
 /**
  * Execute one straight-line run of the current block's instructions
- * in a single dispatch. Returns the number of steps taken (== retired
- * instructions for inline runs; 1 for the escape fallback).
+ * in a single dispatch (or one step() for the escape fallback).
  *
  * It fetches, executes and retires through step()'s helpers, so
  * bit-identity with the per-step interpreter rests on five facts
@@ -550,7 +549,7 @@ Core::step()
  * A dispatch retires at most one chunk of instructions, so it may
  * end inside a Nop record; pc.pos then names the next Nop.
  */
-Count
+void
 Core::stepBlock()
 {
     const isa::CodeBlock &blk = program->block(pc.block);
@@ -561,7 +560,7 @@ Core::stepBlock()
         obs::spcInc(idx < n ? escapeSpc(code[idx].op)
                             : obs::Spc::BlockEscapeOther);
         step();
-        return 1;
+        return;
     }
 
     const Mode mode = curMode;
@@ -572,8 +571,8 @@ Core::stepBlock()
     auto pos = static_cast<Count>(pc.pos); //!< Nop within a Nop record
 
     // Cap one dispatch at a chunk of instructions so run()'s runaway
-    // guard still triggers on programs that never escape (a
-    // Halt-less inline loop).
+    // guard and watchdog still trigger on programs that never escape
+    // (a Halt-less inline loop).
     constexpr Count chunk = 65536;
 
     Count retired = 0;  //!< batched, not yet flushed
@@ -684,7 +683,6 @@ Core::stepBlock()
     flush();
     pc.index = static_cast<int>(idx);
     pc.pos = static_cast<int>(pos);
-    return total;
 }
 
 /**

@@ -101,8 +101,8 @@ class Core : public isa::CpuContext
     /**
      * Enable/disable loop fast-forwarding (default on). Disabling
      * forces pure interpretation; architectural and PMU results are
-     * identical either way (asserted by tests, measured by the
-     * ablation bench).
+     * identical either way (asserted by tests, timed by
+     * `perf_simulator --interp`).
      */
     void setFastForwardEnabled(bool on) { ffEnabled = on; }
 
@@ -115,7 +115,7 @@ class Core : public isa::CpuContext
      * attached), step() runs one instruction at a time and applies
      * its charges at once. Architectural state, PMU counts, interrupt
      * delivery points and fault schedules are identical either way
-     * (asserted by tests, measured by the ablation bench).
+     * (asserted by tests, timed by `perf_simulator --interp`).
      */
     void setBlockEngineEnabled(bool on) { blockEngine = on; }
 
@@ -163,10 +163,11 @@ class Core : public isa::CpuContext
      *
      * @param entry first instruction
      * @param max_instr runaway guard: throws
-     *        StatusError(ResourceExhausted) once exceeded
+     *        StatusError(ResourceExhausted) once more instructions
+     *        than this have retired (user plus kernel)
      */
     RunResult run(isa::CodePtr entry,
-                  Count max_instr = 500'000'000ULL);
+                  Count max_instr = 1'000'000'000ULL);
 
     Pmu &pmu() { return pmuUnit; }
     const Pmu &pmu() const { return pmuUnit; }
@@ -267,7 +268,7 @@ class Core : public isa::CpuContext
     };
 
     void step();
-    Count stepBlock();
+    void stepBlock();
     bool execInline(const isa::Inst &in, Cycles &cycles,
                     Count &branches);
     void execute(const isa::Inst &in);

@@ -36,7 +36,7 @@ namespace pca::harness
  * the environment sets PCA_DECODE=0/off/false. Every machine, raw or
  * built by a session, reads it through that default, so this is the
  * one switch that flips every run to pure per-step interpretation —
- * the lever the byte-identity tests and the ablation bench pull.
+ * the lever CI's engine byte-identity diff pulls.
  */
 bool defaultDecodeCache();
 
@@ -106,8 +106,8 @@ struct MachineConfig
     /**
      * Watchdog: retired-instruction budget per run(); exceeding it
      * aborts the run with a DeadlineExceeded status instead of
-     * wedging (or hitting the interpreter's 500M-step runaway guard,
-     * a ResourceExhausted status that is never retried). 0 =
+     * wedging (or hitting the interpreter's 1G-instruction runaway
+     * guard, a ResourceExhausted status that is never retried). 0 =
      * unlimited. When 0, faults.watchdogInstrs applies instead, so a
      * fault plan with hangs carries its own watchdog.
      */

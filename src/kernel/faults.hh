@@ -115,7 +115,7 @@ struct FaultPlan
     /**
      * Watchdog: retired-instruction budget per Machine::run; the run
      * aborts with DeadlineExceeded once exceeded. 0 = unlimited
-     * (only the interpreter's 500M runaway backstop applies). A plan
+     * (only the interpreter's 1G runaway backstop applies). A plan
      * with hangRate > 0 needs a budget, or every hang falls through
      * to that backstop, which fails the run with ResourceExhausted:
      * not transient, so the point degrades instead of retrying.

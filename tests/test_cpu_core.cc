@@ -550,7 +550,34 @@ TEST(CoreGuard, RunawayIsResourceExhaustedOnBothEngines)
         EXPECT_EQ(st.code(), StatusCode::ResourceExhausted);
     EXPECT_EQ(seen[0].message(), seen[1].message());
     EXPECT_EQ(seen[0].message(),
-              "runaway program: more than 10000 steps without halting");
+              "runaway program: more than 10000 instructions retired "
+              "without halting");
+}
+
+TEST(CoreGuard, FoldedLoopCountsTowardRunawayLimit)
+{
+    // A counted loop of 3,000,002 retired instructions against a
+    // limit of 100,000: folding retires the loop in one dispatch,
+    // so the guard must count retired instructions, not dispatches,
+    // to reach the same verdict as plain interpretation.
+    for (const bool ff : {true, false}) {
+        TestMachine m;
+        Assembler a("main");
+        a.movImm(Reg::Eax, 0);
+        int loop = a.label();
+        a.addImm(Reg::Eax, 1).cmpImm(Reg::Eax, 1000000).jne(loop).halt();
+        m.prog.add(a.take());
+        m.finish();
+        m.core->setFastForwardEnabled(ff);
+        try {
+            const RunResult r = m.core->run(m.prog.entry("main"), 100000);
+            ADD_FAILURE() << "ff=" << ff << ": halted after "
+                          << r.userInstr << " instructions";
+        } catch (const StatusError &e) {
+            EXPECT_EQ(e.status().code(), StatusCode::ResourceExhausted)
+                << "ff=" << ff;
+        }
+    }
 }
 
 TEST(CoreFastForward, MatchesInterpretationExactly)

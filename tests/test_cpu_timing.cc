@@ -179,6 +179,7 @@ TEST(Timing, FastForwardPreservesCycleCounts)
         cfg.iface = Interface::Pc;
         cfg.interruptsEnabled = false;
         cfg.fastForward = ff;
+        cfg.profile = obs::ProfileConfig{}; // a profiler stops folding
         Machine m(cfg);
         Assembler a("main");
         a.movImm(Reg::Eax, 0);

@@ -132,6 +132,7 @@ identityConfig(cpu::Processor proc = cpu::Processor::PentiumD,
     cfg.iface = Interface::Pc;
     cfg.fastForward = ff;
     cfg.interruptsEnabled = interrupts;
+    cfg.profile = obs::ProfileConfig{}; // a profiler forces step()
     return cfg;
 }
 
@@ -623,6 +624,7 @@ TEST(BlockLayout, NopRunCounterCountsFoldedNops)
         obs::spcAttach("nop_run_instrs");
         MachineConfig cfg;
         cfg.decodeCache = decode;
+        cfg.profile = obs::ProfileConfig{}; // a profiler forces step()
         Machine m(cfg);
         isa::Assembler a("main");
         a.work(500).halt();

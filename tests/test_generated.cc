@@ -300,9 +300,10 @@ runGenerated(std::uint64_t seed, cpu::Processor proc, bool block,
     cfg.seed = seed;
     cfg.decodeCache = block;
     cfg.fastForward = ff;
+    cfg.profile = obs::ProfileConfig{}; // a profiler forces step()
     cfg.timerPeriodOverride = gen.timerPeriod();
     // A wrong branch or counter trips the watchdog, not the
-    // 500 M-step runaway guard.
+    // 1 G-instruction runaway guard.
     cfg.runInstrBudget = 1'000'000;
     Machine m(cfg);
     const Expected expected = gen.emit(m);

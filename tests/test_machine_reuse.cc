@@ -262,6 +262,9 @@ TEST_F(MachineReuse, ReusedMachineRunsEqualFreshBoots)
                     cfg.iface = iface;
                     cfg.pattern = pat;
                     cfg.mode = mode;
+                    // The next test covers a profiled machine; this
+                    // sweep would take minutes on the per-step path.
+                    cfg.profile = obs::ProfileConfig{};
                     HarnessConfig before = cfg;
                     before.pattern = otherPattern(iface, pat);
                     before.mode = mode == CountingMode::User

@@ -273,6 +273,7 @@ TEST_F(SpcTest, MeasurementRunFeedsCounters)
     cfg.pattern = harness::AccessPattern::StartRead;
     cfg.mode = harness::CountingMode::UserKernel;
     cfg.seed = 11;
+    cfg.profile = ProfileConfig{}; // a profiler stops folding
     // Long enough to span several 2.4M-cycle timer periods.
     harness::HarnessSession(cfg, harness::LoopBench(3'000'000))
         .run();
@@ -372,6 +373,7 @@ TEST_F(TracerTest, ReusedRunRecordsOneInstantEvent)
 {
     harness::HarnessConfig cfg;
     cfg.interruptsEnabled = false;
+    cfg.profile = ProfileConfig{}; // a profiler blocks reuse
     harness::measurePoint(cfg, harness::NullBench(), 12,
                           [](int r) { return 1 + r; });
 
@@ -396,6 +398,7 @@ TEST_F(TracerTest, ReusedRunInstantSitsAtCycleZero)
     // machine starts.
     harness::HarnessConfig cfg;
     cfg.interruptsEnabled = false;
+    cfg.profile = ProfileConfig{}; // a profiler blocks reuse
     harness::measurePoint(cfg, harness::NullBench(), 3,
                           [](int r) { return 1 + r; });
 

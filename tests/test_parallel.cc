@@ -390,6 +390,7 @@ TEST(SessionEquivalence, ReusedAndSimulatedRunsEqualFreshHarness)
                     cfg.iface = iface;
                     cfg.pattern = pat;
                     cfg.mode = mode;
+                    cfg.profile = obs::ProfileConfig{}; // blocks reuse
                     check(cfg, null);
                     check(cfg, halfTick);
                 }
@@ -464,7 +465,9 @@ countReuse(const HarnessConfig &cfg, const MicroBenchmark &bench)
 TEST(ResultReuse, KnownAnswersForATwelveRunPoint)
 {
     const NullBench null;
-    HarnessConfig quiet;
+    HarnessConfig plain;
+    plain.profile = obs::ProfileConfig{}; // a profiler blocks reuse
+    HarnessConfig quiet = plain;
     quiet.interruptsEnabled = false;
     ReuseCounts c = countReuse(quiet, null);
     EXPECT_EQ(c.reused, 11u);
@@ -487,13 +490,13 @@ TEST(ResultReuse, KnownAnswersForATwelveRunPoint)
     EXPECT_EQ(c.executed, 12u);
 
     // A loop longer than one timer period takes a tick on every seed.
-    c = countReuse(HarnessConfig{}, LoopBench(5000000));
+    c = countReuse(plain, LoopBench(5000000));
     EXPECT_EQ(c.reused, 0u);
     EXPECT_EQ(c.blocked, 11u);
     EXPECT_EQ(c.executed, 12u);
 
     // On an inert plan every later run is one or the other.
-    c = countReuse(HarnessConfig{}, null);
+    c = countReuse(plain, null);
     EXPECT_EQ(c.reused + c.blocked, 11u);
     EXPECT_EQ(c.executed, 12u - c.reused);
 }
@@ -510,6 +513,8 @@ TEST(ResultReuse, SeedHorizonNeedsNoReboot)
                 mc.processor = proc;
                 mc.ioInterrupts = io;
                 mc.timerPeriodOverride = period;
+                // A profiler's horizon is 0; checked below.
+                mc.profile = obs::ProfileConfig{};
                 Machine m(mc);
                 m.finalize();
                 for (std::uint64_t s = 0; s < 200; ++s) {
@@ -527,6 +532,7 @@ TEST(ResultReuse, SeedHorizonNeedsNoReboot)
     // the seed from cycle 0.
     MachineConfig quiet;
     quiet.interruptsEnabled = false;
+    quiet.profile = obs::ProfileConfig{};
     MachineConfig faulty;
     faulty.faults = kernel::FaultPlan::parse("seed=1,width=48");
     MachineConfig profiled;
@@ -544,6 +550,7 @@ TEST(ResultReuse, OnlyExecutedRunsReboot)
     // Interrupts off: one run executes, eleven reuse it unbooted.
     HarnessConfig quiet;
     quiet.interruptsEnabled = false;
+    quiet.profile = obs::ProfileConfig{}; // a profiler blocks reuse
     obs::spcReset();
     obs::spcAttach("machine_reboots,runs_executed,runs_reused");
     const auto runs = measurePoint(quiet, NullBench(), 12, [](int r) {

@@ -195,6 +195,7 @@ TEST_P(EveryInterface, FastForwardInvariance)
         auto cfg = configOf({proc, GetParam(), AccessPattern::StartRead,
                              CountingMode::UserKernel});
         const LoopBench loop(40000);
+        cfg.profile = obs::ProfileConfig{}; // a profiler stops folding
         cfg.fastForward = true;
         const auto with_ff = HarnessSession(cfg, loop).run();
         cfg.fastForward = false;
@@ -231,6 +232,7 @@ TEST(FastForwardPeriod, TimerTicksMidPeriodChangeNothing)
             cfg.iface = Interface::Pm;
             cfg.seed = seed;
             cfg.fastForward = ff;
+            cfg.profile = obs::ProfileConfig{}; // a profiler stops folding
             Machine m(cfg);
             isa::Assembler a("main");
             loop.emit(a);

@@ -36,8 +36,9 @@ quiet()
     cfg.preemptProb = 0.0;
     cfg.seed = 3;
     // Armed sampling forces a run off the block engine, so start on
-    // it whatever PCA_DECODE says.
+    // it whatever PCA_DECODE and PCA_PROFILE say.
     cfg.decodeCache = true;
+    cfg.profile = obs::ProfileConfig{};
     return cfg;
 }
 
