@@ -16,11 +16,14 @@
  * (systematic error up) — the profiler-flavoured restatement of the
  * paper's thesis that measurement error must itself be measured.
  *
+ * A sampler costs the simulated machine nothing, so every cell is
+ * derived (Profiler::sample) from one run per seed.
+ *
  * Outputs: results/profiler_bias.csv (one row per cell x symbol)
  * and results/profiler_stacks.txt (collapsed stacks, flamegraph
- * format) from the precise cell.
+ * format) from the precise cell's seed-1 run.
  *
- * `--smoke`: runs only the period=1/skid=0 cell and exits nonzero
+ * `--smoke`: derives only the period=1/skid=0 cell and exits nonzero
  * unless the sample histogram equals the tick histogram exactly and
  * the hotspot-share error is small — the CI ground-truth gate.
  */
@@ -29,6 +32,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <map>
 #include <string>
 #include <vector>
@@ -60,20 +64,22 @@ constexpr Count coldIters = 60000;
  */
 constexpr Cycles timerPeriod = 9973;
 
-/** Build the three-function workload on a profiled machine. */
+/** The sweep's sampling periods (ticks) and skids (instructions). */
+constexpr Count periods[] = {1, 2, 4, 8};
+constexpr Count skids[] = {0, 1, 8, 32};
+
+/** Build the three-function workload, recorded for every skid. */
 std::unique_ptr<Machine>
-buildMachine(Count period, Count skid, std::uint64_t seed)
+buildMachine()
 {
     MachineConfig mc;
     mc.processor = cpu::Processor::AthlonX2;
     mc.iface = Interface::Pc;
-    mc.seed = seed;
     mc.ioInterrupts = false;
     mc.preemptProb = 0.0;
     mc.timerPeriodOverride = timerPeriod;
     mc.profile.enabled = true;
-    mc.profile.periodTicks = period;
-    mc.profile.skidInstrs = skid;
+    mc.profile.skidInstrs = skids[std::size(skids) - 1];
     auto m = std::make_unique<Machine>(mc);
 
     {
@@ -120,36 +126,46 @@ buildMachine(Count period, Count skid, std::uint64_t seed)
 /** Accumulated per-symbol tallies for one sweep cell. */
 struct CellResult
 {
+    Count period = 1, skid = 0;
     std::map<std::string, Count> samples, trueInstrs, trueCycles;
     Count totalSamples = 0, totalInstrs = 0, totalCycles = 0;
-    Count ticks = 0, misattributed = 0, dropped = 0;
+    Count ticks = 0, misattributed = 0;
     bool sampleEqualsTickHist = true;
 };
 
-CellResult
-runCell(Count period, Count skid, int runs)
+/**
+ * Run seeds 1-3 once and derive every cell of @p cells from them.
+ * Returns the collapsed stacks of the first cell's seed-1 run.
+ */
+std::map<std::string, Count>
+runCells(std::vector<CellResult> &cells)
 {
-    CellResult cell;
-    auto m = buildMachine(period, skid, 1);
-    for (int r = 0; r < runs; ++r) {
-        m->reboot(static_cast<std::uint64_t>(r) + 1);
+    std::map<std::string, Count> stacks;
+    auto m = buildMachine();
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        m->reboot(seed);
         m->run();
         const obs::Profiler &p = *m->profiler();
-        for (const obs::ProfileBiasRow &row : p.biasReport()) {
-            cell.samples[row.symbol] += row.samples;
-            cell.trueInstrs[row.symbol] += row.trueInstrs;
-            cell.trueCycles[row.symbol] += row.trueCycles;
+        for (CellResult &cell : cells) {
+            const obs::ProfileSamples s =
+                p.sample(cell.period, cell.skid);
+            for (const obs::ProfileBiasRow &row : p.biasReport(s)) {
+                cell.samples[row.symbol] += row.samples;
+                cell.trueInstrs[row.symbol] += row.trueInstrs;
+                cell.trueCycles[row.symbol] += row.trueCycles;
+            }
+            cell.totalSamples += s.samples;
+            cell.totalInstrs += p.retiredUserInstrs();
+            cell.totalCycles += p.retiredUserCycles();
+            cell.ticks += p.ticks();
+            cell.misattributed += s.misattributed;
+            if (s.sampleHist != s.tickHist)
+                cell.sampleEqualsTickHist = false;
+            if (seed == 1 && &cell == &cells.front())
+                stacks = s.stacks;
         }
-        cell.totalSamples += p.samples();
-        cell.totalInstrs += p.retiredUserInstrs();
-        cell.totalCycles += p.retiredUserCycles();
-        cell.ticks += p.ticks();
-        cell.misattributed += p.skidMisattributed();
-        cell.dropped += p.droppedSamples();
-        if (p.sampleHist() != p.tickHist())
-            cell.sampleEqualsTickHist = false;
     }
-    return cell;
+    return stacks;
 }
 
 double
@@ -181,11 +197,10 @@ shareError(const CellResult &cell, bool cycle_truth)
     return err / 2.0;
 }
 
+/** The ground-truth gate on the period=1/skid=0 cell. */
 int
-runSmoke()
+smokeVerdict(const CellResult &cell)
 {
-    const CellResult cell = runCell(/*period=*/1, /*skid=*/0,
-                                    /*runs=*/3);
     std::cout << "smoke: ticks=" << cell.ticks
               << " samples=" << cell.totalSamples << " share_error="
               << fmtDouble(shareError(cell, true), 4)
@@ -235,7 +250,9 @@ main(int argc, char **argv)
 {
     if (argc > 1 && std::strcmp(argv[1], "--smoke") == 0) {
         obs::initObservabilityFromEnv();
-        return runSmoke();
+        std::vector<CellResult> cells(1); // period 1, skid 0
+        runCells(cells);
+        return smokeVerdict(cells.front());
     }
 
     bench::banner("EXT profiler-bias",
@@ -254,70 +271,67 @@ main(int argc, char **argv)
               << padRight("err_cyc", 9) << padRight("err_instr", 11)
               << padRight("misattr", 9) << "exact\n";
 
-    for (const Count period : {Count{1}, Count{2}, Count{4},
-                               Count{8}}) {
-        for (const Count skid : {Count{0}, Count{1}, Count{8},
-                                 Count{32}}) {
-            const CellResult cell = runCell(period, skid,
-                                            /*runs=*/3);
-            for (const auto &[sym, instrs] : cell.trueInstrs) {
-                const double true_share =
-                    static_cast<double>(instrs) /
-                    static_cast<double>(cell.totalInstrs);
-                const Count cycles = cell.trueCycles.count(sym)
-                    ? cell.trueCycles.at(sym)
-                    : 0;
-                const double cycle_share =
-                    static_cast<double>(cycles) /
-                    static_cast<double>(cell.totalCycles);
-                const Count n_samples = cell.samples.count(sym)
-                    ? cell.samples.at(sym)
-                    : 0;
-                const double est_share = estShareOf(cell, sym);
-                csv << period << ',' << skid << ',' << sym << ','
-                    << n_samples << ',' << instrs << ',' << cycles
-                    << ',' << fmtDouble(est_share, 6) << ','
-                    << fmtDouble(true_share, 6) << ','
-                    << fmtDouble(cycle_share, 6) << ','
-                    << fmtDouble(std::abs(est_share - true_share), 6)
-                    << ','
-                    << fmtDouble(std::abs(est_share - cycle_share),
-                                 6)
-                    << '\n';
-            }
-            const double misattr_frac = cell.totalSamples == 0
-                ? 0.0
-                : static_cast<double>(cell.misattributed) /
-                    static_cast<double>(cell.totalSamples);
-            std::cout << "  " << padRight(std::to_string(period), 8)
-                      << padRight(std::to_string(skid), 6)
-                      << padRight(std::to_string(cell.ticks), 8)
-                      << padRight(std::to_string(cell.totalSamples),
-                                  9)
-                      << padRight(fmtDouble(shareError(cell, true),
-                                            4),
-                                  9)
-                      << padRight(fmtDouble(shareError(cell, false),
-                                            4),
-                                  11)
-                      << padRight(fmtDouble(misattr_frac, 4), 9)
-                      << (cell.sampleEqualsTickHist ? "yes" : "no")
-                      << '\n';
+    // Period-major, so the precise cell (1, 0) comes first.
+    std::vector<CellResult> cells;
+    for (const Count period : periods) {
+        for (const Count skid : skids) {
+            CellResult &cell = cells.emplace_back();
+            cell.period = period;
+            cell.skid = skid;
         }
+    }
+    const std::map<std::string, Count> stacks = runCells(cells);
+
+    for (const CellResult &cell : cells) {
+        for (const auto &[sym, instrs] : cell.trueInstrs) {
+            const double true_share = static_cast<double>(instrs) /
+                static_cast<double>(cell.totalInstrs);
+            const Count cycles = cell.trueCycles.count(sym)
+                ? cell.trueCycles.at(sym)
+                : 0;
+            const double cycle_share = static_cast<double>(cycles) /
+                static_cast<double>(cell.totalCycles);
+            const Count n_samples = cell.samples.count(sym)
+                ? cell.samples.at(sym)
+                : 0;
+            const double est_share = estShareOf(cell, sym);
+            csv << cell.period << ',' << cell.skid << ',' << sym << ','
+                << n_samples << ',' << instrs << ',' << cycles << ','
+                << fmtDouble(est_share, 6) << ','
+                << fmtDouble(true_share, 6) << ','
+                << fmtDouble(cycle_share, 6) << ','
+                << fmtDouble(std::abs(est_share - true_share), 6)
+                << ','
+                << fmtDouble(std::abs(est_share - cycle_share), 6)
+                << '\n';
+        }
+        const double misattr_frac = cell.totalSamples == 0
+            ? 0.0
+            : static_cast<double>(cell.misattributed) /
+                static_cast<double>(cell.totalSamples);
+        std::cout << "  " << padRight(std::to_string(cell.period), 8)
+                  << padRight(std::to_string(cell.skid), 6)
+                  << padRight(std::to_string(cell.ticks), 8)
+                  << padRight(std::to_string(cell.totalSamples), 9)
+                  << padRight(fmtDouble(shareError(cell, true), 4), 9)
+                  << padRight(fmtDouble(shareError(cell, false), 4),
+                              11)
+                  << padRight(fmtDouble(misattr_frac, 4), 9)
+                  << (cell.sampleEqualsTickHist ? "yes" : "no")
+                  << '\n';
     }
     std::cout << "\n  wrote results/profiler_bias.csv\n";
 
     // Collapsed stacks from the precise cell, for flamegraph.pl /
     // speedscope.
     {
-        auto m = buildMachine(/*period=*/1, /*skid=*/0, /*seed=*/1);
-        m->run();
-        std::ofstream stacks("results/profiler_stacks.txt");
-        m->profiler()->writeCollapsedStacks(stacks);
+        std::ofstream os("results/profiler_stacks.txt");
+        for (const auto &[stack, n] : stacks)
+            os << stack << ' ' << n << '\n';
         std::cout << "  wrote results/profiler_stacks.txt\n";
     }
 
     // The precise configuration must reproduce ground truth — same
     // gate as --smoke so a full run cannot silently regress.
-    return runSmoke() == 0 ? 0 : 1;
+    return smokeVerdict(cells.front()) == 0 ? 0 : 1;
 }

@@ -679,27 +679,35 @@ struct SweepStep
 };
 
 /**
- * Simulate a crash: rewrite @p path keeping the header and the first
- * half of its records, the last of them torn mid-line. Returns the
- * number of records kept intact.
+ * Simulate a crash: rewrite @p path keeping the header and the
+ * records of points below @p points / 2 (the file holds them in
+ * completion order, which depends on worker timing), then one
+ * dropped record torn mid-line. Returns the number of records kept.
  */
 std::size_t
-truncateCheckpoint(const std::string &path)
+truncateCheckpoint(const std::string &path, std::size_t points)
 {
     std::ifstream in(path);
     std::vector<std::string> lines;
     for (std::string l; std::getline(in, l);)
         lines.push_back(l);
     in.close();
-    if (lines.size() < 4)
-        return lines.empty() ? 0 : lines.size() - 1;
-    const std::size_t keep = 1 + (lines.size() - 1) / 2;
     std::ofstream out(path, std::ios::trunc);
-    for (std::size_t i = 0; i < keep; ++i)
-        out << lines[i] << "\n";
-    // One torn line on top, as a mid-record SIGKILL would leave.
-    out << lines[keep].substr(0, lines[keep].size() / 2);
-    return keep - 1;
+    std::size_t kept = 0;
+    std::string torn;
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        // Records start {"point":N; line 0 is the header.
+        if (i == 0 || std::strtoull(lines[i].c_str() + 9, nullptr,
+                                    10) < points / 2) {
+            out << lines[i] << "\n";
+            if (i > 0)
+                ++kept;
+        } else if (torn.empty()) {
+            torn = lines[i].substr(0, lines[i].size() / 2);
+        }
+    }
+    out << torn; // as a mid-record SIGKILL would leave it
+    return kept;
 }
 
 int
@@ -842,10 +850,10 @@ runSoakMode(const std::string &out_path)
     if (csvOf(runStudy()) != baseline)
         violation("checkpointed run diverged from baseline");
 
-    // 5. Crash the checkpoint (drop half the records, tear the next
-    // line) and resume single-threaded: byte-identical output again,
-    // from measurably less work than a full rerun.
-    const std::size_t kept = truncateCheckpoint(ckpt);
+    // 5. Crash the checkpoint (keep the first half of the points,
+    // tear one dropped record) and resume single-threaded: the same
+    // bytes again, from measurably less work than a full rerun.
+    const std::size_t kept = truncateCheckpoint(ckpt, points.size());
     setenv("PCA_THREADS", "1", 1);
     obs::spcReset();
     obs::spcAttach("runs_executed,checkpoint_points_resumed");

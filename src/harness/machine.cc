@@ -169,6 +169,14 @@ Machine::seedHorizon(std::uint64_t seed) const
     return kernelImpl->firstInterruptCycle(seed);
 }
 
+Count
+Machine::profileSamples() const
+{
+    return prof && obs::spcEnabled(obs::Spc::ProfileSamples)
+        ? prof->sample().samples
+        : 0;
+}
+
 cpu::RunResult
 Machine::run(const std::string &entry)
 {
@@ -184,11 +192,15 @@ Machine::tryRun(const std::string &entry)
         return Status(StatusCode::NotFound,
                       "no block named '" + entry + "'");
     PCA_SPC_INC(RunsExecuted);
+    // profile_samples counts what a run adds to the profiler's record
+    // (a run without a reboot before it extends the last one's).
+    const Count samples_before = profileSamples();
     const Cycles t0 = coreImpl->cycles();
     cpu::RunResult res;
     try {
         res = coreImpl->run(isa::CodePtr{entry_block, 0});
     } catch (const StatusError &e) {
+        PCA_SPC_ADD(ProfileSamples, profileSamples() - samples_before);
         // A fallible kernel boundary refused mid-run (bad syscall,
         // module precondition, injected fault), or the run-deadline
         // watchdog fired. The machine state is torn; the caller
@@ -200,6 +212,7 @@ Machine::tryRun(const std::string &entry)
                                   "machine", coreImpl->cycles());
         return e.status();
     }
+    PCA_SPC_ADD(ProfileSamples, profileSamples() - samples_before);
     if (obs::traceEnabled())
         obs::tracer().complete("run:" + entry, "machine", t0,
                                coreImpl->cycles() - t0);

@@ -227,6 +227,9 @@ class Machine
     Cycles seedHorizon(std::uint64_t seed) const;
 
   private:
+    /** The configured sampler's samples; 0 unless counted. */
+    Count profileSamples() const;
+
     MachineConfig cfg;
     const cpu::MicroArch &archRef;
     std::unique_ptr<cpu::Core> coreImpl;

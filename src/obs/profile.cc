@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdlib>
 
-#include "obs/spc.hh"
 #include "support/logging.hh"
 #include "support/strutil.hh"
 
@@ -73,130 +72,90 @@ Profiler::symbolFor(Addr pc) const
 }
 
 void
-Profiler::latchSample(Addr pc)
-{
-    ++sampleCount;
-    ++samplePcHist[pc];
-    PCA_SPC_INC(ProfileSamples);
-    const std::string &leaf = symbolFor(pc);
-    if (leaf != symbolFor(pendingTickPc))
-        ++misattributedCount;
-    std::string stack = pendingStack;
-    if (!stack.empty())
-        stack += ';';
-    stack += leaf;
-    ++stacks[stack];
-}
-
-void
 Profiler::onUserRetire(Addr pc, Cycles cycles)
 {
     ++retiredCount;
     ++truePcHist[pc];
     retiredCycles += cycles;
     truePcCycles[pc] += cycles;
-    if (pending) {
-        if (pendingSkipLeft > 0) {
-            --pendingSkipLeft;
-            PCA_SPC_INC(ProfileSkidInstrs);
-        } else {
-            latchSample(pc);
-            pending = false;
-            pendingStack.clear();
-        }
-    }
+    // The windows of the ticks from openTick on are still filling;
+    // they all have the same length, so they fill in tick order.
+    for (std::size_t t = openTick; t < tickLog.size(); ++t)
+        tickLog[t].next.push_back(pc);
+    while (openTick < tickLog.size() &&
+           tickLog[openTick].next.size() > cfg.skidInstrs)
+        ++openTick;
 }
 
 void
 Profiler::onTimerTick(Addr interrupted_pc,
                       const std::vector<Addr> &call_chain)
 {
-    ++tickCount;
-    if (++ticksToSample < cfg.periodTicks)
-        return;
-    ticksToSample = 0;
-    if (pending) {
-        // The previous sample's skid latch is still in flight (very
-        // deep skid or very short timeslices): drop this request
-        // rather than nest latches, like a real PMI-in-PMI drop.
-        ++droppedCount;
-        return;
-    }
-    ++tickPcHist[interrupted_pc];
-    pendingTickPc = interrupted_pc;
-    pendingStack.clear();
+    Tick &t = tickLog.emplace_back();
+    t.retiredBefore = retiredCount;
+    t.pc = interrupted_pc;
     for (Addr ret : call_chain) {
-        if (!pendingStack.empty())
-            pendingStack += ';';
-        pendingStack += symbolFor(ret);
+        if (!t.callers.empty())
+            t.callers += ';';
+        t.callers += symbolFor(ret);
     }
-    if (cfg.skidInstrs == 0) {
-        latchSample(interrupted_pc);
-        pendingStack.clear();
-    } else {
-        pending = true;
-        pendingSkipLeft = cfg.skidInstrs;
-    }
+    t.next.reserve(cfg.skidInstrs + 1);
 }
 
 void
 Profiler::reset()
 {
-    tickCount = sampleCount = droppedCount = 0;
-    retiredCount = retiredCycles = misattributedCount = 0;
-    ticksToSample = 0;
-    pending = false;
-    pendingSkipLeft = 0;
-    pendingTickPc = 0;
-    pendingStack.clear();
-    samplePcHist.clear();
-    tickPcHist.clear();
+    retiredCount = retiredCycles = 0;
     truePcHist.clear();
     truePcCycles.clear();
-    stacks.clear();
+    tickLog.clear();
+    openTick = 0;
 }
 
-namespace
+ProfileSamples
+Profiler::sample(Count period, Count skid) const
 {
-
-std::map<Addr, Count>
-sorted(const std::unordered_map<Addr, Count> &h)
-{
-    return {h.begin(), h.end()};
-}
-
-} // namespace
-
-std::map<Addr, Count>
-Profiler::sampleHist() const
-{
-    return sorted(samplePcHist);
-}
-
-std::map<Addr, Count>
-Profiler::tickHist() const
-{
-    return sorted(tickPcHist);
+    pca_assert(period >= 1 && skid <= cfg.skidInstrs);
+    ProfileSamples out;
+    bool accepted = false;
+    Count lastRetired = 0; //!< retiredBefore of the last accepted tick
+    for (std::size_t i = period - 1; i < tickLog.size(); i += period) {
+        const Tick &t = tickLog[i];
+        // The last accepted tick's latch, at its (skid+1)-th retire,
+        // is still pending: drop this request rather than nest
+        // latches, like a real PMI-in-PMI drop.
+        if (skid > 0 && accepted && t.retiredBefore - lastRetired <= skid) {
+            ++out.dropped;
+            continue;
+        }
+        accepted = true;
+        lastRetired = t.retiredBefore;
+        ++out.tickHist[t.pc];
+        if (skid > 0 && t.next.size() <= skid)
+            continue; // the run ended before the latch
+        const Addr pc = skid == 0 ? t.pc : t.next[skid];
+        ++out.samples;
+        ++out.sampleHist[pc];
+        const std::string &leaf = symbolFor(pc);
+        if (leaf != symbolFor(t.pc))
+            ++out.misattributed;
+        ++out.stacks[t.callers.empty() ? leaf : t.callers + ';' + leaf];
+    }
+    return out;
 }
 
 std::map<Addr, Count>
 Profiler::trueHist() const
 {
-    return sorted(truePcHist);
-}
-
-std::map<Addr, Count>
-Profiler::trueCycleHist() const
-{
-    return sorted(truePcCycles);
+    return {truePcHist.begin(), truePcHist.end()};
 }
 
 std::vector<ProfileBiasRow>
-Profiler::biasReport() const
+Profiler::biasReport(const ProfileSamples &samples) const
 {
     // Aggregate both histograms by symbol (deterministic: map).
     std::map<std::string, ProfileBiasRow> by_sym;
-    for (const auto &[pc, n] : samplePcHist) {
+    for (const auto &[pc, n] : samples.sampleHist) {
         ProfileBiasRow &row = by_sym[symbolFor(pc)];
         row.samples += n;
     }
@@ -212,9 +171,9 @@ Profiler::biasReport() const
     rows.reserve(by_sym.size());
     for (auto &[name, row] : by_sym) {
         row.symbol = name;
-        if (sampleCount > 0)
+        if (samples.samples > 0)
             row.estShare = static_cast<double>(row.samples) /
-                           static_cast<double>(sampleCount);
+                           static_cast<double>(samples.samples);
         if (retiredCount > 0)
             row.trueShare = static_cast<double>(row.trueInstrs) /
                             static_cast<double>(retiredCount);
@@ -231,13 +190,6 @@ Profiler::biasReport() const
                   return a.symbol < b.symbol;
               });
     return rows;
-}
-
-void
-Profiler::writeCollapsedStacks(std::ostream &os) const
-{
-    for (const auto &[stack, n] : stacks)
-        os << stack << ' ' << n << '\n';
 }
 
 } // namespace pca::obs

@@ -19,6 +19,11 @@
  * interrupted one (k=0: the interrupted instruction itself, i.e. a
  * precise sampler).
  *
+ * The profiler only records (the ground truth, and per timer tick
+ * the retires before it, the interrupted PC, its callers and the PCs
+ * of the next skid + 1 retires); every (period, skid) sampler up to
+ * the configured skid is a pure function of that record.
+ *
  * Two ground truths, two biases. A timer-driven sampler estimates
  * *time* shares: ticks land every N cycles, so expensive instructions
  * draw proportionally more samples. The retired-PC histogram weights
@@ -38,7 +43,6 @@
 
 #include <cstdint>
 #include <map>
-#include <ostream>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -75,6 +79,22 @@ struct ProfileSymbol
     Count size = 0; //!< bytes
 };
 
+/** What one (period, skid) sampler makes of a recorded run. */
+struct ProfileSamples
+{
+    Count samples = 0;       //!< latched samples
+    Count dropped = 0;       //!< sampled ticks dropped while latching
+    Count misattributed = 0; //!< latched outside the tick PC's symbol
+    /** Latched-PC histogram (what a profiler estimates from). */
+    std::map<Addr, Count> sampleHist;
+    /** Interrupted PCs of the accepted ticks; sampleHist at skid 0. */
+    std::map<Addr, Count> tickHist;
+    /** Collapsed call stacks ("main;hot" -> 42) for flamegraph.pl. */
+    std::map<std::string, Count> stacks;
+
+    bool operator==(const ProfileSamples &) const = default;
+};
+
 /** Per-symbol row of the bias report. */
 struct ProfileBiasRow
 {
@@ -91,7 +111,8 @@ struct ProfileBiasRow
  * One profiler instance per Machine (single-threaded, like the
  * machine itself). The core calls onUserRetire for every retired
  * user instruction; the kernel calls onTimerTick from the timer
- * handler. Everything else is result extraction.
+ * handler. Both only record; everything else is derived from the
+ * record.
  */
 class Profiler
 {
@@ -120,73 +141,61 @@ class Profiler
 
     // --- results ---
 
-    Count ticks() const { return tickCount; }
-    Count samples() const { return sampleCount; }
-    /** Samples requested while a skid latch was still pending. */
-    Count droppedSamples() const { return droppedCount; }
+    Count ticks() const { return tickLog.size(); }
     Count retiredUserInstrs() const { return retiredCount; }
     /** Total cycles charged to retired user instructions. */
     Count retiredUserCycles() const { return retiredCycles; }
 
-    /** Sampled-PC histogram (what a profiler estimates from). */
-    std::map<Addr, Count> sampleHist() const;
-    /**
-     * Interrupted-PC histogram over the *sampled* ticks: where a
-     * zero-skid sampler would have attributed the same samples. With
-     * skid=0, sampleHist() equals this map exactly.
-     */
-    std::map<Addr, Count> tickHist() const;
     /** Exact retired-PC histogram (instruction-count truth). */
     std::map<Addr, Count> trueHist() const;
-    /** Exact per-PC attributed-cycle histogram (time truth). */
-    std::map<Addr, Count> trueCycleHist() const;
 
     /** Symbol containing @p pc, or "?" when none matches. */
     const std::string &symbolFor(Addr pc) const;
 
     /**
-     * Per-symbol estimated vs. true hotspot shares, sorted by
-     * descending true share (ties by name).
+     * What a sampler with @p period and @p skid (at most the
+     * configured one) takes of the record. Every @p period-th tick is
+     * sampled. Skid 0 latches the interrupted PC; skid k > 0 the PC
+     * of the (k+1)-th user retire after the tick, or nothing if the
+     * run ends first (the tick still counts in tickHist). A sampled
+     * tick at most k retires after the last accepted one is dropped
+     * (a PMI-in-PMI drop) and still counts toward the period.
      */
-    std::vector<ProfileBiasRow> biasReport() const;
+    ProfileSamples sample(Count period, Count skid) const;
+    /** The configured sampler's samples. */
+    ProfileSamples sample() const
+    {
+        return sample(cfg.periodTicks, cfg.skidInstrs);
+    }
 
     /**
-     * Samples whose latched PC landed in a different symbol than the
-     * interrupted PC — the skid-induced misattributions.
+     * Per-symbol estimated (from @p samples) vs. true hotspot
+     * shares, sorted by descending true share (ties by name).
      */
-    Count skidMisattributed() const { return misattributedCount; }
-
-    /**
-     * Collapsed call stacks ("main;hot 42" — one line per unique
-     * stack), the flamegraph.pl / speedscope input format.
-     */
-    void writeCollapsedStacks(std::ostream &os) const;
+    std::vector<ProfileBiasRow>
+    biasReport(const ProfileSamples &samples) const;
 
   private:
-    void latchSample(Addr pc);
+    /** One timer tick of the record. */
+    struct Tick
+    {
+        Count retiredBefore = 0; //!< user retires before the tick
+        Addr pc = 0;             //!< the interrupted user PC
+        std::string callers;     //!< caller symbols, ';'-joined
+        std::vector<Addr> next;  //!< PCs of the next skid + 1 retires
+    };
 
     ProfileConfig cfg;
     std::vector<ProfileSymbol> syms; //!< sorted by base
 
-    Count tickCount = 0;
-    Count sampleCount = 0;
-    Count droppedCount = 0;
     Count retiredCount = 0;
     Count retiredCycles = 0;
-    Count misattributedCount = 0;
-    Count ticksToSample = 0;
-
-    // Pending skid latch: armed at the tick, resolved in retire.
-    bool pending = false;
-    Count pendingSkipLeft = 0;
-    Addr pendingTickPc = 0;
-    std::string pendingStack;
-
-    std::unordered_map<Addr, Count> samplePcHist;
-    std::unordered_map<Addr, Count> tickPcHist;
     std::unordered_map<Addr, Count> truePcHist;
     std::unordered_map<Addr, Count> truePcCycles;
-    std::map<std::string, Count> stacks; //!< collapsed stack -> count
+
+    std::vector<Tick> tickLog;
+    /** First tick whose next-retire window is still filling. */
+    std::size_t openTick = 0;
 };
 
 } // namespace pca::obs

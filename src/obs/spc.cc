@@ -40,7 +40,6 @@ spcName(Spc c)
       case Spc::SessionRetries: return "session_retries";
       case Spc::DegradedPoints: return "degraded_points";
       case Spc::ProfileSamples: return "profile_samples";
-      case Spc::ProfileSkidInstrs: return "profile_skid_instrs";
       case Spc::BlockEscapeCallret:
         return "block_escape_callret";
       case Spc::BlockEscapeTimeread:

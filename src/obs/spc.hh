@@ -46,8 +46,7 @@ enum class Spc : std::uint8_t
     FaultsInjected,     //!< faults the FaultInjector fired
     SessionRetries,     //!< transient-fault retries spent by sessions
     DegradedPoints,     //!< study rows recorded as degraded
-    ProfileSamples,     //!< sampling-profiler samples latched
-    ProfileSkidInstrs,  //!< user instructions traversed as skid
+    ProfileSamples,     //!< the configured profile sampler's samples
     BlockEscapeCallret,    //!< block-engine exits at call/ret
     BlockEscapeTimeread,   //!< block-engine exits at rdtsc/rdpmc
     BlockEscapeSyscall,    //!< block-engine exits at syscall/iret

@@ -7,10 +7,11 @@
  * text shifted by a random offset. For each program it also computes
  * the closed-form user instruction count and the final value of
  * every loop counter. Each program runs on the per-step and the
- * block engine, with loop fast-forward on and off, on all three
- * processors, with timer ticks and I/O interrupts live.
+ * block engine, with loop fast-forward on and off, and once more per
+ * step with a profiler attached, on all three processors, with timer
+ * ticks and I/O interrupts live.
  *
- * Three checks, which catch different faults:
+ * Four checks, which catch different faults:
  *  - every run of a program on one processor leaves the same
  *    RunResult, per-mode raw events and final registers (a fault in
  *    one engine's driver, such as a bulk Nop step that skips an
@@ -22,11 +23,16 @@
  *  - every run's counters satisfy the consistency invariants a
  *    correct PMU implies (branch misses within branches within
  *    instructions, misses within accesses, per-mode instructions,
- *    interrupts and cycles summing to the RunResult's).
+ *    interrupts and cycles summing to the RunResult's);
+ *  - the profiled run's record covers every user retire, and each
+ *    of ext_profiler_bias's 16 samplers derived from it accounts
+ *    for every sampled tick (a fault in the tick log or the drop
+ *    rule).
  */
 
 #include <algorithm>
 #include <array>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -286,13 +292,55 @@ struct Outcome
     Count interrupts = 0;
 };
 
+Count
+histTotal(const std::map<Addr, Count> &h)
+{
+    Count n = 0;
+    for (const auto &[pc, c] : h)
+        n += c;
+    return n;
+}
+
 /**
- * Run the program of @p seed on one engine x fast-forward setting
+ * The profiler's record of a run against the run and against the
+ * rules every sampler derived from it keeps.
+ */
+void
+checkProfile(const obs::Profiler &p, const cpu::RunResult &r)
+{
+    EXPECT_EQ(p.retiredUserInstrs(), r.userInstr);
+    EXPECT_EQ(histTotal(p.trueHist()), r.userInstr);
+    for (const Count period : {1, 2, 4, 8}) {
+        for (const Count skid : {0, 1, 8, 32}) {
+            SCOPED_TRACE("period=" + std::to_string(period) +
+                         " skid=" + std::to_string(skid));
+            const obs::ProfileSamples s = p.sample(period, skid);
+            const Count accepted = histTotal(s.tickHist);
+            EXPECT_EQ(accepted + s.dropped, p.ticks() / period);
+            EXPECT_EQ(histTotal(s.sampleHist), s.samples);
+            Count stacked = 0;
+            for (const auto &[stack, n] : s.stacks)
+                stacked += n;
+            EXPECT_EQ(stacked, s.samples);
+            // Only the last accepted tick's latch can outlive the run.
+            EXPECT_LE(s.samples, accepted);
+            EXPECT_GE(s.samples + 1, accepted);
+            if (skid == 0) {
+                EXPECT_EQ(s.sampleHist, s.tickHist);
+                EXPECT_EQ(s.dropped, 0u);
+            }
+        }
+    }
+}
+
+/**
+ * Run the program of @p seed on one engine x fast-forward setting,
+ * or per step with a profiler recording for skid 32 (@p profiled),
  * and check it against its closed form.
  */
 Outcome
 runGenerated(std::uint64_t seed, cpu::Processor proc, bool block,
-             bool ff)
+             bool ff, bool profiled = false)
 {
     ProgramGen gen(seed);
     MachineConfig cfg;
@@ -300,7 +348,10 @@ runGenerated(std::uint64_t seed, cpu::Processor proc, bool block,
     cfg.seed = seed;
     cfg.decodeCache = block;
     cfg.fastForward = ff;
-    cfg.profile = obs::ProfileConfig{}; // a profiler forces step()
+    // A profiler forces step(), so only the profiled setting has one.
+    cfg.profile = obs::ProfileConfig{};
+    cfg.profile.enabled = profiled;
+    cfg.profile.skidInstrs = 32;
     cfg.timerPeriodOverride = gen.timerPeriod();
     // A wrong branch or counter trips the watchdog, not the
     // 1 G-instruction runaway guard.
@@ -348,6 +399,8 @@ runGenerated(std::uint64_t seed, cpu::Processor proc, bool block,
     }
     EXPECT_EQ(hw_interrupts, r->interrupts);
     EXPECT_EQ(mode_cycles, r->cycles);
+    if (profiled)
+        checkProfile(*m.profiler(), *r);
 
     std::ostringstream os;
     os << r->userInstr << '/' << r->kernelInstr << '/' << r->cycles
@@ -394,6 +447,12 @@ TEST(GeneratedPrograms, EnginesAgreeAndMatchClosedForm)
                     interrupts += o.interrupts;
                     ff_iters += o.ffIters;
                 }
+            SCOPED_TRACE("seed=" + std::to_string(seed) + " " +
+                         cpu::processorCode(proc) + " profiled");
+            const Outcome o = runGenerated(seed, proc, false, false,
+                                           /*profiled=*/true);
+            EXPECT_EQ(o.digest, ref);
+            EXPECT_EQ(o.ffIters, 0u);
         }
     }
     // The generator reaches both hazards it is there for: interrupts

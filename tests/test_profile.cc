@@ -31,6 +31,7 @@
 #include "obs/hist.hh"
 #include "obs/profile.hh"
 #include "obs/snapshot.hh"
+#include "obs/spc.hh"
 
 using namespace pca;
 using namespace pca::harness;
@@ -192,11 +193,14 @@ TEST(Profiler, SkidZeroLatchesInterruptedPc)
     obs::Profiler p(profCfg(1, 0));
     p.setSymbols(twoSymbols());
     p.onTimerTick(110, {});
-    p.onUserRetire(110, 1);
-    EXPECT_EQ(p.samples(), 1u);
-    EXPECT_EQ(p.sampleHist().at(110), 1u);
-    EXPECT_EQ(p.tickHist(), p.sampleHist());
-    EXPECT_EQ(p.skidMisattributed(), 0u);
+    // Whatever retires after the tick, skid 0 names the interrupted
+    // PC itself.
+    p.onUserRetire(160, 1);
+    const obs::ProfileSamples s = p.sample();
+    EXPECT_EQ(s.samples, 1u);
+    EXPECT_EQ(s.sampleHist, (std::map<Addr, Count>{{110, 1}}));
+    EXPECT_EQ(s.tickHist, s.sampleHist);
+    EXPECT_EQ(s.misattributed, 0u);
 }
 
 TEST(Profiler, SkidCountsRetiredInstructions)
@@ -210,33 +214,116 @@ TEST(Profiler, SkidCountsRetiredInstructions)
     p.onUserRetire(148, 1);
     p.onUserRetire(149, 1);
     p.onUserRetire(150, 1);
-    EXPECT_EQ(p.samples(), 1u);
-    EXPECT_EQ(p.sampleHist().at(150), 1u);
-    EXPECT_EQ(p.tickHist().at(148), 1u);
-    EXPECT_EQ(p.skidMisattributed(), 1u);
+    const obs::ProfileSamples s = p.sample();
+    EXPECT_EQ(s.samples, 1u);
+    EXPECT_EQ(s.sampleHist, (std::map<Addr, Count>{{150, 1}}));
+    EXPECT_EQ(s.tickHist, (std::map<Addr, Count>{{148, 1}}));
+    EXPECT_EQ(s.misattributed, 1u);
+    // The same record answers the shallower skids.
+    EXPECT_EQ(p.sample(1, 1).sampleHist,
+              (std::map<Addr, Count>{{149, 1}}));
+    EXPECT_EQ(p.sample(1, 1).misattributed, 0u);
+    EXPECT_EQ(p.sample(1, 0).sampleHist,
+              (std::map<Addr, Count>{{148, 1}}));
 }
 
 TEST(Profiler, PeriodDividesTicks)
 {
     obs::Profiler p(profCfg(3, 0));
     p.setSymbols(twoSymbols());
-    for (int t = 0; t < 9; ++t)
-        p.onTimerTick(110, {});
+    for (Addr pc = 101; pc <= 109; ++pc)
+        p.onTimerTick(pc, {});
     EXPECT_EQ(p.ticks(), 9u);
-    EXPECT_EQ(p.samples(), 3u);
-    // tickHist records only the *sampled* ticks.
-    EXPECT_EQ(p.tickHist().at(110), 3u);
+    const obs::ProfileSamples s = p.sample();
+    EXPECT_EQ(s.samples, 3u);
+    // tickHist records only the *sampled* ticks: the 3rd, 6th, 9th.
+    EXPECT_EQ(s.tickHist, (std::map<Addr, Count>{
+                              {103, 1}, {106, 1}, {109, 1}}));
+    EXPECT_EQ(p.sample(1, 0).samples, 9u);
 }
 
 TEST(Profiler, PendingSkidDropsOverlappingRequest)
 {
-    obs::Profiler p(profCfg(1, 5));
+    obs::Profiler p(profCfg(1, 2));
     p.setSymbols(twoSymbols());
+    // Ticks after 0, 2 and 3 retires. The second comes while the
+    // first's latch (its third retire) is pending: dropped. The third
+    // comes 3 retires after the last *accepted* tick: accepted.
     p.onTimerTick(110, {});
-    EXPECT_EQ(p.droppedSamples(), 0u);
-    p.onTimerTick(111, {}); // previous latch still pending
-    EXPECT_EQ(p.droppedSamples(), 1u);
-    EXPECT_EQ(p.samples(), 0u);
+    p.onUserRetire(110, 1);
+    p.onUserRetire(111, 1);
+    p.onTimerTick(112, {});
+    p.onUserRetire(112, 1);
+    p.onTimerTick(113, {});
+    for (Addr pc = 113; pc <= 116; ++pc)
+        p.onUserRetire(pc, 1);
+    const obs::ProfileSamples s = p.sample();
+    EXPECT_EQ(s.dropped, 1u);
+    EXPECT_EQ(s.samples, 2u);
+    EXPECT_EQ(s.tickHist, (std::map<Addr, Count>{{110, 1}, {113, 1}}));
+    EXPECT_EQ(s.sampleHist, (std::map<Addr, Count>{{112, 1}, {115, 1}}));
+    // Skid 0 latches at the tick, so nothing is ever pending.
+    EXPECT_EQ(p.sample(1, 0).dropped, 0u);
+    EXPECT_EQ(p.sample(1, 0).samples, 3u);
+}
+
+TEST(Profiler, DroppedTickCountsTowardPeriod)
+{
+    obs::Profiler p(profCfg(2, 3));
+    p.setSymbols(twoSymbols());
+    // Ticks 2, 4 and 6 are sampled. Tick 4 comes 2 retires after
+    // tick 2 and is dropped; tick 5 is still not sampled.
+    const std::vector<std::pair<Addr, int>> ticks = {
+        {101, 0}, {102, 0}, {103, 1}, {104, 1}, {105, 2}, {106, 1}};
+    for (const auto &[pc, retires_after] : ticks) {
+        p.onTimerTick(pc, {});
+        for (int r = 0; r < retires_after; ++r)
+            p.onUserRetire(pc, 1);
+    }
+    for (int r = 0; r < 4; ++r)
+        p.onUserRetire(106, 1);
+    const obs::ProfileSamples s = p.sample();
+    EXPECT_EQ(s.dropped, 1u);
+    EXPECT_EQ(s.tickHist, (std::map<Addr, Count>{{102, 1}, {106, 1}}));
+}
+
+TEST(Profiler, LatchPastTheRunEndCountsInTickHistOnly)
+{
+    obs::Profiler p(profCfg(1, 2));
+    p.setSymbols(twoSymbols());
+    p.onTimerTick(110, {120});
+    p.onUserRetire(110, 1);
+    p.onUserRetire(111, 1);
+    const obs::ProfileSamples s = p.sample();
+    EXPECT_EQ(s.tickHist, (std::map<Addr, Count>{{110, 1}}));
+    EXPECT_EQ(s.samples, 0u);
+    EXPECT_EQ(s.dropped, 0u);
+    EXPECT_TRUE(s.sampleHist.empty());
+    EXPECT_TRUE(s.stacks.empty());
+    EXPECT_EQ(p.sample(1, 1).samples, 1u);
+}
+
+TEST(Profiler, CloseTicksShareRetireWindows)
+{
+    obs::Profiler p(profCfg(1, 8));
+    p.setSymbols(twoSymbols());
+    // Ticks after 0 and 3 retires; retire i is at PC 100 + i. Both
+    // windows fill from the same retires.
+    p.onTimerTick(100, {});
+    for (Addr pc = 100; pc < 103; ++pc)
+        p.onUserRetire(pc, 1);
+    p.onTimerTick(103, {});
+    for (Addr pc = 103; pc < 120; ++pc)
+        p.onUserRetire(pc, 1);
+    const obs::ProfileSamples s = p.sample(1, 2);
+    EXPECT_EQ(s.dropped, 0u);
+    EXPECT_EQ(s.sampleHist, (std::map<Addr, Count>{{102, 1}, {105, 1}}));
+    // At the configured skid the second tick is dropped.
+    EXPECT_EQ(p.sample().sampleHist, (std::map<Addr, Count>{{108, 1}}));
+    EXPECT_EQ(p.sample().dropped, 1u);
+    // Period 2 samples the second tick alone, 8 retires after it.
+    EXPECT_EQ(p.sample(2, 8).sampleHist,
+              (std::map<Addr, Count>{{111, 1}}));
 }
 
 TEST(Profiler, GroundTruthHistogramsAndBiasReport)
@@ -253,13 +340,13 @@ TEST(Profiler, GroundTruthHistogramsAndBiasReport)
     EXPECT_EQ(p.retiredUserInstrs(), 4u);
     EXPECT_EQ(p.retiredUserCycles(), 10u);
     EXPECT_EQ(p.trueHist().at(100), 1u);
-    EXPECT_EQ(p.trueCycleHist().at(101), 2u);
 
-    const auto rows = p.biasReport();
+    const auto rows = p.biasReport(p.sample());
     ASSERT_EQ(rows.size(), 2u);
     // Sorted by descending true (instruction) share: f first.
     EXPECT_EQ(rows[0].symbol, "f");
     EXPECT_DOUBLE_EQ(rows[0].trueShare, 0.75);
+    EXPECT_EQ(rows[0].trueCycles, 5u);
     EXPECT_DOUBLE_EQ(rows[0].trueCycleShare, 0.5);
     EXPECT_DOUBLE_EQ(rows[0].estShare, 0.0);
     EXPECT_EQ(rows[1].symbol, "g");
@@ -272,27 +359,31 @@ TEST(Profiler, CollapsedStacksUseCallChain)
     p.setSymbols(twoSymbols());
     p.onTimerTick(160, {110}); // caller in f, leaf in g
     p.onUserRetire(160, 1);
-    std::ostringstream os;
-    p.writeCollapsedStacks(os);
-    EXPECT_EQ(os.str(), "f;g 1\n");
+    EXPECT_EQ(p.sample().stacks,
+              (std::map<std::string, Count>{{"f;g", 1}}));
 }
 
 TEST(Profiler, ResetRestoresPowerOnState)
 {
     obs::Profiler p(profCfg(2, 3));
     p.setSymbols(twoSymbols());
-    p.onTimerTick(110, {});
-    p.onTimerTick(110, {});
+    for (int t = 0; t < 3; ++t)
+        p.onTimerTick(110, {});
     p.onUserRetire(110, 1);
     p.reset();
     EXPECT_EQ(p.ticks(), 0u);
-    EXPECT_EQ(p.samples(), 0u);
+    EXPECT_EQ(p.sample(), obs::ProfileSamples{});
     EXPECT_EQ(p.retiredUserInstrs(), 0u);
-    EXPECT_TRUE(p.sampleHist().empty());
     EXPECT_TRUE(p.trueHist().empty());
     // Symbols survive reset (they belong to the program, not the
-    // run) and the period phase restarts.
+    // run) and the period phase restarts: the second tick after the
+    // reset is sampled.
     EXPECT_EQ(p.symbolFor(110), "f");
+    p.onTimerTick(120, {});
+    p.onTimerTick(160, {});
+    for (int r = 0; r < 4; ++r)
+        p.onUserRetire(160, 1);
+    EXPECT_EQ(p.sample().tickHist, (std::map<Addr, Count>{{160, 1}}));
 }
 
 TEST(ProfileConfig, FromEnvAndFingerprint)
@@ -373,14 +464,15 @@ TEST(ProfiledMachine, SkidZeroSamplesEqualTickHistExactly)
     auto m = profiledMachine(/*period=*/1, /*skid=*/0);
     const cpu::RunResult r = m->run();
     const obs::Profiler &p = *m->profiler();
+    const obs::ProfileSamples s = p.sample();
     ASSERT_GT(p.ticks(), 10u);
-    EXPECT_EQ(p.samples(), p.ticks());
-    EXPECT_EQ(p.sampleHist(), p.tickHist());
-    EXPECT_EQ(p.skidMisattributed(), 0u);
+    EXPECT_EQ(s.samples, p.ticks());
+    EXPECT_EQ(s.sampleHist, s.tickHist);
+    EXPECT_EQ(s.misattributed, 0u);
     // The exact retired-PC histogram covers every user instruction.
     EXPECT_EQ(p.retiredUserInstrs(), r.userInstr);
     EXPECT_EQ(histTotal(p.trueHist()), r.userInstr);
-    EXPECT_EQ(histTotal(p.sampleHist()), p.samples());
+    EXPECT_EQ(histTotal(s.sampleHist), s.samples);
 }
 
 TEST(ProfiledMachine, SkidDisplacesButConservesSamples)
@@ -388,19 +480,20 @@ TEST(ProfiledMachine, SkidDisplacesButConservesSamples)
     auto m = profiledMachine(/*period=*/1, /*skid=*/3);
     m->run();
     const obs::Profiler &p = *m->profiler();
+    const obs::ProfileSamples s = p.sample();
     ASSERT_GT(p.ticks(), 10u);
     // Every tick still yields exactly one sample (the latch resolves
     // within the run) unless it was dropped while pending.
-    EXPECT_EQ(p.samples() + p.droppedSamples(), p.ticks());
-    EXPECT_EQ(histTotal(p.sampleHist()), p.samples());
-    EXPECT_EQ(histTotal(p.tickHist()), p.samples());
+    EXPECT_EQ(s.samples + s.dropped, p.ticks());
+    EXPECT_EQ(histTotal(s.sampleHist), s.samples);
+    EXPECT_EQ(histTotal(s.tickHist), s.samples);
 }
 
 TEST(ProfiledMachine, RebootIsDeterministicAndResetsProfile)
 {
     auto m = profiledMachine(/*period=*/2, /*skid=*/1);
     m->run();
-    const auto sample1 = m->profiler()->sampleHist();
+    const auto sample1 = m->profiler()->sample();
     const auto true1 = m->profiler()->trueHist();
     const Count ticks1 = m->profiler()->ticks();
     ASSERT_GT(ticks1, 0u);
@@ -408,9 +501,59 @@ TEST(ProfiledMachine, RebootIsDeterministicAndResetsProfile)
     m->reboot(1);
     EXPECT_EQ(m->profiler()->ticks(), 0u);
     m->run();
-    EXPECT_EQ(m->profiler()->sampleHist(), sample1);
+    EXPECT_EQ(m->profiler()->sample(), sample1);
     EXPECT_EQ(m->profiler()->trueHist(), true1);
     EXPECT_EQ(m->profiler()->ticks(), ticks1);
+}
+
+TEST(ProfiledMachine, OneRunAnswersEverySampler)
+{
+    // ext_profiler_bias derives its 16 cells from one run per seed
+    // of a machine recording for skid 32; each must equal the
+    // samples of a machine configured as that cell.
+    auto deep = profiledMachine(/*period=*/1, /*skid=*/32);
+    std::vector<std::unique_ptr<Machine>> cells;
+    for (const Count period : {1, 2, 4, 8})
+        for (const Count skid : {0, 1, 8, 32})
+            cells.push_back(profiledMachine(period, skid));
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        deep->reboot(seed);
+        deep->run();
+        for (const auto &m : cells) {
+            m->reboot(seed);
+            m->run();
+            const obs::ProfileConfig &cfg = m->config().profile;
+            SCOPED_TRACE("seed=" + std::to_string(seed) + " period=" +
+                         std::to_string(cfg.periodTicks) + " skid=" +
+                         std::to_string(cfg.skidInstrs));
+            EXPECT_EQ(
+                deep->profiler()->sample(cfg.periodTicks, cfg.skidInstrs),
+                m->profiler()->sample());
+            EXPECT_GT(m->profiler()->sample().samples, 0u);
+        }
+    }
+}
+
+TEST(ProfiledMachine, ProfileSamplesCountsEachRunOnce)
+{
+    // profile_samples adds the configured sampler's samples of each
+    // run: a run without a reboot adds only what it adds to the record.
+    auto m = profiledMachine(/*period=*/2, /*skid=*/3);
+    obs::spcReset();
+    obs::spcAttach("profile_samples");
+    m->run();
+    const Count first = m->profiler()->sample().samples;
+    ASSERT_GT(first, 0u);
+    EXPECT_EQ(obs::spcValue(obs::Spc::ProfileSamples), first);
+    m->run();
+    const Count both = m->profiler()->sample().samples;
+    EXPECT_GT(both, first);
+    EXPECT_EQ(obs::spcValue(obs::Spc::ProfileSamples), both);
+    m->reboot(2);
+    m->run();
+    EXPECT_EQ(obs::spcValue(obs::Spc::ProfileSamples),
+              both + m->profiler()->sample().samples);
+    obs::spcReset();
 }
 
 TEST(ProfiledMachine, EveryNopOfARecordRetiresAtItsOwnAddress)
@@ -458,10 +601,10 @@ TEST(ProfiledMachine, TicksLandInsideNopRecords)
     m.finalize();
     const Addr start = m.program().block(block).inst(1).addr;
     m.run();
-    const obs::Profiler &p = *m.profiler();
-    EXPECT_EQ(p.sampleHist(), p.tickHist());
+    const obs::ProfileSamples s = m.profiler()->sample();
+    EXPECT_EQ(s.sampleHist, s.tickHist);
     std::size_t inside = 0;
-    for (const auto &[pc, n] : p.tickHist())
+    for (const auto &[pc, n] : s.tickHist)
         if (pc > start && pc < start + 4999)
             ++inside;
     EXPECT_GE(inside, 20u);
