@@ -25,7 +25,8 @@ main()
                   "configurations)");
 
     // The full §3 factor space: all processors, interfaces,
-    // patterns, optimization levels, 1-2 counters, both TSC settings.
+    // patterns, optimization levels, 1, 2, 4 or 18 counters (each
+    // where the processor has that many), both TSC settings.
     auto points = core::FactorSpace()
                       .counterCounts({1, 2, 4, 18})
                       .tscSettings({true, false})

@@ -42,12 +42,12 @@ main()
     const auto size_idx = table.columnIndex("loopsize");
     for (const auto &group : table.groupBy({"pattern", "opt"})) {
         std::vector<double> xs, ys;
-        for (const auto &row : table.rows()) {
-            if (row.keys[pat_idx] != group.keys[0] ||
-                row.keys[opt_idx] != group.keys[1])
+        for (std::size_t r = 0; r < table.size(); ++r) {
+            if (table.cell(r, pat_idx) != group.keys[0] ||
+                table.cell(r, opt_idx) != group.keys[1])
                 continue;
-            xs.push_back(std::stod(row.keys[size_idx]));
-            ys.push_back(row.value);
+            xs.push_back(std::stod(table.cell(r, size_idx)));
+            ys.push_back(table.value(r));
         }
         slopes[group.keys[0]][group.keys[1]] =
             stats::linearFit(xs, ys).slope;

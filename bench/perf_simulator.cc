@@ -1156,9 +1156,15 @@ stampTree(E2eTree &t)
     if (!cache["CMAKE_CXX_COMPILER"].empty())
         t.compiler =
             commandLine("'" + cache["CMAKE_CXX_COMPILER"] + "' --version");
-    if (!cache["CMAKE_HOME_DIRECTORY"].empty())
-        t.commit = commandLine("git -C '" + cache["CMAKE_HOME_DIRECTORY"] +
-                               "' describe --always --dirty");
+    const std::string &src = cache["CMAKE_HOME_DIRECTORY"];
+    if (src.empty())
+        return;
+    t.commit =
+        commandLine("git -C '" + src + "' describe --always --dirty");
+    // An export (git archive) or any other non-checkout is named by
+    // its source directory, so two such trees never share a label.
+    if (t.commit == "unknown")
+        t.commit = "no-git:" + src;
 }
 
 /**

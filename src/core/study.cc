@@ -414,21 +414,33 @@ runSweep(const Sweep &s)
         for (std::size_t i = 0; i < s.points; ++i)
             s.obs.distributions->addPoint(s.label(i), histOf(slots[i]));
 
+    // The rows follow in point order too: each point's key cells are
+    // interned once, and each run appended as codes plus its value.
+    const std::size_t run_col = s.columns.size();
+    std::vector<std::uint32_t> run_codes;
+    for (int r = 0; r < s.runs; ++r)
+        run_codes.push_back(table.intern(run_col, std::to_string(r)));
+    table.reserve(s.points * run_codes.size());
+    std::vector<std::uint32_t> codes(cols.size());
     for (std::size_t i = 0; i < s.points; ++i) {
         const std::vector<std::string> point_keys = s.keysOf(i);
+        for (std::size_t c = 0; c < run_col; ++c)
+            codes[c] = table.intern(c, point_keys[c]);
         for (int r = 0; r < s.runs; ++r) {
             const CheckpointRun &run =
                 slots[i][static_cast<std::size_t>(r)];
+            codes[run_col] = run_codes[static_cast<std::size_t>(r)];
             // A record carries attribution cells exactly when the
             // table has their columns.
-            std::vector<std::string> keys = point_keys;
-            keys.push_back(std::to_string(r));
-            keys.insert(keys.end(), run.attr.begin(), run.attr.end());
+            pca_assert(run_col + 1 + run.attr.size() == codes.size());
+            for (std::size_t a = 0; a < run.attr.size(); ++a)
+                codes[run_col + 1 + a] =
+                    table.intern(run_col + 1 + a, run.attr[a]);
             if (run.ok) {
-                table.add(keys, run.value);
+                table.addCodes(codes, run.value);
             } else {
                 PCA_SPC_INC(DegradedPoints);
-                table.add(keys, run.value, run.note);
+                table.addCodes(codes, run.value, run.note);
             }
         }
     }
@@ -557,20 +569,20 @@ runDurationStudy(const DurationStudyOptions &opt)
 std::vector<SlopeRow>
 errorSlopes(const DataTable &duration_data)
 {
+    const DataTable &t = duration_data;
+    const auto proc_idx = t.columnIndex("processor");
+    const auto if_idx = t.columnIndex("interface");
+    const auto size_idx = t.columnIndex("loopsize");
     std::vector<SlopeRow> out;
-    for (const auto &group :
-         duration_data.groupBy({"processor", "interface"})) {
+    for (const auto &group : t.groupBy({"processor", "interface"})) {
         // Rebuild (size, error) pairs for this group.
         std::vector<double> xs, ys;
-        const auto proc_idx = duration_data.columnIndex("processor");
-        const auto if_idx = duration_data.columnIndex("interface");
-        const auto size_idx = duration_data.columnIndex("loopsize");
-        for (const auto &row : duration_data.rows()) {
-            if (row.keys[proc_idx] != group.keys[0] ||
-                row.keys[if_idx] != group.keys[1])
+        for (std::size_t r = 0; r < t.size(); ++r) {
+            if (t.cell(r, proc_idx) != group.keys[0] ||
+                t.cell(r, if_idx) != group.keys[1])
                 continue;
-            xs.push_back(std::stod(row.keys[size_idx]));
-            ys.push_back(row.value);
+            xs.push_back(std::stod(t.cell(r, size_idx)));
+            ys.push_back(t.value(r));
         }
         if (xs.size() < 2)
             continue;

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "core/datatable.hh"
@@ -114,6 +117,170 @@ TEST(DataTableTest, CsvRoundTripShape)
     EXPECT_EQ(lines, 6);
 }
 
+std::string
+csvOf(const DataTable &t)
+{
+    std::ostringstream os;
+    t.writeCsv(os);
+    return os.str();
+}
+
+/** Row-by-row equality of two tables' keys, values and notes. */
+void
+expectSameRows(const DataTable &a, const DataTable &b)
+{
+    const auto ra = a.rows(), rb = b.rows();
+    ASSERT_EQ(ra.size(), rb.size());
+    for (std::size_t r = 0; r < ra.size(); ++r) {
+        EXPECT_EQ(ra[r].keys, rb[r].keys) << "row " << r;
+        EXPECT_EQ(ra[r].note, rb[r].note) << "row " << r;
+        if (!std::isnan(ra[r].value) || !std::isnan(rb[r].value)) {
+            EXPECT_EQ(ra[r].value, rb[r].value) << "row " << r;
+        }
+    }
+}
+
+TEST(DataTableTest, CsvPrintsLevelsValuesAndStatusExactly)
+{
+    DataTable t({"proc", "run", "attr_timer", "attr_io"}, "error");
+    t.add({"K8", "0", "2", "0"}, 1.5);
+    t.add({"K8", "1", "0", "0"},
+          std::numeric_limits<double>::quiet_NaN(),
+          "degraded:unavailable:injected; read failed");
+    t.add({"CD", "0", "2", "1"}, -3);
+    t.add({"K8", "0", "12", "0"}, 1234567.25);
+    EXPECT_EQ(t.degradedCount(), 1u);
+    EXPECT_EQ(csvOf(t),
+              "proc,run,attr_timer,attr_io,error,status\n"
+              "K8,0,2,0,1.500000,ok\n"
+              "K8,1,0,0,nan,degraded:unavailable:injected; read failed\n"
+              "CD,0,2,1,-3.000000,ok\n"
+              "K8,0,12,0,1234567.250000,ok\n");
+}
+
+TEST(DataTableTest, AppendRecodesLevelsInternedInAnotherOrder)
+{
+    const std::vector<std::pair<std::vector<std::string>, double>> rows{
+        {{"K8", "pm"}, 1}, {{"CD", "pc"}, 2}, {{"PD", "pc"}, 3},
+        {{"CD", "pm"}, 4}, {{"K8", "pc"}, 5}};
+    DataTable a({"proc", "iface"}, "error"), b({"proc", "iface"}, "error"),
+        all({"proc", "iface"}, "error");
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        // a interns K8 before CD and pm before pc; b the reverse.
+        DataTable &half = i < 2 ? a : b;
+        const std::string note = i == 3 ? "degraded:x" : "";
+        half.add(rows[i].first, rows[i].second, note);
+        all.add(rows[i].first, rows[i].second, note);
+    }
+    a.append(b);
+    expectSameRows(a, all);
+    EXPECT_EQ(csvOf(a), csvOf(all));
+    EXPECT_EQ(a.degradedCount(), 1u);
+    EXPECT_EQ(a.rows()[3].note, "degraded:x");
+    EXPECT_EQ(a.filtered("proc", "CD").values(),
+              (std::vector<double>{2, 4}));
+    const auto ga = a.groupBy({"iface"}), gall = all.groupBy({"iface"});
+    ASSERT_EQ(ga.size(), gall.size());
+    for (std::size_t g = 0; g < ga.size(); ++g) {
+        EXPECT_EQ(ga[g].keys, gall[g].keys);
+        EXPECT_EQ(ga[g].values, gall[g].values);
+    }
+}
+
+TEST(DataTableTest, FilteredChainMatchesARowScan)
+{
+    // fig10's selection: processor, then interface, then loop size.
+    DataTable t({"processor", "interface", "loopsize", "run"}, "cycles");
+    double v = 0;
+    for (const char *proc : {"PD", "CD", "K8"})
+        for (const char *iface : {"pm", "pc", "PHpm"})
+            for (const char *size : {"1", "1000000"})
+                for (const char *run : {"0", "1"}) {
+                    const std::string note = v == 19 ? "degraded:y" : "";
+                    t.add({proc, iface, size, run}, v++, note);
+                }
+    const DataTable sub = t.filtered("processor", "CD")
+                              .filtered("interface", "pc")
+                              .filtered("loopsize", "1000000");
+    std::vector<DataRow> want;
+    for (const DataRow &row : t.rows())
+        if (row.keys[0] == "CD" && row.keys[1] == "pc" &&
+            row.keys[2] == "1000000")
+            want.push_back(row);
+    const auto got = sub.rows();
+    ASSERT_EQ(got.size(), 2u);
+    ASSERT_EQ(want.size(), 2u);
+    for (std::size_t r = 0; r < got.size(); ++r) {
+        EXPECT_EQ(got[r].keys, want[r].keys);
+        EXPECT_EQ(got[r].value, want[r].value);
+        EXPECT_EQ(got[r].note, want[r].note);
+    }
+    EXPECT_EQ(sub.degradedCount(), 1u);
+    EXPECT_EQ(got[0].note, "");
+    EXPECT_EQ(got[1].note, "degraded:y");
+    EXPECT_TRUE(sub.filtered("run", "7").empty());
+}
+
+TEST(DataTableTest, GroupByKeepsFirstAppearanceOrder)
+{
+    DataTable t({"proc", "iface", "run"}, "error");
+    t.add({"K8", "pc", "0"}, 1);
+    t.add({"CD", "pm", "0"}, 2);
+    t.add({"K8", "pm", "0"}, 3);
+    t.add({"K8", "pc", "1"}, 4);
+    t.add({"CD", "pm", "1"}, 5);
+    const auto groups = t.groupBy({"iface", "proc"});
+    ASSERT_EQ(groups.size(), 3u);
+    EXPECT_EQ(groups[0].keys, (std::vector<std::string>{"pc", "K8"}));
+    EXPECT_EQ(groups[0].values, (std::vector<double>{1, 4}));
+    EXPECT_EQ(groups[1].keys, (std::vector<std::string>{"pm", "CD"}));
+    EXPECT_EQ(groups[1].values, (std::vector<double>{2, 5}));
+    EXPECT_EQ(groups[2].keys, (std::vector<std::string>{"pm", "K8"}));
+    EXPECT_EQ(groups[2].values, (std::vector<double>{3}));
+    const auto all = t.groupBy({});
+    ASSERT_EQ(all.size(), 1u);
+    EXPECT_EQ(all[0].values.size(), 5u);
+}
+
+TEST(DataTableTest, CopyIsIndependentOfTheOriginal)
+{
+    const DataTable original = sampleTable();
+    DataTable copy = original;
+    expectSameRows(copy, original);
+    copy.add({"PD", "pm"}, 7, "degraded:z");
+    copy.add({"K8", "pm"}, 8);
+    EXPECT_EQ(original.size(), 5u);
+    EXPECT_EQ(original.degradedCount(), 0u);
+    EXPECT_EQ(copy.size(), 7u);
+    EXPECT_EQ(copy.filtered("proc", "PD").values(),
+              (std::vector<double>{7}));
+    EXPECT_TRUE(original.filtered("proc", "PD").empty());
+}
+
+TEST(DataTableTest, RowsReturnExactlyWhatWasAdded)
+{
+    DataTable t({"proc", "iface"}, "error");
+    const std::vector<DataRow> added{
+        {{"K8", "pm"}, 10, ""},
+        {{"K8", "pm"}, 11, "degraded:a"},
+        {{"CD", "pc"}, -2.5, ""},
+        {{"K8", "pc"}, 0, "degraded:b"}};
+    for (const DataRow &row : added)
+        t.add(row.keys, row.value, row.note);
+    const auto rows = t.rows();
+    ASSERT_EQ(rows.size(), added.size());
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+        EXPECT_EQ(rows[r].keys, added[r].keys);
+        EXPECT_EQ(rows[r].value, added[r].value);
+        EXPECT_EQ(rows[r].note, added[r].note);
+        EXPECT_EQ(rows[r].degraded(), added[r].degraded());
+        EXPECT_EQ(t.value(r), added[r].value);
+        for (std::size_t c = 0; c < 2; ++c)
+            EXPECT_EQ(t.cell(r, c), added[r].keys[c]);
+    }
+    EXPECT_EQ(t.values(), (std::vector<double>{10, 11, -2.5, 0}));
+}
+
 TEST(FactorSpaceTest, DefaultsCoverPaperSpace)
 {
     const auto points = FactorSpace().generate();
@@ -214,6 +381,58 @@ TEST(StudyTest, NullStudyRejectsRunCountsThatRepeatSeeds)
     EXPECT_EQ(obs::spcValue(obs::Spc::MachineBoots), 0u)
         << "rejected before anything is measured";
     obs::spcReset();
+}
+
+TEST(StudyTest, NullStudyRowsMatchTheirPointsAtAnyThreadCount)
+{
+    const auto points = FactorSpace()
+                            .processors({cpu::Processor::Core2Duo})
+                            .optLevels({2})
+                            .counterCounts({1, 2})
+                            .tscSettings({true, false})
+                            .generate();
+    constexpr int runs = 3;
+    StudyObsOptions obs;
+    obs.attributionColumns = true;
+    setenv("PCA_FAULTS", "seed=3,attach=0.6,retries=0", 1);
+    setenv("PCA_THREADS", "1", 1);
+    const DataTable serial = runNullErrorStudy(points, runs, 42, obs);
+    setenv("PCA_THREADS", "4", 1);
+    const DataTable parallel = runNullErrorStudy(points, runs, 42, obs);
+    unsetenv("PCA_THREADS");
+    unsetenv("PCA_FAULTS");
+
+    EXPECT_EQ(csvOf(serial), csvOf(parallel));
+    ASSERT_EQ(serial.size(), points.size() * runs);
+    ASSERT_EQ(serial.keyColumns().size(), 12u);
+    ASSERT_GT(serial.degradedCount(), 0u);
+    ASSERT_LT(serial.degradedCount(), serial.size());
+    const auto rows = serial.rows();
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+        const FactorPoint &p = points[r / runs];
+        const std::vector<std::string> want{
+            cpu::processorCode(p.processor),
+            harness::interfaceCode(p.iface),
+            harness::patternName(p.pattern),
+            harness::countingModeName(p.mode),
+            "O" + std::to_string(p.optLevel),
+            std::to_string(p.numCounters),
+            p.tsc ? "on" : "off",
+            std::to_string(r % runs)};
+        EXPECT_EQ(std::vector<std::string>(rows[r].keys.begin(),
+                                           rows[r].keys.begin() + 8),
+                  want)
+            << "row " << r;
+        if (rows[r].degraded()) {
+            EXPECT_EQ(rows[r].note.rfind("degraded:", 0), 0u);
+            EXPECT_TRUE(std::isnan(rows[r].value));
+            EXPECT_EQ(std::vector<std::string>(rows[r].keys.begin() + 8,
+                                               rows[r].keys.end()),
+                      (std::vector<std::string>{"0", "0", "0", "0"}));
+        } else {
+            EXPECT_FALSE(std::isnan(rows[r].value));
+        }
+    }
 }
 
 TEST(StudyTest, DurationStudyAndSlopes)

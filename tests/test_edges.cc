@@ -213,6 +213,47 @@ TEST(DataTableEdge, FilteredToEmpty)
     EXPECT_TRUE(f.values().empty());
 }
 
+TEST(DataTableEdge, FilteredOnALevelOfAnotherColumnIsEmpty)
+{
+    core::DataTable t({"a", "b"}, "v");
+    t.add({"x", "y"}, 1);
+    EXPECT_TRUE(t.filtered("a", "y").empty());
+    EXPECT_EQ(t.filtered("b", "y").size(), 1u);
+}
+
+TEST(DataTableEdge, AlternatingLevelsInternToTheirOwnCodes)
+{
+    // intern()'s one-entry memo must not hand a level another's code.
+    core::DataTable t({"tsc"}, "v");
+    for (int i = 0; i < 6; ++i)
+        t.add({i % 2 ? "off" : "on"}, i);
+    EXPECT_EQ(t.intern(0, "on"), t.intern(0, "on"));
+    EXPECT_NE(t.intern(0, "on"), t.intern(0, "off"));
+    EXPECT_EQ(t.filtered("tsc", "off").values(),
+              (std::vector<double>{1, 3, 5}));
+    t.addCodes({t.intern(0, "off")}, 6);
+    EXPECT_EQ(t.cell(6, 0), "off");
+}
+
+TEST(DataTableEdge, AddCodesRejectsBadArityAndUnknownCodes)
+{
+    core::DataTable t({"a", "b"}, "v");
+    const std::uint32_t x = t.intern(0, "x");
+    EXPECT_THROW(t.addCodes({x}, 1), std::logic_error);
+    EXPECT_THROW(t.addCodes({x, 0}, 1), std::logic_error);
+    EXPECT_TRUE(t.empty());
+}
+
+TEST(DataTableEdge, EmptyTableWritesOnlyTheHeader)
+{
+    core::DataTable t({"a", "b"}, "v");
+    std::ostringstream os;
+    t.writeCsv(os);
+    EXPECT_EQ(os.str(), "a,b,v\n");
+    EXPECT_TRUE(t.groupBy({"a"}).empty());
+    EXPECT_TRUE(t.rows().empty());
+}
+
 TEST(StatsEdge, QuantileRejectsBadQ)
 {
     EXPECT_THROW(stats::quantile({1.0, 2.0}, -0.1),

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <sstream>
 
 #include "stats/anova.hh"
@@ -133,6 +135,69 @@ TEST(ViolinTest, PeakNearMode)
             best = i;
     const double step = (d.hi - d.lo) / (d.at.size() - 1.0);
     EXPECT_NEAR(d.lo + best * step, 7.0, 0.5);
+}
+
+/**
+ * The grid sums as one exp() per sample, skipping tails beyond 8
+ * bandwidths: the reference kernelDensity must match bit for bit.
+ */
+std::vector<double>
+perSampleDensity(const std::vector<double> &xs, const Density &d)
+{
+    const double bw = d.bandwidth;
+    const double step = (d.hi - d.lo) / (d.at.size() - 1.0);
+    const double norm = 1.0
+        / (static_cast<double>(xs.size()) * bw * std::sqrt(2.0 * M_PI));
+    std::vector<double> at(d.at.size());
+    for (std::size_t i = 0; i < at.size(); ++i) {
+        double g = d.lo + static_cast<int>(i) * step;
+        double acc = 0;
+        for (double x : xs) {
+            double z = (g - x) / bw;
+            if (std::abs(z) < 8.0)
+                acc += std::exp(-0.5 * z * z);
+        }
+        at[i] = acc * norm;
+    }
+    return at;
+}
+
+void
+expectBitIdentical(const std::vector<double> &xs)
+{
+    const Density d = kernelDensity(xs);
+    const std::vector<double> ref = perSampleDensity(xs, d);
+    ASSERT_EQ(ref.size(), d.at.size());
+    for (std::size_t i = 0; i < ref.size(); ++i)
+        EXPECT_EQ(std::memcmp(&ref[i], &d.at[i], sizeof(double)), 0)
+            << "grid point " << i << ": " << ref[i] << " vs "
+            << d.at[i];
+}
+
+TEST(ViolinTest, BulkDensityMatchesPerSampleSumsWithDuplicates)
+{
+    // Error counts: a few values, repeated in no particular order.
+    expectBitIdentical({5, 3, 5, 1200, 3, 3, 7, 5, 1200, 40, 3, 7, 5});
+    Rng r(9);
+    std::vector<double> xs;
+    for (int i = 0; i < 3000; ++i)
+        xs.push_back(static_cast<double>(r.nextBelow(50) * 37 % 211));
+    expectBitIdentical(xs);
+}
+
+TEST(ViolinTest, BulkDensityMatchesPerSampleSumsOnOneValue)
+{
+    expectBitIdentical({7, 7, 7, 7, 7});
+    expectBitIdentical({-0.0, 0.0, -0.0});
+}
+
+TEST(ViolinTest, BulkDensityMatchesPerSampleSumsBeyondEightBandwidths)
+{
+    // Two far clusters: most grid points see only skipped tails.
+    expectBitIdentical({0, 0, 1, 1, 2, 1e6, 1e6 + 1, 1e6, 1e6 + 2});
+    // A degraded run's NaN adds nothing, as before.
+    expectBitIdentical(
+        {4, 4, 5, std::numeric_limits<double>::quiet_NaN(), 5, 9});
 }
 
 TEST(ViolinTest, RenderRuns)
