@@ -8,6 +8,8 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <unordered_map>
 
 #include "core/checkpoint.hh"
 #include "harness/microbench.hh"
@@ -276,6 +278,13 @@ struct Sweep
      * a pure function of the point and run, never of scheduling.
      */
     std::function<std::uint64_t(std::size_t, int)> seedIndex;
+    /**
+     * Optional sibling key. Points with equal keys must have equal
+     * configurations but for the counting mode, and equal benchmarks;
+     * runPoints measures them on one User+Kernel session. Unset, every
+     * point is a group of one, measured in its own mode.
+     */
+    std::function<std::uint64_t(std::size_t)> siblingOf;
 
     /**
      * Point i's name in the metrics, the distributions and the
@@ -319,10 +328,43 @@ struct Sweep
 };
 
 /**
+ * The points still to measure, in groups of siblings (Sweep::siblingOf):
+ * groups in the order of their first point, members in point order.
+ * With no sibling key, or a fault plan that transforms readings (the
+ * counter width wraps values and torn reads alter them, so a derived
+ * reading is not what its mode would read), each point is a group of
+ * one.
+ */
+std::vector<std::vector<std::size_t>>
+siblingGroups(const Sweep &s, const std::vector<std::size_t> &todo,
+              const kernel::FaultPlan &fault_plan)
+{
+    std::vector<std::vector<std::size_t>> groups;
+    if (!s.siblingOf || fault_plan.enabled()) {
+        groups.reserve(todo.size());
+        for (std::size_t i : todo)
+            groups.push_back({i});
+        return groups;
+    }
+    std::unordered_map<std::uint64_t, std::size_t> groupOf;
+    for (std::size_t i : todo) {
+        const auto [it, fresh] =
+            groupOf.try_emplace(s.siblingOf(i), groups.size());
+        if (fresh)
+            groups.emplace_back();
+        groups[it->second].push_back(i);
+    }
+    return groups;
+}
+
+/**
  * The shared resilient point loop behind all three studies.
  *
- * Fans the factor points over the worker pool, each measured by
- * measurePoint(). With PCA_CHECKPOINT set, points completed by a
+ * Fans the groups of sibling points over the worker pool. A group's
+ * points share one session, counting User+Kernel when the group has
+ * more than one point (HarnessSession::tryRun derives the others),
+ * and each point keeps its own seeds, retry allowance, checkpoint
+ * record and slot. With PCA_CHECKPOINT set, points completed by a
  * prior invocation load from the checkpoint and are not re-measured,
  * each finished point is durably appended as it completes, and
  * SIGINT turns into cooperative cancellation: workers drain, the
@@ -358,22 +400,42 @@ runPoints(const Sweep &s, const kernel::FaultPlan &fault_plan,
                        " points already complete)");
     }
 
+    const std::vector<std::vector<std::size_t>> groups =
+        siblingGroups(s, todo, fault_plan);
     try {
-        parallelFor(todo.size(), [&](std::size_t t) {
-            const std::size_t i = todo[t];
-            HarnessConfig cfg = s.configOf(i);
-            cfg.faults = fault_plan;
-            slots[i] = toRecord(
-                harness::measurePoint(
-                    cfg, *s.benchOf(i), s.runs,
-                    [&](int r) {
-                        return mixSeed(s.seed, s.seedIndex(i, r));
-                    },
-                    fault_plan.retry.effectivePointBudget(n, i)),
-                s.useDelta, s.obs.attributionColumns);
-            if (ckpt)
-                ckpt->record(i, slots[i]);
-            observer.pointDone(i, okValues(slots[i]));
+        parallelFor(groups.size(), [&](std::size_t g) {
+            const bool grouped = groups[g].size() > 1;
+            std::unique_ptr<MicroBenchmark> bench;
+            std::optional<harness::HarnessSession> session;
+            for (std::size_t i : groups[g]) {
+                HarnessConfig cfg = s.configOf(i);
+                cfg.faults = fault_plan;
+                const harness::CountingMode mode = cfg.mode;
+                if (grouped)
+                    cfg.mode = harness::CountingMode::UserKernel;
+                if (!session) {
+                    bench = s.benchOf(i);
+                    session.emplace(cfg, *bench);
+                } else {
+                    // The sibling key's contract: only the mode differs.
+                    const auto own = s.benchOf(i);
+                    pca_assert(cfg == session->config() &&
+                               own->name() == bench->name() &&
+                               own->expectedInstructions() ==
+                                   bench->expectedInstructions());
+                }
+                slots[i] = toRecord(
+                    harness::measurePoint(
+                        *session, mode, s.runs,
+                        [&](int r) {
+                            return mixSeed(s.seed, s.seedIndex(i, r));
+                        },
+                        fault_plan.retry.effectivePointBudget(n, i)),
+                    s.useDelta, s.obs.attributionColumns);
+                if (ckpt)
+                    ckpt->record(i, slots[i]);
+                observer.pointDone(i, okValues(slots[i]));
+            }
         });
     } catch (const StatusError &e) {
         if (e.status().code() == StatusCode::Cancelled && ckpt)
@@ -511,6 +573,17 @@ runNullErrorStudy(const std::vector<FactorPoint> &points,
         .seedIndex = [](std::size_t i, int r) {
             return (i + 1) * 1000 + static_cast<std::uint64_t>(r);
         },
+        // Every factor but the mode, a byte each; every point
+        // measures the null benchmark.
+        .siblingOf = [&](std::size_t i) {
+            const FactorPoint &p = points[i];
+            return static_cast<std::uint64_t>(p.processor) |
+                static_cast<std::uint64_t>(p.iface) << 8 |
+                static_cast<std::uint64_t>(p.pattern) << 16 |
+                static_cast<std::uint64_t>(p.optLevel & 0xff) << 24 |
+                static_cast<std::uint64_t>(p.numCounters & 0xff) << 32 |
+                static_cast<std::uint64_t>(p.tsc) << 40;
+        },
     });
 }
 
@@ -563,6 +636,7 @@ runDurationStudy(const DurationStudyOptions &opt)
             return std::make_unique<LoopBench>(pts[i].size);
         },
         .seedIndex = serialSeedIndex(opt.runsPerSize),
+        .siblingOf = {}, // one counting mode per study
     });
 }
 
@@ -654,6 +728,7 @@ runCycleStudy(const CycleStudyOptions &opt)
             return std::make_unique<LoopBench>(pts[i].size);
         },
         .seedIndex = serialSeedIndex(opt.runsPerConfig),
+        .siblingOf = {}, // one counting mode per study
     });
 }
 

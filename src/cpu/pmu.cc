@@ -74,16 +74,16 @@ Pmu::wrmsr(std::uint32_t msr, std::uint64_t value)
     if (msr >= msrPmcBase && msr < msrPmcBase + prog.size()) {
         Counter &c = prog[msr - msrPmcBase];
         c.value = value;
-        // A value write re-bases the counter: the class split tracks
-        // only events counted since, so sum(byClass) == value - base.
-        c.byClass.fill(0);
+        // A value write re-bases the counter: the split tracks only
+        // events counted since, so its sum == value - base.
+        c.split = {};
         return;
     }
     if (msr >= msrFixedCtrBase &&
         msr < msrFixedCtrBase + fixed.size()) {
         Counter &c = fixed[msr - msrFixedCtrBase];
         c.value = value;
-        c.byClass.fill(0);
+        c.split = {};
         return;
     }
     if (msr == msrFixedCtrCtrl) {
@@ -140,9 +140,9 @@ Pmu::rdpmc(std::uint64_t select) const
             StatusCode::NotFound,
             detail::cat("rdpmc: no programmable counter ", select)));
     const auto i = static_cast<std::size_t>(select);
-    // Latch the class split alongside the value so a capture a few
+    // Latch the split alongside the value so a capture a few
     // instructions later can attribute exactly this reading.
-    readLatch[i] = prog[i].byClass;
+    readLatch[i] = prog[i].split;
     const Count v = prog[i].value & widthMask;
     return readTamper ? readTamper(v) : v;
 }
@@ -166,7 +166,7 @@ Pmu::countSlow(EventType ev, Mode mode, Count n)
         const int i = __builtin_ctz(bits);
         Counter &c = prog[static_cast<std::size_t>(i)];
         c.value += n;
-        c.byClass[cls] += n;
+        c.split[m][cls] += n;
         if (c.samplePeriod != 0 && c.value >= c.samplePeriod) {
             // Overflow: re-arm and latch the PMI.
             c.value -= c.samplePeriod;
@@ -177,7 +177,7 @@ Pmu::countSlow(EventType ev, Mode mode, Count n)
          bits &= bits - 1) {
         Counter &c = fixed[static_cast<std::size_t>(__builtin_ctz(bits))];
         c.value += n;
-        c.byClass[cls] += n;
+        c.split[m][cls] += n;
     }
 }
 
@@ -187,7 +187,7 @@ Pmu::setSamplePeriod(int i, Count period)
     Counter &c = prog.at(static_cast<std::size_t>(i));
     c.samplePeriod = period;
     c.value = 0;
-    c.byClass.fill(0);
+    c.split = {};
     if (period != 0)
         armedMask |= 1ULL << i;
     else
@@ -219,7 +219,7 @@ Pmu::setProgValue(int i, Count v)
     prog.at(static_cast<std::size_t>(i)).value = v;
 }
 
-const obs::AttrCounts &
+const obs::ModeAttrCounts &
 Pmu::attrLatch(int i) const
 {
     return readLatch.at(static_cast<std::size_t>(i));
@@ -239,7 +239,7 @@ Pmu::reset()
     }
     attrCls = obs::AttrClass::User;
     for (auto &latch : readLatch)
-        latch.fill(0);
+        latch = {};
     tsc = 0;
     rebuildActive();
 }

@@ -106,13 +106,15 @@ class Pmu
         Count samplePeriod = 0; //!< 0 = counting mode, else sampling
 
         /**
-         * The counter's value split by the attribution class active
-         * when each event was counted. Writing the counter value
-         * (counter reset) zeroes the split, so sum(byClass) always
-         * equals value - last-written-value: the error-attribution
-         * invariant.
+         * The counter's value split by the privilege mode each event
+         * was counted in and the attribution class active then.
+         * Writing the counter value (counter reset) zeroes the split,
+         * so its sum always equals value - last-written-value: the
+         * error-attribution invariant. Summed over modes it is the
+         * class split; the rows of a mode the counter does not count
+         * stay zero.
          */
-        obs::AttrCounts byClass{};
+        obs::ModeAttrCounts split{};
     };
 
     const Counter &progCounter(int i) const;
@@ -131,13 +133,13 @@ class Pmu
     obs::AttrClass attrClass() const { return attrCls; }
 
     /**
-     * Class split latched by the most recent rdpmc() of programmable
-     * counter @p i — the split that is *value-consistent* with what
-     * that read returned (events counted between the RDPMC and any
-     * later capture point are excluded, exactly as they are excluded
-     * from the read value itself).
+     * Mode x class split latched by the most recent rdpmc() of
+     * programmable counter @p i — the split that is *value-consistent*
+     * with what that read returned (events counted between the RDPMC
+     * and any later capture point are excluded, exactly as they are
+     * excluded from the read value itself).
      */
-    const obs::AttrCounts &attrLatch(int i) const;
+    const obs::ModeAttrCounts &attrLatch(int i) const;
 
     // --- Sampling (overflow interrupt) support ---
 
@@ -193,8 +195,8 @@ class Pmu
     std::vector<Counter> prog;
     std::vector<Counter> fixed;
     obs::AttrClass attrCls = obs::AttrClass::User;
-    /** Per-prog-counter class split latched at rdpmc time. */
-    mutable std::vector<obs::AttrCounts> readLatch;
+    /** Per-prog-counter mode x class split latched at rdpmc time. */
+    mutable std::vector<obs::ModeAttrCounts> readLatch;
     Count tsc = 0;
     std::uint64_t armedMask = 0;   //!< counters armed for sampling
     std::uint64_t pendingMask = 0; //!< counters with pending PMIs

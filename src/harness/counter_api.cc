@@ -40,13 +40,25 @@ toPapiSpec(const ApiConfig &cfg)
     return s;
 }
 
+/**
+ * Store a read's values in @p sink with the split each slot's RDPMC
+ * latched: slot i is programmable counter i on every interface.
+ */
+void
+capture(const cpu::Pmu *pmu, CaptureSink *sink, const std::vector<Count> &v)
+{
+    sink->values = v;
+    sink->split.resize(v.size());
+    for (std::size_t i = 0; i < v.size(); ++i)
+        sink->split[i] = pmu->attrLatch(static_cast<int>(i));
+    ++sink->captures;
+}
+
 perfmon::ReadCapture
-pmCapture(const cpu::Pmu *pmu, CaptureSink *sink)
+valueCapture(const cpu::Pmu *pmu, CaptureSink *sink)
 {
     return [pmu, sink](const std::vector<Count> &v) {
-        sink->values = v;
-        sink->attr = pmu->attrLatch(0);
-        ++sink->captures;
+        capture(pmu, sink, v);
     };
 }
 
@@ -54,20 +66,8 @@ perfctr::ReadCapture
 pcCapture(const cpu::Pmu *pmu, CaptureSink *sink)
 {
     return [pmu, sink](const std::vector<Count> &v, Count tsc) {
-        sink->values = v;
+        capture(pmu, sink, v);
         sink->tsc = tsc;
-        sink->attr = pmu->attrLatch(0);
-        ++sink->captures;
-    };
-}
-
-papi::ReadCapture
-papiCapture(const cpu::Pmu *pmu, CaptureSink *sink)
-{
-    return [pmu, sink](const std::vector<Count> &v) {
-        sink->values = v;
-        sink->attr = pmu->attrLatch(0);
-        ++sink->captures;
     };
 }
 
@@ -99,14 +99,14 @@ class PmApi : public CounterApi
     void
     emitRead(Assembler &a, CaptureSink *sink) override
     {
-        lib.emitRead(a, spec, pmCapture(pmu, sink));
+        lib.emitRead(a, spec, valueCapture(pmu, sink));
     }
 
     void
     emitStopAndRead(Assembler &a, CaptureSink *sink) override
     {
         lib.emitStop(a);
-        lib.emitRead(a, spec, pmCapture(pmu, sink));
+        lib.emitRead(a, spec, valueCapture(pmu, sink));
     }
 
   private:
@@ -182,13 +182,13 @@ class PapiLowApi : public CounterApi
     void
     emitRead(Assembler &a, CaptureSink *sink) override
     {
-        low.emitRead(a, papiCapture(pmu, sink));
+        low.emitRead(a, valueCapture(pmu, sink));
     }
 
     void
     emitStopAndRead(Assembler &a, CaptureSink *sink) override
     {
-        low.emitStopAndRead(a, papiCapture(pmu, sink));
+        low.emitStopAndRead(a, valueCapture(pmu, sink));
     }
 
   private:
@@ -225,13 +225,13 @@ class PapiHighApi : public CounterApi
     emitRead(Assembler &a, CaptureSink *sink) override
     {
         // Read-and-reset: legal only as a measurement's final read.
-        high.emitReadCounters(a, papiCapture(pmu, sink));
+        high.emitReadCounters(a, valueCapture(pmu, sink));
     }
 
     void
     emitStopAndRead(Assembler &a, CaptureSink *sink) override
     {
-        high.emitStopCounters(a, papiCapture(pmu, sink));
+        high.emitStopCounters(a, valueCapture(pmu, sink));
     }
 
   private:

@@ -28,14 +28,24 @@ struct CaptureSink
     int captures = 0;
 
     /**
-     * Attribution-class split of the slot-0 counter, latched by the
-     * same RDPMC that produced values[0] (value-consistent: the two
-     * deltas between captures agree exactly).
+     * Per slot, the mode x class split latched by the same RDPMC that
+     * produced values[slot] (value-consistent: the two deltas between
+     * captures agree exactly).
      */
-    obs::AttrCounts attr{};
+    std::vector<obs::ModeAttrCounts> split;
 
     /** Primary (slot 0) counter value; 0 if never captured. */
     Count primary() const { return values.empty() ? 0 : values[0]; }
+
+    /** Forget the captures, keeping the buffers for the next run. */
+    void
+    clear()
+    {
+        values.clear();
+        split.clear();
+        tsc = 0;
+        captures = 0;
+    }
 };
 
 /** Counter configuration for one measurement. */

@@ -46,14 +46,6 @@ tracePhase(isa::Assembler &a, const char *name, bool begin)
     });
 }
 
-void
-countPatternOverhead(const Measurement &m)
-{
-    if (m.attribution.patternOverhead > 0)
-        PCA_SPC_ADD(PatternOverheadInstrs,
-                    static_cast<Count>(m.attribution.patternOverhead));
-}
-
 /** @p cfg, once it is known to be measurable (fatal otherwise). */
 const HarnessConfig &
 validated(const HarnessConfig &cfg)
@@ -151,24 +143,24 @@ HarnessSession::HarnessSession(const HarnessConfig &cfg,
       case AccessPattern::StartRead:
         emitStart();
         emitBench();
-        emitRead(&s1);
+        emitRead(&current.s1);
         break;
       case AccessPattern::StartStop:
         emitStart();
         emitBench();
-        emitStop(&s1);
+        emitStop(&current.s1);
         break;
       case AccessPattern::ReadRead:
         emitStart();
-        emitRead(&s0);
+        emitRead(&current.s0);
         emitBench();
-        emitRead(&s1);
+        emitRead(&current.s1);
         break;
       case AccessPattern::ReadStop:
         emitStart();
-        emitRead(&s0);
+        emitRead(&current.s0);
         emitBench();
-        emitStop(&s1);
+        emitStop(&current.s1);
         break;
     }
 
@@ -178,13 +170,8 @@ HarnessSession::HarnessSession(const HarnessConfig &cfg,
 
     machine->addUserBlock(a.take());
     machine->finalize();
-
-    // The analytical ground truth exists only for the benchmark's
-    // retired user-mode instructions.
-    if (cfg.primaryEvent == cpu::EventType::InstrRetired &&
-        cfg.mode != CountingMode::Kernel) {
-        expected = bench.expectedInstructions();
-    }
+    benchInstrs = bench.expectedInstructions();
+    PCA_SPC_INC(ProgramCacheMisses);
 }
 
 HarnessSession::~HarnessSession()
@@ -208,12 +195,61 @@ HarnessSession::run(std::uint64_t seed)
 StatusOr<Measurement>
 HarnessSession::tryRun(std::uint64_t seed)
 {
-    return tryRun(seed, nullptr);
+    return tryRun(seed, nullptr, cfg.mode);
+}
+
+Measurement
+HarnessSession::reading(const Capture &c, CountingMode report) const
+{
+    // Only a User+Kernel session counts the rows another mode keeps,
+    // and only an inert fault plan leaves each value its rows' sum
+    // plus the written base.
+    const bool derived = report != cfg.mode;
+    pca_assert(!derived || (cfg.mode == CountingMode::UserKernel &&
+                            !cfg.faults.enabled()));
+    const PlMask keep = toPlMask(report);
+    const PlMask drop =
+        report == CountingMode::User ? PlMask::Kernel : PlMask::User;
+    const auto values = [&](const CaptureSink &s) {
+        std::vector<Count> v = s.values;
+        if (derived)
+            for (std::size_t i = 0; i < v.size(); ++i)
+                v[i] -= obs::modeTotal(s.split[i], drop);
+        return v;
+    };
+    const auto classes = [&](const CaptureSink &s) {
+        return s.split.empty() ? obs::AttrCounts{}
+                               : obs::classSplit(s.split[0], keep);
+    };
+    Measurement m;
+    m.run = c.run;
+    m.c0All = values(c.s0);
+    m.c1All = values(c.s1);
+    m.c0 = m.c0All.empty() ? 0 : m.c0All[0];
+    m.c1 = m.c1All.empty() ? 0 : m.c1All[0];
+    m.tsc0 = c.s0.tsc;
+    m.tsc1 = c.s1.tsc;
+    // The analytical ground truth exists only for the benchmark's
+    // retired user-mode instructions.
+    if (cfg.primaryEvent == cpu::EventType::InstrRetired &&
+        report != CountingMode::Kernel)
+        m.expected = benchInstrs;
+    m.attribution =
+        obs::attributeError(classes(c.s0), classes(c.s1), m.expected);
+    if (derived)
+        PCA_SPC_INC(ReadingsDerived);
+    if (m.attribution.patternOverhead > 0)
+        PCA_SPC_ADD(PatternOverheadInstrs,
+                    static_cast<Count>(m.attribution.patternOverhead));
+    return m;
 }
 
 StatusOr<Measurement>
-HarnessSession::tryRun(std::uint64_t seed, RetryBudget *budget)
+HarnessSession::tryRun(std::uint64_t seed, RetryBudget *budget,
+                       CountingMode report)
 {
+    if (attempted)
+        PCA_SPC_INC(ProgramCacheHits);
     // Bounded retry-and-discard: a failed attempt's machine state is
     // discarded wholesale (the next attempt reboots), and only
     // transient faults earn another attempt. Attempt a > 0 derives
@@ -243,14 +279,13 @@ HarnessSession::tryRun(std::uint64_t seed, RetryBudget *budget)
             // At cycle 0, where a rebooted machine would start.
             if (obs::traceEnabled())
                 obs::tracer().instant("run-reused:main", "machine", 0);
-            countPatternOverhead(*reference);
-            return *reference;
+            return reading(*reference, report);
         }
         if (later && horizon > 0)
             PCA_SPC_INC(RunsReuseBlockedIrq);
         machine->reboot(attempt_seed);
-        s0 = CaptureSink{};
-        s1 = CaptureSink{};
+        current.s0.clear();
+        current.s1.clear();
 
         const Cycles t0 = machine->core().cycles();
         StatusOr<cpu::RunResult> r = machine->tryRun("main");
@@ -278,21 +313,10 @@ HarnessSession::tryRun(std::uint64_t seed, RetryBudget *budget)
             continue;
         }
 
-        Measurement m;
-        m.run = *r;
-        m.c0 = s0.primary();
-        m.c1 = s1.primary();
-        m.tsc0 = s0.tsc;
-        m.tsc1 = s1.tsc;
-        m.c0All = s0.values;
-        m.c1All = s1.values;
-        m.expected = expected;
-        m.attribution =
-            obs::attributeError(s0.attr, s1.attr, m.expected);
-        countPatternOverhead(m);
-        if (!reference && m.run.interrupts == 0)
-            reference = m;
-        return m;
+        current.run = *r;
+        if (!reference && r->interrupts == 0)
+            reference = current;
+        return reading(current, report);
     }
     // The message is part of the degraded-row note in study CSVs:
     // keep it a pure function of (policy, outcome), never timing.
@@ -312,17 +336,23 @@ measurePoint(const HarnessConfig &cfg, const MicroBenchmark &bench,
              const std::function<std::uint64_t(int)> &seed_for,
              std::optional<long> retry_budget)
 {
-    pca_assert(runs >= 1);
-    RetryBudget budget(retry_budget
-                           ? *retry_budget
-                           : cfg.faults.retry.perPointBudget);
     HarnessSession session(cfg, bench);
-    PCA_SPC_INC(ProgramCacheMisses);
-    PCA_SPC_ADD(ProgramCacheHits, static_cast<Count>(runs - 1));
+    return measurePoint(session, cfg.mode, runs, seed_for,
+                        retry_budget ? *retry_budget
+                                     : cfg.faults.retry.perPointBudget);
+}
+
+std::vector<StatusOr<Measurement>>
+measurePoint(HarnessSession &session, CountingMode mode, int runs,
+             const std::function<std::uint64_t(int)> &seed_for,
+             long retry_budget)
+{
+    pca_assert(runs >= 1);
+    RetryBudget budget(retry_budget);
     std::vector<StatusOr<Measurement>> out;
     out.reserve(static_cast<std::size_t>(runs));
     for (int r = 0; r < runs; ++r)
-        out.push_back(session.tryRun(seed_for(r), &budget));
+        out.push_back(session.tryRun(seed_for(r), &budget, mode));
     if (budget.limited() && budget.denied() > 0)
         PCA_SPC_INC(PointsQuarantined);
     return out;

@@ -68,11 +68,14 @@ namespace pca::harness
  * freshly rebooted machine cannot reach the reference's cycles
  * (Machine::seedHorizon: no fault injector, no profiler, and no
  * interrupt due at or before the reference's last cycle) would
- * follow the same interrupt-free trajectory, so it returns a copy of
- * the reference instead of rebooting and executing (runs_reused
+ * follow the same interrupt-free trajectory, so it returns the
+ * reference's reading instead of rebooting and executing (runs_reused
  * SPC; machine_reboots counts executed runs only). A later run
  * that executes although no injector or profiler forbids reuse counts
  * in runs_reuse_blocked_irq. The reference never leaves the session.
+ *
+ * A built session counts once in program_cache_misses, and each of
+ * its later runs once in program_cache_hits.
  */
 class HarnessSession
 {
@@ -114,26 +117,50 @@ class HarnessSession
     StatusOr<Measurement> tryRun(std::uint64_t seed);
 
     /**
-     * tryRun with a retry budget: each retry must claim a token from
-     * @p budget (null = unlimited) before proceeding; a denied claim
-     * fails the run immediately with a "retry budget exhausted"
-     * status — the quarantine path for points that burned their
-     * allowance.
+     * tryRun with a retry budget, reporting the reading a session
+     * counting in @p report would have taken.
+     *
+     * Each retry must claim a token from @p budget (null = unlimited)
+     * before proceeding; a denied claim fails the run immediately
+     * with a "retry budget exhausted" status — the quarantine path
+     * for points that burned their allowance.
+     *
+     * A @p report other than the config's mode is derived
+     * (readings_derived SPC). The PMU only observes: the counting
+     * mode changes no instruction, cycle or interrupt of a run, only
+     * what the counters add up. So a User+Kernel session answers
+     * User and Kernel exactly from the mode x class split each read
+     * latched: every value minus the excluded mode's rows, the
+     * attribution from the included rows, and expected 0 for Kernel.
+     * Deriving needs a User+Kernel session under an inert fault plan
+     * (counter width and torn reads transform the values).
      */
-    StatusOr<Measurement> tryRun(std::uint64_t seed,
-                                 RetryBudget *budget);
+    StatusOr<Measurement> tryRun(std::uint64_t seed, RetryBudget *budget,
+                                 CountingMode report);
 
     /** Total virtual backoff charged by retries so far. */
     Cycles backoffCycles() const { return backoff; }
 
+    const HarnessConfig &config() const { return cfg; }
+
   private:
+    /** A run and its captures: what every reported mode derives from. */
+    struct Capture
+    {
+        cpu::RunResult run;
+        CaptureSink s0, s1;
+    };
+
+    /** @p c's reading in @p report mode (see tryRun). */
+    Measurement reading(const Capture &c, CountingMode report) const;
+
     HarnessConfig cfg;
     std::unique_ptr<Machine> machine;
-    CaptureSink s0, s1;
-    Count expected = 0;
+    Capture current; //!< the executing run's captures
+    Count benchInstrs = 0; //!< the benchmark's analytical instructions
     Cycles backoff = 0;
     bool attempted = false; //!< a run was attempted already
-    std::optional<Measurement> reference;
+    std::optional<Capture> reference;
 };
 
 /**
@@ -143,9 +170,7 @@ class HarnessSession
  * (studies and bench drivers differ only in that derivation).
  * Results are in run order; a run that still fails after the
  * session's transient-fault retries occupies its slot as an error
- * Status (with an inert fault plan every slot is ok()). The build
- * counts once in program_cache_misses and every later run once in
- * program_cache_hits.
+ * Status (with an inert fault plan every slot is ok()).
  *
  * All runs of the point share one RetryBudget limited to
  * @p retry_budget when given, else to
@@ -160,6 +185,16 @@ measurePoint(const HarnessConfig &cfg, const MicroBenchmark &bench,
              int runs,
              const std::function<std::uint64_t(int)> &seed_for,
              std::optional<long> retry_budget = std::nullopt);
+
+/**
+ * The same loop on a session built already, each run reported in
+ * @p mode (HarnessSession::tryRun): how a study measures the points
+ * that differ from the session's only in counting mode.
+ */
+std::vector<StatusOr<Measurement>>
+measurePoint(HarnessSession &session, CountingMode mode, int runs,
+             const std::function<std::uint64_t(int)> &seed_for,
+             long retry_budget);
 
 } // namespace pca::harness
 

@@ -29,6 +29,28 @@ attrClassForVector(int vector)
     return AttrClass::Pmi;
 }
 
+Count
+modeTotal(const ModeAttrCounts &split, PlMask pl)
+{
+    Count n = 0;
+    for (Mode m : {Mode::User, Mode::Kernel})
+        if (plMaskIncludes(pl, m))
+            for (Count c : split[static_cast<std::size_t>(m)])
+                n += c;
+    return n;
+}
+
+AttrCounts
+classSplit(const ModeAttrCounts &split, PlMask pl)
+{
+    AttrCounts out{};
+    for (Mode m : {Mode::User, Mode::Kernel})
+        if (plMaskIncludes(pl, m))
+            for (std::size_t c = 0; c < numAttrClasses; ++c)
+                out[c] += split[static_cast<std::size_t>(m)][c];
+    return out;
+}
+
 ErrorAttribution
 attributeError(const AttrCounts &c0, const AttrCounts &c1,
                Count expected)

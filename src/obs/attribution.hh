@@ -54,6 +54,21 @@ AttrClass attrClassForVector(int vector);
 using AttrCounts = std::array<Count, numAttrClasses>;
 
 /**
+ * Event counts split by the privilege mode they were counted in (the
+ * row, indexed by Mode) and by attribution class. The class does not
+ * imply the mode: `syscall` retires in user mode after the class has
+ * switched to Syscall, and `iret` retires in kernel mode after the
+ * class has been restored.
+ */
+using ModeAttrCounts = std::array<AttrCounts, 2>;
+
+/** The events of the rows @p pl includes. */
+Count modeTotal(const ModeAttrCounts &split, PlMask pl);
+
+/** The class split of the rows @p pl includes. */
+AttrCounts classSplit(const ModeAttrCounts &split, PlMask pl);
+
+/**
  * Decomposition of one measurement's error into its causes. All
  * components are in units of the measured event (instructions for
  * the paper's main studies) and sum to the total error exactly.

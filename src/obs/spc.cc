@@ -71,6 +71,7 @@ spcName(Spc c)
       case Spc::RunsReused: return "runs_reused";
       case Spc::RunsReuseBlockedIrq: return "runs_reuse_blocked_irq";
       case Spc::MachineReuses: return "machine_reuses";
+      case Spc::ReadingsDerived: return "readings_derived";
       case Spc::NumSpcs: break;
     }
     return "?";

@@ -41,8 +41,8 @@ enum class Spc : std::uint8_t
     PatternOverheadInstrs, //!< measured-window overhead instructions
     FastForwardIters,   //!< loop iterations applied in bulk
     MachineReboots,     //!< reboots before executed session runs
-    ProgramCacheHits,   //!< point runs on an already-built session
-    ProgramCacheMisses, //!< per-point session builds
+    ProgramCacheHits,   //!< later runs on an already-built session
+    ProgramCacheMisses, //!< sessions built
     FaultsInjected,     //!< faults the FaultInjector fired
     SessionRetries,     //!< transient-fault retries spent by sessions
     DegradedPoints,     //!< study rows recorded as degraded
@@ -68,6 +68,7 @@ enum class Spc : std::uint8_t
     RunsReused,            //!< session runs answered from a reference
     RunsReuseBlockedIrq,   //!< later session runs an interrupt could reach
     MachineReuses,         //!< sessions that took the idle machine
+    ReadingsDerived,       //!< readings answered for a sibling mode
     NumSpcs,
 };
 

@@ -36,12 +36,15 @@ stddev(const std::vector<double> &xs)
     return std::sqrt(variance(xs));
 }
 
+namespace
+{
+
+/** quantile() of a sample sorted already. */
 double
-quantile(std::vector<double> xs, double q)
+sortedQuantile(const std::vector<double> &xs, double q)
 {
     pca_assert(!xs.empty());
     pca_assert(q >= 0.0 && q <= 1.0);
-    std::sort(xs.begin(), xs.end());
     if (xs.size() == 1)
         return xs[0];
     // R type-7: h = (n - 1) q; interpolate between floor(h), floor(h)+1.
@@ -50,6 +53,15 @@ quantile(std::vector<double> xs, double q)
     auto hi = std::min(lo + 1, xs.size() - 1);
     double frac = h - std::floor(h);
     return xs[lo] + frac * (xs[hi] - xs[lo]);
+}
+
+} // namespace
+
+double
+quantile(std::vector<double> xs, double q)
+{
+    std::sort(xs.begin(), xs.end());
+    return sortedQuantile(xs, q);
 }
 
 double
@@ -79,9 +91,12 @@ summarize(const std::vector<double> &xs)
     Summary s;
     s.n = xs.size();
     s.min = minOf(xs);
-    s.q1 = quantile(xs, 0.25);
-    s.median = quantile(xs, 0.5);
-    s.q3 = quantile(xs, 0.75);
+    // One sorted copy serves all three quantiles.
+    std::vector<double> sorted = xs;
+    std::sort(sorted.begin(), sorted.end());
+    s.q1 = sortedQuantile(sorted, 0.25);
+    s.median = sortedQuantile(sorted, 0.5);
+    s.q3 = sortedQuantile(sorted, 0.75);
     s.max = maxOf(xs);
     s.mean = mean(xs);
     s.stddev = stddev(xs);

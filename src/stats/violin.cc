@@ -11,13 +11,14 @@
 namespace pca::stats
 {
 
-Density
-kernelDensity(const std::vector<double> &xs, int points)
+namespace
 {
-    pca_assert(!xs.empty());
-    pca_assert(points >= 2);
 
-    Summary s = summarize(xs);
+/** kernelDensity() of a sample whose summary @p s is known. */
+Density
+densityOf(const std::vector<double> &xs, const Summary &s, int points)
+{
+    pca_assert(points >= 2);
     double spread = std::min(s.stddev, s.iqr() / 1.34);
     if (spread <= 0)
         spread = std::max(s.stddev, 1e-9);
@@ -68,12 +69,20 @@ kernelDensity(const std::vector<double> &xs, int points)
     return d;
 }
 
+} // namespace
+
+Density
+kernelDensity(const std::vector<double> &xs, int points)
+{
+    return densityOf(xs, summarize(xs), points);
+}
+
 Violin
 makeViolin(const std::vector<double> &xs, int points)
 {
     Violin v;
-    v.density = kernelDensity(xs, points);
     v.summary = summarize(xs);
+    v.density = densityOf(xs, v.summary, points);
     return v;
 }
 

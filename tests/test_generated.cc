@@ -23,7 +23,10 @@
  *  - every run's counters satisfy the consistency invariants a
  *    correct PMU implies (branch misses within branches within
  *    instructions, misses within accesses, per-mode instructions,
- *    interrupts and cycles summing to the RunResult's);
+ *    interrupts and cycles summing to the RunResult's, and each
+ *    programmed counter's mode x class split summing to its value
+ *    minus the written base, row by row equal across the counting
+ *    modes);
  *  - the profiled run's record covers every user retire, and each
  *    of ext_profiler_bias's 16 samplers derived from it accounts
  *    for every sampled tick (a fault in the tick log or the drop
@@ -359,6 +362,20 @@ runGenerated(std::uint64_t seed, cpu::Processor proc, bool block,
     Machine m(cfg);
     const Expected expected = gen.emit(m);
     m.finalize(gen.textOffset());
+    // Instructions counted in user+kernel, user and kernel mode (as
+    // many as the processor has counters), each from its own written
+    // base, for the mode x class split invariants below.
+    cpu::Pmu &pmu = m.core().pmu();
+    const std::array<PlMask, 3> pls = {PlMask::UserKernel, PlMask::User,
+                                       PlMask::Kernel};
+    const int counters = std::min(pmu.numProg(), 3);
+    for (int i = 0; i < counters; ++i) {
+        const auto u = static_cast<std::uint32_t>(i);
+        pmu.wrmsr(cpu::Pmu::msrEvtSelBase + u,
+                  cpu::Pmu::encodeEvtSel(cpu::EventType::InstrRetired,
+                                         pls[u], true));
+        pmu.wrmsr(cpu::Pmu::msrPmcBase + u, 1000 * (u + 1));
+    }
     const auto r = m.tryRun();
     Outcome out;
     if (!r.ok()) {
@@ -402,6 +419,32 @@ runGenerated(std::uint64_t seed, cpu::Processor proc, bool block,
     if (profiled)
         checkProfile(*m.profiler(), *r);
 
+    // The mode x class split: its rows sum to the value minus the
+    // written base, a mode the counter does not count keeps a zero
+    // row, each counted row holds that mode's retires, and the
+    // user+kernel counter's rows equal the single-mode counters' (the
+    // identity every derived sibling-mode reading rests on).
+    const auto &uk = pmu.progCounter(0).split;
+    for (int i = 0; i < counters; ++i) {
+        SCOPED_TRACE("counter " + std::to_string(i));
+        const cpu::Pmu::Counter &c = pmu.progCounter(i);
+        const auto u = static_cast<std::size_t>(i);
+        EXPECT_EQ(obs::modeTotal(c.split, PlMask::UserKernel),
+                  c.value - 1000 * (u + 1));
+        for (const auto mode : {Mode::User, Mode::Kernel}) {
+            const auto row = static_cast<std::size_t>(mode);
+            const PlMask only = mode == Mode::User ? PlMask::User
+                                                   : PlMask::Kernel;
+            if (!plMaskIncludes(pls[u], mode)) {
+                EXPECT_EQ(obs::modeTotal(c.split, only), 0u);
+                continue;
+            }
+            EXPECT_EQ(obs::modeTotal(c.split, only),
+                      core.rawEvents(EventType::InstrRetired, mode));
+            EXPECT_EQ(c.split[row], uk[row]);
+        }
+    }
+
     std::ostringstream os;
     os << r->userInstr << '/' << r->kernelInstr << '/' << r->cycles
        << '/' << r->interrupts;
@@ -412,6 +455,9 @@ runGenerated(std::uint64_t seed, cpu::Processor proc, bool block,
                                      mode);
     for (std::size_t i = 0; i < isa::numRegs; ++i)
         os << '/' << m.core().getReg(static_cast<Reg>(i));
+    for (const obs::AttrCounts &row : uk)
+        for (const Count n : row)
+            os << '/' << n;
     out.digest = os.str();
     out.ffIters = r->fastForwardedIters;
     out.interrupts = r->interrupts;

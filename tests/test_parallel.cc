@@ -431,6 +431,194 @@ TEST(SessionEquivalence, FaultPlanRunsEqualFreshHarness)
 }
 
 // ---------------------------------------------------------------- //
+// Sibling-mode readings
+// ---------------------------------------------------------------- //
+
+/**
+ * The oracle for readings a User+Kernel session derives for another
+ * counting mode: at every seed, the User and the Kernel reading it
+ * reports equal, field by field, the reading of a session of that
+ * mode executing the run itself. Two sweeps: every mode pair of
+ * Figure 1's null study (all three processors; 1, 2, 4 and, on
+ * Pentium D, 18 counters; both TSC settings), and a loop a quarter
+ * of a timer period long with every tick preempting the thread, so
+ * that some readings cross an interrupt and perfctr's switch-out/in
+ * path.
+ */
+TEST(ModeDerivation, DerivedReadingsEqualSeparateSessions)
+{
+    obs::spcReset();
+    obs::spcAttach("readings_derived");
+    Count derived = 0, interrupted = 0, preempted = 0;
+    const auto check = [&](HarnessConfig cfg, const MicroBenchmark &bench,
+                           std::uint64_t key) {
+        cfg.mode = CountingMode::UserKernel;
+        HarnessSession uk(cfg, bench);
+        for (CountingMode mode :
+             {CountingMode::User, CountingMode::Kernel}) {
+            cfg.mode = mode;
+            HarnessSession own(cfg, bench);
+            for (std::uint64_t k = 0; k < 3; ++k) {
+                const std::uint64_t seed = mixSeed(key, k);
+                SCOPED_TRACE(std::string(countingModeName(mode)) +
+                             " seed=" + std::to_string(seed));
+                const auto got = uk.tryRun(seed, nullptr, mode);
+                ASSERT_TRUE(got.ok());
+                expectSameMeasurement(*got, own.run(seed));
+                ++derived;
+                interrupted += got->run.interrupts > 0;
+                preempted += got->attribution.preemption > 0;
+            }
+        }
+    };
+
+    const NullBench null;
+    const auto points = core::FactorSpace()
+                            .counterCounts({1, 2, 4, 18})
+                            .tscSettings({true, false})
+                            .modes({CountingMode::UserKernel})
+                            .generate();
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const core::FactorPoint &p = points[i];
+        SCOPED_TRACE(std::string(cpu::processorCode(p.processor)) + "/" +
+                     interfaceCode(p.iface) + "/" +
+                     patternName(p.pattern) + "/O" +
+                     std::to_string(p.optLevel) + "/n" +
+                     std::to_string(p.numCounters) +
+                     (p.tsc ? "/tsc" : "/notsc"));
+        check(p.toHarnessConfig(0), null, i);
+    }
+
+    std::uint64_t loopKey = 0;
+    for (cpu::Processor proc : cpu::allProcessors()) {
+        HarnessConfig quiet;
+        quiet.processor = proc;
+        quiet.interruptsEnabled = false;
+        constexpr Count probe = 100000;
+        const Cycles probeCycles =
+            HarnessSession(quiet, LoopBench(probe)).run().run.cycles;
+        const LoopBench quarterTick(
+            cpu::microArch(proc).timerPeriodCycles() / 4 * probe /
+            probeCycles);
+        for (Interface iface : allInterfaces())
+            for (AccessPattern pat : allPatterns()) {
+                if (!patternSupported(iface, pat))
+                    continue;
+                SCOPED_TRACE(std::string(cpu::processorCode(proc)) +
+                             "/" + interfaceCode(iface) + "/" +
+                             patternName(pat) + " preempted loop");
+                HarnessConfig cfg;
+                cfg.processor = proc;
+                cfg.iface = iface;
+                cfg.pattern = pat;
+                cfg.preemptProb = 1.0;
+                cfg.extraEvents = {cpu::EventType::BrInstRetired};
+                check(cfg, quarterTick, mixSeed(points.size(), loopKey++));
+            }
+    }
+
+    // Every derived reading counts once, and the loop sweep reaches
+    // interrupted and preempted runs.
+    EXPECT_EQ(obs::spcValue(obs::Spc::ReadingsDerived), derived);
+    obs::spcReset();
+    EXPECT_GT(interrupted, 0u);
+    EXPECT_GT(preempted, 0u);
+}
+
+namespace
+{
+
+/**
+ * Every row of a null-study table equals its point measured alone:
+ * one session of the point's own config (counting mode included)
+ * under @p plan, at the study's seeds.
+ */
+void
+expectRowsEqualPointsAlone(const core::DataTable &table,
+                           const std::vector<core::FactorPoint> &points,
+                           int runs, std::uint64_t seed,
+                           const kernel::FaultPlan &plan)
+{
+    ASSERT_EQ(table.size(), points.size() * static_cast<std::size_t>(runs));
+    const NullBench null;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        HarnessConfig cfg = points[i].toHarnessConfig(seed);
+        cfg.faults = plan;
+        const auto alone = measurePoint(cfg, null, runs, [&](int r) {
+            return mixSeed(seed, (i + 1) * 1000 +
+                                     static_cast<std::uint64_t>(r));
+        });
+        for (std::size_t r = 0; r < alone.size(); ++r) {
+            ASSERT_TRUE(alone[r].ok());
+            EXPECT_EQ(table.value(i * alone.size() + r),
+                      static_cast<double>(alone[r]->error()))
+                << "point " << i << " run " << r;
+        }
+    }
+}
+
+} // namespace
+
+/**
+ * The null study end to end: over both counting modes, both TSC
+ * settings, two counter counts and two opt levels, it builds one
+ * session per user / user+kernel pair, derives every user reading,
+ * and each row equals its point measured alone in its own mode.
+ */
+TEST(ModeDerivation, NullStudyRowsEqualEachPointMeasuredAlone)
+{
+    const auto points = core::FactorSpace()
+                            .processors({cpu::Processor::PentiumD,
+                                         cpu::Processor::AthlonX2})
+                            .optLevels({0, 3})
+                            .counterCounts({1, 2})
+                            .tscSettings({true, false})
+                            .generate();
+    constexpr int runs = 2;
+    constexpr std::uint64_t seed = 7;
+    obs::spcReset();
+    obs::spcAttach("program_cache_misses,readings_derived");
+    const core::DataTable table =
+        core::runNullErrorStudy(points, runs, seed);
+    const Count sessions = obs::spcValue(obs::Spc::ProgramCacheMisses);
+    const Count derived = obs::spcValue(obs::Spc::ReadingsDerived);
+    obs::spcReset();
+    EXPECT_EQ(sessions, points.size() / 2);
+    EXPECT_EQ(derived, points.size() / 2 * runs);
+    expectRowsEqualPointsAlone(table, points, runs, seed, {});
+}
+
+/**
+ * Sibling grouping is off under a fault plan that can fire. At an
+ * 8-bit counter width every read wraps, so a User+Kernel value minus
+ * its kernel rows is not what a user-mode counter reads: the null
+ * study builds a session per point and derives nothing, and each of
+ * its rows equals the point measured alone.
+ */
+TEST(ModeDerivation, FaultPlanKeepsASessionPerPoint)
+{
+    const auto points = core::FactorSpace()
+                            .processors({cpu::Processor::Core2Duo})
+                            .optLevels({2})
+                            .generate();
+    constexpr int runs = 2;
+    constexpr std::uint64_t seed = 42;
+    setenv("PCA_FAULTS", "width=8", 1);
+    obs::spcReset();
+    obs::spcAttach("program_cache_misses,readings_derived");
+    const core::DataTable table =
+        core::runNullErrorStudy(points, runs, seed);
+    const Count sessions = obs::spcValue(obs::Spc::ProgramCacheMisses);
+    const Count derived = obs::spcValue(obs::Spc::ReadingsDerived);
+    obs::spcReset();
+    unsetenv("PCA_FAULTS");
+    EXPECT_EQ(sessions, points.size());
+    EXPECT_EQ(derived, 0u);
+    expectRowsEqualPointsAlone(table, points, runs, seed,
+                               kernel::FaultPlan::parse("width=8"));
+}
+
+// ---------------------------------------------------------------- //
 // Result reuse counters
 // ---------------------------------------------------------------- //
 
@@ -712,30 +900,30 @@ TEST(ParallelStudies, NullErrorStudyByteIdentical)
                             .optLevels({2})
                             .counterCounts({1})
                             .generate();
-    ASSERT_FALSE(points.empty());
+    ASSERT_EQ(points.size(), 40u);
     core::StudyObsOptions obs;
     obs.attributionColumns = true;
     auto study = [&] {
         return core::runNullErrorStudy(points, 3, 42, obs);
     };
-    // Every point builds one session for its first run; its other
-    // two runs reuse that session. These are the counts the study
-    // benchmark reads, at any thread count. Each session boots a
-    // machine or takes its thread's idle one of the same kind.
+    // The user and user+kernel point of each configuration share one
+    // User+Kernel session: 20 sessions for 40 points, and every run
+    // but a session's first is a later run on it (3 * 40 - 20). These
+    // are the counts the study benchmark reads, at any thread count.
+    // Each session boots a machine or takes its thread's idle one of
+    // the same kind.
     const auto countedCsv = [&](int threads) {
         obs::spcReset();
         obs::spcAttach("program_cache_hits,program_cache_misses,"
                        "machine_boots,machine_reuses");
         const std::string csv = csvWithThreads(threads, study);
-        EXPECT_EQ(obs::spcValue(obs::Spc::ProgramCacheMisses),
-                  points.size())
+        EXPECT_EQ(obs::spcValue(obs::Spc::ProgramCacheMisses), 20u)
             << "threads=" << threads;
         EXPECT_EQ(obs::spcValue(obs::Spc::MachineBoots) +
                       obs::spcValue(obs::Spc::MachineReuses),
-                  points.size())
+                  20u)
             << "threads=" << threads;
-        EXPECT_EQ(obs::spcValue(obs::Spc::ProgramCacheHits),
-                  2 * points.size())
+        EXPECT_EQ(obs::spcValue(obs::Spc::ProgramCacheHits), 100u)
             << "threads=" << threads;
         const Count boots = obs::spcValue(obs::Spc::MachineBoots);
         obs::spcReset();

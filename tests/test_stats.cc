@@ -72,6 +72,37 @@ TEST(Descriptive, SummaryFields)
     EXPECT_DOUBLE_EQ(s.mean, 22.0);
 }
 
+/**
+ * summarize() sorts one copy for all three quantiles: each equals
+ * quantile() called alone, bit for bit, on samples of error-like
+ * integers with many ties (duplicate order statistics put the
+ * interpolation between equal and unequal neighbours).
+ */
+TEST(Descriptive, OneSortSummaryEqualsPerCallQuantiles)
+{
+    Rng rng(29);
+    for (const std::size_t n : {1, 2, 3, 4, 5, 7, 12, 101, 1000}) {
+        std::vector<double> xs;
+        for (std::size_t i = 0; i < n; ++i)
+            xs.push_back(static_cast<double>(rng.nextBelow(7)) * 50 +
+                         (rng.nextBelow(10) == 0 ? 1e4 : 0));
+        SCOPED_TRACE("n=" + std::to_string(n));
+        const Summary s = summarize(xs);
+        EXPECT_EQ(s.q1, quantile(xs, 0.25));
+        EXPECT_EQ(s.median, quantile(xs, 0.5));
+        EXPECT_EQ(s.q3, quantile(xs, 0.75));
+        EXPECT_EQ(s.min, minOf(xs));
+        EXPECT_EQ(s.max, maxOf(xs));
+        // The violin reuses that summary for its density.
+        const Violin v = makeViolin(xs);
+        EXPECT_EQ(v.summary.q1, s.q1);
+        EXPECT_EQ(v.summary.median, s.median);
+        EXPECT_EQ(v.summary.q3, s.q3);
+        EXPECT_EQ(v.density.at, kernelDensity(xs).at);
+        EXPECT_EQ(v.density.bandwidth, kernelDensity(xs).bandwidth);
+    }
+}
+
 TEST(Descriptive, EmptySamplePanics)
 {
     EXPECT_THROW(mean({}), std::logic_error);
